@@ -1,12 +1,16 @@
 """Two-stage UAV-BS-beam association plus the baseline allocators.
 
-Stage 1 tunes the horizontal scan angle of every (UAV, BS, beam) triplet by
-dual annealing: generalized simulated annealing with a heavy-tailed visiting
-distribution for global exploration, and a bounded derivative-free scalar
-minimizer (Brent) for local refinement whenever the incumbent improves.
+Stage 1 tunes the horizontal scan angle of every (UAV, BS, beam) triplet.
 Each beam owns one of N equal azimuth sectors of (-pi, pi], and its scan
 angle is optimized inside that sector, so the N beams of a BS stay distinct
-and beam exclusivity is meaningful.
+and beam exclusivity is meaningful. `build_beam_gain_table` solves all
+triplets in one deterministic numpy pass: the array power of a link is a
+real trig polynomial in sin(phi_scan), maximized per sector by a grid whose
+density follows from the array geometry plus vectorized golden-section
+refinement. `optimize_scan_angle` keeps the paper's per-triplet dual
+annealing (generalized simulated annealing with a heavy-tailed visiting
+distribution, Brent refinement of each new incumbent) as the reference
+method the tests compare against.
 
 Stage 2 turns the optimized gains and the channel gains into a utility
 tensor Lambda[m, l, n] = P * |h|^2 * 10^(G/10), flattens it to an
@@ -28,16 +32,20 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from .antenna import AntennaConfig, SteeringDirection, make_scan_gain
+from .antenna import AntennaConfig, SteeringDirection, make_scan_gain, scan_coefficients
 from .channel import LinkGainTensor, RfConstants
 from .errors import ConfigurationError, InfeasibleAssignmentError
-from .geometry import BaseStationSite, Position3D, link_geometry
+from .geometry import BaseStationSite, Position3D, link_geometries
 
 _SEED_MASK = (1 << 64) - 1
 
 # Generalized-annealing acceptance shape; more negative = greedier.
 _ACCEPTANCE_PARAM = -5.0
 _TAIL_LIMIT = 1e8
+
+# Batched stage 1 refines each scan bracket down to this width (radians).
+_SCAN_XTOL = 1e-9
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,7 @@ class BeamCodebook:
 
 @dataclass(frozen=True)
 class AnnealerConfig:
-    """Iteration budget and schedule of the stage-1 scan optimizer."""
+    """Iteration budget and schedule of the reference dual-annealing optimizer."""
 
     t_global: int = 200  # annealing proposals
     t_local: int = 50  # max iterations per local refinement
@@ -77,7 +85,7 @@ class BeamGainTable:
 
     phi_star: np.ndarray  # (M, L, N) radians
     gain_db: np.ndarray  # (M, L, N)
-    stage1_evals: int  # total objective evaluations
+    stage1_evals: int  # scan points evaluated
 
 
 @dataclass
@@ -242,36 +250,106 @@ def optimize_scan_angle(
     return x_best, -e_best, evals
 
 
+def _scan_power(autocorr: np.ndarray, alpha: float, phi_scan: np.ndarray) -> np.ndarray:
+    """|sum_k c_k z^k|^2 at z = exp(1j * alpha * sin(phi_scan)), in real form.
+
+    The power is the trig polynomial r_0 + 2*Re sum_{d>=1} r_d z^d of degree
+    n_h - 1 in s = alpha * sin(phi_scan), where r_d = sum_k c_{k+d} conj(c_k)
+    is the coefficient autocorrelation, shape (..., n_h); the sum is taken
+    by Horner's rule, so no harmonic axis is ever materialized. `phi_scan`
+    broadcasts against autocorr[..., 0].
+    """
+    z = np.exp(1j * alpha * np.sin(phi_scan))
+    acc = np.zeros_like(z)
+    for d in range(autocorr.shape[-1] - 1, 0, -1):
+        acc = (acc + autocorr[..., d]) * z
+    return autocorr[..., 0].real + 2.0 * np.real(acc)
+
+
+def optimal_scan_angles(
+    theta, phi, sectors, cfg: AntennaConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Best scan angle and total gain of every (direction, sector) pair at once.
+
+    `theta` and `phi` broadcast to the directions' shape S and `sectors`
+    lists N half-open intervals (lo, hi]. Returns (phi_star, gain_db,
+    scan points evaluated), the arrays of shape S + (N,), every phi_star
+    inside its sector.
+
+    Each direction folds into its element gain and n_h scan coefficients
+    (`scan_coefficients`), which make the array power a real trig
+    polynomial of degree D = n_h - 1 in s = alpha * sin(phi_scan). Every
+    sector is cut into cells that span at most pi / (2 D) in s, a quarter
+    period of the highest harmonic; the array factor of a uniform array has
+    one maximum between consecutive nulls, 2 pi / n_h apart in s, so a cell
+    holds at most one local maximum. Golden-section search refines every
+    cell to `_SCAN_XTOL` radians, and the best grid or refined point wins.
+    The evaluation count is a fixed multiple of the number of pairs.
+    """
+    lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
+    if lo.size == 0 or np.any(~(hi > lo)):
+        raise ConfigurationError(f"scan sectors must be non-empty (lo, hi], got {sectors}")
+    elem_db, coeffs, alpha = scan_coefficients(theta, phi, cfg)
+    shape = elem_db.shape + (lo.size,)
+    autocorr = np.stack(
+        [(coeffs[..., d:] * coeffs[..., : cfg.n_h - d].conj()).sum(axis=-1)
+         for d in range(cfg.n_h)],
+        axis=-1,
+    )[..., None, None, :]  # S + (1, 1, n_h)
+
+    width = float(np.max(hi - lo))
+    cells = max(1, math.ceil(abs(alpha) * width * 2.0 * (cfg.n_h - 1) / math.pi))
+    steps = max(0, math.ceil(math.log(_SCAN_XTOL * cells / width) / math.log(_INV_PHI)))
+    grid = np.linspace(np.nextafter(lo, hi), hi, cells + 1, axis=-1)  # (N, cells + 1)
+    grid_power = _scan_power(autocorr, alpha, grid)
+
+    a = np.broadcast_to(grid[:, :-1], shape + (cells,))
+    b = np.broadcast_to(grid[:, 1:], shape + (cells,))
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1 = _scan_power(autocorr, alpha, x1)
+    f2 = _scan_power(autocorr, alpha, x2)
+    for _ in range(steps):
+        left = f1 >= f2  # a maximum lies in [a, x2]
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        x_kept = np.where(left, x1, x2)
+        f_kept = np.where(left, f1, f2)
+        x_new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        f_new = _scan_power(autocorr, alpha, x_new)
+        x1, f1 = np.where(left, x_new, x_kept), np.where(left, f_new, f_kept)
+        x2, f2 = np.where(left, x_kept, x_new), np.where(left, f_kept, f_new)
+
+    points = np.concatenate([np.broadcast_to(grid, grid_power.shape), x1, x2], axis=-1)
+    power = np.concatenate([grid_power, f1, f2], axis=-1)
+    best = np.argmax(power, axis=-1)[..., None]
+    phi_star = np.take_along_axis(points, best, axis=-1)[..., 0]
+
+    # The winner's gain comes from the coefficient sum itself, which keeps
+    # the precision of total_gain() near nulls of the array factor.
+    z = np.exp(1j * alpha * np.sin(phi_star)[..., None] * np.arange(cfg.n_h))
+    field = (coeffs[..., None, :] * z).sum(axis=-1)
+    floor = 10.0 ** (cfg.gain_floor_db / 10.0)
+    gain_db = elem_db[..., None] + 10.0 * np.log10(
+        np.maximum(field.real**2 + field.imag**2, floor)
+    )
+    evals_per_pair = (cells + 1) + cells * (2 + steps) + 1
+    return phi_star, gain_db, math.prod(shape) * evals_per_pair
+
+
 def build_beam_gain_table(
     uavs: list[Position3D],
     bss: list[BaseStationSite],
     codebook: BeamCodebook,
     cfg: AntennaConfig,
-    ann: AnnealerConfig,
 ) -> BeamGainTable:
-    """Run the scan optimizer for every (UAV, BS, beam) triplet.
-
-    Per-triplet RNG substreams are derived from (seed, m, l, n), so the
-    table is identical no matter how the triplets are scheduled.
-    """
-    mm, ll, nn = len(uavs), len(bss), codebook.n_beams
-    phi_star = np.empty((mm, ll, nn), dtype=float)
-    gain_db = np.empty((mm, ll, nn), dtype=float)
-    total_evals = 0
-    base = ann.seed & _SEED_MASK
-    for m in range(mm):
-        for l in range(ll):
-            direction = link_geometry(bss[l], uavs[m])
-            dir_ = SteeringDirection(theta=direction.theta, phi=direction.phi)
-            for n in range(nn):
-                rng = np.random.default_rng(np.random.SeedSequence((base, m, l, n)))
-                phi, gain, evals = optimize_scan_angle(
-                    dir_, codebook.sectors[n], cfg, ann, rng=rng
-                )
-                phi_star[m, l, n] = phi
-                gain_db[m, l, n] = gain
-                total_evals += evals
-    return BeamGainTable(phi_star=phi_star, gain_db=gain_db, stage1_evals=total_evals)
+    """Best scan angle and gain of every (UAV, BS, beam) triplet, in one batch."""
+    geoms = link_geometries(uavs, bss)
+    shape = (len(uavs), len(bss))
+    theta = np.array([[g.theta for g in row] for row in geoms]).reshape(shape)
+    phi = np.array([[g.phi for g in row] for row in geoms]).reshape(shape)
+    phi_star, gain_db, evals = optimal_scan_angles(theta, phi, codebook.sectors, cfg)
+    return BeamGainTable(phi_star=phi_star, gain_db=gain_db, stage1_evals=evals)
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +477,6 @@ def allocate_two_stage(
     bss: list[BaseStationSite],
     codebook: BeamCodebook,
     antenna_cfg: AntennaConfig,
-    ann: AnnealerConfig,
     gains: LinkGainTensor,
     rf: RfConstants,
     power_divisor: float = 1.0,
@@ -409,7 +486,7 @@ def allocate_two_stage(
     timings = {}
     t0 = time.perf_counter()
     if table is None:
-        table = build_beam_gain_table(uavs, bss, codebook, antenna_cfg, ann)
+        table = build_beam_gain_table(uavs, bss, codebook, antenna_cfg)
     timings["stage1_seconds"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     util = build_utility(table, gains, rf, power_divisor)

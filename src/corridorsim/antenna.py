@@ -141,22 +141,42 @@ def total_gain(direction: SteeringDirection, phi_scan, cfg: AntennaConfig):
     )
 
 
+def scan_coefficients(theta, phi, cfg: AntennaConfig):
+    """Fold link directions into their element gains and scan coefficients.
+
+    For the direction (theta, phi) the total gain at scan angle phi_scan is
+
+        elem_db + 10*log10(|sum_k c_k z^k|^2),  z = exp(1j * alpha * sin(phi_scan)),
+
+    because the steering vector and the scan-independent vertical weight
+    phases sum out over the vertical elements. Returns (elem_db, c, alpha):
+    elem_db has the broadcast shape S of theta and phi, c has shape
+    S + (n_h,), and alpha = -2*pi*d_h*cos(tilt) is shared by every direction.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    elem_db = np.asarray(element_gain(theta, phi, cfg))
+    k = np.arange(cfg.n_h)
+    n = np.arange(cfg.n_v)
+    h_phase = cfg.d_h * (np.sin(theta) * np.sin(phi))[..., None] * k
+    v_phase = cfg.d_v * (math.sin(cfg.theta_tilt) - np.cos(theta))[..., None] * n
+    vertical = np.exp(2j * math.pi * v_phase).sum(axis=-1)
+    coeffs = np.exp(-2j * math.pi * h_phase) * (vertical / math.sqrt(cfg.n_elements))[..., None]
+    alpha = -2.0 * math.pi * cfg.d_h * math.cos(cfg.theta_tilt)
+    return elem_db, coeffs, alpha
+
+
 def make_scan_gain(direction: SteeringDirection, cfg: AntennaConfig) -> Callable[[float], float]:
     """Build a fast scalar scan -> total gain map for a fixed direction.
 
-    Folds the element gain, the steering vector and the scan-independent
-    vertical weight phases into n_h complex coefficients, leaving one sin()
-    and n_h phasors per evaluation. Matches total_gain() to float rounding;
-    used by the per-triplet scan optimizer where the gain is evaluated a few
-    hundred times per direction.
+    Uses the n_h coefficients of `scan_coefficients`, leaving one sin() and
+    n_h phasors per evaluation. Matches total_gain() to float rounding; used
+    by the per-triplet reference scan optimizer, which evaluates the gain a
+    few hundred times per direction.
     """
-    elem_db = element_gain(direction.theta, direction.phi, cfg)
-    v = steering_vector(direction, cfg).reshape(cfg.n_h, cfg.n_v)
-    n = np.arange(cfg.n_v)
-    w_vert = np.exp(2j * math.pi * cfg.d_v * n * math.sin(cfg.theta_tilt))
-    coeffs = (v.conj() @ w_vert) / math.sqrt(cfg.n_elements)  # (n_h,)
+    elem_db, coeffs, alpha = scan_coefficients(direction.theta, direction.phi, cfg)
+    elem_db = float(elem_db)
     coeffs_list = [complex(c) for c in coeffs]
-    alpha = -2.0 * math.pi * cfg.d_h * math.cos(cfg.theta_tilt)
     floor = 10.0 ** (cfg.gain_floor_db / 10.0)
 
     def gain(phi_scan: float) -> float:

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import math
+import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -30,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .allocator import (
-    AnnealerConfig,
     BeamCodebook,
     allocate_closest_bs,
     allocate_random,
@@ -67,8 +67,8 @@ from .geometry import (
 
 _SEED_MASK = (1 << 64) - 1
 
-# Stream tags keeping the derived seed families disjoint.
-_TAG_STAGE1 = 1
+# Stream tags keeping the derived seed families disjoint. Tag 1 is retired;
+# renumbering the others would move every channel draw.
 _TAG_CHANNEL = 2
 _TAG_DEGRADE = 3
 _TAG_STATISTICAL = 4
@@ -105,7 +105,6 @@ class ScenarioConfig:
     allocator: str = "two_stage"
     allocation_channel: str = "hf"
     evaluation_channel: str = "hf"
-    annealer: AnnealerConfig = field(default_factory=AnnealerConfig)
     seed: int = 0
     replications: int = 1
     split_power_among_beams: bool = False
@@ -230,13 +229,6 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         },
         "channel_hf": _provider_to_dict(config.channel_hf),
         "channel_lf": _provider_to_dict(config.channel_lf),
-        "annealer": {
-            "t_global": config.annealer.t_global,
-            "t_local": config.annealer.t_local,
-            "initial_temperature": config.annealer.initial_temperature,
-            "visiting_param": config.annealer.visiting_param,
-            "restart_stall": config.annealer.restart_stall,
-        },
     }
 
 
@@ -318,15 +310,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         bss.append(BaseStationSite(int(bs_doc.get("id", i + 1)), pos, boresight))
     if not bss:
         bss = base.bss
-    ann_doc = doc.get("annealer", {})
-    annealer = AnnealerConfig(
-        t_global=int(ann_doc.get("t_global", 200)),
-        t_local=int(ann_doc.get("t_local", 50)),
-        initial_temperature=float(ann_doc.get("initial_temperature", 5230.0)),
-        visiting_param=float(ann_doc.get("visiting_param", 2.62)),
-        restart_stall=int(ann_doc.get("restart_stall", 20)),
-        seed=int(ann_doc.get("seed", 0)),
-    )
     return ScenarioConfig(
         rf=rf,
         antenna=antenna,
@@ -341,7 +324,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         allocator=doc.get("allocator", "two_stage"),
         allocation_channel=doc.get("allocation_channel", "hf"),
         evaluation_channel=doc.get("evaluation_channel", "hf"),
-        annealer=annealer,
         seed=int(doc.get("seed", 0)),
         replications=int(doc.get("replications", 1)),
         split_power_among_beams=bool(doc.get("split_power_among_beams", False)),
@@ -415,21 +397,6 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             errors.append(f"{label}.import_path is required for kind 'import'")
     if config.replications < 1:
         errors.append(f"replications must be >= 1, got {config.replications}")
-    ann = config.annealer
-    if ann.t_global < 1:
-        errors.append(f"annealer.t_global must be >= 1, got {ann.t_global}")
-    if ann.t_local < 1:
-        errors.append(f"annealer.t_local must be >= 1, got {ann.t_local}")
-    if ann.initial_temperature <= 0.0:
-        errors.append(
-            f"annealer.initial_temperature must be positive, got {ann.initial_temperature}"
-        )
-    if not 1.0 < ann.visiting_param < 3.0:
-        errors.append(
-            f"annealer.visiting_param must lie in (1, 3), got {ann.visiting_param}"
-        )
-    if ann.restart_stall < 1:
-        errors.append(f"annealer.restart_stall must be >= 1, got {ann.restart_stall}")
     if config.num_rrbs < 1:
         errors.append(f"num_rrbs must be >= 1, got {config.num_rrbs}")
     if config.beta_reading not in ("interferer", "victim"):
@@ -481,7 +448,6 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     geoms = link_geometries(uavs, config.bss)
     tilt = config.codebook.tilt if config.codebook.tilt is not None else config.antenna.theta_tilt
     codebook = BeamCodebook.uniform(config.codebook.n_beams, tilt)
-    annealer = replace(config.annealer, seed=_derive_seed(config.seed, _TAG_STAGE1))
     divisor = float(config.codebook.n_beams) if config.split_power_among_beams else 1.0
     eval_cfg = EvaluationConfig(
         num_rrbs=config.num_rrbs,
@@ -489,10 +455,10 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
         power_divisor=divisor,
     )
 
-    # Stage 1 depends only on geometry and the annealer seed, both fixed
-    # across replications, so the table is computed once and shared.
+    # Stage 1 depends only on geometry, which is fixed across replications,
+    # so the table is computed once and shared.
     t0 = time.perf_counter()
-    table = build_beam_gain_table(uavs, config.bss, codebook, config.antenna, annealer)
+    table = build_beam_gain_table(uavs, config.bss, codebook, config.antenna)
     stage1_seconds = time.perf_counter() - t0
 
     mm, ll, nn = config.uav_count, len(config.bss), config.codebook.n_beams
@@ -575,27 +541,41 @@ def _with_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     return cfg
 
 
+# Timed runs per UAV count in `benchmark`; odd, so the median is one run.
+_BENCH_REPEATS = 5
+
+
 def benchmark(config: ScenarioConfig, uav_counts: list[int], threads: int = 1) -> list[dict]:
-    """Per-UAV-count stage timings and stage-1 evaluation counts."""
-    rows = []
-    for m in uav_counts:
-        cfg = _with_axis(config, "uav_count", m)
-        cfg.replications = 1
-        result = run_scenario(cfg, threads)
-        rep = result.reports[0]
-        stage2 = rep.timings.get("stage2_seconds", 0.0)
-        evaluation = rep.timings.get("evaluation_seconds", 0.0)
-        rows.append(
-            {
-                "uav_count": m,
-                "stage1_seconds": result.stage1_seconds,
-                "stage2_seconds": stage2,
-                "evaluation_seconds": evaluation,
-                "total_seconds": result.stage1_seconds + stage2 + evaluation,
-                "stage1_evals": result.stage1_evals,
-            }
-        )
-    return rows
+    """Per-UAV-count median stage timings and stage-1 evaluation counts.
+
+    One untimed warm-up run comes first. Then every UAV count runs
+    `_BENCH_REPEATS` times, interleaved (10, 20, ..., 10, 20, ...), so a
+    slow phase of the machine hits all counts alike, and each stage time
+    is the median over the repeats.
+    """
+    configs = [replace(_with_axis(config, "uav_count", m), replications=1) for m in uav_counts]
+    if configs:
+        run_scenario(configs[0], threads)
+    samples = [[] for _ in configs]
+    for _ in range(_BENCH_REPEATS):
+        for cfg, runs in zip(configs, samples):
+            result = run_scenario(cfg, threads)
+            timings = result.reports[0].timings
+            stage2 = timings.get("stage2_seconds", 0.0)
+            evaluation = timings.get("evaluation_seconds", 0.0)
+            runs.append(
+                {
+                    "stage1_seconds": result.stage1_seconds,
+                    "stage2_seconds": stage2,
+                    "evaluation_seconds": evaluation,
+                    "total_seconds": result.stage1_seconds + stage2 + evaluation,
+                    "stage1_evals": result.stage1_evals,
+                }
+            )
+    return [
+        {"uav_count": m, **{key: statistics.median(run[key] for run in runs) for key in runs[0]}}
+        for m, runs in zip(uav_counts, samples)
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -146,7 +146,6 @@ class TestAcceptance:
                 assert validate(a, mm, ll, nn) == []
             checked += 1
         # a few full two-stage pipelines on real geometry
-        ann = AnnealerConfig(t_global=30, t_local=20, restart_stall=10, seed=99)
         for k in range(5):
             uavs = [
                 Position3D(rng.uniform(-200, 200), rng.uniform(-200, 200), 100.0)
@@ -158,7 +157,7 @@ class TestAcceptance:
             ]
             cb = BeamCodebook.uniform(4, tilt=CFG.theta_tilt)
             gains = LinkGainTensor(power_gains=rng.uniform(1e-10, 1e-8, size=(3, 2)))
-            a, _, _ = allocate_two_stage(uavs, bss, cb, CFG, ann, gains, RfConstants())
+            a, _, _ = allocate_two_stage(uavs, bss, cb, CFG, gains, RfConstants())
             assert validate(a, 3, 2, 4) == []
         report(4, f"zero C1-C4 violations across {checked} scenarios x 3 allocators")
 
@@ -214,7 +213,6 @@ class TestAcceptance:
         # M = 1: scenario pipeline, SINR must equal the closed form exactly
         cfg = scenario(808, uav_count=1, replications=3)
         cfg.corridor = replace(cfg.corridor, num_waypoints=1)
-        cfg.annealer = AnnealerConfig(t_global=40, t_local=20, restart_stall=10)
         result = run_scenario(cfg)
         from corridorsim.channel import generate, with_seed
         from corridorsim.geometry import generate_corridor, link_geometries
@@ -258,7 +256,6 @@ class TestAcceptance:
         cfg_l1.bss = cfg_l1.bss[:1]
         cfg_l1.corridor = replace(cfg_l1.corridor, num_waypoints=6)
         cfg_l1.uav_count = 6
-        cfg_l1.annealer = AnnealerConfig(t_global=40, t_local=20, restart_stall=10)
         result_l1 = run_scenario(cfg_l1)
         assert np.all(result_l1.reports[0].per_uav_sinr > 0.0)
         report(8, "interference exactly 0 for M=1 and L=1; single-link SINR matches "
@@ -282,7 +279,6 @@ class TestAcceptance:
     def test_10_determinism(self, tmp_path):
         cfg = scenario(1010, uav_count=6, replications=4)
         cfg.corridor = replace(cfg.corridor, num_waypoints=6)
-        cfg.annealer = AnnealerConfig(t_global=40, t_local=20, restart_stall=10)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         emit_reports([run_scenario(cfg, threads=1)], out_a)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corridorsim.allocator import (
     AnnealerConfig,
@@ -13,13 +15,22 @@ from corridorsim.allocator import (
     allocate_two_stage,
     build_beam_gain_table,
     build_utility,
+    optimal_scan_angles,
     optimize_scan_angle,
     serving_beam,
     solve_assignment,
 )
-from corridorsim.antenna import AntennaConfig, SteeringDirection, element_gain, total_gain
+from corridorsim.allocator import _scan_power
+from corridorsim.antenna import (
+    AntennaConfig,
+    SteeringDirection,
+    element_gain,
+    make_scan_gain,
+    scan_coefficients,
+    total_gain,
+)
 from corridorsim.channel import LinkGainTensor, RfConstants
-from corridorsim.errors import InfeasibleAssignmentError
+from corridorsim.errors import ConfigurationError, InfeasibleAssignmentError
 from corridorsim.evaluator import validate
 from corridorsim.geometry import BaseStationSite, Position3D
 
@@ -109,7 +120,7 @@ class TestBeamGainTable:
     def test_minimal_cardinality(self):
         uavs = [Position3D(100.0, 0.0, 100.0)]
         cb = BeamCodebook.uniform(1, tilt=CFG.theta_tilt)
-        table = build_beam_gain_table(uavs, self.bss(), cb, CFG, ANN)
+        table = build_beam_gain_table(uavs, self.bss(), cb, CFG)
         assert table.phi_star.shape == (1, 1, 1)
         assert table.gain_db.shape == (1, 1, 1)
         assert table.stage1_evals > 0
@@ -117,7 +128,7 @@ class TestBeamGainTable:
     def test_phi_star_inside_sector_and_gain_bounded(self):
         uavs = [Position3D(120.0, 80.0, 90.0), Position3D(-60.0, 150.0, 110.0)]
         cb = BeamCodebook.uniform(8, tilt=CFG.theta_tilt)
-        table = build_beam_gain_table(uavs, self.bss(), cb, CFG, ANN)
+        table = build_beam_gain_table(uavs, self.bss(), cb, CFG)
         bound = CFG.g_e_max_dbi + 10.0 * math.log10(CFG.n_elements) + 1e-9
         for m in range(2):
             for n, (lo, hi) in enumerate(cb.sectors):
@@ -127,7 +138,7 @@ class TestBeamGainTable:
     def test_best_sector_matches_unsectored_optimum(self):
         uavs = [Position3D(150.0, 40.0, 100.0)]
         cb = BeamCodebook.uniform(16, tilt=CFG.theta_tilt)
-        table = build_beam_gain_table(uavs, self.bss(), cb, CFG, ANN)
+        table = build_beam_gain_table(uavs, self.bss(), cb, CFG)
         from corridorsim.geometry import link_geometry
 
         g = link_geometry(self.bss()[0], uavs[0])
@@ -137,7 +148,7 @@ class TestBeamGainTable:
 
     def test_mirror_symmetry(self):
         # mirror-image UAVs about the boresight: per-sector maxima coincide
-        # for mirrored sectors, exactly on a grid and within 0.05 dB annealed
+        # for mirrored sectors, exactly on a grid and within 0.05 dB in the table
         bss = self.bss()
         uav_pos = Position3D(140.0, 90.0, 100.0)
         uav_neg = Position3D(140.0, -90.0, 100.0)
@@ -153,7 +164,7 @@ class TestBeamGainTable:
             gain_pos = total_gain(d_pos, scans, CFG)
             gain_neg = total_gain(d_neg, -scans, CFG)
             np.testing.assert_allclose(gain_pos, gain_neg, atol=1e-9)
-        table = build_beam_gain_table([uav_pos, uav_neg], bss, cb, CFG, ANN)
+        table = build_beam_gain_table([uav_pos, uav_neg], bss, cb, CFG)
         for n in range(16):
             assert table.gain_db[0, 0, n] == pytest.approx(
                 table.gain_db[1, 0, 15 - n], abs=0.05
@@ -162,11 +173,121 @@ class TestBeamGainTable:
     def test_deterministic_table(self):
         uavs = [Position3D(100.0, 50.0, 90.0)]
         cb = BeamCodebook.uniform(4, tilt=CFG.theta_tilt)
-        t1 = build_beam_gain_table(uavs, self.bss(), cb, CFG, ANN)
-        t2 = build_beam_gain_table(uavs, self.bss(), cb, CFG, ANN)
+        t1 = build_beam_gain_table(uavs, self.bss(), cb, CFG)
+        t2 = build_beam_gain_table(uavs, self.bss(), cb, CFG)
         assert np.array_equal(t1.phi_star, t2.phi_star)
         assert np.array_equal(t1.gain_db, t2.gain_db)
         assert t1.stage1_evals == t2.stage1_evals
+
+
+def random_sectors(rng, count):
+    """`count` random half-open sectors (lo, hi] inside (-pi, pi]."""
+    ends = np.sort(rng.uniform(-math.pi, math.pi, size=(count, 2)), axis=1)
+    return tuple((float(lo), float(hi)) for lo, hi in ends)
+
+
+class TestOptimalScanAngles:
+    """The batched stage-1 solver against the dense grid and the annealer."""
+
+    @pytest.mark.parametrize(
+        "cfg, n_beams",
+        [
+            (CFG, 16),
+            (AntennaConfig(n_h=8, d_h=1.0), 64),
+            (AntennaConfig(n_h=16, d_h=2.0), 2),  # many peaks per sector
+            (AntennaConfig(n_h=1, n_v=1), 16),
+        ],
+    )
+    def test_never_below_dense_grid(self, cfg, n_beams):
+        rng = np.random.default_rng(n_beams * 100 + cfg.n_h)
+        theta = rng.uniform(0.0, math.pi, 4)
+        phi = rng.uniform(-math.pi, math.pi, 4)
+        uniform = BeamCodebook.uniform(n_beams, tilt=cfg.theta_tilt).sectors
+        for sectors in (uniform, random_sectors(rng, 8)):
+            phi_star, gain_db, _ = optimal_scan_angles(theta, phi, sectors, cfg)
+            for i in range(theta.size):
+                d = SteeringDirection(theta[i], phi[i])
+                for n, sector in enumerate(sectors):
+                    best = grid_max(d, sector, cfg)
+                    assert gain_db[i, n] >= best - 1e-9
+                    assert gain_db[i, n] == pytest.approx(
+                        total_gain(d, phi_star[i, n], cfg), abs=1e-9
+                    )
+
+    def test_never_below_annealer(self):
+        rng = np.random.default_rng(7)
+        theta = rng.uniform(0.05, math.pi - 0.05, 5)
+        phi = rng.uniform(-math.pi, math.pi, 5)
+        sectors = BeamCodebook.uniform(16, tilt=CFG.theta_tilt).sectors
+        _, gain_db, _ = optimal_scan_angles(theta, phi, sectors, CFG)
+        for i in range(theta.size):
+            d = SteeringDirection(theta[i], phi[i])
+            for n, sector in enumerate(sectors):
+                sub = np.random.default_rng(np.random.SeedSequence((7, i, n)))
+                _, annealed, _ = optimize_scan_angle(d, sector, CFG, ANN, rng=sub)
+                assert gain_db[i, n] >= annealed - 1e-12
+
+    def test_phi_star_in_half_open_sector(self):
+        lo = 0.25
+        sectors = ((-math.pi, -math.pi + 1e-6), (lo, lo + 1e-6), (lo, math.pi))
+        rng = np.random.default_rng(11)
+        theta = rng.uniform(0.0, math.pi, 50)
+        phi = rng.uniform(-math.pi, math.pi, 50)
+        phi_star, gain_db, _ = optimal_scan_angles(theta, phi, sectors, CFG)
+        for n, (lo_n, hi_n) in enumerate(sectors):
+            assert np.all(phi_star[:, n] > lo_n)
+            assert np.all(phi_star[:, n] <= hi_n)
+        for i in range(theta.size):
+            d = SteeringDirection(theta[i], phi[i])
+            np.testing.assert_allclose(
+                gain_db[i], total_gain(d, phi_star[i], CFG), rtol=0.0, atol=1e-9
+            )
+
+    def test_evals_proportional_to_pairs(self):
+        sectors = BeamCodebook.uniform(16, tilt=CFG.theta_tilt).sectors
+        _, _, one = optimal_scan_angles(0.5, 0.1, sectors, CFG)
+        _, _, many = optimal_scan_angles(np.full((3, 4), 0.5), 0.1, sectors, CFG)
+        assert one > 0
+        assert many == 12 * one
+
+    @pytest.mark.parametrize("sectors", [((0.5, 0.5),), ((0.5, 0.2),), ()])
+    def test_rejects_empty_sectors(self, sectors):
+        with pytest.raises(ConfigurationError, match="sector"):
+            optimal_scan_angles(1.0, 0.0, sectors, CFG)
+
+    @pytest.mark.parametrize("cfg", [CFG, AntennaConfig(n_h=8, n_v=2, d_h=1.0)])
+    def test_folding_reproduces_make_scan_gain(self, cfg):
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(0.0, math.pi, (3, 4))
+        phi = rng.uniform(-math.pi, math.pi, (3, 4))
+        scans = rng.uniform(-math.pi, math.pi, 7)
+        elem_db, coeffs, alpha = scan_coefficients(theta, phi, cfg)
+        lags = np.arange(cfg.n_h)
+        autocorr = np.stack(
+            [(coeffs[..., d:] * coeffs[..., : cfg.n_h - d].conj()).sum(-1) for d in lags], -1
+        )
+        for idx in np.ndindex(theta.shape):
+            gain = make_scan_gain(SteeringDirection(theta[idx], phi[idx]), cfg)
+            expect = [gain(scan) for scan in scans]
+            z = np.exp(1j * alpha * np.sin(scans)[:, None] * lags)
+            summed = elem_db[idx] + 10 * np.log10(np.abs(z @ coeffs[idx]) ** 2)
+            real_form = elem_db[idx] + 10 * np.log10(_scan_power(autocorr[idx], alpha, scans))
+            np.testing.assert_allclose(summed, expect, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(real_form, expect, rtol=0.0, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.floats(-1e6, 1e6),
+        phi=st.floats(-1e6, 1e6),
+        n_beams=st.integers(1, 64),
+    )
+    def test_cauchy_schwarz_bound_and_sector(self, theta, phi, n_beams):
+        sectors = BeamCodebook.uniform(n_beams, tilt=CFG.theta_tilt).sectors
+        phi_star, gain_db, _ = optimal_scan_angles(theta, phi, sectors, CFG)
+        bound = CFG.g_e_max_dbi + 10.0 * math.log10(CFG.n_h * CFG.n_v)
+        assert np.all(gain_db <= bound + 1e-9)
+        for n, (lo, hi) in enumerate(sectors):
+            assert lo < phi_star[n] <= hi
 
 
 class TestBuildUtility:
@@ -360,8 +481,7 @@ class TestTwoStagePipeline:
         bss = [BaseStationSite(1, Position3D(0.0, 0.0, 25.0), 0.0)]
         cb = BeamCodebook.uniform(1, tilt=CFG.theta_tilt)
         gains = LinkGainTensor(power_gains=np.array([[1e-8]]))
-        ann = AnnealerConfig(t_global=40, seed=5)
-        a, table, timings = allocate_two_stage(uavs, bss, cb, CFG, ann, gains, RfConstants())
+        a, table, timings = allocate_two_stage(uavs, bss, cb, CFG, gains, RfConstants())
         assert a.beta.tolist() == [[1]]
         assert a.x.tolist() == [[[1]]]
         assert a.phi_scan_chosen is not None
@@ -373,8 +493,7 @@ class TestTwoStagePipeline:
         bss = [BaseStationSite(1, Position3D(0.0, 0.0, 25.0), 0.0)]
         cb = BeamCodebook.uniform(2, tilt=CFG.theta_tilt)
         gains = LinkGainTensor(power_gains=np.array([[2e-8], [1e-8]]))
-        ann = AnnealerConfig(t_global=60, seed=6)
-        a, table, _ = allocate_two_stage(uavs, bss, cb, CFG, ann, gains, RfConstants())
+        a, table, _ = allocate_two_stage(uavs, bss, cb, CFG, gains, RfConstants())
         util = build_utility(table, gains, RfConstants())
         assert assignment_total(a, util.values) == pytest.approx(
             brute_force_max(util.values), rel=1e-12

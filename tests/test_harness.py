@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from corridorsim.allocator import AnnealerConfig
 from corridorsim.channel import ChannelProviderSpec
 from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError
@@ -25,13 +24,12 @@ from corridorsim.harness import (
 
 
 def small_config(seed=100, **overrides):
-    """Quick scenario: 3 UAVs, 2 BSs, 4 beams, light annealer."""
+    """Quick scenario: 3 UAVs, 2 BSs, 4 beams."""
     cfg = default_scenario(seed=seed)
     cfg.uav_count = 3
     cfg.corridor = replace(cfg.corridor, num_waypoints=3)
     cfg.bss = cfg.bss[:2]
     cfg.codebook = replace(cfg.codebook, n_beams=4)
-    cfg.annealer = AnnealerConfig(t_global=25, t_local=20, restart_stall=10)
     cfg.replications = 2
     for key, value in overrides.items():
         setattr(cfg, key, value)
@@ -67,13 +65,13 @@ class TestConfigPlumbing:
         cfg.uav_count = 0
         cfg.allocator = "magic"
         cfg.rf = replace(cfg.rf, tx_power_w=-1.0)
-        cfg.annealer = replace(cfg.annealer, visiting_param=5.0)
+        cfg.num_rrbs = 0
         problems = validate_config(cfg)
         joined = "\n".join(problems)
         assert "uav_count" in joined
         assert "allocator" in joined
         assert "tx_power_w" in joined
-        assert "visiting_param" in joined
+        assert "num_rrbs" in joined
         assert len(problems) >= 4
 
     def test_infeasible_uav_count_message(self):
@@ -195,7 +193,6 @@ class TestSweepAndBench:
         cfg = default_scenario(seed=26)
         cfg.replications = 6
         cfg.rf = replace(cfg.rf, noise_power_w=1e-12)
-        cfg.annealer = AnnealerConfig(t_global=40, t_local=20, restart_stall=10)
         results = sweep(cfg, "uav_count", [10, 20])
         assert results[1].mean_rate_bps <= results[0].mean_rate_bps
 
