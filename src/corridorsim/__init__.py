@@ -38,6 +38,7 @@ from .channel import (
 )
 from .errors import (
     ConfigurationError,
+    CorridorsimError,
     GeometryError,
     InfeasibleAssignmentError,
     TensorFormatError,
@@ -48,6 +49,7 @@ from .evaluator import (
     evaluate_all,
     interference_at,
     sinr,
+    sinr_matrix,
     throughput,
     validate,
 )

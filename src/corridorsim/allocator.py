@@ -15,11 +15,13 @@ method the tests compare against.
 Stage 2 turns the optimized gains and the channel gains into a utility
 tensor Lambda[m, l, n] = P * |h|^2 * 10^(G/10), flattens it to an
 M x (L*N) matrix (column j -> BS j // N, beam j % N), and solves the
-resulting linear sum assignment exactly with a Hungarian solver.
+rectangular linear sum assignment exactly with scipy. Among tied optima
+(mirror sectors often reach the same gain) the solver returns the same one
+for the same matrix, though not necessarily the lowest-index one.
 
 Baselines: uniformly random injective assignment, and nearest-BS with the
-best remaining beam. All allocators are deterministic given their seeds and
-tie-break lowest-index-first.
+best remaining beam, ties going to the lowest index. All allocators are
+deterministic given their inputs and seeds.
 """
 
 from __future__ import annotations
@@ -29,13 +31,19 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import linear_sum_assignment, minimize_scalar
 from scipy.special import gammaln
 
-from .antenna import AntennaConfig, SteeringDirection, make_scan_gain, scan_coefficients
+from .antenna import (
+    AntennaConfig,
+    SteeringDirection,
+    folded_gain_db,
+    make_scan_gain,
+    scan_coefficients,
+)
 from .channel import LinkGainTensor, RfConstants
 from .errors import ConfigurationError, InfeasibleAssignmentError
-from .geometry import BaseStationSite, Position3D, link_geometries
+from .geometry import BaseStationSite, Position3D, link_angles, link_geometries
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -54,17 +62,16 @@ class BeamCodebook:
 
     n_beams: int
     sectors: tuple[tuple[float, float], ...]  # (lo, hi], ordered, covering (-pi, pi]
-    tilt: float  # shared vertical tilt, radians
 
     @classmethod
-    def uniform(cls, n_beams: int, tilt: float) -> "BeamCodebook":
+    def uniform(cls, n_beams: int) -> "BeamCodebook":
         if n_beams < 1:
             raise ConfigurationError(f"codebook needs >= 1 beam, got {n_beams}")
         width = 2.0 * math.pi / n_beams
         sectors = tuple(
             (-math.pi + n * width, -math.pi + (n + 1) * width) for n in range(n_beams)
         )
-        return cls(n_beams=n_beams, sectors=sectors, tilt=tilt)
+        return cls(n_beams=n_beams, sectors=sectors)
 
 
 @dataclass(frozen=True)
@@ -325,14 +332,7 @@ def optimal_scan_angles(
     best = np.argmax(power, axis=-1)[..., None]
     phi_star = np.take_along_axis(points, best, axis=-1)[..., 0]
 
-    # The winner's gain comes from the coefficient sum itself, which keeps
-    # the precision of total_gain() near nulls of the array factor.
-    z = np.exp(1j * alpha * np.sin(phi_star)[..., None] * np.arange(cfg.n_h))
-    field = (coeffs[..., None, :] * z).sum(axis=-1)
-    floor = 10.0 ** (cfg.gain_floor_db / 10.0)
-    gain_db = elem_db[..., None] + 10.0 * np.log10(
-        np.maximum(field.real**2 + field.imag**2, floor)
-    )
+    gain_db = folded_gain_db(elem_db[..., None], coeffs[..., None, :], alpha, phi_star, cfg)
     evals_per_pair = (cells + 1) + cells * (2 + steps) + 1
     return phi_star, gain_db, math.prod(shape) * evals_per_pair
 
@@ -344,10 +344,7 @@ def build_beam_gain_table(
     cfg: AntennaConfig,
 ) -> BeamGainTable:
     """Best scan angle and gain of every (UAV, BS, beam) triplet, in one batch."""
-    geoms = link_geometries(uavs, bss)
-    shape = (len(uavs), len(bss))
-    theta = np.array([[g.theta for g in row] for row in geoms]).reshape(shape)
-    phi = np.array([[g.phi for g in row] for row in geoms]).reshape(shape)
+    theta, phi = link_angles(link_geometries(uavs, bss))
     phi_star, gain_db, evals = optimal_scan_angles(theta, phi, codebook.sectors, cfg)
     return BeamGainTable(phi_star=phi_star, gain_db=gain_db, stage1_evals=evals)
 
@@ -375,87 +372,51 @@ def build_utility(
     return UtilityTensor(values=values)
 
 
-def _hungarian_square(cost: np.ndarray) -> np.ndarray:
-    """Exact minimum-cost perfect matching on a square matrix.
+def _assignment(cols: np.ndarray | list[int], ll: int, nn: int) -> Assignment:
+    """UAV m served on flat column cols[m], i.e. BS cols[m] // N, beam cols[m] % N."""
+    rows = np.arange(len(cols))
+    l, n = np.divmod(np.asarray(cols, dtype=int), nn)
+    beta = np.zeros((rows.size, ll), dtype=np.int8)
+    x = np.zeros((rows.size, ll, nn), dtype=np.int8)
+    beta[rows, l] = 1
+    x[rows, l, n] = 1
+    return Assignment(beta=beta, x=x)
 
-    Shortest-augmenting-path formulation with row/column potentials, O(n^3).
-    Returns the matched column of each row. Ties resolve to the lowest
-    column index scanned first, so the result is deterministic.
-    """
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=int)  # p[j]: row matched to column j (1-based, 0 = free)
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            cur = cost[i0 - 1, :] - u[i0] - v[1:]
-            free = ~used[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            free_idx = np.flatnonzero(free)
-            k = free_idx[np.argmin(minv[1:][free])]
-            j1 = k + 1
-            delta = minv[j1]
-            used_idx = np.flatnonzero(used)
-            u[p[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[1:][free] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    cols = np.empty(n, dtype=int)
-    cols[p[1:] - 1] = np.arange(n)
-    return cols
+
+def _check_capacity(mm: int, n_cols: int) -> None:
+    if mm > n_cols:
+        raise InfeasibleAssignmentError(
+            f"{mm} UAVs cannot be assigned to {n_cols} BS-beam pairs"
+        )
 
 
 def solve_assignment(util: UtilityTensor) -> Assignment:
     """Maximize total utility over injective UAV -> (BS, beam) mappings.
 
     The tensor is flattened to M x (L*N) (column j -> BS j // N, beam
-    j % N), negated, padded to square with a sentinel larger than any entry,
-    and solved exactly; padding rows are dropped from the result.
+    j % N) and solved exactly as a rectangular assignment. scipy would leave
+    rows unassigned when M > L*N, so that case is rejected first.
     """
     mm, ll, nn = util.values.shape
-    n_cols = ll * nn
-    if mm > n_cols:
-        raise InfeasibleAssignmentError(
-            f"{mm} UAVs cannot be assigned to {n_cols} BS-beam pairs"
-        )
-    flat = util.values.reshape(mm, n_cols)
-    cost = -flat
-    sentinel = float(np.max(np.abs(cost))) + 1.0 if cost.size else 1.0
-    square = np.full((n_cols, n_cols), sentinel)
-    square[:mm, :] = cost
-    cols = _hungarian_square(square)[:mm]
-    beta = np.zeros((mm, ll), dtype=np.int8)
-    x = np.zeros((mm, ll, nn), dtype=np.int8)
-    for m, j in enumerate(cols):
-        l, n = divmod(int(j), nn)
-        beta[m, l] = 1
-        x[m, l, n] = 1
-    return Assignment(beta=beta, x=x)
+    _check_capacity(mm, ll * nn)
+    _, cols = linear_sum_assignment(util.values.reshape(mm, ll * nn), maximize=True)
+    return _assignment(cols, ll, nn)
+
+
+def serving_beams(assignment: Assignment) -> tuple[np.ndarray, np.ndarray]:
+    """(BS, beam) serving every UAV, as two (M,) index arrays."""
+    flat = assignment.x.reshape(assignment.x.shape[0], -1)
+    counts = flat.sum(axis=1)
+    if np.any(counts != 1):
+        m = int(np.flatnonzero(counts != 1)[0])
+        raise ValueError(f"UAV {m} has {counts[m]} serving beams, expected exactly 1")
+    return np.divmod(flat.argmax(axis=1), assignment.x.shape[2])
 
 
 def fill_scan_angles(assignment: Assignment, table: BeamGainTable) -> Assignment:
     """Attach each UAV's serving scan angle from the beam table."""
-    mm = assignment.beta.shape[0]
-    phi = np.empty(mm, dtype=float)
-    for m in range(mm):
-        l, n = serving_beam(assignment, m)
-        phi[m] = table.phi_star[m, l, n]
-    assignment.phi_scan_chosen = phi
+    l, n = serving_beams(assignment)
+    assignment.phi_scan_chosen = table.phi_star[np.arange(l.size), l, n]
     return assignment
 
 
@@ -497,19 +458,9 @@ def allocate_two_stage(
 
 def allocate_random(mm: int, ll: int, nn: int, seed: int) -> Assignment:
     """Uniformly random injective UAV -> (BS, beam) mapping."""
-    if mm > ll * nn:
-        raise InfeasibleAssignmentError(
-            f"{mm} UAVs cannot be assigned to {ll * nn} BS-beam pairs"
-        )
+    _check_capacity(mm, ll * nn)
     rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK))
-    cols = rng.choice(ll * nn, size=mm, replace=False)
-    beta = np.zeros((mm, ll), dtype=np.int8)
-    x = np.zeros((mm, ll, nn), dtype=np.int8)
-    for m, j in enumerate(cols):
-        l, n = divmod(int(j), nn)
-        beta[m, l] = 1
-        x[m, l, n] = 1
-    return Assignment(beta=beta, x=x)
+    return _assignment(rng.choice(ll * nn, size=mm, replace=False), ll, nn)
 
 
 def allocate_closest_bs(
@@ -524,9 +475,8 @@ def allocate_closest_bs(
     utility go to the lowest index.
     """
     mm, ll, nn = util.values.shape
-    beta = np.zeros((mm, ll), dtype=np.int8)
-    x = np.zeros((mm, ll, nn), dtype=np.int8)
     taken = np.zeros((ll, nn), dtype=bool)
+    cols = []
     for m, uav in enumerate(uavs):
         dists = [
             math.dist(
@@ -535,19 +485,15 @@ def allocate_closest_bs(
             for bs in bss
         ]
         order = sorted(range(ll), key=lambda l: (dists[l], l))
-        chosen = None
         for l in order:
             free = np.flatnonzero(~taken[l])
             if free.size:
                 n = int(free[np.argmax(util.values[m, l, free])])
-                chosen = (l, n)
                 break
-        if chosen is None:
+        else:
             raise InfeasibleAssignmentError(
                 f"no free beam left for UAV {m}: {mm} UAVs on {ll * nn} BS-beam pairs"
             )
-        l, n = chosen
         taken[l, n] = True
-        beta[m, l] = 1
-        x[m, l, n] = 1
-    return Assignment(beta=beta, x=x)
+        cols.append(l * nn + n)
+    return _assignment(cols, ll, nn)

@@ -32,7 +32,7 @@ class AntennaConfig:
 
     Defaults are the nominal 4x4 half-wavelength array: -8 dBi peak element
     gain, 65/90 degree beamwidths, 30 dB side-lobe and front-to-back caps,
-    15 degree downtilt at 3.5 GHz.
+    15 degree downtilt.
     """
 
     n_h: int = 4  # horizontal elements
@@ -45,7 +45,6 @@ class AntennaConfig:
     a_m_db: float = 30.0  # front-to-back ratio
     sl_av_db: float = 30.0  # vertical side-lobe limit
     theta_tilt: float = math.radians(15.0)
-    wavelength: float = SPEED_OF_LIGHT / 3.5e9  # meters
     gain_floor_db: float = -400.0  # clamp for |V^H W|^2 underflow
 
     @property
@@ -164,6 +163,18 @@ def scan_coefficients(theta, phi, cfg: AntennaConfig):
     coeffs = np.exp(-2j * math.pi * h_phase) * (vertical / math.sqrt(cfg.n_elements))[..., None]
     alpha = -2.0 * math.pi * cfg.d_h * math.cos(cfg.theta_tilt)
     return elem_db, coeffs, alpha
+
+
+def folded_gain_db(elem_db, coeffs, alpha: float, phi_scan, cfg: AntennaConfig):
+    """Total gain in dBi of folded directions (`scan_coefficients`) at `phi_scan`.
+
+    `phi_scan` broadcasts against `elem_db`. Summing the coefficients
+    directly keeps total_gain()'s precision near nulls of the array factor.
+    """
+    z = np.exp(1j * alpha * np.sin(phi_scan)[..., None] * np.arange(cfg.n_h))
+    field = (coeffs * z).sum(axis=-1)
+    floor = 10.0 ** (cfg.gain_floor_db / 10.0)
+    return elem_db + 10.0 * np.log10(np.maximum(field.real**2 + field.imag**2, floor))
 
 
 def make_scan_gain(direction: SteeringDirection, cfg: AntennaConfig) -> Callable[[float], float]:

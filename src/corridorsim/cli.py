@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .channel import ChannelProviderSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, CorridorsimError
 from .harness import (
     ScenarioConfig,
     benchmark,
@@ -167,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         _print_summary(results)
         print(f"wrote {written['results']} and {written['summary']}")
         return 0
-    except ConfigurationError as exc:
+    except CorridorsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,21 @@
 """Exception types shared across the package."""
 
 
-class ConfigurationError(ValueError):
+class CorridorsimError(ValueError):
+    """Base of every error corridorsim raises on bad input."""
+
+
+class ConfigurationError(CorridorsimError):
     """Invalid scenario or component configuration."""
 
 
-class GeometryError(ValueError):
+class GeometryError(CorridorsimError):
     """Degenerate geometric input, e.g. coincident BS/UAV positions."""
 
 
-class TensorFormatError(ValueError):
+class TensorFormatError(CorridorsimError):
     """Channel tensor file is missing, malformed, or inconsistent."""
 
 
-class InfeasibleAssignmentError(ValueError):
+class InfeasibleAssignmentError(CorridorsimError):
     """More UAVs than available BS-beam pairs."""

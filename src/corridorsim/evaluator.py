@@ -7,6 +7,10 @@ other BS l' whose scheduled UAVs m' beam toward their own targets, with the
 gain evaluated at the victim's angles toward l' but at the interferer's
 chosen scan angle. Rates are Shannon capacity over `bandwidth_hz` per
 scheduled resource block.
+
+`sinr_matrix` scores every UAV on every RRB in one numpy pass; `sinr` and
+`throughput` are views on it. The scalar `interference_at` loop is the
+reference the tests check the matrix against.
 """
 
 from __future__ import annotations
@@ -16,10 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import Assignment, BeamGainTable, serving_beam
-from .antenna import AntennaConfig, SteeringDirection, total_gain
+from .allocator import Assignment, BeamGainTable, serving_beam, serving_beams
+from .antenna import (
+    AntennaConfig,
+    SteeringDirection,
+    folded_gain_db,
+    scan_coefficients,
+    total_gain,
+)
 from .channel import LinkGainTensor, RfConstants
-from .geometry import LinkGeometry
+from .geometry import LinkGeometry, link_angles
 
 
 @dataclass
@@ -68,9 +78,14 @@ class ThroughputReport:
 
 
 def _schedule(eval_cfg: EvaluationConfig, mm: int, ll: int) -> np.ndarray:
-    if eval_cfg.rrb_schedule is not None:
-        return np.asarray(eval_cfg.rrb_schedule)
-    return np.ones((mm, ll, eval_cfg.num_rrbs), dtype=np.int8)
+    if eval_cfg.rrb_schedule is None:
+        return np.ones((mm, ll, eval_cfg.num_rrbs), dtype=np.int8)
+    schedule = np.asarray(eval_cfg.rrb_schedule)
+    if schedule.shape != (mm, ll, eval_cfg.num_rrbs):
+        raise ValueError(
+            f"rrb_schedule has shape {schedule.shape}, expected {(mm, ll, eval_cfg.num_rrbs)}"
+        )
+    return schedule
 
 
 def interference_at(
@@ -111,6 +126,48 @@ def interference_at(
     return total
 
 
+def sinr_matrix(
+    assignment: Assignment,
+    gains: LinkGainTensor,
+    beam_table: BeamGainTable,
+    geometries: list[list[LinkGeometry]],
+    antenna_cfg: AntennaConfig,
+    rf: RfConstants,
+    eval_cfg: EvaluationConfig | None = None,
+) -> np.ndarray:
+    """Linear SINR of every UAV on every RRB, shape (M, R), in one pass.
+
+    Victim m hears interferer m' (served by BS l' on beam n') through the
+    gain of BS l' toward m at the interferer's scan angle phi*[m', l', n'];
+    `scan_coefficients` folds each (victim, l') direction as in stage 1.
+    """
+    eval_cfg = eval_cfg or EvaluationConfig()
+    mm, ll = gains.power_gains.shape
+    schedule = _schedule(eval_cfg, mm, ll)
+    l, n = serving_beams(assignment)
+    rows = np.arange(mm)
+    p_eff = rf.tx_power_w / eval_cfg.power_divisor
+    h = gains.power_gains
+    signal = p_eff * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
+
+    theta, phi = link_angles(geometries)
+    folded = scan_coefficients(theta[:, l], phi[:, l], antenna_cfg)  # (victim, interferer)
+    g_db = folded_gain_db(*folded, beam_table.phi_star[rows, l, n], antenna_cfg)
+    if eval_cfg.beta_reading == "victim":
+        gate = assignment.beta[:, l] != 0
+    else:
+        gate = assignment.beta[rows, l] != 0
+    heard = (l[:, None] != l) & gate  # other BS, gated association
+    coupling = np.where(heard, p_eff * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
+    interference = coupling @ schedule[rows, l].astype(float)  # (victim, RRB)
+    return signal[:, None] / (interference + rf.noise_power_w)
+
+
+def _rates(sinrs: np.ndarray, rf: RfConstants) -> np.ndarray:
+    """Shannon rate per UAV in bits/s, summed over the RRB axis."""
+    return (rf.bandwidth_hz * np.log2(1.0 + sinrs)).sum(axis=1)
+
+
 def sinr(
     m: int,
     assignment: Assignment,
@@ -123,21 +180,9 @@ def sinr(
     rrb: int = 0,
 ) -> float:
     """Linear SINR of UAV m on one RRB: serving power over interference + noise."""
-    eval_cfg = eval_cfg or EvaluationConfig()
-    l, n = serving_beam(assignment, m)
-    p_eff = rf.tx_power_w / eval_cfg.power_divisor
-    signal = (
-        p_eff
-        * gains.power_gains[m, l]
-        * 10.0 ** (beam_table.gain_db[m, l, n] / 10.0)
+    return float(
+        sinr_matrix(assignment, gains, beam_table, geometries, antenna_cfg, rf, eval_cfg)[m, rrb]
     )
-    noise_plus_i = (
-        interference_at(
-            m, assignment, gains, beam_table, geometries, antenna_cfg, rf, eval_cfg, rrb
-        )
-        + rf.noise_power_w
-    )
-    return signal / noise_plus_i
 
 
 def throughput(
@@ -151,14 +196,8 @@ def throughput(
     eval_cfg: EvaluationConfig | None = None,
 ) -> float:
     """Shannon rate of UAV m in bits/s, summed over its scheduled RRBs."""
-    eval_cfg = eval_cfg or EvaluationConfig()
-    rate = 0.0
-    for r in range(eval_cfg.num_rrbs):
-        s = sinr(
-            m, assignment, gains, beam_table, geometries, antenna_cfg, rf, eval_cfg, r
-        )
-        rate += rf.bandwidth_hz * np.log2(1.0 + s)
-    return float(rate)
+    sinrs = sinr_matrix(assignment, gains, beam_table, geometries, antenna_cfg, rf, eval_cfg)
+    return float(_rates(sinrs, rf)[m])
 
 
 def evaluate_all(
@@ -173,25 +212,11 @@ def evaluate_all(
     config_digest: str = "",
 ) -> ThroughputReport:
     """Score every UAV and aggregate into a ThroughputReport."""
-    eval_cfg = eval_cfg or EvaluationConfig()
     t0 = time.perf_counter()
-    mm = gains.power_gains.shape[0]
-    sinrs = np.array(
-        [
-            sinr(m, assignment, gains, beam_table, geometries, antenna_cfg, rf, eval_cfg)
-            for m in range(mm)
-        ]
-    )
-    rates = np.array(
-        [
-            throughput(
-                m, assignment, gains, beam_table, geometries, antenna_cfg, rf, eval_cfg
-            )
-            for m in range(mm)
-        ]
-    )
+    sinrs = sinr_matrix(assignment, gains, beam_table, geometries, antenna_cfg, rf, eval_cfg)
+    rates = _rates(sinrs, rf)
     return ThroughputReport(
-        per_uav_sinr=sinrs,
+        per_uav_sinr=sinrs[:, 0],
         per_uav_rate_bps=rates,
         total_rate_bps=float(rates.sum()),
         mean_rate_bps=float(rates.mean()),

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError, GeometryError
 
 TWO_PI = 2.0 * math.pi
@@ -104,3 +106,9 @@ def link_geometries(
 ) -> list[list[LinkGeometry]]:
     """Per-(UAV, BS) link geometry, indexed [m][l]."""
     return [[link_geometry(bs, uav) for bs in bss] for uav in uavs]
+
+
+def link_angles(geometries: list[list[LinkGeometry]]) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of every link as (M, L) arrays, from `link_geometries` output."""
+    angles = np.array([[(g.theta, g.phi) for g in row] for row in geometries], dtype=float)
+    return angles[..., 0], angles[..., 1]

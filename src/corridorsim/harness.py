@@ -40,7 +40,6 @@ from .allocator import (
     solve_assignment,
 )
 from .antenna import (
-    SPEED_OF_LIGHT,
     AntennaConfig,
     SteeringDirection,
     array_gain,
@@ -81,7 +80,6 @@ ALLOCATION_CHANNELS = ("hf", "lf", "statistical")
 @dataclass(frozen=True)
 class CodebookConfig:
     n_beams: int = 16
-    tilt: float | None = None  # radians; None inherits the antenna tilt
 
 
 @dataclass
@@ -104,7 +102,6 @@ class ScenarioConfig:
     )
     allocator: str = "two_stage"
     allocation_channel: str = "hf"
-    evaluation_channel: str = "hf"
     seed: int = 0
     replications: int = 1
     split_power_among_beams: bool = False
@@ -182,7 +179,6 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         "replications": config.replications,
         "allocator": config.allocator,
         "allocation_channel": config.allocation_channel,
-        "evaluation_channel": config.evaluation_channel,
         "split_power_among_beams": config.split_power_among_beams,
         "num_rrbs": config.num_rrbs,
         "beta_reading": config.beta_reading,
@@ -205,12 +201,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
             "tilt_deg": math.degrees(a.theta_tilt),
             "gain_floor_db": a.gain_floor_db,
         },
-        "codebook": {
-            "n_beams": config.codebook.n_beams,
-            "tilt_deg": None
-            if config.codebook.tilt is None
-            else math.degrees(config.codebook.tilt),
-        },
+        "codebook": {"n_beams": config.codebook.n_beams},
         "bss": [
             {
                 "id": bs.id,
@@ -246,14 +237,16 @@ def _provider_from_dict(doc: dict) -> ChannelProviderSpec:
         kind=doc.get("kind", "statistical"),
         ray_count=int(doc.get("ray_count", 1_000_000)),
         rician_k_db=float(doc.get("rician_k_db", 3.0)),
-        seed=int(doc.get("seed", 0)),
         import_path=doc.get("import_path"),
     )
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from the JSON document, filling defaults."""
-    base = default_scenario(seed=int(doc.get("seed", 0)))
+    """Build a ScenarioConfig from the JSON document, filling defaults.
+
+    Keys this version no longer reads (`annealer`, `evaluation_channel`,
+    `codebook.tilt_deg`, `channel_*.seed`) are ignored.
+    """
     rf_doc = doc.get("rf", {})
     rf = RfConstants(
         carrier_hz=float(rf_doc.get("carrier_hz", 3.5e9)),
@@ -273,15 +266,9 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         a_m_db=float(a_doc.get("a_m_db", 30.0)),
         sl_av_db=float(a_doc.get("sl_av_db", 30.0)),
         theta_tilt=math.radians(float(a_doc.get("tilt_deg", 15.0))),
-        wavelength=SPEED_OF_LIGHT / float(rf_doc.get("carrier_hz", 3.5e9)),
         gain_floor_db=float(a_doc.get("gain_floor_db", -400.0)),
     )
-    cb_doc = doc.get("codebook", {})
-    tilt_deg = cb_doc.get("tilt_deg")
-    codebook = CodebookConfig(
-        n_beams=int(cb_doc.get("n_beams", 16)),
-        tilt=None if tilt_deg is None else math.radians(float(tilt_deg)),
-    )
+    codebook = CodebookConfig(n_beams=int(doc.get("codebook", {}).get("n_beams", 16)))
     co_doc = doc.get("corridor", {})
     corridor = CorridorSpec(
         center=Position3D(
@@ -309,7 +296,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             boresight = math.radians(float(boresight_deg))
         bss.append(BaseStationSite(int(bs_doc.get("id", i + 1)), pos, boresight))
     if not bss:
-        bss = base.bss
+        bss = aim_boresights_at(default_scenario().bss, corridor.center)
     return ScenarioConfig(
         rf=rf,
         antenna=antenna,
@@ -323,7 +310,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         ),
         allocator=doc.get("allocator", "two_stage"),
         allocation_channel=doc.get("allocation_channel", "hf"),
-        evaluation_channel=doc.get("evaluation_channel", "hf"),
         seed=int(doc.get("seed", 0)),
         replications=int(doc.get("replications", 1)),
         split_power_among_beams=bool(doc.get("split_power_among_beams", False)),
@@ -333,7 +319,11 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
+    """Read a scenario file; an unreadable file or a bad value is a ConfigurationError."""
+    try:
+        return config_from_dict(json.loads(Path(path).read_text()))
+    except (OSError, AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"cannot load config {path}: {exc}") from exc
 
 
 def config_digest(config: ScenarioConfig) -> str:
@@ -343,7 +333,10 @@ def config_digest(config: ScenarioConfig) -> str:
 
 def validate_config(config: ScenarioConfig) -> list[str]:
     """Every problem with the scenario, one message per offending field."""
-    errors: list[str] = []
+    errors = [
+        f"{path} must be finite, got {value}"
+        for path, value in _non_finite(config_to_dict(config))
+    ]
     for name in ("carrier_hz", "bandwidth_hz", "tx_power_w", "noise_power_w"):
         if getattr(config.rf, name) <= 0.0:
             errors.append(f"rf.{name} must be positive, got {getattr(config.rf, name)}")
@@ -360,9 +353,9 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     ids = [bs.id for bs in config.bss]
     if sorted(ids) != list(range(1, len(ids) + 1)):
         errors.append(f"bss ids must be unique and contiguous from 1, got {ids}")
-    for bs in config.bss:
+    for i, bs in enumerate(config.bss):
         if bs.position.z < 0.0:
-            errors.append(f"bss[{bs.id}].z_m must be >= 0, got {bs.position.z}")
+            errors.append(f"bss[{i}].z_m must be >= 0, got {bs.position.z}")
     if config.corridor.radius <= 0.0:
         errors.append(f"corridor.radius_m must be positive, got {config.corridor.radius}")
     if config.corridor.altitude <= 0.0:
@@ -384,10 +377,6 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             f"allocation_channel must be one of {ALLOCATION_CHANNELS}, "
             f"got {config.allocation_channel!r}"
         )
-    if config.evaluation_channel != "hf":
-        errors.append(
-            f"evaluation_channel is fixed to 'hf', got {config.evaluation_channel!r}"
-        )
     for label, spec in (("channel_hf", config.channel_hf), ("channel_lf", config.channel_lf)):
         if spec.kind not in ("few_ray", "statistical", "import"):
             errors.append(f"{label}.kind must be few_ray|statistical|import, got {spec.kind!r}")
@@ -404,6 +393,18 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             f"beta_reading must be interferer|victim, got {config.beta_reading!r}"
         )
     return errors
+
+
+def _non_finite(doc, path: str = ""):
+    """(dotted path, value) of every NaN or infinite number in a config echo."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _non_finite(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _non_finite(value, f"{path}[{i}]")
+    elif isinstance(doc, float) and not math.isfinite(doc):
+        yield path, doc
 
 
 # --------------------------------------------------------------------------
@@ -446,8 +447,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     echo = config_to_dict(config)
     uavs = generate_corridor(config.corridor, config.uav_count)
     geoms = link_geometries(uavs, config.bss)
-    tilt = config.codebook.tilt if config.codebook.tilt is not None else config.antenna.theta_tilt
-    codebook = BeamCodebook.uniform(config.codebook.n_beams, tilt)
+    codebook = BeamCodebook.uniform(config.codebook.n_beams)
     divisor = float(config.codebook.n_beams) if config.split_power_among_beams else 1.0
     eval_cfg = EvaluationConfig(
         num_rrbs=config.num_rrbs,
@@ -542,7 +542,9 @@ def _with_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
 
 
 # Timed runs per UAV count in `benchmark`; odd, so the median is one run.
-_BENCH_REPEATS = 5
+# A nominal run takes only ~10-30 ms, so a short slow phase of the machine
+# can swap neighbouring UAV counts' medians of 5; 15 repeats keep them apart.
+_BENCH_REPEATS = 15
 
 
 def benchmark(config: ScenarioConfig, uav_counts: list[int], threads: int = 1) -> list[dict]:

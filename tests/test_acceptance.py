@@ -97,7 +97,7 @@ class TestAcceptance:
     def test_03_stage1_optimizer_accuracy(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(303)
-        codebook = BeamCodebook.uniform(16, tilt=CFG.theta_tilt)
+        codebook = BeamCodebook.uniform(16)
         ann = AnnealerConfig()
         hits = 0
         for i in range(100):
@@ -155,7 +155,7 @@ class TestAcceptance:
                 BaseStationSite(1, Position3D(0.0, 0.0, 25.0), 0.0),
                 BaseStationSite(2, Position3D(300.0, 0.0, 25.0), 0.0),
             ]
-            cb = BeamCodebook.uniform(4, tilt=CFG.theta_tilt)
+            cb = BeamCodebook.uniform(4)
             gains = LinkGainTensor(power_gains=rng.uniform(1e-10, 1e-8, size=(3, 2)))
             a, _, _ = allocate_two_stage(uavs, bss, cb, CFG, gains, RfConstants())
             assert validate(a, 3, 2, 4) == []

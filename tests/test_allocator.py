@@ -32,7 +32,8 @@ from corridorsim.antenna import (
 from corridorsim.channel import LinkGainTensor, RfConstants
 from corridorsim.errors import ConfigurationError, InfeasibleAssignmentError
 from corridorsim.evaluator import validate
-from corridorsim.geometry import BaseStationSite, Position3D
+from corridorsim.geometry import BaseStationSite, Position3D, generate_corridor
+from corridorsim.harness import default_scenario
 
 CFG = AntennaConfig()
 ANN = AnnealerConfig(seed=1234)
@@ -61,7 +62,7 @@ def grid_max(direction: SteeringDirection, sector, cfg=CFG, points=10_000) -> fl
 
 class TestCodebook:
     def test_sectors_partition_the_circle(self):
-        cb = BeamCodebook.uniform(16, tilt=math.radians(15))
+        cb = BeamCodebook.uniform(16)
         assert cb.n_beams == 16
         assert cb.sectors[0][0] == pytest.approx(-math.pi)
         assert cb.sectors[-1][1] == pytest.approx(math.pi)
@@ -95,7 +96,7 @@ class TestOptimizeScanAngle:
 
     def test_accuracy_over_random_triplets(self):
         rng = np.random.default_rng(2024)
-        cb = BeamCodebook.uniform(16, tilt=CFG.theta_tilt)
+        cb = BeamCodebook.uniform(16)
         hits = 0
         for i in range(100):
             d = SteeringDirection(rng.uniform(0.2, math.pi - 0.2), rng.uniform(-math.pi, math.pi))
@@ -119,7 +120,7 @@ class TestBeamGainTable:
 
     def test_minimal_cardinality(self):
         uavs = [Position3D(100.0, 0.0, 100.0)]
-        cb = BeamCodebook.uniform(1, tilt=CFG.theta_tilt)
+        cb = BeamCodebook.uniform(1)
         table = build_beam_gain_table(uavs, self.bss(), cb, CFG)
         assert table.phi_star.shape == (1, 1, 1)
         assert table.gain_db.shape == (1, 1, 1)
@@ -127,7 +128,7 @@ class TestBeamGainTable:
 
     def test_phi_star_inside_sector_and_gain_bounded(self):
         uavs = [Position3D(120.0, 80.0, 90.0), Position3D(-60.0, 150.0, 110.0)]
-        cb = BeamCodebook.uniform(8, tilt=CFG.theta_tilt)
+        cb = BeamCodebook.uniform(8)
         table = build_beam_gain_table(uavs, self.bss(), cb, CFG)
         bound = CFG.g_e_max_dbi + 10.0 * math.log10(CFG.n_elements) + 1e-9
         for m in range(2):
@@ -137,7 +138,7 @@ class TestBeamGainTable:
 
     def test_best_sector_matches_unsectored_optimum(self):
         uavs = [Position3D(150.0, 40.0, 100.0)]
-        cb = BeamCodebook.uniform(16, tilt=CFG.theta_tilt)
+        cb = BeamCodebook.uniform(16)
         table = build_beam_gain_table(uavs, self.bss(), cb, CFG)
         from corridorsim.geometry import link_geometry
 
@@ -152,7 +153,7 @@ class TestBeamGainTable:
         bss = self.bss()
         uav_pos = Position3D(140.0, 90.0, 100.0)
         uav_neg = Position3D(140.0, -90.0, 100.0)
-        cb = BeamCodebook.uniform(16, tilt=CFG.theta_tilt)
+        cb = BeamCodebook.uniform(16)
         from corridorsim.geometry import link_geometry
 
         g_pos = link_geometry(bss[0], uav_pos)
@@ -172,7 +173,7 @@ class TestBeamGainTable:
 
     def test_deterministic_table(self):
         uavs = [Position3D(100.0, 50.0, 90.0)]
-        cb = BeamCodebook.uniform(4, tilt=CFG.theta_tilt)
+        cb = BeamCodebook.uniform(4)
         t1 = build_beam_gain_table(uavs, self.bss(), cb, CFG)
         t2 = build_beam_gain_table(uavs, self.bss(), cb, CFG)
         assert np.array_equal(t1.phi_star, t2.phi_star)
@@ -202,7 +203,7 @@ class TestOptimalScanAngles:
         rng = np.random.default_rng(n_beams * 100 + cfg.n_h)
         theta = rng.uniform(0.0, math.pi, 4)
         phi = rng.uniform(-math.pi, math.pi, 4)
-        uniform = BeamCodebook.uniform(n_beams, tilt=cfg.theta_tilt).sectors
+        uniform = BeamCodebook.uniform(n_beams).sectors
         for sectors in (uniform, random_sectors(rng, 8)):
             phi_star, gain_db, _ = optimal_scan_angles(theta, phi, sectors, cfg)
             for i in range(theta.size):
@@ -218,7 +219,7 @@ class TestOptimalScanAngles:
         rng = np.random.default_rng(7)
         theta = rng.uniform(0.05, math.pi - 0.05, 5)
         phi = rng.uniform(-math.pi, math.pi, 5)
-        sectors = BeamCodebook.uniform(16, tilt=CFG.theta_tilt).sectors
+        sectors = BeamCodebook.uniform(16).sectors
         _, gain_db, _ = optimal_scan_angles(theta, phi, sectors, CFG)
         for i in range(theta.size):
             d = SteeringDirection(theta[i], phi[i])
@@ -244,7 +245,7 @@ class TestOptimalScanAngles:
             )
 
     def test_evals_proportional_to_pairs(self):
-        sectors = BeamCodebook.uniform(16, tilt=CFG.theta_tilt).sectors
+        sectors = BeamCodebook.uniform(16).sectors
         _, _, one = optimal_scan_angles(0.5, 0.1, sectors, CFG)
         _, _, many = optimal_scan_angles(np.full((3, 4), 0.5), 0.1, sectors, CFG)
         assert one > 0
@@ -282,7 +283,7 @@ class TestOptimalScanAngles:
         n_beams=st.integers(1, 64),
     )
     def test_cauchy_schwarz_bound_and_sector(self, theta, phi, n_beams):
-        sectors = BeamCodebook.uniform(n_beams, tilt=CFG.theta_tilt).sectors
+        sectors = BeamCodebook.uniform(n_beams).sectors
         phi_star, gain_db, _ = optimal_scan_angles(theta, phi, sectors, CFG)
         bound = CFG.g_e_max_dbi + 10.0 * math.log10(CFG.n_h * CFG.n_v)
         assert np.all(gain_db <= bound + 1e-9)
@@ -398,6 +399,44 @@ class TestSolveAssignment:
             assert assignment_total(a, values) >= assignment_total(r, values) - 1e-12
 
 
+class TestSolveAssignmentTies:
+    """Tied optima: any one may win, but validly and the same one every time."""
+
+    def check_stable(self, values):
+        mm, ll, nn = values.shape
+        first = solve_assignment(UtilityTensor(values=values))
+        assert not validate(first, mm, ll, nn)
+        for _ in range(3):
+            again = solve_assignment(UtilityTensor(values=values.copy()))
+            np.testing.assert_array_equal(again.x, first.x)
+        return first
+
+    def test_all_equal(self):
+        for mm, ll, nn in ((1, 1, 1), (3, 2, 2), (4, 1, 4), (8, 4, 16)):
+            a = self.check_stable(np.ones((mm, ll, nn)))
+            assert assignment_total(a, np.ones((mm, ll, nn))) == pytest.approx(mm)
+
+    def test_mirror_tied_beams(self):
+        # with 4 sectors, beams 0/1 and 2/3 mirror about +-pi/2 and reach the
+        # same sin(phi_scan), hence the same gain
+        rng = np.random.default_rng(91)
+        for _ in range(50):
+            values = rng.uniform(0.0, 1.0, size=(4, 2, 4))
+            values[:, :, 1] = values[:, :, 0]
+            values[:, :, 3] = values[:, :, 2]
+            a = self.check_stable(values)
+            assert assignment_total(a, values) == pytest.approx(
+                brute_force_max(values), rel=1e-12
+            )
+
+    def test_nominal_table_ties(self):
+        cfg = default_scenario()
+        uavs = generate_corridor(cfg.corridor, 20)
+        table = build_beam_gain_table(uavs, cfg.bss, BeamCodebook.uniform(16), CFG)
+        gains = LinkGainTensor(power_gains=np.ones((20, len(cfg.bss))))
+        self.check_stable(build_utility(table, gains, RfConstants()).values)
+
+
 class TestAllocateRandom:
     def test_perfect_matching_when_tight(self):
         a = allocate_random(6, 2, 3, seed=8)
@@ -479,7 +518,7 @@ class TestTwoStagePipeline:
     def test_minimal_scenario(self):
         uavs = [Position3D(150.0, 0.0, 100.0)]
         bss = [BaseStationSite(1, Position3D(0.0, 0.0, 25.0), 0.0)]
-        cb = BeamCodebook.uniform(1, tilt=CFG.theta_tilt)
+        cb = BeamCodebook.uniform(1)
         gains = LinkGainTensor(power_gains=np.array([[1e-8]]))
         a, table, timings = allocate_two_stage(uavs, bss, cb, CFG, gains, RfConstants())
         assert a.beta.tolist() == [[1]]
@@ -491,7 +530,7 @@ class TestTwoStagePipeline:
     def test_matches_brute_force_small(self):
         uavs = [Position3D(150.0, 40.0, 100.0), Position3D(-120.0, -30.0, 100.0)]
         bss = [BaseStationSite(1, Position3D(0.0, 0.0, 25.0), 0.0)]
-        cb = BeamCodebook.uniform(2, tilt=CFG.theta_tilt)
+        cb = BeamCodebook.uniform(2)
         gains = LinkGainTensor(power_gains=np.array([[2e-8], [1e-8]]))
         a, table, _ = allocate_two_stage(uavs, bss, cb, CFG, gains, RfConstants())
         util = build_utility(table, gains, RfConstants())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from corridorsim.allocator import Assignment, BeamGainTable
+from corridorsim.allocator import Assignment, BeamGainTable, allocate_random
 from corridorsim.antenna import AntennaConfig, SteeringDirection, total_gain
 from corridorsim.channel import LinkGainTensor, RfConstants
 from corridorsim.evaluator import (
@@ -11,6 +11,7 @@ from corridorsim.evaluator import (
     evaluate_all,
     interference_at,
     sinr,
+    sinr_matrix,
     throughput,
     validate,
 )
@@ -208,6 +209,69 @@ class TestSinrThroughput:
         assert np.all(report.per_uav_rate_bps >= 0.0)
         assert report.total_rate_bps == pytest.approx(report.per_uav_rate_bps.sum())
         assert report.mean_rate_bps == pytest.approx(report.per_uav_rate_bps.mean())
+
+
+class TestSinrMatrix:
+    """The one-pass SINR matrix against the scalar interference_at loop."""
+
+    def random_case(self, rng, beta_reading, largest=False):
+        ll, nn = (4, 4) if largest else rng.integers(1, 5, size=2)
+        mm = 12 if largest else int(rng.integers(1, min(12, ll * nn) + 1))
+        rrbs = int(rng.integers(2, 5))
+        a = allocate_random(mm, ll, nn, seed=int(rng.integers(2**32)))
+        gains = LinkGainTensor(power_gains=rng.uniform(1e-10, 1e-7, size=(mm, ll)))
+        table = make_table(
+            rng.uniform(-30.0, 12.0, size=(mm, ll, nn)),
+            rng.uniform(-math.pi, math.pi, size=(mm, ll, nn)),
+        )
+        geoms = [
+            [
+                LinkGeometry(100.0, rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
+                for _ in range(ll)
+            ]
+            for _ in range(mm)
+        ]
+        cfg = EvaluationConfig(
+            num_rrbs=rrbs,
+            rrb_schedule=rng.integers(0, 2, size=(mm, ll, rrbs)).astype(np.int8),
+            beta_reading=beta_reading,
+            power_divisor=float(rng.uniform(1.5, 16.0)),
+        )
+        rf = RfConstants(noise_power_w=float(rng.uniform(1e-10, 1e-8)))
+        return a, gains, table, geoms, rf, cfg
+
+    @pytest.mark.parametrize("beta_reading", ["interferer", "victim"])
+    def test_matches_scalar_reference(self, beta_reading):
+        rng = np.random.default_rng(2024)
+        interfered = 0  # (UAV, RRB) pairs where interference at least doubles I + N
+        for case in range(40):
+            a, gains, table, geoms, rf, cfg = self.random_case(rng, beta_reading, case == 0)
+            got = sinr_matrix(a, gains, table, geoms, CFG, rf, cfg)
+            mm = a.beta.shape[0]
+            assert got.shape == (mm, cfg.num_rrbs)
+            p_eff = rf.tx_power_w / cfg.power_divisor
+            for m in range(mm):
+                l, n = np.argwhere(a.x[m])[0]
+                signal = p_eff * gains.power_gains[m, l] * 10.0 ** (table.gain_db[m, l, n] / 10.0)
+                for r in range(cfg.num_rrbs):
+                    i_ref = interference_at(m, a, gains, table, geoms, CFG, rf, cfg, r)
+                    expect = signal / (i_ref + rf.noise_power_w)
+                    assert got[m, r] == pytest.approx(expect, rel=1e-12, abs=0.0)
+                    interfered += i_ref > rf.noise_power_w
+            report = evaluate_all(a, gains, table, geoms, CFG, rf, cfg)
+            np.testing.assert_array_equal(report.per_uav_sinr, got[:, 0])
+            rates = rf.bandwidth_hz * np.log2(1.0 + got)
+            np.testing.assert_allclose(report.per_uav_rate_bps, rates.sum(axis=1), rtol=1e-12)
+        # the victim reading zeroes interference by construction
+        assert (interfered > 0) == (beta_reading == "interferer")
+
+    def test_schedule_shape_checked(self):
+        a = make_assignment([(0, 0), (1, 0)], 2, 1)
+        gains = LinkGainTensor(power_gains=np.full((2, 2), 1e-8))
+        table = make_table(np.zeros((2, 2, 1)))
+        cfg = EvaluationConfig(num_rrbs=2, rrb_schedule=np.ones((2, 2, 1), dtype=np.int8))
+        with pytest.raises(ValueError, match="rrb_schedule"):
+            sinr_matrix(a, gains, table, flat_geoms(2, 2), CFG, RfConstants(), cfg)
 
 
 class TestValidate:

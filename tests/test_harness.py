@@ -91,6 +91,47 @@ class TestConfigPlumbing:
         bs = cfg.bss[0]  # at (0, 0), center at (200, 200)
         assert bs.boresight_azimuth == pytest.approx(math.pi / 4)
 
+    def test_default_sites_aim_at_configured_center(self):
+        cfg = config_from_dict({"corridor": {"center_x_m": 1000.0, "center_y_m": 1000.0}})
+        # sites at (0, 0), (400, 0), (400, 400), (0, 400)
+        expect = [
+            math.atan2(1000.0, 1000.0),
+            math.atan2(1000.0, 600.0),
+            math.atan2(600.0, 600.0),
+            math.atan2(600.0, 1000.0),
+        ]
+        got = [bs.boresight_azimuth for bs in cfg.bss]
+        assert got == pytest.approx(expect, rel=1e-12)
+        assert all(0.0 < b < math.pi / 2 for b in got)
+
+    def test_retired_keys_still_load(self):
+        base = config_to_dict(small_config())
+        doc = json.loads(json.dumps(base))
+        doc["evaluation_channel"] = "hf"
+        doc["codebook"]["tilt_deg"] = 5.0
+        doc["channel_hf"]["seed"] = 7
+        doc["channel_lf"]["seed"] = 8
+        doc["annealer"] = {"t_global": 10}
+        loaded = config_from_dict(doc)
+        assert config_to_dict(loaded) == base
+        assert validate_config(loaded) == []
+
+    def test_non_finite_numbers_rejected(self):
+        doc = config_to_dict(small_config())
+        doc["rf"]["tx_power_w"] = float("nan")
+        doc["corridor"]["radius_m"] = float("inf")
+        doc["bss"][1]["x_m"] = float("-inf")
+        problems = validate_config(config_from_dict(doc))
+        for field in ("rf.tx_power_w", "corridor.radius_m", "bss[1].x_m"):
+            assert sum(p.startswith(f"{field} must be finite") for p in problems) == 1
+
+    def test_wrong_type_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for doc in ({"uav_count": "abc"}, {"uav_count": float("inf")}, {"rf": 5}):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigurationError, match="cannot load config"):
+                load_config(path)
+
 
 class TestRunScenario:
     def test_single_link_completes(self):
@@ -267,6 +308,48 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli_main(["validate-config", "--config", str(path)]) == 1
         assert "uav_count" in capsys.readouterr().err
+
+    def test_validate_config_non_finite(self, tmp_path, capsys):
+        doc = config_to_dict(small_config())
+        doc["rf"]["tx_power_w"] = float("nan")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate-config", "--config", str(path)]) == 1
+        assert "error: rf.tx_power_w must be finite" in capsys.readouterr().err
+
+    def test_run_non_finite_exits_1(self, tmp_path, capsys):
+        doc = config_to_dict(small_config(replications=1))
+        doc["rf"]["tx_power_w"] = float("nan")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert "error: rf.tx_power_w must be finite" in capsys.readouterr().err
+        assert not (out_dir / "results.json").exists()
+
+    def test_run_bad_value_type(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"uav_count": "abc"}))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_run_missing_import_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(small_config(replications=1))))
+        code = cli_main(
+            ["run", "--config", str(path), "--out", str(tmp_path / "out"),
+             "--channel", "import", "--import-path", str(tmp_path / "missing.ctns")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.ctns" in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert cli_main(["run", "--config", missing, "--out", str(tmp_path)]) == 1
+        assert cli_main(["validate-config", "--config", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.json" in err
 
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
