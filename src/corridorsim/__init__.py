@@ -67,7 +67,6 @@ from .harness import (
     benchmark,
     config_from_dict,
     config_to_dict,
-    default_scenario,
     emit_reports,
     load_config,
     run_scenario,

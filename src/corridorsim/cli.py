@@ -7,8 +7,7 @@ Subcommands:
   gain-sweep       antenna gain vs azimuth CSV for plotting
   validate-config  check a config file and list every problem
 
-Without --config the nominal defaults are used (4 BSs on a 400 m square,
-200 m circular corridor, 16-beam codebook, statistical channel twin).
+Without --config the nominal scenario, `ScenarioConfig()`, is used.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .errors import ConfigurationError, CorridorsimError
 from .harness import (
     ScenarioConfig,
     benchmark,
-    default_scenario,
     emit_reports,
     gain_sweep_rows,
     load_config,
@@ -60,7 +58,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
-    config = load_config(args.config) if args.config else default_scenario()
+    config = load_config(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
         config.seed = args.seed
     if args.allocator:
@@ -142,6 +140,8 @@ def main(argv: list[str] | None = None) -> int:
         config = _load(args)
 
         if args.command == "run":
+            if args.uavs and len(args.uavs) > 1:
+                raise ConfigurationError(f"run takes one --uavs value, got {args.uavs}")
             results = [run_scenario(config, threads=args.threads)]
         elif args.command == "sweep":
             if args.altitudes:

@@ -37,12 +37,11 @@ class BaseStationSite:
 
 @dataclass(frozen=True)
 class CorridorSpec:
-    """Circular corridor of equally spaced waypoints at a fixed altitude."""
+    """Circular corridor at a fixed altitude; defaults are the nominal corridor."""
 
-    center: Position3D  # z is ignored
-    radius: float
-    altitude: float
-    num_waypoints: int = 1
+    center: Position3D = Position3D(200.0, 200.0, 0.0)  # z is ignored
+    radius: float = 200.0
+    altitude: float = 100.0
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,12 @@ def wrap_angle(angle: float) -> float:
     return a
 
 
-def generate_corridor(spec: CorridorSpec, m: int | None = None) -> list[Position3D]:
+def generate_corridor(spec: CorridorSpec, m: int) -> list[Position3D]:
     """Place `m` waypoints evenly on the corridor circle, waypoint k at angle 2*pi*k/m.
 
     Waypoint 0 lies due east of the center; all waypoints sit exactly at
-    `spec.altitude`. `m` defaults to `spec.num_waypoints`.
+    `spec.altitude`.
     """
-    if m is None:
-        m = spec.num_waypoints
     if m < 1:
         raise ConfigurationError(f"waypoint count must be >= 1, got {m}")
     if spec.radius <= 0.0:

@@ -19,6 +19,7 @@ it byte for byte regardless of thread count.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -26,7 +27,9 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -54,7 +57,7 @@ from .channel import (
     generate_statistical,
     with_seed,
 )
-from .errors import ConfigurationError, InfeasibleAssignmentError
+from .errors import ConfigurationError, InfeasibleAssignmentError, TensorFormatError
 from .evaluator import EvaluationConfig, ThroughputReport, evaluate_all, validate
 from .geometry import (
     BaseStationSite,
@@ -82,21 +85,35 @@ class CodebookConfig:
     n_beams: int = 16
 
 
+def aim_boresights_at(bss: list[BaseStationSite], target: Position3D) -> list[BaseStationSite]:
+    """Point every BS boresight at `target` in the horizontal plane."""
+
+    def toward(p: Position3D) -> float:
+        return math.atan2(target.y - p.y, target.x - p.x)
+
+    return [replace(bs, boresight_azimuth=toward(bs.position)) for bs in bss]
+
+
+def _nominal_sites(center: Position3D = CorridorSpec().center) -> list[BaseStationSite]:
+    """The nominal sites, 25 m masts on the corners of a 400 m square, aimed at `center`."""
+    corners = ((0.0, 0.0), (400.0, 0.0), (400.0, 400.0), (0.0, 400.0))
+    sites = [
+        BaseStationSite(i + 1, Position3D(x, y, 25.0), 0.0) for i, (x, y) in enumerate(corners)
+    ]
+    return aim_boresights_at(sites, center)
+
+
 @dataclass
 class ScenarioConfig:
-    """Complete description of one experiment."""
+    """Complete description of one experiment; the defaults are the nominal scenario."""
 
     rf: RfConstants = field(default_factory=RfConstants)
     antenna: AntennaConfig = field(default_factory=AntennaConfig)
     codebook: CodebookConfig = field(default_factory=CodebookConfig)
-    bss: list[BaseStationSite] = field(default_factory=list)
-    corridor: CorridorSpec = field(
-        default_factory=lambda: CorridorSpec(Position3D(0.0, 0.0, 0.0), 200.0, 100.0)
-    )
+    bss: list[BaseStationSite] = field(default_factory=_nominal_sites)
+    corridor: CorridorSpec = field(default_factory=CorridorSpec)
     uav_count: int = 20
-    channel_hf: ChannelProviderSpec = field(
-        default_factory=lambda: ChannelProviderSpec(kind="statistical")
-    )
+    channel_hf: ChannelProviderSpec = field(default_factory=ChannelProviderSpec)
     channel_lf: ChannelProviderSpec = field(
         default_factory=lambda: ChannelProviderSpec(kind="few_ray", ray_count=100)
     )
@@ -105,8 +122,8 @@ class ScenarioConfig:
     seed: int = 0
     replications: int = 1
     split_power_among_beams: bool = False
-    num_rrbs: int = 1
-    beta_reading: str = "interferer"
+    num_rrbs: int = EvaluationConfig.num_rrbs
+    beta_reading: str = EvaluationConfig.beta_reading
 
 
 @dataclass
@@ -135,194 +152,179 @@ class ExperimentResult:
         return out
 
 
-def default_scenario(seed: int = 0) -> ScenarioConfig:
-    """Nominal setup: 4 BSs on a 400 m square, 200 m corridor, 16 beams."""
-    config = ScenarioConfig(seed=seed)
-    config.bss = [
-        BaseStationSite(1, Position3D(0.0, 0.0, 25.0), 0.0),
-        BaseStationSite(2, Position3D(400.0, 0.0, 25.0), 0.0),
-        BaseStationSite(3, Position3D(400.0, 400.0, 25.0), 0.0),
-        BaseStationSite(4, Position3D(0.0, 400.0, 25.0), 0.0),
-    ]
-    config.corridor = CorridorSpec(
-        center=Position3D(200.0, 200.0, 0.0), radius=200.0, altitude=100.0,
-        num_waypoints=config.uav_count,
-    )
-    config.bss = aim_boresights_at(config.bss, config.corridor.center)
-    return config
-
-
-def aim_boresights_at(
-    bss: list[BaseStationSite], target: Position3D
-) -> list[BaseStationSite]:
-    """Point every BS boresight at `target` in the horizontal plane."""
-    return [
-        BaseStationSite(
-            bs.id,
-            bs.position,
-            math.atan2(target.y - bs.position.y, target.x - bs.position.x),
-        )
-        for bs in bss
-    ]
-
-
 # --------------------------------------------------------------------------
 # Config file round trip (degrees at the boundary)
 # --------------------------------------------------------------------------
 
+# Every config file key once: (dotted file key, dotted attribute path, unit).
+# A "deg" key holds degrees in the file and radians in the attribute. A key
+# a file omits keeps its value in ScenarioConfig(), and a value must have the
+# JSON type of the attribute's annotation.
+_SCHEMA = (
+    ("seed", "seed", None),
+    ("uav_count", "uav_count", None),
+    ("replications", "replications", None),
+    ("allocator", "allocator", None),
+    ("allocation_channel", "allocation_channel", None),
+    ("split_power_among_beams", "split_power_among_beams", None),
+    ("num_rrbs", "num_rrbs", None),
+    ("beta_reading", "beta_reading", None),
+    ("rf.carrier_hz", "rf.carrier_hz", None),
+    ("rf.bandwidth_hz", "rf.bandwidth_hz", None),
+    ("rf.tx_power_w", "rf.tx_power_w", None),
+    ("rf.noise_power_w", "rf.noise_power_w", None),
+    ("antenna.n_h", "antenna.n_h", None),
+    ("antenna.n_v", "antenna.n_v", None),
+    ("antenna.d_h_wavelengths", "antenna.d_h", None),
+    ("antenna.d_v_wavelengths", "antenna.d_v", None),
+    ("antenna.g_e_max_dbi", "antenna.g_e_max_dbi", None),
+    ("antenna.theta_3db_deg", "antenna.theta_3db", "deg"),
+    ("antenna.phi_3db_deg", "antenna.phi_3db", "deg"),
+    ("antenna.a_m_db", "antenna.a_m_db", None),
+    ("antenna.sl_av_db", "antenna.sl_av_db", None),
+    ("antenna.tilt_deg", "antenna.theta_tilt", "deg"),
+    ("antenna.gain_floor_db", "antenna.gain_floor_db", None),
+    ("codebook.n_beams", "codebook.n_beams", None),
+    ("corridor.center_x_m", "corridor.center.x", None),
+    ("corridor.center_y_m", "corridor.center.y", None),
+    ("corridor.radius_m", "corridor.radius", None),
+    ("corridor.altitude_m", "corridor.altitude", None),
+    *(
+        (f"{provider}.{key}", f"{provider}.{key}", None)
+        for provider in ("channel_hf", "channel_lf")
+        for key in ("kind", "ray_count", "rician_k_db", "import_path")
+    ),
+)
+
+# One `bss` entry, relative to a BaseStationSite. An omitted `id` is the
+# entry's index + 1, an omitted or null `boresight_deg` aims the site at the
+# corridor center, and omitted coordinates are those of nominal site 1.
+_SITE_SCHEMA = (
+    ("id", "id", None),
+    ("x_m", "position.x", None),
+    ("y_m", "position.y", None),
+    ("z_m", "position.z", None),
+    ("boresight_deg", "boresight_azimuth", "deg"),
+)
+
+# Keys earlier versions read. Files that still carry them load; the values
+# are ignored.
+_RETIRED = frozenset(
+    {"annealer", "evaluation_channel", "codebook.tilt_deg", "channel_hf.seed", "channel_lf.seed"}
+)
+
+# The JSON types a value may have, by its attribute's annotation. A float
+# attribute takes any JSON number through float(), so 10 and 10.0 load alike.
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+    str | None: ((str, type(None)), "a string or null"),
+}
+
+
+def _compile(schema, root: type) -> dict:
+    """{section or None: {file key: (getter, path, JSON types, their name, is float, unit)}}."""
+    hints = functools.cache(get_type_hints)
+    tables = {}
+    for name, dotted, unit in schema:
+        *owners, attr = path = tuple(dotted.split("."))
+        owner = functools.reduce(lambda cls, step: hints(cls)[step], owners, root)
+        section, _, key = name.rpartition(".")
+        hint = hints(owner)[attr]
+        row = (attrgetter(dotted), path, *_JSON_TYPES[hint], hint is float, unit)
+        tables.setdefault(section or None, {})[key] = row
+    return tables
+
+
+_TABLES = _compile(_SCHEMA, ScenarioConfig)
+_SITE_TABLE = _compile(_SITE_SCHEMA, BaseStationSite)[None]
+
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    a = config.antenna
-    return {
-        "seed": config.seed,
-        "uav_count": config.uav_count,
-        "replications": config.replications,
-        "allocator": config.allocator,
-        "allocation_channel": config.allocation_channel,
-        "split_power_among_beams": config.split_power_among_beams,
-        "num_rrbs": config.num_rrbs,
-        "beta_reading": config.beta_reading,
-        "rf": {
-            "carrier_hz": config.rf.carrier_hz,
-            "bandwidth_hz": config.rf.bandwidth_hz,
-            "tx_power_w": config.rf.tx_power_w,
-            "noise_power_w": config.rf.noise_power_w,
-        },
-        "antenna": {
-            "n_h": a.n_h,
-            "n_v": a.n_v,
-            "d_h_wavelengths": a.d_h,
-            "d_v_wavelengths": a.d_v,
-            "g_e_max_dbi": a.g_e_max_dbi,
-            "theta_3db_deg": math.degrees(a.theta_3db),
-            "phi_3db_deg": math.degrees(a.phi_3db),
-            "a_m_db": a.a_m_db,
-            "sl_av_db": a.sl_av_db,
-            "tilt_deg": math.degrees(a.theta_tilt),
-            "gain_floor_db": a.gain_floor_db,
-        },
-        "codebook": {"n_beams": config.codebook.n_beams},
-        "bss": [
-            {
-                "id": bs.id,
-                "x_m": bs.position.x,
-                "y_m": bs.position.y,
-                "z_m": bs.position.z,
-                "boresight_deg": math.degrees(bs.boresight_azimuth),
-            }
-            for bs in config.bss
-        ],
-        "corridor": {
-            "center_x_m": config.corridor.center.x,
-            "center_y_m": config.corridor.center.y,
-            "radius_m": config.corridor.radius,
-            "altitude_m": config.corridor.altitude,
-        },
-        "channel_hf": _provider_to_dict(config.channel_hf),
-        "channel_lf": _provider_to_dict(config.channel_lf),
-    }
+    """The config file of `config`: every schema key, angles in degrees."""
+    doc = {}
+    for section, table in _TABLES.items():
+        (doc.setdefault(section, {}) if section else doc).update(_dump(config, table))
+    doc["bss"] = [_dump(bs, _SITE_TABLE) for bs in config.bss]
+    return doc
 
 
-def _provider_to_dict(spec: ChannelProviderSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "ray_count": spec.ray_count,
-        "rician_k_db": spec.rician_k_db,
-        "import_path": spec.import_path,
-    }
-
-
-def _provider_from_dict(doc: dict) -> ChannelProviderSpec:
-    return ChannelProviderSpec(
-        kind=doc.get("kind", "statistical"),
-        ray_count=int(doc.get("ray_count", 1_000_000)),
-        rician_k_db=float(doc.get("rician_k_db", 3.0)),
-        import_path=doc.get("import_path"),
-    )
+def _dump(obj, table: dict) -> dict:
+    out = {}
+    for key, (get, *_, unit) in table.items():
+        value = get(obj)
+        out[key] = math.degrees(value) if unit == "deg" else value
+    return out
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from the JSON document, filling defaults.
+    """Load a JSON document; omitted keys keep defaults, unknown keys and wrong types raise."""
+    top = {k: v for k, v in _expect("config", doc).items() if k not in _TABLES and k != "bss"}
+    values = _load(top, _TABLES[None], "")
+    for section, table in _TABLES.items():
+        if section in doc:
+            values.update(_load(_expect(section, doc[section]), table, f"{section}."))
+    config = _assign(ScenarioConfig(), values)
+    center = config.corridor.center
+    if "bss" not in doc:
+        config.bss = _nominal_sites(center)
+    else:
+        sites = _expect("bss", doc["bss"], list, "a list")
+        config.bss = [_site_from_dict(i, site, center) for i, site in enumerate(sites)]
+    return config
 
-    Keys this version no longer reads (`annealer`, `evaluation_channel`,
-    `codebook.tilt_deg`, `channel_*.seed`) are ignored.
-    """
-    rf_doc = doc.get("rf", {})
-    rf = RfConstants(
-        carrier_hz=float(rf_doc.get("carrier_hz", 3.5e9)),
-        bandwidth_hz=float(rf_doc.get("bandwidth_hz", 30e6)),
-        tx_power_w=float(rf_doc.get("tx_power_w", 10.0)),
-        noise_power_w=float(rf_doc.get("noise_power_w", 0.3)),
-    )
-    a_doc = doc.get("antenna", {})
-    antenna = AntennaConfig(
-        n_h=int(a_doc.get("n_h", 4)),
-        n_v=int(a_doc.get("n_v", 4)),
-        d_h=float(a_doc.get("d_h_wavelengths", 0.5)),
-        d_v=float(a_doc.get("d_v_wavelengths", 0.5)),
-        g_e_max_dbi=float(a_doc.get("g_e_max_dbi", -8.0)),
-        theta_3db=math.radians(float(a_doc.get("theta_3db_deg", 65.0))),
-        phi_3db=math.radians(float(a_doc.get("phi_3db_deg", 90.0))),
-        a_m_db=float(a_doc.get("a_m_db", 30.0)),
-        sl_av_db=float(a_doc.get("sl_av_db", 30.0)),
-        theta_tilt=math.radians(float(a_doc.get("tilt_deg", 15.0))),
-        gain_floor_db=float(a_doc.get("gain_floor_db", -400.0)),
-    )
-    codebook = CodebookConfig(n_beams=int(doc.get("codebook", {}).get("n_beams", 16)))
-    co_doc = doc.get("corridor", {})
-    corridor = CorridorSpec(
-        center=Position3D(
-            float(co_doc.get("center_x_m", 200.0)),
-            float(co_doc.get("center_y_m", 200.0)),
-            0.0,
-        ),
-        radius=float(co_doc.get("radius_m", 200.0)),
-        altitude=float(co_doc.get("altitude_m", 100.0)),
-        num_waypoints=int(doc.get("uav_count", 20)),
-    )
-    bss = []
-    for i, bs_doc in enumerate(doc.get("bss", [])):
-        boresight_deg = bs_doc.get("boresight_deg")
-        pos = Position3D(
-            float(bs_doc.get("x_m", 0.0)),
-            float(bs_doc.get("y_m", 0.0)),
-            float(bs_doc.get("z_m", 25.0)),
-        )
-        if boresight_deg is None:
-            boresight = math.atan2(
-                corridor.center.y - pos.y, corridor.center.x - pos.x
-            )
-        else:
-            boresight = math.radians(float(boresight_deg))
-        bss.append(BaseStationSite(int(bs_doc.get("id", i + 1)), pos, boresight))
-    if not bss:
-        bss = aim_boresights_at(default_scenario().bss, corridor.center)
-    return ScenarioConfig(
-        rf=rf,
-        antenna=antenna,
-        codebook=codebook,
-        bss=bss,
-        corridor=corridor,
-        uav_count=int(doc.get("uav_count", 20)),
-        channel_hf=_provider_from_dict(doc.get("channel_hf", {"kind": "statistical"})),
-        channel_lf=_provider_from_dict(
-            doc.get("channel_lf", {"kind": "few_ray", "ray_count": 100})
-        ),
-        allocator=doc.get("allocator", "two_stage"),
-        allocation_channel=doc.get("allocation_channel", "hf"),
-        seed=int(doc.get("seed", 0)),
-        replications=int(doc.get("replications", 1)),
-        split_power_among_beams=bool(doc.get("split_power_among_beams", False)),
-        num_rrbs=int(doc.get("num_rrbs", 1)),
-        beta_reading=doc.get("beta_reading", "interferer"),
-    )
+
+def _site_from_dict(i: int, doc, center: Position3D) -> BaseStationSite:
+    where = f"bss[{i}]"
+    given = {k: v for k, v in _expect(where, doc).items() if k != "boresight_deg" or v is not None}
+    values = _load(given, _SITE_TABLE, f"{where}.")
+    site = _assign(replace(_nominal_sites()[0], id=i + 1), values)
+    return site if ("boresight_azimuth",) in values else aim_boresights_at([site], center)[0]
+
+
+def _expect(key: str, value, kind: type = dict, name: str = "a JSON object"):
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{key} must be {name}, got {value!r}")
+    return value
+
+
+def _load(doc: dict, table: dict, where: str) -> dict:
+    """{attribute path: value} of the keys of `doc`; `where` prefixes their names."""
+    values = {}
+    for key, value in doc.items():
+        if where + key in _RETIRED:
+            continue
+        if key not in table:
+            raise ConfigurationError(f"unknown config key {where + key!r}")
+        _, path, types, expected, is_float, unit = table[key]
+        if type(value) not in types:
+            raise ConfigurationError(f"{where + key} must be {expected}, got {value!r}")
+        try:
+            value = float(value) if is_float else value
+        except OverflowError:
+            raise ConfigurationError(f"{where + key} is out of range") from None
+        values[path] = math.radians(value) if unit == "deg" else value
+    return values
+
+
+def _assign(obj, values: dict):
+    """Copy of dataclass `obj` with every attribute path in `values` set."""
+    nested = {}
+    for (name, *rest), value in values.items():
+        nested.setdefault(name, {})[tuple(rest)] = value
+    return replace(obj, **{
+        name: sub[()] if () in sub else _assign(getattr(obj, name), sub)
+        for name, sub in nested.items()
+    })
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read a scenario file; an unreadable file or a bad value is a ConfigurationError."""
     try:
         return config_from_dict(json.loads(Path(path).read_text()))
-    except (OSError, AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot load config {path}: {exc}") from exc
 
 
@@ -466,6 +468,9 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     def one_replication(r: int) -> ThroughputReport:
         channel_seed = _derive_seed(config.seed, _TAG_CHANNEL, r)
         eval_tensor = generate(geoms, with_seed(config.channel_hf, channel_seed), config.rf)
+        if (eval_tensor.m, eval_tensor.l) != (mm, ll):
+            got = f"{eval_tensor.m}x{eval_tensor.l}"
+            raise TensorFormatError(f"channel tensor is {got} links, expected {mm}x{ll}")
         alloc_tensor = _allocation_tensor(config, eval_tensor, geoms, r)
         t_alloc = time.perf_counter()
         if config.allocator == "two_stage":
@@ -530,15 +535,11 @@ def sweep(
 
 
 def _with_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    cfg = replace(config)
     if axis == "uav_count":
-        cfg.uav_count = int(value)
-        cfg.corridor = replace(config.corridor, num_waypoints=int(value))
-    elif axis == "altitude":
-        cfg.corridor = replace(config.corridor, altitude=float(value))
-    else:
-        raise ConfigurationError(f"sweep axis must be uav_count|altitude, got {axis!r}")
-    return cfg
+        return replace(config, uav_count=int(value))
+    if axis == "altitude":
+        return replace(config, corridor=replace(config.corridor, altitude=float(value)))
+    raise ConfigurationError(f"sweep axis must be uav_count|altitude, got {axis!r}")
 
 
 # Timed runs per UAV count in `benchmark`; odd, so the median is one run.

@@ -8,7 +8,6 @@ calibration.
 import itertools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from corridorsim.antenna import (
 from corridorsim.channel import ChannelProviderSpec, LinkGainTensor, RfConstants
 from corridorsim.evaluator import validate
 from corridorsim.geometry import BaseStationSite, Position3D
-from corridorsim.harness import default_scenario, emit_reports, run_scenario, sweep
+from corridorsim.harness import ScenarioConfig, emit_reports, run_scenario, sweep
 
 CFG = AntennaConfig()  # nominal 4x4 array
 BOUND_16 = 10.0 * math.log10(16.0)
@@ -45,7 +44,7 @@ def report(n, text):
 
 
 def scenario(seed, **overrides):
-    cfg = default_scenario(seed=seed)
+    cfg = ScenarioConfig(seed=seed)
     cfg.replications = 20
     for key, value in overrides.items():
         setattr(cfg, key, value)
@@ -212,7 +211,6 @@ class TestAcceptance:
     def test_08_interference_sanity(self):
         # M = 1: scenario pipeline, SINR must equal the closed form exactly
         cfg = scenario(808, uav_count=1, replications=3)
-        cfg.corridor = replace(cfg.corridor, num_waypoints=1)
         result = run_scenario(cfg)
         from corridorsim.channel import generate, with_seed
         from corridorsim.geometry import generate_corridor, link_geometries
@@ -254,7 +252,6 @@ class TestAcceptance:
         # L = 1: every UAV interference-free
         cfg_l1 = scenario(809, uav_count=6, replications=1)
         cfg_l1.bss = cfg_l1.bss[:1]
-        cfg_l1.corridor = replace(cfg_l1.corridor, num_waypoints=6)
         cfg_l1.uav_count = 6
         result_l1 = run_scenario(cfg_l1)
         assert np.all(result_l1.reports[0].per_uav_sinr > 0.0)
@@ -264,7 +261,7 @@ class TestAcceptance:
     def test_09_complexity_shape(self):
         from corridorsim.harness import benchmark
 
-        cfg = default_scenario(seed=909)
+        cfg = ScenarioConfig(seed=909)
         cfg.replications = 1
         rows = benchmark(cfg, [10, 20, 30, 40])
         evals = np.array([row["stage1_evals"] for row in rows], dtype=float)
@@ -278,7 +275,6 @@ class TestAcceptance:
 
     def test_10_determinism(self, tmp_path):
         cfg = scenario(1010, uav_count=6, replications=4)
-        cfg.corridor = replace(cfg.corridor, num_waypoints=6)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         emit_reports([run_scenario(cfg, threads=1)], out_a)

@@ -33,7 +33,7 @@ from corridorsim.channel import LinkGainTensor, RfConstants
 from corridorsim.errors import ConfigurationError, InfeasibleAssignmentError
 from corridorsim.evaluator import validate
 from corridorsim.geometry import BaseStationSite, Position3D, generate_corridor
-from corridorsim.harness import default_scenario
+from corridorsim.harness import ScenarioConfig
 
 CFG = AntennaConfig()
 ANN = AnnealerConfig(seed=1234)
@@ -430,7 +430,7 @@ class TestSolveAssignmentTies:
             )
 
     def test_nominal_table_ties(self):
-        cfg = default_scenario()
+        cfg = ScenarioConfig()
         uavs = generate_corridor(cfg.corridor, 20)
         table = build_beam_gain_table(uavs, cfg.bss, BeamCodebook.uniform(16), CFG)
         gains = LinkGainTensor(power_gains=np.ones((20, len(cfg.bss))))

@@ -16,8 +16,8 @@ from corridorsim.geometry import (
 ORIGIN = Position3D(0.0, 0.0, 0.0)
 
 
-def spec(radius=100.0, altitude=75.0, center=ORIGIN, n=1):
-    return CorridorSpec(center=center, radius=radius, altitude=altitude, num_waypoints=n)
+def spec(radius=100.0, altitude=75.0, center=ORIGIN):
+    return CorridorSpec(center=center, radius=radius, altitude=altitude)
 
 
 class TestGenerateCorridor:
@@ -44,9 +44,6 @@ class TestGenerateCorridor:
         for k in range(19):
             gap = wrap_angle(angles[k + 1] - angles[k])
             assert math.degrees(gap) == pytest.approx(18.0, abs=1e-9)
-
-    def test_defaults_to_num_waypoints(self):
-        assert len(generate_corridor(spec(n=7))) == 7
 
     @pytest.mark.parametrize("bad", [spec(radius=0.0), spec(radius=-5.0), spec(altitude=0.0)])
     def test_invalid_spec_rejected(self, bad):

@@ -3,17 +3,18 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from corridorsim.channel import ChannelProviderSpec
+from corridorsim.channel import ChannelProviderSpec, LinkGainTensor, export_tensor
 from corridorsim.cli import main as cli_main
-from corridorsim.errors import ConfigurationError
+from corridorsim.errors import ConfigurationError, TensorFormatError
 from corridorsim.harness import (
+    ScenarioConfig,
     benchmark,
     config_digest,
     config_from_dict,
     config_to_dict,
-    default_scenario,
     emit_reports,
     gain_sweep_rows,
     load_config,
@@ -25,9 +26,8 @@ from corridorsim.harness import (
 
 def small_config(seed=100, **overrides):
     """Quick scenario: 3 UAVs, 2 BSs, 4 beams."""
-    cfg = default_scenario(seed=seed)
+    cfg = ScenarioConfig(seed=seed)
     cfg.uav_count = 3
-    cfg.corridor = replace(cfg.corridor, num_waypoints=3)
     cfg.bss = cfg.bss[:2]
     cfg.codebook = replace(cfg.codebook, n_beams=4)
     cfg.replications = 2
@@ -38,10 +38,10 @@ def small_config(seed=100, **overrides):
 
 class TestConfigPlumbing:
     def test_defaults_are_valid(self):
-        assert validate_config(default_scenario()) == []
+        assert validate_config(ScenarioConfig()) == []
 
     def test_round_trip_through_dict(self):
-        cfg = default_scenario(seed=7)
+        cfg = ScenarioConfig(seed=7)
         doc = config_to_dict(cfg)
         back = config_from_dict(doc)
         assert config_to_dict(back) == doc
@@ -87,7 +87,7 @@ class TestConfigPlumbing:
             run_scenario(cfg)
 
     def test_default_boresights_point_at_center(self):
-        cfg = default_scenario()
+        cfg = ScenarioConfig()
         bs = cfg.bss[0]  # at (0, 0), center at (200, 200)
         assert bs.boresight_azimuth == pytest.approx(math.pi / 4)
 
@@ -137,7 +137,6 @@ class TestRunScenario:
     def test_single_link_completes(self):
         cfg = small_config(seed=5)
         cfg.uav_count = 1
-        cfg.corridor = replace(cfg.corridor, num_waypoints=1)
         cfg.bss = cfg.bss[:1]
         cfg.codebook = replace(cfg.codebook, n_beams=1)
         cfg.replications = 1
@@ -185,6 +184,17 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert len(result.reports) == 1
 
+    @pytest.mark.parametrize("allocator", ["two_stage", "random"])
+    def test_import_shape_checked_before_allocation(self, tmp_path, allocator):
+        path = tmp_path / "wrong.ctns"
+        export_tensor(LinkGainTensor(power_gains=np.ones((7, 3))), path)
+        cfg = ScenarioConfig(
+            allocator=allocator,
+            channel_hf=ChannelProviderSpec(kind="import", import_path=str(path)),
+        )
+        with pytest.raises(TensorFormatError, match="7x3 links, expected 20x4"):
+            run_scenario(cfg)
+
     def test_power_split_lowers_rates(self):
         base = small_config(seed=25, replications=1)
         split = small_config(seed=25, replications=1, split_power_among_beams=True)
@@ -231,7 +241,7 @@ class TestSweepAndBench:
         # interference growth from 10 -> 20 UAVs dominates the per-UAV mean;
         # at the default 0.3 W noise, interference (~1e-8 W) is invisible and
         # the direction is decided by waypoint placement instead
-        cfg = default_scenario(seed=26)
+        cfg = ScenarioConfig(seed=26)
         cfg.replications = 6
         cfg.rf = replace(cfg.rf, noise_power_w=1e-12)
         results = sweep(cfg, "uav_count", [10, 20])
@@ -343,6 +353,27 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing.ctns" in err
+
+    def test_run_import_of_wrong_shape_exits_1(self, tmp_path, capsys):
+        tensor = tmp_path / "wrong.ctns"
+        export_tensor(LinkGainTensor(power_gains=np.ones((7, 3))), tensor)
+        out_dir = tmp_path / "out"
+        code = cli_main(
+            ["run", "--out", str(out_dir), "--channel", "import", "--import-path", str(tensor)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: channel tensor is 7x3 links")
+        assert not (out_dir / "results.json").exists()
+
+    def test_run_rejects_several_uav_counts(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--uavs", "10,20", "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run takes one --uavs value, got [10, 20]")
+        assert not (out_dir / "results.json").exists()
+        assert cli_main(["run", "--uavs", "3", "--out", str(out_dir)]) == 0
+        results = json.loads((out_dir / "results.json").read_text())["results"]
+        assert results[0]["config"]["uav_count"] == 3
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
