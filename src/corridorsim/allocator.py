@@ -5,9 +5,10 @@ Each beam owns one of N equal azimuth sectors of (-pi, pi], and its scan
 angle is optimized inside that sector, so the N beams of a BS stay distinct
 and beam exclusivity is meaningful. `build_beam_gain_table` solves all
 triplets in one deterministic numpy pass: the array power of a link is a
-real trig polynomial in sin(phi_scan), maximized per sector by a grid whose
-density follows from the array geometry plus vectorized golden-section
-refinement. `optimize_scan_angle` keeps the paper's per-triplet dual
+real trig polynomial P(s) in s = alpha * sin(phi_scan), whose peaks are
+refined once per link by vectorized golden-section search; each sector's
+best angle is then read off those peaks, its ends and +-pi/2.
+`optimize_scan_angle` keeps the paper's per-triplet dual
 annealing (generalized simulated annealing with a heavy-tailed visiting
 distribution, Brent refinement of each new incumbent) as the reference
 method the tests compare against.
@@ -26,6 +27,7 @@ deterministic given their inputs and seeds.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -51,7 +53,7 @@ _SEED_MASK = (1 << 64) - 1
 _ACCEPTANCE_PARAM = -5.0
 _TAIL_LIMIT = 1e8
 
-# Batched stage 1 refines each scan bracket down to this width (radians).
+# Batched stage 1 refines each peak of the array power to this width in s.
 _SCAN_XTOL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -67,11 +69,9 @@ class BeamCodebook:
     def uniform(cls, n_beams: int) -> "BeamCodebook":
         if n_beams < 1:
             raise ConfigurationError(f"codebook needs >= 1 beam, got {n_beams}")
-        width = 2.0 * math.pi / n_beams
-        sectors = tuple(
-            (-math.pi + n * width, -math.pi + (n + 1) * width) for n in range(n_beams)
-        )
-        return cls(n_beams=n_beams, sectors=sectors)
+        # -pi + n * 2pi/N, except that the last end is pi itself, never pi + 1 ulp
+        ends = np.linspace(-math.pi, math.pi, n_beams + 1).tolist()
+        return cls(n_beams=n_beams, sectors=tuple(zip(ends[:-1], ends[1:])))
 
 
 @dataclass(frozen=True)
@@ -257,20 +257,64 @@ def optimize_scan_angle(
     return x_best, -e_best, evals
 
 
-def _scan_power(autocorr: np.ndarray, alpha: float, phi_scan: np.ndarray) -> np.ndarray:
-    """|sum_k c_k z^k|^2 at z = exp(1j * alpha * sin(phi_scan)), in real form.
+def _array_power(autocorr: np.ndarray, z) -> np.ndarray:
+    """|sum_k c_k z^k|^2 at unit phasors z = exp(1j * s), in real form.
 
-    The power is the trig polynomial r_0 + 2*Re sum_{d>=1} r_d z^d of degree
-    n_h - 1 in s = alpha * sin(phi_scan), where r_d = sum_k c_{k+d} conj(c_k)
-    is the coefficient autocorrelation, shape (..., n_h); the sum is taken
-    by Horner's rule, so no harmonic axis is ever materialized. `phi_scan`
-    broadcasts against autocorr[..., 0].
+    The power is the trig polynomial P(s) = r_0 + 2*Re sum_{d>=1} r_d z^d of
+    degree n_h - 1, where r_d = sum_k c_{k+d} conj(c_k) is the coefficient
+    autocorrelation, shape (..., n_h); the sum is taken by Horner's rule, so
+    no harmonic axis is ever materialized. `z` broadcasts against
+    autocorr[..., 0].
     """
-    z = np.exp(1j * alpha * np.sin(phi_scan))
-    acc = np.zeros_like(z)
+    acc = np.zeros(np.broadcast_shapes(np.shape(z), autocorr.shape[:-1]), dtype=complex)
     for d in range(autocorr.shape[-1] - 1, 0, -1):
-        acc = (acc + autocorr[..., d]) * z
-    return autocorr[..., 0].real + 2.0 * np.real(acc)
+        acc += autocorr[..., d]
+        acc *= z
+    return autocorr[..., 0].real + 2.0 * acc.real
+
+
+def _scan_power(autocorr: np.ndarray, alpha: float, phi_scan) -> np.ndarray:
+    """The array power P(alpha * sin(phi_scan)) of `_array_power`."""
+    return _array_power(autocorr, np.exp(1j * alpha * np.sin(phi_scan)))
+
+
+def _refine_peaks(autocorr: np.ndarray, reach: float, degree: int) -> tuple[np.ndarray, int]:
+    """Every local maximum of the array power P(s) over s in [-reach, reach].
+
+    `autocorr` has shape (K, 1, n_h). The range is cut into cells at most
+    pi / (2 * degree) wide, a quarter period of the highest harmonic: the
+    array factor of a uniform array has one maximum between consecutive
+    nulls, 2 pi / n_h apart in s, so a cell holds at most one. Golden-section
+    search refines every cell to `_SCAN_XTOL`. The phasor of a bracket's
+    lower end turns by one of two fixed angles per step, so the loop takes
+    no trig. Returns the refined s, shape (K, cells), and the evaluations
+    per direction.
+    """
+    cells = max(1, math.ceil(4.0 * reach * degree / math.pi))
+    width = 2.0 * reach / cells
+    steps = 0
+    if width > _SCAN_XTOL:
+        steps = math.ceil(math.log(_SCAN_XTOL / width) / math.log(_INV_PHI))
+    lower = -reach + width * np.arange(cells)
+    f1 = _array_power(autocorr, np.exp(1j * (lower + (1.0 - _INV_PHI) * width)))
+    f2 = _array_power(autocorr, np.exp(1j * (lower + _INV_PHI * width)))
+    a = np.broadcast_to(lower, f1.shape).copy()
+    z = np.broadcast_to(np.exp(1j * lower), f1.shape).copy()
+    right = f1 < f2  # the maximum lies in [x1, b], else in [a, x2]
+    kept = np.maximum(f1, f2)  # P at the interior point the next bracket keeps
+    for _ in range(steps):
+        shift = (1.0 - _INV_PHI) * width
+        np.add(a, shift, out=a, where=right)
+        np.multiply(z, cmath.exp(1j * shift), out=z, where=right)
+        width *= _INV_PHI
+        # After a move right the new point is x2 of the new bracket, else x1.
+        turn = np.where(
+            right, cmath.exp(1j * _INV_PHI * width), cmath.exp(1j * (1.0 - _INV_PHI) * width)
+        )
+        f_new = _array_power(autocorr, z * turn)
+        right = np.where(right, kept < f_new, f_new < kept)
+        np.maximum(kept, f_new, out=kept)
+    return a + 0.5 * width, cells * (2 + steps)
 
 
 def optimal_scan_angles(
@@ -279,62 +323,59 @@ def optimal_scan_angles(
     """Best scan angle and total gain of every (direction, sector) pair at once.
 
     `theta` and `phi` broadcast to the directions' shape S and `sectors`
-    lists N half-open intervals (lo, hi]. Returns (phi_star, gain_db,
-    scan points evaluated), the arrays of shape S + (N,), every phi_star
-    inside its sector.
+    lists N half-open intervals (lo, hi] inside [-pi, pi]. Returns
+    (phi_star, gain_db, scan points evaluated), the arrays of shape
+    S + (N,), every phi_star inside its sector.
 
     Each direction folds into its element gain and n_h scan coefficients
     (`scan_coefficients`), which make the array power a real trig
-    polynomial of degree D = n_h - 1 in s = alpha * sin(phi_scan). Every
-    sector is cut into cells that span at most pi / (2 D) in s, a quarter
-    period of the highest harmonic; the array factor of a uniform array has
-    one maximum between consecutive nulls, 2 pi / n_h apart in s, so a cell
-    holds at most one local maximum. Golden-section search refines every
-    cell to `_SCAN_XTOL` radians, and the best grid or refined point wins.
-    The evaluation count is a fixed multiple of the number of pairs.
+    polynomial P(s) of degree n_h - 1 in s = alpha * sin(phi_scan). All
+    sectors of a direction share P, so its peaks over s in [-|alpha|,
+    |alpha|] are refined once (`_refine_peaks`). An interior maximum of
+    P(alpha * sin(phi)) has cos(phi) = 0 or P'(s) = 0, so a sector's best
+    angle is one of its two ends, +-pi/2, or an arcsin branch of a refined
+    peak, whichever inside the sector has the highest P. The evaluation
+    count is a fixed multiple of the number of pairs.
     """
     lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
-    if lo.size == 0 or np.any(~(hi > lo)):
-        raise ConfigurationError(f"scan sectors must be non-empty (lo, hi], got {sectors}")
+    if lo.size == 0 or not np.all((-math.pi <= lo) & (lo < hi) & (hi <= math.pi)):
+        raise ConfigurationError(
+            f"scan sectors must be non-empty (lo, hi] inside [-pi, pi], got {sectors}"
+        )
     elem_db, coeffs, alpha = scan_coefficients(theta, phi, cfg)
-    shape = elem_db.shape + (lo.size,)
     autocorr = np.stack(
         [(coeffs[..., d:] * coeffs[..., : cfg.n_h - d].conj()).sum(axis=-1)
          for d in range(cfg.n_h)],
         axis=-1,
-    )[..., None, None, :]  # S + (1, 1, n_h)
+    ).reshape(-1, 1, cfg.n_h)  # (K, 1, n_h), K directions
 
-    width = float(np.max(hi - lo))
-    cells = max(1, math.ceil(abs(alpha) * width * 2.0 * (cfg.n_h - 1) / math.pi))
-    steps = max(0, math.ceil(math.log(_SCAN_XTOL * cells / width) / math.log(_INV_PHI)))
-    grid = np.linspace(np.nextafter(lo, hi), hi, cells + 1, axis=-1)  # (N, cells + 1)
-    grid_power = _scan_power(autocorr, alpha, grid)
+    peaks, refine_evals = _refine_peaks(autocorr, abs(alpha), cfg.n_h - 1)
+    branch = np.arcsin(np.clip(peaks / alpha, -1.0, 1.0) if alpha else np.zeros_like(peaks))
+    poles = np.broadcast_to([-0.5 * math.pi, 0.5 * math.pi], (branch.shape[0], 2))
+    cand = np.concatenate(
+        [branch, np.where(branch >= 0.0, math.pi, -math.pi) - branch, poles], axis=-1
+    )
+    cand_power = _scan_power(autocorr, alpha, cand)
 
-    a = np.broadcast_to(grid[:, :-1], shape + (cells,))
-    b = np.broadcast_to(grid[:, 1:], shape + (cells,))
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1 = _scan_power(autocorr, alpha, x1)
-    f2 = _scan_power(autocorr, alpha, x2)
-    for _ in range(steps):
-        left = f1 >= f2  # a maximum lies in [a, x2]
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        x_kept = np.where(left, x1, x2)
-        f_kept = np.where(left, f1, f2)
-        x_new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        f_new = _scan_power(autocorr, alpha, x_new)
-        x1, f1 = np.where(left, x_new, x_kept), np.where(left, f_new, f_kept)
-        x2, f2 = np.where(left, x_kept, x_new), np.where(left, f_kept, f_new)
-
-    points = np.concatenate([np.broadcast_to(grid, grid_power.shape), x1, x2], axis=-1)
-    power = np.concatenate([grid_power, f1, f2], axis=-1)
-    best = np.argmax(power, axis=-1)[..., None]
-    phi_star = np.take_along_axis(points, best, axis=-1)[..., 0]
+    # Per pair: the sector's two ends, then its best candidate inside it.
+    k, nn = autocorr.shape[0], lo.size
+    points = np.empty((k, nn, 3))
+    power = np.empty((k, nn, 3))
+    ends = np.stack([np.nextafter(lo, hi), hi], axis=-1)
+    points[..., :2] = ends
+    power[..., :2] = _scan_power(autocorr[..., None, :], alpha, ends)
+    rows = np.arange(k)
+    for n in range(nn):
+        masked = np.where((cand > lo[n]) & (cand <= hi[n]), cand_power, -np.inf)
+        best = masked.argmax(axis=-1)
+        points[:, n, 2] = cand[rows, best]
+        power[:, n, 2] = masked[rows, best]
+    best = power.argmax(axis=-1)[..., None]
+    phi_star = np.take_along_axis(points, best, axis=-1).reshape(elem_db.shape + (nn,))
 
     gain_db = folded_gain_db(elem_db[..., None], coeffs[..., None, :], alpha, phi_star, cfg)
-    evals_per_pair = (cells + 1) + cells * (2 + steps) + 1
-    return phi_star, gain_db, math.prod(shape) * evals_per_pair
+    per_direction = refine_evals + cand.shape[-1]
+    return phi_star, gain_db, k * per_direction + k * nn * 3
 
 
 def build_beam_gain_table(

@@ -138,20 +138,23 @@ def generate_few_ray(
     k_lin = 10.0 ** (spec.rician_k_db / 10.0)
     n_scatter = spec.ray_count - 1
 
+    amp = np.sqrt(free_space_path_gain(dist, rf.carrier_hz))
+    los_phase = np.fmod(2.0 * math.pi * dist / lam, 2.0 * math.pi)
+    rays = np.empty(n_scatter if n_scatter <= _EXACT_RAY_LIMIT else 0, dtype=complex)
     coeffs = np.empty((mm, ll, 1), dtype=np.complex128)
     for m in range(mm):
         for l in range(ll):
-            d = dist[m, l]
-            a0 = math.sqrt(free_space_path_gain(d, rf.carrier_hz))
-            psi0 = math.fmod(2.0 * math.pi * d / lam, 2.0 * math.pi)
-            h = a0 * _unit_phasor(psi0)
+            a0 = float(amp[m, l])
+            h = a0 * _unit_phasor(los_phase[m, l])
             if n_scatter >= 1:
                 rng = _link_rng(spec.seed, m, l)
                 s_amp = a0 / math.sqrt(k_lin)
                 chi = rng.uniform(-math.pi, math.pi)
                 if n_scatter <= _EXACT_RAY_LIMIT:
                     psi = rng.uniform(-math.pi, math.pi, size=n_scatter)
-                    err = np.exp(1j * psi).sum() / n_scatter
+                    np.cos(psi, out=rays.real)
+                    np.sin(psi, out=rays.imag)
+                    err = rays.sum() / n_scatter
                 else:
                     g = rng.standard_normal(2)
                     err = (g[0] + 1j * g[1]) * math.sqrt(0.5 / n_scatter)

@@ -328,16 +328,20 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigurationError(f"cannot load config {path}: {exc}") from exc
 
 
-def config_digest(config: ScenarioConfig) -> str:
-    canonical = json.dumps(config_to_dict(config), sort_keys=True)
+def config_digest(config: ScenarioConfig, echo: dict | None = None) -> str:
+    """Short hash of the config file; pass `echo`, its `config_to_dict`, if at hand."""
+    canonical = json.dumps(config_to_dict(config) if echo is None else echo, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def validate_config(config: ScenarioConfig) -> list[str]:
-    """Every problem with the scenario, one message per offending field."""
+def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[str]:
+    """Every problem with the scenario, one message per offending field.
+
+    `echo` is `config_to_dict(config)`, built here unless the caller has it.
+    """
     errors = [
         f"{path} must be finite, got {value}"
-        for path, value in _non_finite(config_to_dict(config))
+        for path, value in _non_finite(config_to_dict(config) if echo is None else echo)
     ]
     for name in ("carrier_hz", "bandwidth_hz", "tx_power_w", "noise_power_w"):
         if getattr(config.rf, name) <= 0.0:
@@ -442,11 +446,11 @@ def _allocation_tensor(
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     """Run every replication of one scenario and aggregate the reports."""
-    errors = validate_config(config)
+    echo = config_to_dict(config)
+    errors = validate_config(config, echo)
     if errors:
         raise ConfigurationError("\n".join(errors))
-    digest = config_digest(config)
-    echo = config_to_dict(config)
+    digest = config_digest(config, echo)
     uavs = generate_corridor(config.corridor, config.uav_count)
     geoms = link_geometries(uavs, config.bss)
     codebook = BeamCodebook.uniform(config.codebook.n_beams)

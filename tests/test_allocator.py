@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corridorsim.allocator import (
@@ -275,6 +275,106 @@ class TestOptimalScanAngles:
             real_form = elem_db[idx] + 10 * np.log10(_scan_power(autocorr[idx], alpha, scans))
             np.testing.assert_allclose(summed, expect, rtol=0.0, atol=1e-9)
             np.testing.assert_allclose(real_form, expect, rtol=0.0, atol=1e-9)
+
+    def assert_sector_optima(self, theta, phi, sectors, cfg):
+        """Every phi_star inside its sector and no worse than the dense grid."""
+        phi_star, gain_db, _ = optimal_scan_angles(theta, phi, sectors, cfg)
+        assert np.all(np.isfinite(phi_star))
+        for i in range(np.size(theta)):
+            d = SteeringDirection(np.ravel(theta)[i], np.ravel(phi)[i])
+            for n, (lo, hi) in enumerate(sectors):
+                assert lo < phi_star[i, n] <= hi
+                assert gain_db[i, n] >= grid_max(d, (lo, hi), cfg) - 1e-9
+                assert gain_db[i, n] == pytest.approx(
+                    total_gain(d, phi_star[i, n], cfg), abs=1e-9
+                )
+
+    @pytest.mark.parametrize(
+        "sectors",
+        [
+            ((1.0, 2.0), (-2.0, -1.0), (-math.pi, math.pi)),  # straddle +-pi/2
+            ((1.0, math.pi / 2), (-2.0, -math.pi / 2)),  # end exactly on +-pi/2
+            ((math.pi / 2, 2.0), (-math.pi / 2, 0.0)),  # +-pi/2 just outside
+        ],
+    )
+    @pytest.mark.parametrize("cfg", [CFG, AntennaConfig(n_h=8, d_h=1.0)])
+    def test_sectors_at_and_across_the_poles(self, sectors, cfg):
+        rng = np.random.default_rng(17)
+        theta = rng.uniform(0.0, math.pi, 6)
+        phi = rng.uniform(-math.pi, math.pi, 6)
+        self.assert_sector_optima(theta, phi, sectors, cfg)
+
+    def test_best_angle_on_a_pole_or_a_sector_end(self):
+        # Toward (pi/2, 1.5) the main lobe of P sits at s = pi * sin(1.5),
+        # beyond |alpha| = pi * cos(15 deg), so P(alpha * sin(phi)) rises all
+        # the way to phi = -pi/2, where s = |alpha|.
+        sectors = ((-2.0, -1.0), (-math.pi / 2, 0.0))
+        phi_star, _, _ = optimal_scan_angles(math.pi / 2, 1.5, sectors, CFG)
+        assert phi_star[0] == -math.pi / 2
+        assert phi_star[1] == np.nextafter(-math.pi / 2, 0.0)
+        # Toward (pi/2, 0) the main lobe sits at s = 0 and the sidelobes in
+        # reach are lower than P at the sectors' inner ends.
+        sectors = ((0.2, math.pi / 2), (-math.pi / 2, -0.2))
+        phi_star, _, _ = optimal_scan_angles(math.pi / 2, 0.0, sectors, CFG)
+        assert phi_star[0] == np.nextafter(0.2, math.pi / 2)
+        assert phi_star[1] == -0.2
+
+    def test_alpha_beyond_pi_spans_several_periods(self):
+        cfg = AntennaConfig(d_h=2.5)
+        assert 2.0 * math.pi * cfg.d_h * math.cos(cfg.theta_tilt) > math.pi
+        rng = np.random.default_rng(23)
+        theta = rng.uniform(0.0, math.pi, 4)
+        phi = rng.uniform(-math.pi, math.pi, 4)
+        for sectors in (BeamCodebook.uniform(16).sectors, random_sectors(rng, 6)):
+            self.assert_sector_optima(theta, phi, sectors, cfg)
+
+    def test_single_column_power_is_constant(self):
+        cfg = AntennaConfig(n_h=1)
+        sectors = BeamCodebook.uniform(8).sectors
+        theta, phi = np.array([0.3, 1.2, 2.9]), np.array([-2.0, 0.1, 1.5])
+        for i in range(theta.size):
+            d = SteeringDirection(theta[i], phi[i])
+            assert np.ptp(total_gain(d, np.linspace(-math.pi, math.pi, 101), cfg)) < 1e-9
+        self.assert_sector_optima(theta, phi, sectors, cfg)
+
+    @pytest.mark.parametrize(
+        "cfg", [AntennaConfig(theta_tilt=math.pi / 2), AntennaConfig(d_h=0.0)]
+    )
+    def test_vanishing_alpha_gives_finite_angles_in_every_sector(self, cfg):
+        # cos(pi/2) leaves |alpha| ~ 1e-16; d_h = 0 makes alpha exactly 0.
+        assert abs(2.0 * math.pi * cfg.d_h * math.cos(cfg.theta_tilt)) < 1e-15
+        theta, phi = np.array([0.4, 2.0]), np.array([0.3, -2.5])
+        self.assert_sector_optima(theta, phi, BeamCodebook.uniform(16).sectors, cfg)
+
+    @pytest.mark.parametrize(
+        "sectors", [((-4.0, 0.0),), ((0.0, 3.5),), ((-math.pi - 1e-9, math.pi),)]
+    )
+    def test_rejects_sectors_outside_the_circle(self, sectors):
+        with pytest.raises(ConfigurationError, match="sector"):
+            optimal_scan_angles(1.0, 0.0, sectors, CFG)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_h=st.integers(1, 16),
+        d_h=st.floats(0.2, 2.5),
+        tilt=st.floats(0.0, math.pi / 2),
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(-math.pi, math.pi),
+        ends=st.lists(
+            st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_fuzz_never_below_dense_grid(self, n_h, d_h, tilt, theta, phi, ends):
+        sectors = tuple((min(a, b), max(a, b)) for a, b in ends if a != b)
+        assume(sectors)
+        # One vertical element: with n_v > 1 the vertical factor has exact
+        # nulls (theta = tilt = 0, d_v = 0.5), where the whole pattern is
+        # rounding noise near -350 dB and the solver's folded sum and the
+        # grid's full array sum disagree by dBs.
+        cfg = AntennaConfig(n_h=n_h, n_v=1, d_h=d_h, theta_tilt=tilt)
+        self.assert_sector_optima(np.array([theta]), np.array([phi]), sectors, cfg)
 
     @settings(max_examples=60, deadline=None)
     @given(
