@@ -13,6 +13,7 @@ Without --config the nominal scenario, `ScenarioConfig()`, is used.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -90,7 +91,9 @@ def _print_summary(results) -> None:
         )
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every `main` call."""
     parser = argparse.ArgumentParser(prog="corridorsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -106,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     p_bench = sub.add_parser("bench", help="runtime scaling over UAV counts")
     _add_common(p_bench)
     p_bench.add_argument(
-        "--uavs", type=_int_list, default=[10, 20, 30, 40], help="comma-separated UAV counts"
+        "--uavs", type=_int_list, default=(10, 20, 30, 40), help="comma-separated UAV counts"
     )
 
     p_gain = sub.add_parser("gain-sweep", help="gain-vs-azimuth CSV")
@@ -116,8 +119,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_val = sub.add_parser("validate-config", help="check a config file")
     p_val.add_argument("--config", type=Path, required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "validate-config":

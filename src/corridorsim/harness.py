@@ -446,6 +446,8 @@ def _allocation_tensor(
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     """Run every replication of one scenario and aggregate the reports."""
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     echo = config_to_dict(config)
     errors = validate_config(config, echo)
     if errors:

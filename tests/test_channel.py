@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
+from scipy.stats import kstest, spearmanr
 
 from corridorsim.antenna import SPEED_OF_LIGHT
 from corridorsim.channel import (
+    _EXACT_RAY_LIMIT,
     ChannelProviderSpec,
     LinkGainTensor,
     RfConstants,
@@ -115,6 +117,147 @@ class TestFewRay:
         limit = a0 * np.exp(1j * psi0) + a0 / math.sqrt(k_lin) * np.exp(1j * chi)
         # residual sampling noise has relative scale ~1/sqrt(1e6)
         assert t1.power_gains[0, 0] == pytest.approx(abs(limit) ** 2, rel=1e-2)
+
+
+def reference_link(spec, distance, m, l, exact):
+    """Coefficient of link (m, l) at `distance`, written out from the model.
+
+    The diffuse phase chi is the first draw of the link substream on both
+    branches; `exact` sums the spec.ray_count - 1 uniform scatter phasors,
+    otherwise err is the Gaussian limit drawn next.
+    """
+    n = spec.ray_count - 1
+    lam = SPEED_OF_LIGHT / RF.carrier_hz
+    a0 = math.sqrt(free_space_path_gain(distance, RF.carrier_hz))
+    los = math.fmod(2.0 * math.pi * distance / lam, 2.0 * math.pi)
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, m, l)))
+    chi = rng.uniform(-math.pi, math.pi)
+    if exact:
+        psi = rng.uniform(-math.pi, math.pi, size=n)
+        err = (np.cos(psi) + 1j * np.sin(psi)).sum() / n
+    else:
+        g = rng.standard_normal(2)
+        err = (g[0] + 1j * g[1]) * math.sqrt(0.5 / n)
+    s_amp = a0 / math.sqrt(10.0 ** (spec.rician_k_db / 10.0))
+    h = a0 * complex(math.cos(los), math.sin(los))
+    return h + s_amp * (complex(math.cos(chi), math.sin(chi)) + err)
+
+
+def exact_walk_x(n, draws, seed, max_phases=1_000_000):
+    """n |err|^2 of `draws` exact n-phasor sums, at most `max_phases` at a time."""
+    rng = np.random.default_rng(seed)
+    x = np.empty(draws)
+    rows = max(1, max_phases // n)
+    for start in range(0, draws, rows):
+        k = min(rows, draws - start)
+        psi = rng.uniform(-math.pi, math.pi, size=(k, n))
+        err = (np.cos(psi) + 1j * np.sin(psi)).sum(axis=1) / n
+        x[start : start + k] = n * np.abs(err) ** 2
+    return x
+
+
+def cdf_gap(x, cdf):
+    """Largest distance between the empirical CDF of x and `cdf`."""
+    x = np.sort(x)
+    f = cdf(x)
+    i = np.arange(x.size)
+    return max(np.max((i + 1) / x.size - f), np.max(f - i / x.size))
+
+
+def exp_cdf(x):
+    return -np.expm1(-x)
+
+
+def rayleigh_cdf(n):
+    """CDF of n |err|^2 to first order in 1/n: density e^-x [1 - (x^2 - 4x + 2) / 4n]."""
+    return lambda x: exp_cdf(x) + np.exp(-x) * (x * x - 2.0 * x) / (4.0 * n)
+
+
+def rayleigh_bound(n):
+    """max over x of |rayleigh_cdf(n) - Exp(1) CDF|, reached at x = 2 - sqrt(2)."""
+    return 0.4612 / (4.0 * n)
+
+
+class TestGaussianLimit:
+    """Above _EXACT_RAY_LIMIT scatter rays err is drawn from its Gaussian limit.
+
+    err = (1/n) sum_k exp(i psi_k) is Pearson's random walk. The limit has
+    n |err|^2 ~ Exp(1) and components ~ N(0, 1/2n); the exact sum's CDF of
+    n |err|^2 is off Exp(1) by at most rayleigh_bound(n) ~ 0.115/n.
+    """
+
+    # Largest CDF error the Gaussian branch may make. A KS test at
+    # alpha = 0.01 needs (1.628 / 2e-3)^2 ~ 660 000 links to see it; the
+    # montecarlo workload draws 2 048 per call.
+    TOLERANCE = 2e-3
+    DRAWS = 200_000
+    # KS critical distance at alpha = 0.01 for DRAWS samples: 0.0036.
+    ALLOWANCE = 1.628 / math.sqrt(DRAWS)
+
+    def test_limit_is_where_the_bound_meets_the_tolerance(self):
+        assert rayleigh_bound(_EXACT_RAY_LIMIT + 1) <= self.TOLERANCE
+        # and no more than twice as high as it needs to be
+        assert rayleigh_bound(_EXACT_RAY_LIMIT // 2 + 1) > self.TOLERANCE
+
+    def test_rayleigh_correction_describes_the_exact_sum(self):
+        # At n = 16 the 1/n term is resolvable: the exact sum is visibly off
+        # Exp(1), and within sampling noise of the first-order density.
+        n = 16
+        x = exact_walk_x(n, self.DRAWS, seed=1905)
+        assert cdf_gap(x, exp_cdf) > 1.5 * self.ALLOWANCE
+        assert cdf_gap(x, rayleigh_cdf(n)) <= self.ALLOWANCE
+
+    def test_exact_sum_at_first_gaussian_n_is_within_the_bound(self):
+        n = _EXACT_RAY_LIMIT + 1
+        x = exact_walk_x(n, self.DRAWS, seed=1919)
+        assert cdf_gap(x, exp_cdf) <= rayleigh_bound(n) + self.ALLOWANCE
+
+    @pytest.mark.parametrize("n", [_EXACT_RAY_LIMIT + 1, 100, 1_000, 10_000])
+    def test_gaussian_branch_matches_the_limit(self, n):
+        # 2 000 links at K = 0 dB, so the diffuse amplitude equals the LOS
+        # one; err is what is left after the LOS ray (ray_count = 1) and the
+        # diffuse phasor exp(i chi) are taken off.
+        g = geoms_at([[100.0] * 50] * 40)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=n + 1, rician_k_db=0.0, seed=6)
+        h = generate_few_ray(g, spec, RF).coefficients[:, :, 0]
+        los = generate_few_ray(g, replace(spec, ray_count=1), RF).coefficients[:, :, 0]
+        chi = np.array(
+            [
+                [
+                    np.random.default_rng(np.random.SeedSequence((spec.seed, m, l))).uniform(
+                        -math.pi, math.pi
+                    )
+                    for l in range(50)
+                ]
+                for m in range(40)
+            ]
+        )
+        a0 = math.sqrt(free_space_path_gain(100.0, RF.carrier_hz))
+        err = ((h - los) / a0 - np.exp(1j * chi)).ravel()
+        sd = math.sqrt(0.5 / n)
+        assert kstest(n * np.abs(err) ** 2, "expon").pvalue > 0.01
+        assert kstest(err.real, "norm", args=(0.0, sd)).pvalue > 0.01
+        assert kstest(err.imag, "norm", args=(0.0, sd)).pvalue > 0.01
+
+
+class TestExactRayLimitBoundary:
+    DISTANCES = [[100.0, 230.0, 415.0], [150.0, 260.0, 90.0]]
+
+    def tensor(self, ray_count):
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count, seed=2024)
+        return spec, generate_few_ray(geoms_at(self.DISTANCES), spec, RF).coefficients
+
+    def test_last_exact_ray_count_is_the_uniform_phasor_sum(self):
+        spec, coeffs = self.tensor(_EXACT_RAY_LIMIT + 1)
+        for (m, l), d in np.ndenumerate(self.DISTANCES):
+            assert coeffs[m, l, 0] == reference_link(spec, d, m, l, exact=True)
+
+    def test_first_gaussian_ray_count_keeps_the_diffuse_phasor(self):
+        # Same (seed, m, l) and the same chi on both sides; only err moves.
+        spec, coeffs = self.tensor(_EXACT_RAY_LIMIT + 2)
+        for (m, l), d in np.ndenumerate(self.DISTANCES):
+            assert coeffs[m, l, 0] == reference_link(spec, d, m, l, exact=False)
+            assert coeffs[m, l, 0] != reference_link(spec, d, m, l, exact=True)
 
 
 class TestStatistical:

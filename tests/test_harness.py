@@ -152,6 +152,11 @@ class TestRunScenario:
         r2 = run_scenario(cfg)
         assert r1.to_dict() == r2.to_dict()
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_threads_below_one(self, threads):
+        with pytest.raises(ConfigurationError, match=f"threads must be >= 1, got {threads}"):
+            run_scenario(small_config(replications=1), threads=threads)
+
     def test_thread_count_does_not_change_output(self):
         cfg = small_config(seed=9, replications=4)
         serial = run_scenario(cfg, threads=1)
@@ -381,6 +386,45 @@ class TestCli:
         assert cli_main(["validate-config", "--config", missing]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing.json" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_run_threads_below_one_exits_1(self, tmp_path, capsys, threads):
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--uavs", "2", "--threads", threads, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: threads must be >= 1, got {threads}")
+        assert not (out_dir / "results.json").exists()
+
+    def test_consecutive_calls_share_no_arguments(self, tmp_path, capsys):
+        from corridorsim.cli import _parser
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(small_config(seed=23, replications=2))))
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["run", "--config", str(path), "--seed", "5", "--replications", "1"]
+        assert cli_main(argv + ["--allocator", "random", "--out", str(first)]) == 0
+        assert cli_main(["validate-config", "--config", str(path)]) == 0
+        assert cli_main(["run", "--config", str(path), "--out", str(second)]) == 0
+        assert _parser() is _parser()
+        runs = [
+            json.loads((out / "results.json").read_text())["results"][0]["config"]
+            for out in (first, second)
+        ]
+        assert [(c["seed"], c["replications"], c["allocator"]) for c in runs] == [
+            (5, 1, "random"),
+            (23, 2, "two_stage"),
+        ]
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["nope"], ["run", "--threads", "x"], ["run", "--allocator", "best"]]
+    )
+    def test_bad_arguments_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(small_config())))
+        assert cli_main(["validate-config", "--config", str(path)]) == 0
 
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
