@@ -44,13 +44,10 @@ from .errors import (
     TensorFormatError,
 )
 from .evaluator import (
-    EvaluationConfig,
     ThroughputReport,
     evaluate_all,
     interference_at,
-    sinr,
     sinr_matrix,
-    throughput,
     validate,
 )
 from .geometry import (

@@ -363,32 +363,40 @@ def _import_binary(raw: bytes, p: Path) -> LinkGainTensor:
 def _import_json(raw: bytes, p: Path) -> LinkGainTensor:
     try:
         doc = json.loads(raw)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TensorFormatError(f"{p}: malformed header, neither CTNS nor JSON") from exc
-    try:
-        mm, ll, kk = int(doc["m"]), int(doc["l"]), int(doc["n_elems"])
-        has_coeff = bool(doc["has_coefficients"])
-        power_field = doc["power_gains"]
-    except KeyError as exc:
-        raise TensorFormatError(f"{p}: missing field {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TensorFormatError(f"{p}: a JSON tensor must be an object, got {doc!r:.40}")
+    for key in ("m", "l", "n_elems", "has_coefficients", "power_gains"):
+        if key not in doc:
+            raise TensorFormatError(f"{p}: missing field {key!r}")
+    for key in ("m", "l", "n_elems"):
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise TensorFormatError(f"{p}: {key} must be a non-negative integer, got {doc[key]!r}")
+    mm, ll, kk = doc["m"], doc["l"], doc["n_elems"]
+    if doc["has_coefficients"] not in (0, 1):
+        raise TensorFormatError(f"{p}: has_coefficients must be true or false")
     coeffs = None
-    if has_coeff:
-        try:
-            arr = np.asarray(doc.get("coefficients"), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise TensorFormatError(f"{p}: coefficients are not a numeric array") from exc
-        if arr.shape != (mm, ll, kk, 2):
-            raise TensorFormatError(
-                f"{p}: dimension mismatch, coefficients shape {arr.shape} vs "
-                f"header ({mm}, {ll}, {kk}, 2)"
-            )
+    if doc["has_coefficients"]:
+        arr = _json_array(doc.get("coefficients"), (mm, ll, kk, 2), "coefficients", p)
         coeffs = arr[..., 0] + 1j * arr[..., 1]
-    power = np.asarray(power_field, dtype=float)
-    if power.shape != (mm, ll):
-        raise TensorFormatError(
-            f"{p}: dimension mismatch, power_gains shape {power.shape} vs header ({mm}, {ll})"
-        )
+    power = _json_array(doc["power_gains"], (mm, ll), "power_gains", p)
     return _finish_import(mm, ll, kk, coeffs, power, p)
+
+
+def _json_array(value, shape: tuple, name: str, p: Path) -> np.ndarray:
+    """`value` as a float array of `shape`; anything else is a TensorFormatError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise TensorFormatError(f"{p}: {name} is not a numeric array") from exc
+    if arr.dtype.kind not in "iuf":
+        raise TensorFormatError(f"{p}: {name} is not a numeric array")
+    if arr.shape != shape:
+        raise TensorFormatError(
+            f"{p}: dimension mismatch, {name} shape {arr.shape} vs header {shape}"
+        )
+    return arr.astype(float)
 
 
 def with_seed(spec: ChannelProviderSpec, seed: int) -> ChannelProviderSpec:

@@ -58,7 +58,7 @@ from .channel import (
     with_seed,
 )
 from .errors import ConfigurationError, InfeasibleAssignmentError, TensorFormatError
-from .evaluator import EvaluationConfig, ThroughputReport, evaluate_all, validate
+from .evaluator import ThroughputReport, evaluate_all, validate
 from .geometry import (
     BaseStationSite,
     CorridorSpec,
@@ -122,8 +122,6 @@ class ScenarioConfig:
     seed: int = 0
     replications: int = 1
     split_power_among_beams: bool = False
-    num_rrbs: int = EvaluationConfig.num_rrbs
-    beta_reading: str = EvaluationConfig.beta_reading
 
 
 @dataclass
@@ -138,18 +136,15 @@ class ExperimentResult:
     stage1_seconds: float
     stage1_evals: int
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "config": self.config,
             "config_digest": self.config_digest,
-            "reports": [r.to_dict(include_timings) for r in self.reports],
+            "reports": [r.to_dict() for r in self.reports],
             "mean_rate_bps": float(self.mean_rate_bps),
             "std_rate_bps": float(self.std_rate_bps),
             "stage1_evals": int(self.stage1_evals),
         }
-        if include_timings:
-            out["stage1_seconds"] = float(self.stage1_seconds)
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -167,8 +162,6 @@ _SCHEMA = (
     ("allocator", "allocator", None),
     ("allocation_channel", "allocation_channel", None),
     ("split_power_among_beams", "split_power_among_beams", None),
-    ("num_rrbs", "num_rrbs", None),
-    ("beta_reading", "beta_reading", None),
     ("rf.carrier_hz", "rf.carrier_hz", None),
     ("rf.bandwidth_hz", "rf.bandwidth_hz", None),
     ("rf.tx_power_w", "rf.tx_power_w", None),
@@ -212,6 +205,10 @@ _SITE_SCHEMA = (
 _RETIRED = frozenset(
     {"annealer", "evaluation_channel", "codebook.tilt_deg", "channel_hf.seed", "channel_lf.seed"}
 )
+
+# Retired keys that load only at the value the evaluator now always uses;
+# dropping any other value would silently change the rates.
+_PINNED = {"num_rrbs": 1, "beta_reading": "interferer"}
 
 # The JSON types a value may have, by its attribute's annotation. A float
 # attribute takes any JSON number through float(), so 10 and 10.0 load alike.
@@ -296,6 +293,14 @@ def _load(doc: dict, table: dict, where: str) -> dict:
     for key, value in doc.items():
         if where + key in _RETIRED:
             continue
+        if where + key in _PINNED:
+            pinned = _PINNED[where + key]
+            if type(value) is not type(pinned) or value != pinned:
+                raise ConfigurationError(
+                    f"{where + key} is retired and loads only as {json.dumps(pinned)}, "
+                    f"got {value!r}"
+                )
+            continue
         if key not in table:
             raise ConfigurationError(f"unknown config key {where + key!r}")
         _, path, types, expected, is_float, unit = table[key]
@@ -324,7 +329,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Read a scenario file; an unreadable file or a bad value is a ConfigurationError."""
     try:
         return config_from_dict(json.loads(Path(path).read_text()))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigurationError(f"cannot load config {path}: {exc}") from exc
 
 
@@ -392,12 +397,6 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
             errors.append(f"{label}.import_path is required for kind 'import'")
     if config.replications < 1:
         errors.append(f"replications must be >= 1, got {config.replications}")
-    if config.num_rrbs < 1:
-        errors.append(f"num_rrbs must be >= 1, got {config.num_rrbs}")
-    if config.beta_reading not in ("interferer", "victim"):
-        errors.append(
-            f"beta_reading must be interferer|victim, got {config.beta_reading!r}"
-        )
     return errors
 
 
@@ -457,11 +456,6 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     geoms = link_geometries(uavs, config.bss)
     codebook = BeamCodebook.uniform(config.codebook.n_beams)
     divisor = float(config.codebook.n_beams) if config.split_power_among_beams else 1.0
-    eval_cfg = EvaluationConfig(
-        num_rrbs=config.num_rrbs,
-        beta_reading=config.beta_reading,
-        power_divisor=divisor,
-    )
 
     # Stage 1 depends only on geometry, which is fixed across replications,
     # so the table is computed once and shared.
@@ -501,7 +495,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
             geoms,
             config.antenna,
             config.rf,
-            eval_cfg,
+            divisor,
             seed=channel_seed,
             config_digest=digest,
         )
@@ -643,7 +637,7 @@ def emit_reports(
     out.mkdir(parents=True, exist_ok=True)
     written = {}
     results_path = out / "results.json"
-    payload = {"results": [r.to_dict(include_timings=False) for r in results]}
+    payload = {"results": [r.to_dict() for r in results]}
     results_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     written["results"] = results_path
 
@@ -675,6 +669,9 @@ def gain_sweep_rows(
     step_deg: float = 0.5,
 ) -> list[dict]:
     """Gain-vs-azimuth cut at a fixed elevation and scan angle."""
+    for name, value in (("theta", theta_deg), ("scan", scan_deg)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"gain-sweep {name} must be finite, got {value}")
     rows = []
     theta = math.radians(theta_deg)
     scan = math.radians(scan_deg)

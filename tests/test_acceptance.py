@@ -230,7 +230,7 @@ class TestAcceptance:
             assert s <= best * (1.0 + 1e-9)
             assert s > 0.0
         # direct closed-form identity on a hand-built single-UAV case
-        from corridorsim.evaluator import interference_at, sinr as sinr_fn
+        from corridorsim.evaluator import interference_at, sinr_matrix
         from corridorsim.allocator import Assignment, BeamGainTable
         from corridorsim.geometry import LinkGeometry
 
@@ -247,7 +247,7 @@ class TestAcceptance:
         rf = RfConstants()
         assert interference_at(0, a, gains, table, geoms1, CFG, rf) == 0.0
         expect = rf.tx_power_w * 2.5e-9 * 10.0 ** 0.3 / rf.noise_power_w
-        got = sinr_fn(0, a, gains, table, geoms1, CFG, rf)
+        got = sinr_matrix(a, gains, table, geoms1, CFG, rf)[0]
         assert got == pytest.approx(expect, rel=1e-12)
         # L = 1: every UAV interference-free
         cfg_l1 = scenario(809, uav_count=6, replications=1)

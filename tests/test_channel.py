@@ -1,9 +1,13 @@
 import json
 import math
+import re
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest, spearmanr
 
 from corridorsim.antenna import SPEED_OF_LIGHT
@@ -20,6 +24,7 @@ from corridorsim.channel import (
     generate_statistical,
     import_tensor,
 )
+from corridorsim.cli import main as cli_main
 from corridorsim.errors import GeometryError, TensorFormatError
 from corridorsim.geometry import LinkGeometry
 
@@ -447,3 +452,91 @@ class TestTensorIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(TensorFormatError, match="non-finite"):
             import_tensor(path)
+
+
+VALID_JSON_TENSOR = {
+    "m": 1, "l": 2, "n_elems": 1, "has_coefficients": False, "power_gains": [[1e-9, 2e-9]]
+}
+# A document or a field of the wrong JSON type, and a ragged array.
+BAD_JSON_TENSORS = [
+    ([1, 2], "must be an object"),
+    (5, "must be an object"),
+    ({**VALID_JSON_TENSOR, "m": "x"}, "m must be a non-negative integer, got 'x'"),
+    ({**VALID_JSON_TENSOR, "m": None}, "m must be a non-negative integer, got None"),
+    ({**VALID_JSON_TENSOR, "m": 2, "power_gains": [[1], [2, 3]]}, "power_gains is not a numeric"),
+    ({**VALID_JSON_TENSOR, "power_gains": "abc"}, "power_gains is not a numeric array"),
+]
+
+
+class TestJsonTensorTypes:
+    def test_valid_document_loads(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(VALID_JSON_TENSOR))
+        assert import_tensor(path).power_gains.tolist() == [[1e-9, 2e-9]]
+
+    @pytest.mark.parametrize("doc, message", BAD_JSON_TENSORS)
+    def test_bad_document_raises_tensor_format_error(self, tmp_path, doc, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TensorFormatError, match=re.escape(message)):
+            import_tensor(path)
+
+    def test_nesting_too_deep_to_parse(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(TensorFormatError, match="malformed header"):
+            import_tensor(path)
+
+    def test_cli_run_on_a_bad_document_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        for doc, message in BAD_JSON_TENSORS:
+            path.write_text(json.dumps(doc))
+            argv = ["run", "--channel", "import", "--import-path", str(path)]
+            assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+
+json_numbers = st.floats() | st.integers(-(2**70), 2**70)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_numbers | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+numeric_arrays = st.recursive(
+    json_numbers, lambda inner: st.lists(inner, max_size=3), max_leaves=16
+)
+dims = st.integers(0, 2) | json_values
+# Documents close to the format, so most get past the first checks.
+tensor_documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "m": dims,
+        "l": dims,
+        "n_elems": dims,
+        "has_coefficients": st.booleans() | json_values,
+        "coefficients": numeric_arrays | json_values,
+        "power_gains": numeric_arrays | json_values,
+    },
+)
+ctns_bytes = st.binary(max_size=128).map(lambda b: b"CTNS" + struct.pack("<H", 1) + b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.binary(max_size=128)
+    | ctns_bytes
+    | tensor_documents.map(lambda d: json.dumps(d).encode())
+    | json_values.map(lambda d: json.dumps(d).encode())
+)
+def test_any_tensor_file_loads_or_raises_tensor_format_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.tensor"
+    path.write_bytes(raw)
+    try:
+        tensor = import_tensor(path)
+    except TensorFormatError:
+        return
+    assert tensor.power_gains.shape == (tensor.m, tensor.l)
+    assert np.all(np.isfinite(tensor.power_gains))

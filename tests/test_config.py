@@ -99,6 +99,65 @@ class TestSchema:
             config_from_dict([])
 
 
+# The config echo of a 4-UAV nominal run, as results.json held it while the
+# evaluator still read `num_rrbs` and `beta_reading`.
+OLD_ECHO = """{
+  "allocation_channel": "hf", "allocator": "two_stage",
+  "antenna": {"a_m_db": 30.0, "d_h_wavelengths": 0.5, "d_v_wavelengths": 0.5,
+              "g_e_max_dbi": -8.0, "gain_floor_db": -400.0, "n_h": 4, "n_v": 4,
+              "phi_3db_deg": 90.0, "sl_av_db": 30.0, "theta_3db_deg": 65.0,
+              "tilt_deg": 14.999999999999998},
+  "beta_reading": "interferer",
+  "bss": [{"boresight_deg": 45.0, "id": 1, "x_m": 0.0, "y_m": 0.0, "z_m": 25.0},
+          {"boresight_deg": 135.0, "id": 2, "x_m": 400.0, "y_m": 0.0, "z_m": 25.0},
+          {"boresight_deg": -135.0, "id": 3, "x_m": 400.0, "y_m": 400.0, "z_m": 25.0},
+          {"boresight_deg": -45.0, "id": 4, "x_m": 0.0, "y_m": 400.0, "z_m": 25.0}],
+  "channel_hf": {"import_path": null, "kind": "statistical", "ray_count": 1000000,
+                 "rician_k_db": 3.0},
+  "channel_lf": {"import_path": null, "kind": "few_ray", "ray_count": 100, "rician_k_db": 3.0},
+  "codebook": {"n_beams": 16},
+  "corridor": {"altitude_m": 100.0, "center_x_m": 200.0, "center_y_m": 200.0,
+               "radius_m": 200.0},
+  "num_rrbs": 1, "replications": 1,
+  "rf": {"bandwidth_hz": 30000000.0, "carrier_hz": 3500000000.0, "noise_power_w": 0.3,
+         "tx_power_w": 10.0},
+  "seed": 0, "split_power_among_beams": false, "uav_count": 4
+}"""
+
+
+class TestRetiredEvaluationKeys:
+    """`num_rrbs` and `beta_reading` load only at the one value the evaluator uses."""
+
+    def test_pinned_values_load_and_leave_the_echo(self):
+        cfg = config_from_dict({"num_rrbs": 1, "beta_reading": "interferer"})
+        echo = config_to_dict(cfg)
+        assert "num_rrbs" not in echo and "beta_reading" not in echo
+        assert echo == DEFAULT_ECHO
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"num_rrbs": 4}, "num_rrbs is retired and loads only as 1, got 4"),
+            ({"num_rrbs": 1.0}, "num_rrbs is retired and loads only as 1, got 1.0"),
+            ({"num_rrbs": True}, "num_rrbs is retired and loads only as 1, got True"),
+            (
+                {"beta_reading": "victim"},
+                "beta_reading is retired and loads only as \"interferer\", got 'victim'",
+            ),
+        ],
+    )
+    def test_other_values_raise_naming_the_key(self, doc, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            config_from_dict(doc)
+
+    def test_an_old_results_echo_loads(self):
+        old = json.loads(OLD_ECHO)
+        cfg = config_from_dict(old)
+        assert validate_config(cfg) == []
+        del old["num_rrbs"], old["beta_reading"]
+        assert config_to_dict(cfg) == old
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -176,8 +235,6 @@ def scenario_configs(draw):
         seed=draw(st.integers(-(2**70), 2**70)),
         replications=draw(st.integers(1, 100)),
         split_power_among_beams=draw(st.booleans()),
-        num_rrbs=draw(st.integers(1, 64)),
-        beta_reading=draw(st.sampled_from(["interferer", "victim"])),
     )
 
 
@@ -208,7 +265,9 @@ sites = st.lists(
     max_size=3,
 )
 documents = st.dictionaries(
-    st.sampled_from([*DEFAULT_ECHO, "annealer", "evaluation_channel", "bogus"]),
+    st.sampled_from(
+        [*DEFAULT_ECHO, "annealer", "evaluation_channel", "num_rrbs", "beta_reading", "bogus"]
+    ),
     st.dictionaries(st.sampled_from([*inner_names, "seed", "tilt_deg"]), json_leaves, max_size=6)
     | sites
     | json_values,

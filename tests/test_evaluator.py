@@ -6,15 +6,7 @@ import pytest
 from corridorsim.allocator import Assignment, BeamGainTable, allocate_random
 from corridorsim.antenna import AntennaConfig, SteeringDirection, total_gain
 from corridorsim.channel import LinkGainTensor, RfConstants
-from corridorsim.evaluator import (
-    EvaluationConfig,
-    evaluate_all,
-    interference_at,
-    sinr,
-    sinr_matrix,
-    throughput,
-    validate,
-)
+from corridorsim.evaluator import evaluate_all, interference_at, sinr_matrix, validate
 from corridorsim.geometry import LinkGeometry
 
 CFG = AntennaConfig()
@@ -85,27 +77,9 @@ class TestInterference:
         expect = rf.tx_power_w * gains.power_gains[0, 1] * 10.0 ** (g_db / 10.0)
         assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_victim_beta_reading_zeroes_interference(self):
-        a = make_assignment([(0, 0), (1, 0)], 2, 1)
-        gains = LinkGainTensor(power_gains=np.full((2, 2), 1e-8))
-        table = make_table(np.zeros((2, 2, 1)))
-        cfg = EvaluationConfig(beta_reading="victim")
-        got = interference_at(
-            0, a, gains, table, flat_geoms(2, 2), CFG, RfConstants(), cfg
-        )
-        assert got == 0.0
 
-    def test_rrb_schedule_gates_interferer(self):
-        a = make_assignment([(0, 0), (1, 0)], 2, 1)
-        gains = LinkGainTensor(power_gains=np.full((2, 2), 1e-8))
-        table = make_table(np.zeros((2, 2, 1)))
-        schedule = np.ones((2, 2, 1), dtype=np.int8)
-        schedule[1, 1, 0] = 0  # interferer not scheduled on this RRB
-        cfg = EvaluationConfig(rrb_schedule=schedule)
-        got = interference_at(
-            0, a, gains, table, flat_geoms(2, 2), CFG, RfConstants(), cfg
-        )
-        assert got == 0.0
+def rate_of_uav_0(a, gains, table, geoms, rf):
+    return evaluate_all(a, gains, table, geoms, CFG, rf).per_uav_rate_bps[0]
 
 
 class TestSinrThroughput:
@@ -118,33 +92,33 @@ class TestSinrThroughput:
 
     def test_hand_sinr_of_one(self):
         a, gains, table, geoms, rf = self.single_link()
-        assert sinr(0, a, gains, table, geoms, CFG, rf) == pytest.approx(1.0, rel=1e-12)
+        assert sinr_matrix(a, gains, table, geoms, CFG, rf)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_gain_zero_sinr(self):
         a, gains, table, geoms, rf = self.single_link(h=0.0)
-        assert sinr(0, a, gains, table, geoms, CFG, rf) == 0.0
+        assert sinr_matrix(a, gains, table, geoms, CFG, rf)[0] == 0.0
 
     def test_doubling_noise_halves_sinr(self):
         a, gains, table, geoms, rf = self.single_link()
-        s1 = sinr(0, a, gains, table, geoms, CFG, rf)
+        s1 = sinr_matrix(a, gains, table, geoms, CFG, rf)[0]
         rf2 = RfConstants(tx_power_w=10.0, noise_power_w=0.6)
-        s2 = sinr(0, a, gains, table, geoms, CFG, rf2)
+        s2 = sinr_matrix(a, gains, table, geoms, CFG, rf2)[0]
         assert s2 == pytest.approx(s1 / 2.0, rel=1e-12)
 
     def test_throughput_30_mbps_at_sinr_one(self):
         a, gains, table, geoms, rf = self.single_link()
-        rate = throughput(0, a, gains, table, geoms, CFG, rf)
+        rate = rate_of_uav_0(a, gains, table, geoms, rf)
         assert rate == pytest.approx(30e6, rel=1e-12)
 
     def test_throughput_60_mbps_at_sinr_three(self):
         a, gains, table, geoms, rf = self.single_link(h=9e-2)
-        assert sinr(0, a, gains, table, geoms, CFG, rf) == pytest.approx(3.0, rel=1e-12)
-        rate = throughput(0, a, gains, table, geoms, CFG, rf)
+        assert sinr_matrix(a, gains, table, geoms, CFG, rf)[0] == pytest.approx(3.0, rel=1e-12)
+        rate = rate_of_uav_0(a, gains, table, geoms, rf)
         assert rate == pytest.approx(60e6, rel=1e-12)
 
     def test_zero_sinr_zero_rate(self):
         a, gains, table, geoms, rf = self.single_link(h=0.0)
-        assert throughput(0, a, gains, table, geoms, CFG, rf) == 0.0
+        assert rate_of_uav_0(a, gains, table, geoms, rf) == 0.0
 
     def test_single_uav_closed_form(self):
         rng = np.random.default_rng(14)
@@ -155,7 +129,7 @@ class TestSinrThroughput:
             noise = rng.uniform(0.01, 1.0)
             a, gains, table, geoms, rf = self.single_link(p, h, g_db, noise)
             expect = p * h * 10.0 ** (g_db / 10.0) / noise
-            assert sinr(0, a, gains, table, geoms, CFG, rf) == pytest.approx(
+            assert sinr_matrix(a, gains, table, geoms, CFG, rf)[0] == pytest.approx(
                 expect, rel=1e-12
             )
 
@@ -165,12 +139,20 @@ class TestSinrThroughput:
         gains = LinkGainTensor(power_gains=np.array([[1e-8, 2e-9], [3e-9, 8e-9]]))
         table = make_table(np.zeros((2, 2, 1)))
         geoms = flat_geoms(2, 2)
-        s1 = sinr(0, a, gains, table, geoms, CFG, RfConstants(tx_power_w=1.0, noise_power_w=0.0))
-        s2 = sinr(0, a, gains, table, geoms, CFG, RfConstants(tx_power_w=7.0, noise_power_w=0.0))
+        s1 = sinr_matrix(
+            a, gains, table, geoms, CFG, RfConstants(tx_power_w=1.0, noise_power_w=0.0)
+        )[0]
+        s2 = sinr_matrix(
+            a, gains, table, geoms, CFG, RfConstants(tx_power_w=7.0, noise_power_w=0.0)
+        )[0]
         assert s2 == pytest.approx(s1, rel=1e-12)
         # with sigma^2 > 0 the SINR is non-decreasing in P
-        s3 = sinr(0, a, gains, table, geoms, CFG, RfConstants(tx_power_w=1.0, noise_power_w=0.3))
-        s4 = sinr(0, a, gains, table, geoms, CFG, RfConstants(tx_power_w=7.0, noise_power_w=0.3))
+        s3 = sinr_matrix(
+            a, gains, table, geoms, CFG, RfConstants(tx_power_w=1.0, noise_power_w=0.3)
+        )[0]
+        s4 = sinr_matrix(
+            a, gains, table, geoms, CFG, RfConstants(tx_power_w=7.0, noise_power_w=0.3)
+        )[0]
         assert s4 >= s3
 
     def test_rate_monotone_in_serving_gain(self):
@@ -186,17 +168,9 @@ class TestSinrThroughput:
             g2_arr = base.copy()
             g2_arr[0, 0] *= bump
             g2 = LinkGainTensor(power_gains=g2_arr)
-            r1 = throughput(0, a, g1, table, geoms, CFG, rf)
-            r2 = throughput(0, a, g2, table, geoms, CFG, rf)
+            r1 = rate_of_uav_0(a, g1, table, geoms, rf)
+            r2 = rate_of_uav_0(a, g2, table, geoms, rf)
             assert r2 >= r1
-
-    def test_two_rrbs_double_the_rate(self):
-        a, gains, table, geoms, rf = self.single_link()
-        one = throughput(0, a, gains, table, geoms, CFG, rf)
-        two = throughput(
-            0, a, gains, table, geoms, CFG, rf, EvaluationConfig(num_rrbs=2)
-        )
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_evaluate_all_finite(self):
         rng = np.random.default_rng(16)
@@ -214,10 +188,9 @@ class TestSinrThroughput:
 class TestSinrMatrix:
     """The one-pass SINR matrix against the scalar interference_at loop."""
 
-    def random_case(self, rng, beta_reading, largest=False):
+    def random_case(self, rng, largest=False):
         ll, nn = (4, 4) if largest else rng.integers(1, 5, size=2)
         mm = 12 if largest else int(rng.integers(1, min(12, ll * nn) + 1))
-        rrbs = int(rng.integers(2, 5))
         a = allocate_random(mm, ll, nn, seed=int(rng.integers(2**32)))
         gains = LinkGainTensor(power_gains=rng.uniform(1e-10, 1e-7, size=(mm, ll)))
         table = make_table(
@@ -231,47 +204,31 @@ class TestSinrMatrix:
             ]
             for _ in range(mm)
         ]
-        cfg = EvaluationConfig(
-            num_rrbs=rrbs,
-            rrb_schedule=rng.integers(0, 2, size=(mm, ll, rrbs)).astype(np.int8),
-            beta_reading=beta_reading,
-            power_divisor=float(rng.uniform(1.5, 16.0)),
-        )
+        divisor = float(rng.uniform(1.5, 16.0))
         rf = RfConstants(noise_power_w=float(rng.uniform(1e-10, 1e-8)))
-        return a, gains, table, geoms, rf, cfg
+        return a, gains, table, geoms, rf, divisor
 
-    @pytest.mark.parametrize("beta_reading", ["interferer", "victim"])
-    def test_matches_scalar_reference(self, beta_reading):
+    def test_matches_scalar_reference(self):
         rng = np.random.default_rng(2024)
-        interfered = 0  # (UAV, RRB) pairs where interference at least doubles I + N
+        interfered = 0  # UAVs where interference at least doubles I + N
         for case in range(40):
-            a, gains, table, geoms, rf, cfg = self.random_case(rng, beta_reading, case == 0)
-            got = sinr_matrix(a, gains, table, geoms, CFG, rf, cfg)
+            a, gains, table, geoms, rf, divisor = self.random_case(rng, case == 0)
+            got = sinr_matrix(a, gains, table, geoms, CFG, rf, divisor)
             mm = a.beta.shape[0]
-            assert got.shape == (mm, cfg.num_rrbs)
-            p_eff = rf.tx_power_w / cfg.power_divisor
+            assert got.shape == (mm,)
+            p_eff = rf.tx_power_w / divisor
             for m in range(mm):
                 l, n = np.argwhere(a.x[m])[0]
                 signal = p_eff * gains.power_gains[m, l] * 10.0 ** (table.gain_db[m, l, n] / 10.0)
-                for r in range(cfg.num_rrbs):
-                    i_ref = interference_at(m, a, gains, table, geoms, CFG, rf, cfg, r)
-                    expect = signal / (i_ref + rf.noise_power_w)
-                    assert got[m, r] == pytest.approx(expect, rel=1e-12, abs=0.0)
-                    interfered += i_ref > rf.noise_power_w
-            report = evaluate_all(a, gains, table, geoms, CFG, rf, cfg)
-            np.testing.assert_array_equal(report.per_uav_sinr, got[:, 0])
+                i_ref = interference_at(m, a, gains, table, geoms, CFG, rf, divisor)
+                expect = signal / (i_ref + rf.noise_power_w)
+                assert got[m] == pytest.approx(expect, rel=1e-12, abs=0.0)
+                interfered += i_ref > rf.noise_power_w
+            report = evaluate_all(a, gains, table, geoms, CFG, rf, divisor)
+            np.testing.assert_array_equal(report.per_uav_sinr, got)
             rates = rf.bandwidth_hz * np.log2(1.0 + got)
-            np.testing.assert_allclose(report.per_uav_rate_bps, rates.sum(axis=1), rtol=1e-12)
-        # the victim reading zeroes interference by construction
-        assert (interfered > 0) == (beta_reading == "interferer")
-
-    def test_schedule_shape_checked(self):
-        a = make_assignment([(0, 0), (1, 0)], 2, 1)
-        gains = LinkGainTensor(power_gains=np.full((2, 2), 1e-8))
-        table = make_table(np.zeros((2, 2, 1)))
-        cfg = EvaluationConfig(num_rrbs=2, rrb_schedule=np.ones((2, 2, 1), dtype=np.int8))
-        with pytest.raises(ValueError, match="rrb_schedule"):
-            sinr_matrix(a, gains, table, flat_geoms(2, 2), CFG, RfConstants(), cfg)
+            np.testing.assert_allclose(report.per_uav_rate_bps, rates, rtol=1e-12)
+        assert interfered > 0
 
 
 class TestValidate:

@@ -65,13 +65,13 @@ class TestConfigPlumbing:
         cfg.uav_count = 0
         cfg.allocator = "magic"
         cfg.rf = replace(cfg.rf, tx_power_w=-1.0)
-        cfg.num_rrbs = 0
+        cfg.replications = 0
         problems = validate_config(cfg)
         joined = "\n".join(problems)
         assert "uav_count" in joined
         assert "allocator" in joined
         assert "tx_power_w" in joined
-        assert "num_rrbs" in joined
+        assert "replications" in joined
         assert len(problems) >= 4
 
     def test_infeasible_uav_count_message(self):
@@ -124,6 +124,12 @@ class TestConfigPlumbing:
         problems = validate_config(config_from_dict(doc))
         for field in ("rf.tx_power_w", "corridor.radius_m", "bss[1].x_m"):
             assert sum(p.startswith(f"{field} must be finite") for p in problems) == 1
+
+    def test_nesting_too_deep_to_parse(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ConfigurationError, match="cannot load config"):
+            load_config(path)
 
     def test_wrong_type_is_a_configuration_error(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -441,6 +447,14 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert cli_main(["gain-sweep", "--out", str(out_dir)]) == 0
         assert (out_dir / "gain_sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--theta", "nan"), ("--scan", "inf")])
+    def test_gain_sweep_non_finite_angle_exits_1(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "out"
+        assert cli_main(["gain-sweep", flag, value, "--out", str(out_dir)]) == 1
+        name = flag.removeprefix("--")
+        assert capsys.readouterr().err.startswith(f"error: gain-sweep {name} must be finite")
+        assert not (out_dir / "gain_sweep.csv").exists()
 
     def test_bench_subcommand(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
