@@ -19,9 +19,11 @@ Three interchangeable providers fill a LinkGainTensor:
 * ``import``       - reads an externally produced tensor from the binary or
                      JSON file format documented at the bottom of this file.
 
-Every provider is a pure function of (spec, geometries, seed): per-link
-substreams are derived from (seed, m, l), so parallel and serial generation
-produce bit-identical tensors.
+Every provider is a pure function of (spec, geometries, seed): link (m, l)
+draws from the PCG64 stream that numpy's seed sequence of (seed, m, l)
+seeds, bit for bit, so parallel and serial generation produce bit-identical
+tensors. ``_link_rngs`` derives those states for all links of a call in one
+numpy pass instead of building a seed sequence and a generator per link.
 """
 
 from __future__ import annotations
@@ -49,6 +51,19 @@ from .geometry import LinkGeometry
 _EXACT_RAY_LIMIT = 64
 
 _SEED_MASK = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+# numpy's seed sequence (pool of four uint32 words, hashmix/mix constants)
+# and PCG64's 128-bit LCG multiplier, as _link_rngs replays them.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -114,8 +129,64 @@ def free_space_path_gain(distance: float, carrier_hz: float):
     return float(out) if np.ndim(distance) == 0 else out
 
 
-def _link_rng(seed: int, m: int, l: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed & _SEED_MASK, m, l)))
+def _hasher(init: int, mult: int):
+    """numpy's seed-sequence hash: xor with, then multiply by, a running constant."""
+    const = init
+
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return step
+
+
+def _link_rngs(seed: int, mm: int, ll: int):
+    """Yield (m, l, rng) for every link in row-major order.
+
+    rng starts where numpy's PCG64 seeded by the seed sequence of
+    (seed & _SEED_MASK, m, l) starts, bit for bit. The sequence's mixing runs
+    once on (mm * ll,) uint32 arrays; each link then only sets the PCG64
+    state of one Generator built per call, so concurrent calls share nothing.
+    That Generator is re-seeded for the next link, so draw before advancing.
+    """
+    seed &= _SEED_MASK
+    n = mm * ll
+    m_idx, l_idx = np.divmod(np.arange(n, dtype=np.uint32), np.uint32(ll))
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(n, w, dtype=np.uint32) for w in seed_words] + [m_idx, l_idx]
+    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                y = hashmix(pool[i_src])
+                x = np.uint32(_MIX_MULT_L) * pool[i_dst] - np.uint32(_MIX_MULT_R) * y
+                pool[i_dst] = x ^ (x >> np.uint32(16))
+
+    # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
+    # paired little-endian into four uint64 words w0..w3 per link.
+    out_hash = _hasher(_INIT_B, _MULT_B)
+    state32 = np.stack([out_hash(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    words = state32.astype("<u4").view("<u8").tolist()
+
+    # PCG64(seed_seq): initstate = w0:w1, initseq = w2:w3 (high:low), then
+    # pcg_setseq_128_srandom_r's two LCG steps.
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for i, (w0, w1, w2, w3) in enumerate(words):
+        inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK128
+        state["state"] = {
+            "state": (((inc + (w0 << 64 | w1)) * _PCG64_MULT) + inc) & _MASK128,
+            "inc": inc,
+        }
+        bit_gen.state = state
+        yield i // ll, i % ll, rng
 
 
 def _unit_phasor(phase: float) -> complex:
@@ -152,24 +223,22 @@ def generate_few_ray(
     los_phase = np.fmod(2.0 * math.pi * dist / lam, 2.0 * math.pi)
     rays = np.empty(n_scatter if n_scatter <= _EXACT_RAY_LIMIT else 0, dtype=complex)
     coeffs = np.empty((mm, ll, 1), dtype=np.complex128)
-    for m in range(mm):
-        for l in range(ll):
-            a0 = float(amp[m, l])
-            h = a0 * _unit_phasor(los_phase[m, l])
-            if n_scatter >= 1:
-                rng = _link_rng(spec.seed, m, l)
-                s_amp = a0 / math.sqrt(k_lin)
-                chi = rng.uniform(-math.pi, math.pi)
-                if n_scatter <= _EXACT_RAY_LIMIT:
-                    psi = rng.uniform(-math.pi, math.pi, size=n_scatter)
-                    np.cos(psi, out=rays.real)
-                    np.sin(psi, out=rays.imag)
-                    err = rays.sum() / n_scatter
-                else:
-                    g = rng.standard_normal(2)
-                    err = (g[0] + 1j * g[1]) * math.sqrt(0.5 / n_scatter)
-                h += s_amp * (_unit_phasor(chi) + err)
-            coeffs[m, l, 0] = h
+    for m, l, rng in _link_rngs(spec.seed, mm, ll):
+        a0 = float(amp[m, l])
+        h = a0 * _unit_phasor(los_phase[m, l])
+        if n_scatter >= 1:
+            s_amp = a0 / math.sqrt(k_lin)
+            chi = rng.uniform(-math.pi, math.pi)
+            if n_scatter <= _EXACT_RAY_LIMIT:
+                psi = rng.uniform(-math.pi, math.pi, size=n_scatter)
+                np.cos(psi, out=rays.real)
+                np.sin(psi, out=rays.imag)
+                err = rays.sum() / n_scatter
+            else:
+                g = rng.standard_normal(2)
+                err = (g[0] + 1j * g[1]) * math.sqrt(0.5 / n_scatter)
+            h += s_amp * (_unit_phasor(chi) + err)
+        coeffs[m, l, 0] = h
     return LinkGainTensor(
         power_gains=aggregate_power(coeffs),
         coefficients=coeffs,
@@ -191,21 +260,19 @@ def generate_statistical(
     scatter_frac = math.sqrt(1.0 / (k_lin + 1.0))
 
     coeffs = np.empty((mm, ll, 1), dtype=np.complex128)
-    for m in range(mm):
-        for l in range(ll):
-            d = dist[m, l]
-            pl_db = (
-                32.4
-                + 21.0 * math.log10(d)
-                + 20.0 * math.log10(rf.carrier_hz / 1e9)
-            )
-            amp = 10.0 ** (-pl_db / 20.0)
-            rng = _link_rng(spec.seed, m, l)
-            g = rng.standard_normal(2)
-            fading = los_frac * _unit_phasor(2.0 * math.pi * d / lam) + scatter_frac * (
-                g[0] + 1j * g[1]
-            ) / math.sqrt(2.0)
-            coeffs[m, l, 0] = amp * fading
+    for m, l, rng in _link_rngs(spec.seed, mm, ll):
+        d = dist[m, l]
+        pl_db = (
+            32.4
+            + 21.0 * math.log10(d)
+            + 20.0 * math.log10(rf.carrier_hz / 1e9)
+        )
+        amp = 10.0 ** (-pl_db / 20.0)
+        g = rng.standard_normal(2)
+        fading = los_frac * _unit_phasor(2.0 * math.pi * d / lam) + scatter_frac * (
+            g[0] + 1j * g[1]
+        ) / math.sqrt(2.0)
+        coeffs[m, l, 0] = amp * fading
     return LinkGainTensor(
         power_gains=aggregate_power(coeffs), coefficients=coeffs, ray_count=None
     )
@@ -231,10 +298,8 @@ def degrade(
             ray_count=tensor.ray_count,
         )
     gamma = np.empty((tensor.m, tensor.l), dtype=float)
-    for m in range(tensor.m):
-        for l in range(tensor.l):
-            rng = _link_rng(seed, m, l)
-            gamma[m, l] = rng.gamma(shape=target_ray_count, scale=1.0 / target_ray_count)
+    for m, l, rng in _link_rngs(seed, tensor.m, tensor.l):
+        gamma[m, l] = rng.gamma(shape=target_ray_count, scale=1.0 / target_ray_count)
     if tensor.coefficients is not None:
         coeffs = tensor.coefficients * np.sqrt(gamma)[:, :, None]
         power = aggregate_power(coeffs)  # keep the aggregation rule bit-exact
@@ -311,9 +376,7 @@ def import_tensor(path: str | Path) -> LinkGainTensor:
     return _import_json(raw, p)
 
 
-def _finish_import(
-    mm: int, ll: int, kk: int, coeffs: np.ndarray | None, power: np.ndarray, p: Path
-) -> LinkGainTensor:
+def _finish_import(coeffs: np.ndarray | None, power: np.ndarray, p: Path) -> LinkGainTensor:
     if coeffs is not None:
         if not np.all(np.isfinite(coeffs.view(float))):
             raise TensorFormatError(f"{p}: non-finite coefficient values")
@@ -334,6 +397,7 @@ def _import_binary(raw: bytes, p: Path) -> LinkGainTensor:
     offset = _HEADER.size
     coeffs = None
     if has_coeff:
+        _check_n_elems(kk, p)
         n_bytes = mm * ll * kk * 16
         if len(raw) < offset + n_bytes:
             raise TensorFormatError(
@@ -357,7 +421,7 @@ def _import_binary(raw: bytes, p: Path) -> LinkGainTensor:
         .reshape(mm, ll)
         .astype(float)
     )
-    return _finish_import(mm, ll, kk, coeffs, power, p)
+    return _finish_import(coeffs, power, p)
 
 
 def _import_json(raw: bytes, p: Path) -> LinkGainTensor:
@@ -378,10 +442,17 @@ def _import_json(raw: bytes, p: Path) -> LinkGainTensor:
         raise TensorFormatError(f"{p}: has_coefficients must be true or false")
     coeffs = None
     if doc["has_coefficients"]:
+        _check_n_elems(kk, p)
         arr = _json_array(doc.get("coefficients"), (mm, ll, kk, 2), "coefficients", p)
         coeffs = arr[..., 0] + 1j * arr[..., 1]
     power = _json_array(doc["power_gains"], (mm, ll), "power_gains", p)
-    return _finish_import(mm, ll, kk, coeffs, power, p)
+    return _finish_import(coeffs, power, p)
+
+
+def _check_n_elems(kk: int, p: Path) -> None:
+    # A mean over an empty element axis has no power gain to give.
+    if kk < 1:
+        raise TensorFormatError(f"{p}: coefficients need n_elems >= 1, got {kk}")
 
 
 def _json_array(value, shape: tuple, name: str, p: Path) -> np.ndarray:

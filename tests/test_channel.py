@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,8 @@ from scipy.stats import kstest, spearmanr
 from corridorsim.antenna import SPEED_OF_LIGHT
 from corridorsim.channel import (
     _EXACT_RAY_LIMIT,
+    _SEED_MASK,
+    _link_rngs,
     ChannelProviderSpec,
     LinkGainTensor,
     RfConstants,
@@ -265,6 +268,98 @@ class TestExactRayLimitBoundary:
             assert coeffs[m, l, 0] != reference_link(spec, d, m, l, exact=True)
 
 
+def link_rng(seed, m, l):
+    """Link (m, l)'s substream as numpy builds it: one SeedSequence per link."""
+    return np.random.default_rng(np.random.SeedSequence((seed & _SEED_MASK, m, l)))
+
+
+def reference_statistical(spec, distance, m, l):
+    """Coefficient of a statistical link, drawn from its own SeedSequence."""
+    lam = SPEED_OF_LIGHT / RF.carrier_hz
+    k_lin = 10.0 ** (spec.rician_k_db / 10.0)
+    pl_db = 32.4 + 21.0 * math.log10(distance) + 20.0 * math.log10(RF.carrier_hz / 1e9)
+    g = link_rng(spec.seed, m, l).standard_normal(2)
+    los = 2.0 * math.pi * distance / lam
+    fading = math.sqrt(k_lin / (k_lin + 1.0)) * complex(
+        math.cos(los), math.sin(los)
+    ) + math.sqrt(1.0 / (k_lin + 1.0)) * (g[0] + 1j * g[1]) / math.sqrt(2.0)
+    return 10.0 ** (-pl_db / 20.0) * fading
+
+
+# Edges of SeedSequence's entropy words: the masked seed is one uint32 word
+# below 2^32 and two from there on.
+seeds_64 = (
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])
+    | st.integers(-(2**64), -1)
+    | st.integers(0, 2**64 - 1)
+)
+
+
+class TestLinkRngs:
+    """_link_rngs replays SeedSequence((seed, m, l)) -> PCG64 for all links at once."""
+
+    DISTANCES = [
+        [100.0, 230.0, 415.0, 60.0],
+        [150.0, 260.0, 90.0, 333.0],
+        [75.0, 510.0, 120.0, 200.0],
+    ]
+    SEEDS = [0, 2**32 + 5, 2**64 - 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds_64, mm=st.integers(1, 70), ll=st.integers(1, 6))
+    def test_every_state_is_the_seed_sequence_state(self, seed, mm, ll):
+        links = [(m, l, rng.bit_generator.state) for m, l, rng in _link_rngs(seed, mm, ll)]
+        assert [(m, l) for m, l, _ in links] == [(m, l) for m in range(mm) for l in range(ll)]
+        for m, l, state in links:
+            expect = np.random.PCG64(np.random.SeedSequence((seed & _SEED_MASK, m, l)))
+            assert state == expect.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("ray_count", [1, 9, _EXACT_RAY_LIMIT + 1, 10_000])
+    def test_few_ray_matches_per_link_seed_sequences(self, seed, ray_count):
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count, seed=seed)
+        coeffs = generate_few_ray(geoms_at(self.DISTANCES), spec, RF).coefficients
+        lam = SPEED_OF_LIGHT / RF.carrier_hz
+        for (m, l), d in np.ndenumerate(self.DISTANCES):
+            if ray_count == 1:
+                los = math.fmod(2.0 * math.pi * d / lam, 2.0 * math.pi)
+                a0 = math.sqrt(free_space_path_gain(d, RF.carrier_hz))
+                expect = a0 * complex(math.cos(los), math.sin(los))
+            else:
+                exact = ray_count - 1 <= _EXACT_RAY_LIMIT
+                expect = reference_link(spec, d, m, l, exact=exact)
+            assert coeffs[m, l, 0] == expect
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_statistical_matches_per_link_seed_sequences(self, seed):
+        spec = ChannelProviderSpec(kind="statistical", seed=seed)
+        coeffs = generate_statistical(geoms_at(self.DISTANCES), spec, RF).coefficients
+        for (m, l), d in np.ndenumerate(self.DISTANCES):
+            assert coeffs[m, l, 0] == reference_statistical(spec, d, m, l)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("with_coefficients", [True, False])
+    def test_degrade_matches_per_link_seed_sequences(self, seed, with_coefficients):
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=10_000, seed=3)
+        src = generate_few_ray(geoms_at(self.DISTANCES), spec, RF)
+        if not with_coefficients:
+            src = LinkGainTensor(power_gains=src.power_gains, ray_count=src.ray_count)
+        out = degrade(src, 100, seed)
+        gamma = np.array(
+            [
+                [link_rng(seed, m, l).gamma(shape=100, scale=1.0 / 100) for l in range(src.l)]
+                for m in range(src.m)
+            ]
+        )
+        if with_coefficients:
+            coeffs = src.coefficients * np.sqrt(gamma)[:, :, None]
+            assert np.array_equal(out.coefficients, coeffs)
+            assert np.array_equal(out.power_gains, aggregate_power(coeffs))
+        else:
+            assert out.coefficients is None
+            assert np.array_equal(out.power_gains, src.power_gains * gamma)
+
+
 class TestStatistical:
     def test_path_loss_anchor_1m_1ghz(self):
         # huge K collapses the fading to the unit phasor, exposing PL = 32.4 dB
@@ -431,6 +526,31 @@ class TestTensorIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(TensorFormatError, match="dimension mismatch"):
             import_tensor(path)
+
+    def test_zero_element_coefficients_rejected_binary(self, tmp_path):
+        path = tmp_path / "t.ctns"
+        header = struct.pack("<4sHIIIB", b"CTNS", 1, 1, 1, 0, 1)
+        path.write_bytes(header + struct.pack("<d", 1e-9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TensorFormatError, match=r"coefficients need n_elems >= 1"):
+                import_tensor(path)
+
+    def test_zero_element_coefficients_rejected_json(self, tmp_path):
+        doc = {
+            "m": 1,
+            "l": 1,
+            "n_elems": 0,
+            "has_coefficients": True,
+            "coefficients": [[[]]],
+            "power_gains": [[1e-9]],
+        }
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TensorFormatError, match=r"coefficients need n_elems >= 1"):
+                import_tensor(path)
 
     def test_import_kind_requires_path(self):
         from corridorsim.channel import generate

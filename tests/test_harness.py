@@ -169,6 +169,16 @@ class TestRunScenario:
         threaded = run_scenario(cfg, threads=4)
         assert serial.to_dict() == threaded.to_dict()
 
+    def test_threads_do_not_change_few_ray_lf_output(self):
+        # The montecarlo workload's shape: the Gaussian few-ray branch for
+        # evaluation, degraded per link for allocation on LF.
+        cfg = ScenarioConfig(seed=12, uav_count=16, replications=4, allocation_channel="lf")
+        cfg.channel_hf = replace(cfg.channel_hf, kind="few_ray", ray_count=10_000)
+        cfg.channel_lf = replace(cfg.channel_lf, kind="few_ray", ray_count=100)
+        serial = run_scenario(cfg, threads=1)
+        threaded = run_scenario(cfg, threads=2)
+        assert serial.to_dict() == threaded.to_dict()
+
     def test_two_stage_beats_random_on_same_seeds(self):
         base = small_config(seed=10, replications=6)
         optimized = run_scenario(base)
