@@ -1,17 +1,14 @@
 """Seed-reproducible simulator and two-stage allocator for drone-corridor downlinks."""
 
 from .allocator import (
-    AnnealerConfig,
     Assignment,
     BeamCodebook,
     BeamGainTable,
     UtilityTensor,
     allocate_closest_bs,
     allocate_random,
-    allocate_two_stage,
     build_beam_gain_table,
     build_utility,
-    optimize_scan_angle,
     solve_assignment,
 )
 from .antenna import (
@@ -46,7 +43,6 @@ from .errors import (
 from .evaluator import (
     ThroughputReport,
     evaluate_all,
-    interference_at,
     sinr_matrix,
     validate,
 )

@@ -7,11 +7,9 @@ and beam exclusivity is meaningful. `build_beam_gain_table` solves all
 triplets in one deterministic numpy pass: the array power of a link is a
 real trig polynomial P(s) in s = alpha * sin(phi_scan), whose peaks are
 refined once per link by vectorized golden-section search; each sector's
-best angle is then read off those peaks, its ends and +-pi/2.
-`optimize_scan_angle` keeps the paper's per-triplet dual
-annealing (generalized simulated annealing with a heavy-tailed visiting
-distribution, Brent refinement of each new incumbent) as the reference
-method the tests compare against.
+best angle is then read off those peaks, its ends and +-pi/2. The paper's
+per-triplet dual annealing is kept in tests/oracles.py as the reference
+this pass must never fall below.
 
 Stage 2 turns the optimized gains and the channel gains into a utility
 tensor Lambda[m, l, n] = P * |h|^2 * 10^(G/10), flattens it to an
@@ -29,29 +27,16 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize_scalar
-from scipy.special import gammaln
+from scipy.optimize import linear_sum_assignment
 
-from .antenna import (
-    AntennaConfig,
-    SteeringDirection,
-    folded_gain_db,
-    make_scan_gain,
-    scan_coefficients,
-)
-from .channel import LinkGainTensor, RfConstants
+from .antenna import AntennaConfig, folded_gain_db, scan_coefficients
+from .antenna import make_scan_gain  # unused here; perfbench/tracing.py patches it
+from .channel import _SEED_MASK, LinkGainTensor, RfConstants
 from .errors import ConfigurationError, InfeasibleAssignmentError
 from .geometry import BaseStationSite, Position3D, link_angles, link_geometries
-
-_SEED_MASK = (1 << 64) - 1
-
-# Generalized-annealing acceptance shape; more negative = greedier.
-_ACCEPTANCE_PARAM = -5.0
-_TAIL_LIMIT = 1e8
 
 # Batched stage 1 refines each peak of the array power to this width in s.
 _SCAN_XTOL = 1e-9
@@ -72,18 +57,6 @@ class BeamCodebook:
         # -pi + n * 2pi/N, except that the last end is pi itself, never pi + 1 ulp
         ends = np.linspace(-math.pi, math.pi, n_beams + 1).tolist()
         return cls(n_beams=n_beams, sectors=tuple(zip(ends[:-1], ends[1:])))
-
-
-@dataclass(frozen=True)
-class AnnealerConfig:
-    """Iteration budget and schedule of the reference dual-annealing optimizer."""
-
-    t_global: int = 200  # annealing proposals
-    t_local: int = 50  # max iterations per local refinement
-    initial_temperature: float = 5230.0
-    visiting_param: float = 2.62  # heavy-tail shape, in (1, 3)
-    restart_stall: int = 20  # proposals without improvement before restart
-    seed: int = 0
 
 
 @dataclass
@@ -119,142 +92,6 @@ class Assignment:
 # --------------------------------------------------------------------------
 # Stage 1: scan-angle optimization
 # --------------------------------------------------------------------------
-
-
-class _TsallisVisitor:
-    """Heavy-tailed step generator of generalized simulated annealing."""
-
-    def __init__(self, visiting_param: float):
-        if not 1.0 < visiting_param < 3.0:
-            raise ConfigurationError(
-                f"visiting_param must lie in (1, 3), got {visiting_param}"
-            )
-        qv = visiting_param
-        self._qv = qv
-        factor2 = math.exp((4.0 - qv) * math.log(qv - 1.0))
-        factor3 = math.exp((2.0 - qv) * math.log(2.0) / (qv - 1.0))
-        self._factor4p = math.sqrt(math.pi) * factor2 / (factor3 * (3.0 - qv))
-        factor5 = 1.0 / (qv - 1.0) - 0.5
-        d1 = 2.0 - factor5
-        self._factor6 = (
-            math.pi
-            * (1.0 - factor5)
-            / math.sin(math.pi * (1.0 - factor5))
-            / math.exp(gammaln(d1))
-        )
-
-    def step(self, temperature: float, rng: np.random.Generator) -> float:
-        x, y = rng.standard_normal(2)
-        factor1 = math.exp(math.log(temperature) / (self._qv - 1.0))
-        factor4 = self._factor4p * factor1
-        x *= math.exp(
-            -(self._qv - 1.0) * math.log(self._factor6 / factor4) / (3.0 - self._qv)
-        )
-        den = math.exp((self._qv - 1.0) * math.log(abs(y)) / (3.0 - self._qv))
-        visit = x / den
-        if visit > _TAIL_LIMIT:
-            return _TAIL_LIMIT * rng.uniform()
-        if visit < -_TAIL_LIMIT:
-            return -_TAIL_LIMIT * rng.uniform()
-        return visit
-
-
-def _fold_into(x: float, lo: float, hi: float) -> float:
-    """Wrap x into [lo, hi) modulo the interval length."""
-    span = hi - lo
-    a = math.fmod(x - lo, span) + span
-    return math.fmod(a, span) + lo
-
-
-def optimize_scan_angle(
-    direction: SteeringDirection,
-    sector: tuple[float, float],
-    cfg: AntennaConfig,
-    ann: AnnealerConfig,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float, int]:
-    """Maximize the total gain toward `direction` over scan angles in `sector`.
-
-    Returns (phi_star, gain_db, objective_evaluations). Random start inside
-    the sector, `t_global` annealing proposals with probabilistic uphill
-    acceptance under the generalized-annealing temperature schedule, Brent
-    refinement around every new incumbent, and a uniform restart after
-    `restart_stall` proposals without improvement.
-    """
-    lo, hi = sector
-    if hi < lo:
-        raise ConfigurationError(f"empty scan sector ({lo}, {hi}]")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(ann.seed & _SEED_MASK))
-    gain_fn = make_scan_gain(direction, cfg)
-    evals = 0
-
-    def objective(scan: float) -> float:
-        nonlocal evals
-        evals += 1
-        return -gain_fn(scan)
-
-    width = hi - lo
-    if width <= 1e-12:
-        mid = 0.5 * (lo + hi)
-        return mid, -objective(mid), evals
-
-    x_cur = rng.uniform(lo, hi)
-    e_cur = objective(x_cur)
-    x_best, e_best = x_cur, e_cur
-
-    visitor = _TsallisVisitor(ann.visiting_param)
-    qv = ann.visiting_param
-    qa = _ACCEPTANCE_PARAM
-    t1 = math.exp((qv - 1.0) * math.log(2.0)) - 1.0
-    stall = 0
-    e_refined = math.inf  # incumbent value at the last local refinement
-
-    def refine(x0: float, e0: float) -> tuple[float, float]:
-        bracket = (max(lo, x0 - width / 8.0), min(hi, x0 + width / 8.0))
-        res = minimize_scalar(
-            objective,
-            bounds=bracket,
-            method="bounded",
-            options={"xatol": 1e-8, "maxiter": ann.t_local},
-        )
-        if res.fun < e0:
-            return float(res.x), float(res.fun)
-        return x0, e0
-
-    for i in range(ann.t_global):
-        temperature = ann.initial_temperature * t1 / (
-            math.exp((qv - 1.0) * math.log(i + 2.0)) - 1.0
-        )
-        t_step = temperature / (i + 1.0)
-        x_new = _fold_into(x_cur + visitor.step(temperature, rng), lo, hi)
-        e_new = objective(x_new)
-        if e_new < e_cur:
-            x_cur, e_cur = x_new, e_new
-        else:
-            pqv = 1.0 - (1.0 - qa) * (e_new - e_cur) / t_step
-            if pqv > 0.0 and rng.uniform() <= math.exp(math.log(pqv) / (1.0 - qa)):
-                x_cur, e_cur = x_new, e_new
-        if e_cur < e_best:
-            x_best, e_best = x_cur, e_cur
-            stall = 0
-            # Refine only on meaningful moves (> 0.01 dB) to bound the budget.
-            if e_refined - e_best > 0.01:
-                x_best, e_best = refine(x_best, e_best)
-                e_refined = e_best
-                x_cur, e_cur = x_best, e_best
-        else:
-            stall += 1
-            if stall >= ann.restart_stall:
-                x_cur = rng.uniform(lo, hi)
-                e_cur = objective(x_cur)
-                stall = 0
-
-    x_best, e_best = refine(x_best, e_best)
-    if x_best <= lo:  # keep the result inside the half-open sector
-        x_best = math.nextafter(lo, hi)
-        e_best = objective(x_best)
-    return x_best, -e_best, evals
 
 
 def _array_power(autocorr: np.ndarray, z) -> np.ndarray:
@@ -461,40 +298,9 @@ def fill_scan_angles(assignment: Assignment, table: BeamGainTable) -> Assignment
     return assignment
 
 
-def serving_beam(assignment: Assignment, m: int) -> tuple[int, int]:
-    """(BS, beam) serving UAV m."""
-    flat = np.flatnonzero(assignment.x[m].reshape(-1))
-    if flat.size != 1:
-        raise ValueError(f"UAV {m} has {flat.size} serving beams, expected exactly 1")
-    return divmod(int(flat[0]), assignment.x.shape[2])
-
-
 # --------------------------------------------------------------------------
-# Full pipelines and baselines
+# Baselines
 # --------------------------------------------------------------------------
-
-
-def allocate_two_stage(
-    uavs: list[Position3D],
-    bss: list[BaseStationSite],
-    codebook: BeamCodebook,
-    antenna_cfg: AntennaConfig,
-    gains: LinkGainTensor,
-    rf: RfConstants,
-    power_divisor: float = 1.0,
-    table: BeamGainTable | None = None,
-) -> tuple[Assignment, BeamGainTable, dict]:
-    """Stage 1 + stage 2; pass `table` to reuse a precomputed stage-1 result."""
-    timings = {}
-    t0 = time.perf_counter()
-    if table is None:
-        table = build_beam_gain_table(uavs, bss, codebook, antenna_cfg)
-    timings["stage1_seconds"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    util = build_utility(table, gains, rf, power_divisor)
-    assignment = fill_scan_angles(solve_assignment(util), table)
-    timings["stage2_seconds"] = time.perf_counter() - t0
-    return assignment, table, timings
 
 
 def allocate_random(mm: int, ll: int, nn: int, seed: int) -> Assignment:

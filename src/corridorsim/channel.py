@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -468,8 +468,3 @@ def _json_array(value, shape: tuple, name: str, p: Path) -> np.ndarray:
             f"{p}: dimension mismatch, {name} shape {arr.shape} vs header {shape}"
         )
     return arr.astype(float)
-
-
-def with_seed(spec: ChannelProviderSpec, seed: int) -> ChannelProviderSpec:
-    """Copy of `spec` with a different seed."""
-    return replace(spec, seed=seed)

@@ -30,6 +30,7 @@ from .harness import (
     summary_row,
     sweep,
     validate_config,
+    write_gain_sweep,
 )
 
 
@@ -139,8 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gain-sweep":
             config = _load(args)
             rows = gain_sweep_rows(config.antenna, theta_deg=args.theta, scan_deg=args.scan)
-            written = emit_reports([], args.out, gain_sweep=rows)
-            print(f"wrote {written['gain_sweep']}")
+            print(f"wrote {write_gain_sweep(rows, args.out)}")
             return 0
 
         config = _load(args)

@@ -7,8 +7,8 @@ other BS l' whose associated UAVs m' beam toward their own targets, with the
 gain evaluated at the victim's angles toward l' but at the interferer's
 chosen scan angle. Rates are Shannon capacity over `bandwidth_hz`.
 
-`sinr_matrix` scores every UAV in one numpy pass. The scalar
-`interference_at` loop is the reference the tests check it against.
+`sinr_matrix` scores every UAV in one numpy pass. The tests check it
+against a scalar per-interferer loop kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -18,14 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import Assignment, BeamGainTable, serving_beam, serving_beams
-from .antenna import (
-    AntennaConfig,
-    SteeringDirection,
-    folded_gain_db,
-    scan_coefficients,
-    total_gain,
-)
+from .allocator import Assignment, BeamGainTable, serving_beams
+from .antenna import AntennaConfig, folded_gain_db, scan_coefficients
+from .antenna import total_gain  # unused here; perfbench/tracing.py patches it
 from .channel import LinkGainTensor, RfConstants
 from .geometry import LinkGeometry, link_angles
 
@@ -51,34 +46,6 @@ class ThroughputReport:
             "seed": int(self.seed),
             "config_digest": self.config_digest,
         }
-
-
-def interference_at(
-    m: int,
-    assignment: Assignment,
-    gains: LinkGainTensor,
-    beam_table: BeamGainTable,
-    geometries: list[list[LinkGeometry]],
-    antenna_cfg: AntennaConfig,
-    rf: RfConstants,
-    power_divisor: float = 1.0,
-) -> float:
-    """Aggregate interference power (watts) received by UAV m."""
-    mm = gains.power_gains.shape[0]
-    serving_l, _ = serving_beam(assignment, m)
-    p_eff = rf.tx_power_w / power_divisor
-    total = 0.0
-    for m_prime in range(mm):
-        if m_prime == m:
-            continue
-        l_prime, n_prime = serving_beam(assignment, m_prime)
-        if l_prime == serving_l or not assignment.beta[m_prime, l_prime]:
-            continue
-        geom = geometries[m][l_prime]
-        direction = SteeringDirection(theta=geom.theta, phi=geom.phi)
-        g_db = total_gain(direction, beam_table.phi_star[m_prime, l_prime, n_prime], antenna_cfg)
-        total += p_eff * gains.power_gains[m, l_prime] * 10.0 ** (g_db / 10.0)
-    return total
 
 
 def sinr_matrix(

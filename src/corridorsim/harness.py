@@ -49,13 +49,13 @@ from .antenna import (
     element_gain,
 )
 from .channel import (
+    _SEED_MASK,
     ChannelProviderSpec,
     LinkGainTensor,
     RfConstants,
     degrade,
     generate,
     generate_statistical,
-    with_seed,
 )
 from .errors import ConfigurationError, InfeasibleAssignmentError, TensorFormatError
 from .evaluator import ThroughputReport, evaluate_all, validate
@@ -66,8 +66,6 @@ from .geometry import (
     generate_corridor,
     link_geometries,
 )
-
-_SEED_MASK = (1 << 64) - 1
 
 # Stream tags keeping the derived seed families disjoint. Tag 1 is retired;
 # renumbering the others would move every channel draw.
@@ -439,7 +437,7 @@ def _allocation_tensor(
     spec = config.channel_lf
     if spec.kind != "statistical":
         spec = replace(spec, kind="statistical", rician_k_db=config.channel_hf.rician_k_db)
-    spec = with_seed(spec, _derive_seed(config.seed, _TAG_STATISTICAL, r))
+    spec = replace(spec, seed=_derive_seed(config.seed, _TAG_STATISTICAL, r))
     return generate_statistical(geoms, spec, config.rf)
 
 
@@ -467,7 +465,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
 
     def one_replication(r: int) -> ThroughputReport:
         channel_seed = _derive_seed(config.seed, _TAG_CHANNEL, r)
-        eval_tensor = generate(geoms, with_seed(config.channel_hf, channel_seed), config.rf)
+        eval_tensor = generate(geoms, replace(config.channel_hf, seed=channel_seed), config.rf)
         if (eval_tensor.m, eval_tensor.l) != (mm, ll):
             got = f"{eval_tensor.m}x{eval_tensor.l}"
             raise TensorFormatError(f"channel tensor is {got} links, expected {mm}x{ll}")
@@ -623,11 +621,7 @@ def summary_row(result: ExperimentResult) -> dict:
     }
 
 
-def emit_reports(
-    results: list[ExperimentResult],
-    out_dir: str | Path,
-    gain_sweep: list[dict] | None = None,
-) -> dict[str, Path]:
+def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[str, Path]:
     """Write results.json (deterministic payload) and summary.csv.
 
     Wall-clock timings live in summary.csv only, so results.json is byte
@@ -648,17 +642,6 @@ def emit_reports(
         for result in results:
             writer.writerow(summary_row(result))
     written["summary"] = summary_path
-
-    if gain_sweep is not None:
-        sweep_path = out / "gain_sweep.csv"
-        with sweep_path.open("w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["phi_deg", "element_db", "array_db", "total_db"]
-            )
-            writer.writeheader()
-            for row in gain_sweep:
-                writer.writerow(row)
-        written["gain_sweep"] = sweep_path
     return written
 
 
@@ -690,3 +673,15 @@ def gain_sweep_rows(
             }
         )
     return rows
+
+
+def write_gain_sweep(rows: list[dict], out_dir: str | Path) -> Path:
+    """Write `gain_sweep_rows` output to gain_sweep.csv; no other file is touched."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "gain_sweep.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["phi_deg", "element_db", "array_db", "total_db"])
+        writer.writeheader()
+        writer.writerows(rows)
+    return path

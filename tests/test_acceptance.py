@@ -8,19 +8,20 @@ calibration.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
 from corridorsim.allocator import (
-    AnnealerConfig,
     BeamCodebook,
     UtilityTensor,
     allocate_closest_bs,
     allocate_random,
-    allocate_two_stage,
-    optimize_scan_angle,
+    build_beam_gain_table,
+    build_utility,
+    fill_scan_angles,
     solve_assignment,
 )
 from corridorsim.antenna import (
@@ -34,6 +35,7 @@ from corridorsim.channel import ChannelProviderSpec, LinkGainTensor, RfConstants
 from corridorsim.evaluator import validate
 from corridorsim.geometry import BaseStationSite, Position3D
 from corridorsim.harness import ScenarioConfig, emit_reports, run_scenario, sweep
+from oracles import AnnealerConfig, optimize_scan_angle
 
 CFG = AntennaConfig()  # nominal 4x4 array
 BOUND_16 = 10.0 * math.log10(16.0)
@@ -156,7 +158,9 @@ class TestAcceptance:
             ]
             cb = BeamCodebook.uniform(4)
             gains = LinkGainTensor(power_gains=rng.uniform(1e-10, 1e-8, size=(3, 2)))
-            a, _, _ = allocate_two_stage(uavs, bss, cb, CFG, gains, RfConstants())
+            table = build_beam_gain_table(uavs, bss, cb, CFG)
+            util = build_utility(table, gains, RfConstants())
+            a = fill_scan_angles(solve_assignment(util), table)
             assert validate(a, 3, 2, 4) == []
         report(4, f"zero C1-C4 violations across {checked} scenarios x 3 allocators")
 
@@ -212,13 +216,13 @@ class TestAcceptance:
         # M = 1: scenario pipeline, SINR must equal the closed form exactly
         cfg = scenario(808, uav_count=1, replications=3)
         result = run_scenario(cfg)
-        from corridorsim.channel import generate, with_seed
+        from corridorsim.channel import generate
         from corridorsim.geometry import generate_corridor, link_geometries
 
         uavs = generate_corridor(cfg.corridor, 1)
         geoms = link_geometries(uavs, cfg.bss)
         for rep in result.reports:
-            tensor = generate(geoms, with_seed(cfg.channel_hf, rep.seed), cfg.rf)
+            tensor = generate(geoms, replace(cfg.channel_hf, seed=rep.seed), cfg.rf)
             # noise-only SINR is bounded by the best link at the gain ceiling
             s = rep.per_uav_sinr[0]
             best = (
@@ -230,7 +234,8 @@ class TestAcceptance:
             assert s <= best * (1.0 + 1e-9)
             assert s > 0.0
         # direct closed-form identity on a hand-built single-UAV case
-        from corridorsim.evaluator import interference_at, sinr_matrix
+        from corridorsim.evaluator import sinr_matrix
+        from oracles import interference_at
         from corridorsim.allocator import Assignment, BeamGainTable
         from corridorsim.geometry import LinkGeometry
 

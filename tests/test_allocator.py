@@ -7,17 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corridorsim.allocator import (
-    AnnealerConfig,
+    Assignment,
     BeamCodebook,
     UtilityTensor,
     allocate_closest_bs,
     allocate_random,
-    allocate_two_stage,
     build_beam_gain_table,
     build_utility,
+    fill_scan_angles,
     optimal_scan_angles,
-    optimize_scan_angle,
-    serving_beam,
+    serving_beams,
     solve_assignment,
 )
 from corridorsim.allocator import _scan_power
@@ -34,6 +33,7 @@ from corridorsim.errors import ConfigurationError, InfeasibleAssignmentError
 from corridorsim.evaluator import validate
 from corridorsim.geometry import BaseStationSite, Position3D, generate_corridor
 from corridorsim.harness import ScenarioConfig
+from oracles import AnnealerConfig, optimize_scan_angle
 
 CFG = AntennaConfig()
 ANN = AnnealerConfig(seed=1234)
@@ -53,6 +53,12 @@ def assignment_total(assignment, values: np.ndarray) -> float:
     return float(
         (assignment.beta[:, :, None] * assignment.x * values).sum()
     )
+
+
+def served(assignment) -> list[tuple[int, int]]:
+    """(BS, beam) of every UAV, read off `serving_beams`."""
+    l, n = serving_beams(assignment)
+    return list(zip(l.tolist(), n.tolist()))
 
 
 def grid_max(direction: SteeringDirection, sector, cfg=CFG, points=10_000) -> float:
@@ -442,7 +448,7 @@ class TestSolveAssignment:
     def test_single_uav_takes_argmax(self):
         values = np.array([[[3.0, 9.0], [4.0, 1.0]]])
         a = solve_assignment(UtilityTensor(values=values))
-        assert serving_beam(a, 0) == (0, 1)
+        assert served(a) == [(0, 1)]
 
     def test_three_by_eight_vs_brute_force(self):
         rng = np.random.default_rng(41)
@@ -537,6 +543,26 @@ class TestSolveAssignmentTies:
         self.check_stable(build_utility(table, gains, RfConstants()).values)
 
 
+class TestServingBeams:
+    def test_reads_bs_and_beam_of_every_row(self):
+        x = np.zeros((3, 2, 4), dtype=np.int8)
+        x[0, 1, 3] = x[1, 0, 0] = x[2, 1, 1] = 1
+        a = Assignment(beta=x.max(axis=2), x=x)
+        l, n = serving_beams(a)
+        assert l.tolist() == [1, 0, 1]
+        assert n.tolist() == [3, 0, 1]
+
+    @pytest.mark.parametrize("beams, count", [((), 0), (((0, 1), (1, 0)), 2)])
+    def test_row_without_exactly_one_beam_raises(self, beams, count):
+        x = np.zeros((3, 2, 2), dtype=np.int8)
+        x[0, 0, 0] = x[2, 1, 1] = 1
+        for l, n in beams:
+            x[1, l, n] = 1
+        a = Assignment(beta=x.max(axis=2), x=x)
+        with pytest.raises(ValueError, match=f"UAV 1 has {count} serving beams"):
+            serving_beams(a)
+
+
 class TestAllocateRandom:
     def test_perfect_matching_when_tight(self):
         a = allocate_random(6, 2, 3, seed=8)
@@ -554,7 +580,7 @@ class TestAllocateRandom:
         counts = np.zeros(4)
         for seed in range(10_000):
             a = allocate_random(1, 2, 2, seed=seed)
-            l, n = serving_beam(a, 0)
+            (l,), (n,) = serving_beams(a)
             counts[2 * l + n] += 1
         np.testing.assert_allclose(counts / 10_000, 0.25, atol=0.02)
 
@@ -575,7 +601,7 @@ class TestAllocateClosestBs:
         # utility strongly favors the far BS, distance still decides
         values = np.array([[[0.001, 0.001], [100.0, 100.0]]])
         a = allocate_closest_bs(uavs, self.bss(), UtilityTensor(values=values))
-        l, _ = serving_beam(a, 0)
+        (l,), _ = serving_beams(a)
         assert l == 0
 
     def test_two_uavs_same_bs_distinct_beams(self):
@@ -587,8 +613,8 @@ class TestAllocateClosestBs:
             ]
         )
         a = allocate_closest_bs(uavs, self.bss(), UtilityTensor(values=values))
-        assert serving_beam(a, 0) == (0, 1)  # argmax of [5, 7]
-        assert serving_beam(a, 1) == (0, 0)  # beam 1 taken? no: argmax of free {0}
+        # UAV 0: argmax of [5, 7]; UAV 1: beam 1 is taken, so the free beam 0
+        assert served(a) == [(0, 1), (0, 0)]
         assert not validate(a, 2, 2, 2)
 
     def test_overflow_to_next_nearest(self):
@@ -596,15 +622,14 @@ class TestAllocateClosestBs:
         uavs = [Position3D(90.0, 0.0, 100.0), Position3D(100.0, 0.0, 100.0)]
         values = np.ones((2, 2, 1))
         a = allocate_closest_bs(uavs, self.bss(), UtilityTensor(values=values))
-        assert serving_beam(a, 0) == (0, 0)
-        assert serving_beam(a, 1) == (1, 0)  # BS 0 full, next nearest
+        assert served(a) == [(0, 0), (1, 0)]  # BS 0 full, next nearest
         assert not validate(a, 2, 2, 1)
 
     def test_equidistant_tie_lower_index(self):
         uavs = [Position3D(250.0, 0.0, 100.0)]  # equidistant from both BSs
         values = np.ones((1, 2, 2))
         a = allocate_closest_bs(uavs, self.bss(), UtilityTensor(values=values))
-        l, _ = serving_beam(a, 0)
+        (l,), _ = serving_beams(a)
         assert l == 0
 
     def test_no_free_beam_anywhere(self):
@@ -620,20 +645,20 @@ class TestTwoStagePipeline:
         bss = [BaseStationSite(1, Position3D(0.0, 0.0, 25.0), 0.0)]
         cb = BeamCodebook.uniform(1)
         gains = LinkGainTensor(power_gains=np.array([[1e-8]]))
-        a, table, timings = allocate_two_stage(uavs, bss, cb, CFG, gains, RfConstants())
+        table = build_beam_gain_table(uavs, bss, cb, CFG)
+        a = fill_scan_angles(solve_assignment(build_utility(table, gains, RfConstants())), table)
         assert a.beta.tolist() == [[1]]
         assert a.x.tolist() == [[[1]]]
         assert a.phi_scan_chosen is not None
-        assert timings["stage1_seconds"] > 0
-        assert timings["stage2_seconds"] > 0
 
     def test_matches_brute_force_small(self):
         uavs = [Position3D(150.0, 40.0, 100.0), Position3D(-120.0, -30.0, 100.0)]
         bss = [BaseStationSite(1, Position3D(0.0, 0.0, 25.0), 0.0)]
         cb = BeamCodebook.uniform(2)
         gains = LinkGainTensor(power_gains=np.array([[2e-8], [1e-8]]))
-        a, table, _ = allocate_two_stage(uavs, bss, cb, CFG, gains, RfConstants())
+        table = build_beam_gain_table(uavs, bss, cb, CFG)
         util = build_utility(table, gains, RfConstants())
+        a = fill_scan_angles(solve_assignment(util), table)
         assert assignment_total(a, util.values) == pytest.approx(
             brute_force_max(util.values), rel=1e-12
         )

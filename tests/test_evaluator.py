@@ -6,8 +6,9 @@ import pytest
 from corridorsim.allocator import Assignment, BeamGainTable, allocate_random
 from corridorsim.antenna import AntennaConfig, SteeringDirection, total_gain
 from corridorsim.channel import LinkGainTensor, RfConstants
-from corridorsim.evaluator import evaluate_all, interference_at, sinr_matrix, validate
+from corridorsim.evaluator import evaluate_all, sinr_matrix, validate
 from corridorsim.geometry import LinkGeometry
+from oracles import interference_at
 
 CFG = AntennaConfig()
 

@@ -21,6 +21,7 @@ from corridorsim.harness import (
     run_scenario,
     sweep,
     validate_config,
+    write_gain_sweep,
 )
 
 
@@ -318,8 +319,7 @@ class TestEmitReports:
     def test_gain_sweep_csv(self, tmp_path):
         cfg = small_config()
         rows = gain_sweep_rows(cfg.antenna, step_deg=5.0)
-        written = emit_reports([], tmp_path, gain_sweep=rows)
-        with written["gain_sweep"].open() as fh:
+        with write_gain_sweep(rows, tmp_path).open() as fh:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == len(rows) == 73
         assert float(parsed[36]["phi_deg"]) == pytest.approx(0.0)
@@ -457,6 +457,17 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert cli_main(["gain-sweep", "--out", str(out_dir)]) == 0
         assert (out_dir / "gain_sweep.csv").exists()
+
+    def test_gain_sweep_leaves_run_outputs_alone(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(small_config(seed=31, replications=1))))
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+        before = {name: (out_dir / name).read_bytes() for name in ("results.json", "summary.csv")}
+        assert cli_main(["gain-sweep", "--out", str(out_dir)]) == 0
+        assert (out_dir / "gain_sweep.csv").exists()
+        for name, content in before.items():
+            assert (out_dir / name).read_bytes() == content
 
     @pytest.mark.parametrize("flag, value", [("--theta", "nan"), ("--scan", "inf")])
     def test_gain_sweep_non_finite_angle_exits_1(self, tmp_path, capsys, flag, value):
