@@ -4,7 +4,6 @@ from .allocator import (
     Assignment,
     BeamCodebook,
     BeamGainTable,
-    UtilityTensor,
     allocate_closest_bs,
     allocate_random,
     build_beam_gain_table,

@@ -47,16 +47,16 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 class BeamCodebook:
     """N beams per BS, beam n owning the n-th azimuth sector of (-pi, pi]."""
 
-    n_beams: int
-    sectors: tuple[tuple[float, float], ...]  # (lo, hi], ordered, covering (-pi, pi]
+    n_beams: int = 16
 
-    @classmethod
-    def uniform(cls, n_beams: int) -> "BeamCodebook":
-        if n_beams < 1:
-            raise ConfigurationError(f"codebook needs >= 1 beam, got {n_beams}")
+    @property
+    def sectors(self) -> tuple[tuple[float, float], ...]:
+        """The N half-open sectors (lo, hi], ordered, covering (-pi, pi]."""
+        if self.n_beams < 1:
+            raise ConfigurationError(f"codebook needs >= 1 beam, got {self.n_beams}")
         # -pi + n * 2pi/N, except that the last end is pi itself, never pi + 1 ulp
-        ends = np.linspace(-math.pi, math.pi, n_beams + 1).tolist()
-        return cls(n_beams=n_beams, sectors=tuple(zip(ends[:-1], ends[1:])))
+        ends = np.linspace(-math.pi, math.pi, self.n_beams + 1).tolist()
+        return tuple(zip(ends[:-1], ends[1:]))
 
 
 @dataclass
@@ -69,23 +69,16 @@ class BeamGainTable:
 
 
 @dataclass
-class UtilityTensor:
-    """Effective received power Lambda[m, l, n], linear watts."""
-
-    values: np.ndarray  # (M, L, N), >= 0 and finite
-
-
-@dataclass
 class Assignment:
-    """Binary association matrices; rows are UAVs.
+    """Serving BS and beam of every UAV, as two (M,) index arrays.
 
-    beta[m, l] = 1 iff UAV m is served by BS l; x[m, l, n] = 1 iff it uses
-    beam n there. phi_scan_chosen is the per-UAV serving scan angle when the
-    allocator had a beam table available.
+    In the paper's indicator form, beta[m, l] = (bs[m] == l) and
+    x[m, l, n] = (bs[m] == l and beam[m] == n). phi_scan_chosen is the
+    per-UAV serving scan angle when the allocator had a beam table available.
     """
 
-    beta: np.ndarray  # (M, L) int8
-    x: np.ndarray  # (M, L, N) int8
+    bs: np.ndarray  # (M,) int
+    beam: np.ndarray  # (M,) int
     phi_scan_chosen: np.ndarray | None = None  # (M,) radians
 
 
@@ -237,8 +230,8 @@ def build_utility(
     gains: LinkGainTensor,
     rf: RfConstants,
     power_divisor: float = 1.0,
-) -> UtilityTensor:
-    """Lambda[m, l, n] = (P / power_divisor) * |h[m, l]|^2 * 10^(G[m, l, n]/10)."""
+) -> np.ndarray:
+    """Lambda[m, l, n] = (P / power_divisor) * |h[m, l]|^2 * 10^(G[m, l, n]/10), watts."""
     mm, ll, nn = table.gain_db.shape
     if gains.power_gains.shape != (mm, ll):
         raise ValueError(
@@ -246,19 +239,12 @@ def build_utility(
             f"{gains.power_gains.shape[0]}x{gains.power_gains.shape[1]}"
         )
     p_eff = rf.tx_power_w / power_divisor
-    values = p_eff * gains.power_gains[:, :, None] * 10.0 ** (table.gain_db / 10.0)
-    return UtilityTensor(values=values)
+    return p_eff * gains.power_gains[:, :, None] * 10.0 ** (table.gain_db / 10.0)
 
 
-def _assignment(cols: np.ndarray | list[int], ll: int, nn: int) -> Assignment:
+def _assignment(cols: np.ndarray | list[int], nn: int) -> Assignment:
     """UAV m served on flat column cols[m], i.e. BS cols[m] // N, beam cols[m] % N."""
-    rows = np.arange(len(cols))
-    l, n = np.divmod(np.asarray(cols, dtype=int), nn)
-    beta = np.zeros((rows.size, ll), dtype=np.int8)
-    x = np.zeros((rows.size, ll, nn), dtype=np.int8)
-    beta[rows, l] = 1
-    x[rows, l, n] = 1
-    return Assignment(beta=beta, x=x)
+    return Assignment(*np.divmod(cols, nn))
 
 
 def _check_capacity(mm: int, n_cols: int) -> None:
@@ -268,33 +254,23 @@ def _check_capacity(mm: int, n_cols: int) -> None:
         )
 
 
-def solve_assignment(util: UtilityTensor) -> Assignment:
+def solve_assignment(util: np.ndarray) -> Assignment:
     """Maximize total utility over injective UAV -> (BS, beam) mappings.
 
     The tensor is flattened to M x (L*N) (column j -> BS j // N, beam
     j % N) and solved exactly as a rectangular assignment. scipy would leave
     rows unassigned when M > L*N, so that case is rejected first.
     """
-    mm, ll, nn = util.values.shape
+    mm, ll, nn = util.shape
     _check_capacity(mm, ll * nn)
-    _, cols = linear_sum_assignment(util.values.reshape(mm, ll * nn), maximize=True)
-    return _assignment(cols, ll, nn)
-
-
-def serving_beams(assignment: Assignment) -> tuple[np.ndarray, np.ndarray]:
-    """(BS, beam) serving every UAV, as two (M,) index arrays."""
-    flat = assignment.x.reshape(assignment.x.shape[0], -1)
-    counts = flat.sum(axis=1)
-    if np.any(counts != 1):
-        m = int(np.flatnonzero(counts != 1)[0])
-        raise ValueError(f"UAV {m} has {counts[m]} serving beams, expected exactly 1")
-    return np.divmod(flat.argmax(axis=1), assignment.x.shape[2])
+    _, cols = linear_sum_assignment(util.reshape(mm, ll * nn), maximize=True)
+    return _assignment(cols, nn)
 
 
 def fill_scan_angles(assignment: Assignment, table: BeamGainTable) -> Assignment:
     """Attach each UAV's serving scan angle from the beam table."""
-    l, n = serving_beams(assignment)
-    assignment.phi_scan_chosen = table.phi_star[np.arange(l.size), l, n]
+    rows = np.arange(assignment.bs.size)
+    assignment.phi_scan_chosen = table.phi_star[rows, assignment.bs, assignment.beam]
     return assignment
 
 
@@ -307,13 +283,13 @@ def allocate_random(mm: int, ll: int, nn: int, seed: int) -> Assignment:
     """Uniformly random injective UAV -> (BS, beam) mapping."""
     _check_capacity(mm, ll * nn)
     rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK))
-    return _assignment(rng.choice(ll * nn, size=mm, replace=False), ll, nn)
+    return _assignment(rng.choice(ll * nn, size=mm, replace=False), nn)
 
 
 def allocate_closest_bs(
     uavs: list[Position3D],
     bss: list[BaseStationSite],
-    util: UtilityTensor,
+    util: np.ndarray,
 ) -> Assignment:
     """Nearest BS by Euclidean distance, best still-free beam by utility.
 
@@ -321,7 +297,7 @@ def allocate_closest_bs(
     the UAV takes the nearest BS that still has one; ties on distance and on
     utility go to the lowest index.
     """
-    mm, ll, nn = util.values.shape
+    mm, ll, nn = util.shape
     taken = np.zeros((ll, nn), dtype=bool)
     cols = []
     for m, uav in enumerate(uavs):
@@ -335,7 +311,7 @@ def allocate_closest_bs(
         for l in order:
             free = np.flatnonzero(~taken[l])
             if free.size:
-                n = int(free[np.argmax(util.values[m, l, free])])
+                n = int(free[np.argmax(util[m, l, free])])
                 break
         else:
             raise InfeasibleAssignmentError(
@@ -343,4 +319,4 @@ def allocate_closest_bs(
             )
         taken[l, n] = True
         cols.append(l * nn + n)
-    return _assignment(cols, ll, nn)
+    return _assignment(cols, nn)

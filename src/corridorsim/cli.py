@@ -42,7 +42,7 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, replications: bool = True) -> None:
     parser.add_argument("--config", type=Path, help="scenario JSON file")
     parser.add_argument("--seed", type=int, help="override scenario seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
@@ -55,7 +55,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="allocation-side channel override",
     )
     parser.add_argument("--import-path", type=Path, help="tensor file for --channel import")
-    parser.add_argument("--replications", type=int, help="replications override")
+    if replications:
+        parser.add_argument("--replications", type=int, help="replications override")
     parser.add_argument("--threads", type=int, default=1, help="worker threads")
 
 
@@ -74,7 +75,7 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
         config.allocation_channel = "hf"
     elif args.channel:
         config.allocation_channel = args.channel
-    if args.replications is not None:
+    if getattr(args, "replications", None) is not None:
         config.replications = args.replications
     if getattr(args, "uavs", None) and len(args.uavs) == 1:
         config.uav_count = args.uavs[0]
@@ -108,13 +109,14 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--altitudes", type=_float_list, help="comma-separated altitudes (m)")
 
     p_bench = sub.add_parser("bench", help="runtime scaling over UAV counts")
-    _add_common(p_bench)
+    _add_common(p_bench, replications=False)  # `benchmark` runs one replication
     p_bench.add_argument(
         "--uavs", type=_int_list, default=(10, 20, 30, 40), help="comma-separated UAV counts"
     )
 
     p_gain = sub.add_parser("gain-sweep", help="gain-vs-azimuth CSV")
-    _add_common(p_gain)
+    p_gain.add_argument("--config", type=Path, help="scenario JSON file (its antenna)")
+    p_gain.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     p_gain.add_argument("--theta", type=float, default=90.0, help="zenith angle (deg)")
     p_gain.add_argument("--scan", type=float, default=0.0, help="scan angle (deg)")
 
@@ -138,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "gain-sweep":
-            config = _load(args)
+            config = load_config(args.config) if args.config else ScenarioConfig()
             rows = gain_sweep_rows(config.antenna, theta_deg=args.theta, scan_deg=args.scan)
             print(f"wrote {write_gain_sweep(rows, args.out)}")
             return 0
@@ -151,6 +153,10 @@ def main(argv: list[str] | None = None) -> int:
             results = [run_scenario(config, threads=args.threads)]
         elif args.command == "sweep":
             if args.altitudes:
+                if args.uavs and len(args.uavs) > 1:
+                    raise ConfigurationError(
+                        f"sweep takes one --uavs value with --altitudes, got {args.uavs}"
+                    )
                 results = sweep(config, "altitude", args.altitudes, threads=args.threads)
             elif args.uavs:
                 results = sweep(config, "uav_count", args.uavs, threads=args.threads)

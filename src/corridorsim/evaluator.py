@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import Assignment, BeamGainTable, serving_beams
+from .allocator import Assignment, BeamGainTable
 from .antenna import AntennaConfig, folded_gain_db, scan_coefficients
 from .antenna import total_gain  # unused here; perfbench/tracing.py patches it
 from .channel import LinkGainTensor, RfConstants
@@ -64,7 +64,7 @@ def sinr_matrix(
     `scan_coefficients` folds each (victim, l') direction as in stage 1.
     """
     mm = gains.power_gains.shape[0]
-    l, n = serving_beams(assignment)
+    l, n = assignment.bs, assignment.beam
     rows = np.arange(mm)
     p_eff = rf.tx_power_w / power_divisor
     h = gains.power_gains
@@ -73,7 +73,7 @@ def sinr_matrix(
     theta, phi = link_angles(geometries)
     folded = scan_coefficients(theta[:, l], phi[:, l], antenna_cfg)  # (victim, interferer)
     g_db = folded_gain_db(*folded, beam_table.phi_star[rows, l, n], antenna_cfg)
-    heard = (l[:, None] != l) & (assignment.beta[rows, l] != 0)  # other BS, associated
+    heard = l[:, None] != l  # every UAV served by another BS
     coupling = np.where(heard, p_eff * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
     # A BLAS matrix-vector product, not .sum(axis=1): it keeps every SINR
     # bit-identical to the results.json files already written, and numpy's
@@ -111,32 +111,18 @@ def evaluate_all(
 def validate(assignment: Assignment, mm: int, ll: int, nn: int) -> list[str]:
     """Constraint check; returns one message per violation, empty when clean.
 
-    C1: each UAV associates with exactly one BS. C2: no BS carries more than
-    N UAVs. C3: each UAV rides exactly one active beam. C4: no beam serves
-    two UAVs. Plus beta/x consistency: an active beam implies association.
+    Reports a shape mismatch, a BS or beam index out of range, and C4: no
+    beam serves two UAVs. An index pair holds one BS and one active beam of
+    that BS per UAV, so C1, C3 and beta/x consistency hold by construction;
+    C2, at most N UAVs per BS, follows from C4 and the range check.
     """
-    violations: list[str] = []
-    beta, x = assignment.beta, assignment.x
-    if beta.shape != (mm, ll) or x.shape != (mm, ll, nn):
-        violations.append(
-            f"shape mismatch: beta {beta.shape} x {x.shape} vs ({mm}, {ll}, {nn})"
-        )
-        return violations
-    row_sums = beta.sum(axis=1)
-    for m in np.flatnonzero(row_sums != 1):
-        violations.append(f"C1: UAV {m} associates with {row_sums[m]} BSs, expected 1")
-    col_sums = beta.sum(axis=0)
-    for l in np.flatnonzero(col_sums > nn):
-        violations.append(f"C2: BS {l} serves {col_sums[l]} UAVs, limit {nn}")
-    active = (beta[:, :, None] * x).reshape(mm, -1).sum(axis=1)
-    for m in np.flatnonzero(active != 1):
-        violations.append(f"C3: UAV {m} rides {active[m]} active beams, expected 1")
-    beam_load = x.sum(axis=0)
-    for l, n in zip(*np.nonzero(beam_load > 1)):
-        violations.append(f"C4: beam ({l}, {n}) serves {beam_load[l, n]} UAVs, limit 1")
-    for m, l, n in zip(*np.nonzero(x)):
-        if not beta[m, l]:
-            violations.append(
-                f"beta/x consistency: x[{m}, {l}, {n}] = 1 but beta[{m}, {l}] = 0"
-            )
-    return violations
+    bs, beam = assignment.bs, assignment.beam
+    if bs.shape != (mm,) or beam.shape != (mm,):
+        return [f"shape mismatch: bs {bs.shape} beam {beam.shape} vs ({mm},)"]
+    outside = np.flatnonzero((bs < 0) | (bs >= ll) | (beam < 0) | (beam >= nn))
+    if outside.size:
+        return [f"UAV {m}: BS {bs[m]}, beam {beam[m]} is outside {ll} BSs x {nn} beams"
+                for m in outside]
+    load = np.bincount(bs * nn + beam)
+    return [f"C4: beam ({j // nn}, {j % nn}) serves {load[j]} UAVs, limit 1"
+            for j in np.flatnonzero(load > 1)]

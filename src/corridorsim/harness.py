@@ -78,11 +78,6 @@ ALLOCATORS = ("two_stage", "random", "closest_bs")
 ALLOCATION_CHANNELS = ("hf", "lf", "statistical")
 
 
-@dataclass(frozen=True)
-class CodebookConfig:
-    n_beams: int = 16
-
-
 def aim_boresights_at(bss: list[BaseStationSite], target: Position3D) -> list[BaseStationSite]:
     """Point every BS boresight at `target` in the horizontal plane."""
 
@@ -107,7 +102,7 @@ class ScenarioConfig:
 
     rf: RfConstants = field(default_factory=RfConstants)
     antenna: AntennaConfig = field(default_factory=AntennaConfig)
-    codebook: CodebookConfig = field(default_factory=CodebookConfig)
+    codebook: BeamCodebook = field(default_factory=BeamCodebook)
     bss: list[BaseStationSite] = field(default_factory=_nominal_sites)
     corridor: CorridorSpec = field(default_factory=CorridorSpec)
     uav_count: int = 20
@@ -452,13 +447,12 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     digest = config_digest(config, echo)
     uavs = generate_corridor(config.corridor, config.uav_count)
     geoms = link_geometries(uavs, config.bss)
-    codebook = BeamCodebook.uniform(config.codebook.n_beams)
     divisor = float(config.codebook.n_beams) if config.split_power_among_beams else 1.0
 
     # Stage 1 depends only on geometry, which is fixed across replications,
     # so the table is computed once and shared.
     t0 = time.perf_counter()
-    table = build_beam_gain_table(uavs, config.bss, codebook, config.antenna)
+    table = build_beam_gain_table(uavs, config.bss, config.codebook, config.antenna)
     stage1_seconds = time.perf_counter() - t0
 
     mm, ll, nn = config.uav_count, len(config.bss), config.codebook.n_beams

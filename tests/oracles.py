@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from corridorsim.allocator import Assignment, BeamGainTable, serving_beams
+from corridorsim.allocator import Assignment, BeamGainTable
 from corridorsim.antenna import AntennaConfig, SteeringDirection, make_scan_gain, total_gain
 from corridorsim.channel import _SEED_MASK, LinkGainTensor, RfConstants
 from corridorsim.errors import ConfigurationError
@@ -191,11 +191,10 @@ def interference_at(
     power_divisor: float = 1.0,
 ) -> float:
     """Aggregate interference power (watts) received by UAV m."""
-    serving_l, serving_n = serving_beams(assignment)
     p_eff = rf.tx_power_w / power_divisor
     total = 0.0
-    for m_prime, (l_prime, n_prime) in enumerate(zip(serving_l, serving_n)):
-        if m_prime == m or l_prime == serving_l[m] or not assignment.beta[m_prime, l_prime]:
+    for m_prime, (l_prime, n_prime) in enumerate(zip(assignment.bs, assignment.beam)):
+        if m_prime == m or l_prime == assignment.bs[m]:
             continue
         geom = geometries[m][l_prime]
         direction = SteeringDirection(theta=geom.theta, phi=geom.phi)

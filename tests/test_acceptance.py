@@ -16,7 +16,6 @@ from scipy.stats import binomtest
 
 from corridorsim.allocator import (
     BeamCodebook,
-    UtilityTensor,
     allocate_closest_bs,
     allocate_random,
     build_beam_gain_table,
@@ -82,8 +81,8 @@ class TestAcceptance:
             if ll * nn > 10 or mm > ll * nn:
                 continue
             values = rng.uniform(0.0, 1.0, size=(mm, ll, nn))
-            a = solve_assignment(UtilityTensor(values=values))
-            total = float((a.beta[:, :, None] * a.x * values).sum())
+            a = solve_assignment(values)
+            total = float(values[np.arange(mm), a.bs, a.beam].sum())
             flat = values.reshape(mm, -1)
             best = max(
                 sum(flat[m, c] for m, c in enumerate(cols))
@@ -98,7 +97,7 @@ class TestAcceptance:
     def test_03_stage1_optimizer_accuracy(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(303)
-        codebook = BeamCodebook.uniform(16)
+        codebook = BeamCodebook(16)
         ann = AnnealerConfig()
         hits = 0
         for i in range(100):
@@ -140,9 +139,9 @@ class TestAcceptance:
                 for l in range(ll)
             ]
             for a in (
-                solve_assignment(UtilityTensor(values=values)),
+                solve_assignment(values),
                 allocate_random(mm, ll, nn, seed=int(rng.integers(2**32))),
-                allocate_closest_bs(uavs, bss, UtilityTensor(values=values)),
+                allocate_closest_bs(uavs, bss, values),
             ):
                 assert validate(a, mm, ll, nn) == []
             checked += 1
@@ -156,7 +155,7 @@ class TestAcceptance:
                 BaseStationSite(1, Position3D(0.0, 0.0, 25.0), 0.0),
                 BaseStationSite(2, Position3D(300.0, 0.0, 25.0), 0.0),
             ]
-            cb = BeamCodebook.uniform(4)
+            cb = BeamCodebook(4)
             gains = LinkGainTensor(power_gains=rng.uniform(1e-10, 1e-8, size=(3, 2)))
             table = build_beam_gain_table(uavs, bss, cb, CFG)
             util = build_utility(table, gains, RfConstants())
@@ -239,11 +238,7 @@ class TestAcceptance:
         from corridorsim.allocator import Assignment, BeamGainTable
         from corridorsim.geometry import LinkGeometry
 
-        a = Assignment(
-            beta=np.array([[1, 0]], dtype=np.int8),
-            x=np.zeros((1, 2, 1), dtype=np.int8),
-        )
-        a.x[0, 0, 0] = 1
+        a = Assignment(bs=np.array([0]), beam=np.array([0]))
         gains = LinkGainTensor(power_gains=np.array([[2.5e-9, 4e-9]]))
         table = BeamGainTable(
             phi_star=np.zeros((1, 2, 1)), gain_db=np.array([[[3.0], [1.0]]]), stage1_evals=0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corridorsim.allocator import BeamCodebook
 from corridorsim.antenna import AntennaConfig
 from corridorsim.channel import ChannelProviderSpec, RfConstants
 from corridorsim.errors import ConfigurationError
@@ -17,7 +18,6 @@ from corridorsim.geometry import BaseStationSite, CorridorSpec, Position3D
 from corridorsim.harness import (
     ALLOCATION_CHANNELS,
     ALLOCATORS,
-    CodebookConfig,
     ScenarioConfig,
     config_digest,
     config_from_dict,
@@ -223,7 +223,7 @@ def scenario_configs(draw):
             theta_tilt=draw(radians_of(-90.0, 90.0)),
             gain_floor_db=draw(finite),
         ),
-        codebook=CodebookConfig(n_beams),
+        codebook=BeamCodebook(n_beams),
         bss=bss,
         corridor=CorridorSpec(Position3D(draw(finite), draw(finite), 0.0), draw(positive),
                               draw(positive)),

@@ -442,6 +442,31 @@ class TestCli:
         path.write_text(json.dumps(config_to_dict(small_config())))
         assert cli_main(["validate-config", "--config", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gain-sweep", "--threads", "0"],
+            ["gain-sweep", "--replications", "0"],
+            ["gain-sweep", "--allocator", "random"],
+            ["bench", "--replications", "3"],
+        ],
+    )
+    def test_flags_a_subcommand_ignores_exit_2(self, argv, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--out", str(out_dir)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_sweep_rejects_several_uav_counts_with_altitudes(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        argv = ["sweep", "--uavs", "4,8", "--altitudes", "75,100", "--out", str(out_dir)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep takes one --uavs value with --altitudes, got [4, 8]")
+        assert not out_dir.exists()
+
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config_to_dict(small_config(seed=21, replications=1))))
