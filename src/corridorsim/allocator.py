@@ -36,7 +36,7 @@ from .antenna import AntennaConfig, folded_gain_db, scan_coefficients
 from .antenna import make_scan_gain  # unused here; perfbench/tracing.py patches it
 from .channel import _SEED_MASK, LinkGainTensor, RfConstants
 from .errors import ConfigurationError, InfeasibleAssignmentError
-from .geometry import BaseStationSite, Position3D, link_angles, link_geometries
+from .geometry import BaseStationSite, Position3D, link_geometries
 
 # Batched stage 1 refines each peak of the array power to this width in s.
 _SCAN_XTOL = 1e-9
@@ -215,8 +215,10 @@ def build_beam_gain_table(
     cfg: AntennaConfig,
 ) -> BeamGainTable:
     """Best scan angle and gain of every (UAV, BS, beam) triplet, in one batch."""
-    theta, phi = link_angles(link_geometries(uavs, bss))
-    phi_star, gain_db, evals = optimal_scan_angles(theta, phi, codebook.sectors, cfg)
+    links = link_geometries(uavs, bss)
+    phi_star, gain_db, evals = optimal_scan_angles(
+        links["theta"], links["phi"], codebook.sectors, cfg
+    )
     return BeamGainTable(phi_star=phi_star, gain_db=gain_db, stage1_evals=evals)
 
 
@@ -286,28 +288,18 @@ def allocate_random(mm: int, ll: int, nn: int, seed: int) -> Assignment:
     return _assignment(rng.choice(ll * nn, size=mm, replace=False), nn)
 
 
-def allocate_closest_bs(
-    uavs: list[Position3D],
-    bss: list[BaseStationSite],
-    util: np.ndarray,
-) -> Assignment:
-    """Nearest BS by Euclidean distance, best still-free beam by utility.
+def allocate_closest_bs(distance: np.ndarray, util: np.ndarray) -> Assignment:
+    """Nearest BS by link distance, best still-free beam by utility.
 
-    UAVs are processed in index order. If the nearest BS has no free beam
-    the UAV takes the nearest BS that still has one; ties on distance and on
-    utility go to the lowest index.
+    `distance` is the (M, L) `distance_3d` of `link_geometries`. UAVs are
+    processed in index order. If the nearest BS has no free beam the UAV
+    takes the nearest BS that still has one; ties on distance and on utility
+    go to the lowest index.
     """
     mm, ll, nn = util.shape
     taken = np.zeros((ll, nn), dtype=bool)
     cols = []
-    for m, uav in enumerate(uavs):
-        dists = [
-            math.dist(
-                (uav.x, uav.y, uav.z), (bs.position.x, bs.position.y, bs.position.z)
-            )
-            for bs in bss
-        ]
-        order = sorted(range(ll), key=lambda l: (dists[l], l))
+    for m, order in enumerate(np.argsort(distance, axis=1, kind="stable")):
         for l in order:
             free = np.flatnonzero(~taken[l])
             if free.size:

@@ -19,11 +19,13 @@ Three interchangeable providers fill a LinkGainTensor:
 * ``import``       - reads an externally produced tensor from the binary or
                      JSON file format documented at the bottom of this file.
 
-Every provider is a pure function of (spec, geometries, seed): link (m, l)
-draws from the PCG64 stream that numpy's seed sequence of (seed, m, l)
-seeds, bit for bit, so parallel and serial generation produce bit-identical
-tensors. ``_link_rngs`` derives those states for all links of a call in one
-numpy pass instead of building a seed sequence and a generator per link.
+Every provider is a pure function of (links, spec, rf, seed): ``links`` is
+the (M, L) array of ``geometry.link_geometries``, and the seed is an
+argument, as for ``degrade``. Link (m, l) draws from the PCG64 stream that
+numpy's seed sequence of (seed, m, l) seeds, bit for bit, so parallel and
+serial generation produce bit-identical tensors. ``_link_rngs`` derives
+those states for all links of a call in one numpy pass instead of building
+a seed sequence and a generator per link.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import numpy as np
 
 from .antenna import SPEED_OF_LIGHT
 from .errors import GeometryError, TensorFormatError
-from .geometry import LinkGeometry
 
 # Above this many scatter rays n the error term (1/n) * sum(exp(i psi_k)),
 # Pearson's random walk, is drawn from its Gaussian limit (same zero mean,
@@ -78,12 +79,11 @@ class RfConstants:
 
 @dataclass(frozen=True)
 class ChannelProviderSpec:
-    """Which provider to run and with what fidelity/seed."""
+    """Which provider to run and with what fidelity; the seed is a call argument."""
 
     kind: str = "statistical"  # few_ray | statistical | import
     ray_count: int = 1_000_000
     rician_k_db: float = 3.0
-    seed: int = 0
     import_path: str | None = None
 
 
@@ -193,14 +193,8 @@ def _unit_phasor(phase: float) -> complex:
     return complex(math.cos(phase), math.sin(phase))
 
 
-def _distance_matrix(geometries: list[list[LinkGeometry]]) -> np.ndarray:
-    return np.array([[g.distance_3d for g in row] for row in geometries], dtype=float)
-
-
 def generate_few_ray(
-    geometries: list[list[LinkGeometry]],
-    spec: ChannelProviderSpec,
-    rf: RfConstants,
+    links: np.ndarray, spec: ChannelProviderSpec, rf: RfConstants, seed: int
 ) -> LinkGainTensor:
     """LOS ray plus (ray_count - 1) seeded scatter rays per link.
 
@@ -213,7 +207,7 @@ def generate_few_ray(
     """
     if spec.ray_count < 1:
         raise ValueError(f"ray_count must be >= 1, got {spec.ray_count}")
-    dist = _distance_matrix(geometries)
+    dist = links["distance_3d"]
     mm, ll = dist.shape
     lam = SPEED_OF_LIGHT / rf.carrier_hz
     k_lin = 10.0 ** (spec.rician_k_db / 10.0)
@@ -223,7 +217,7 @@ def generate_few_ray(
     los_phase = np.fmod(2.0 * math.pi * dist / lam, 2.0 * math.pi)
     rays = np.empty(n_scatter if n_scatter <= _EXACT_RAY_LIMIT else 0, dtype=complex)
     coeffs = np.empty((mm, ll, 1), dtype=np.complex128)
-    for m, l, rng in _link_rngs(spec.seed, mm, ll):
+    for m, l, rng in _link_rngs(seed, mm, ll):
         a0 = float(amp[m, l])
         h = a0 * _unit_phasor(los_phase[m, l])
         if n_scatter >= 1:
@@ -247,12 +241,10 @@ def generate_few_ray(
 
 
 def generate_statistical(
-    geometries: list[list[LinkGeometry]],
-    spec: ChannelProviderSpec,
-    rf: RfConstants,
+    links: np.ndarray, spec: ChannelProviderSpec, rf: RfConstants, seed: int
 ) -> LinkGainTensor:
     """Street-canyon LOS path loss with unit-mean Rician fading."""
-    dist = _distance_matrix(geometries)
+    dist = links["distance_3d"]
     mm, ll = dist.shape
     lam = SPEED_OF_LIGHT / rf.carrier_hz
     k_lin = 10.0 ** (spec.rician_k_db / 10.0)
@@ -260,7 +252,7 @@ def generate_statistical(
     scatter_frac = math.sqrt(1.0 / (k_lin + 1.0))
 
     coeffs = np.empty((mm, ll, 1), dtype=np.complex128)
-    for m, l, rng in _link_rngs(spec.seed, mm, ll):
+    for m, l, rng in _link_rngs(seed, mm, ll):
         d = dist[m, l]
         pl_db = (
             32.4
@@ -312,15 +304,13 @@ def degrade(
 
 
 def generate(
-    geometries: list[list[LinkGeometry]],
-    spec: ChannelProviderSpec,
-    rf: RfConstants,
+    links: np.ndarray, spec: ChannelProviderSpec, rf: RfConstants, seed: int
 ) -> LinkGainTensor:
-    """Dispatch to the provider named by ``spec.kind``."""
+    """Dispatch to the provider named by ``spec.kind``; an import draws nothing."""
     if spec.kind == "few_ray":
-        return generate_few_ray(geometries, spec, rf)
+        return generate_few_ray(links, spec, rf, seed)
     if spec.kind == "statistical":
-        return generate_statistical(geometries, spec, rf)
+        return generate_statistical(links, spec, rf, seed)
     if spec.kind == "import":
         if spec.import_path is None:
             raise TensorFormatError("import provider needs an import_path")

@@ -129,18 +129,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        if args.command == "validate-config":
-            config = load_config(args.config)
-            problems = validate_config(config)
-            if problems:
-                for problem in problems:
-                    print(f"error: {problem}", file=sys.stderr)
-                return 1
-            print("config ok")
-            return 0
-
-        if args.command == "gain-sweep":
+        if args.command in ("validate-config", "gain-sweep"):
             config = load_config(args.config) if args.config else ScenarioConfig()
+            problems = validate_config(config)
+            for problem in problems:
+                print(f"error: {problem}", file=sys.stderr)
+            if problems:
+                return 1
+            if args.command == "validate-config":
+                print("config ok")
+                return 0
             rows = gain_sweep_rows(config.antenna, theta_deg=args.theta, scan_deg=args.scan)
             print(f"wrote {write_gain_sweep(rows, args.out)}")
             return 0

@@ -22,7 +22,6 @@ from .allocator import Assignment, BeamGainTable
 from .antenna import AntennaConfig, folded_gain_db, scan_coefficients
 from .antenna import total_gain  # unused here; perfbench/tracing.py patches it
 from .channel import LinkGainTensor, RfConstants
-from .geometry import LinkGeometry, link_angles
 
 
 @dataclass
@@ -52,7 +51,7 @@ def sinr_matrix(
     assignment: Assignment,
     gains: LinkGainTensor,
     beam_table: BeamGainTable,
-    geometries: list[list[LinkGeometry]],
+    links: np.ndarray,
     antenna_cfg: AntennaConfig,
     rf: RfConstants,
     power_divisor: float = 1.0,
@@ -61,7 +60,8 @@ def sinr_matrix(
 
     Victim m hears interferer m' (served by BS l' on beam n') through the
     gain of BS l' toward m at the interferer's scan angle phi*[m', l', n'];
-    `scan_coefficients` folds each (victim, l') direction as in stage 1.
+    `scan_coefficients` folds each (victim, l') direction of `links`, the
+    (M, L) array of `geometry.link_geometries`, as in stage 1.
     """
     mm = gains.power_gains.shape[0]
     l, n = assignment.bs, assignment.beam
@@ -70,8 +70,8 @@ def sinr_matrix(
     h = gains.power_gains
     signal = p_eff * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
 
-    theta, phi = link_angles(geometries)
-    folded = scan_coefficients(theta[:, l], phi[:, l], antenna_cfg)  # (victim, interferer)
+    toward = links[:, l]  # (victim, interferer)
+    folded = scan_coefficients(toward["theta"], toward["phi"], antenna_cfg)
     g_db = folded_gain_db(*folded, beam_table.phi_star[rows, l, n], antenna_cfg)
     heard = l[:, None] != l  # every UAV served by another BS
     coupling = np.where(heard, p_eff * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
@@ -86,7 +86,7 @@ def evaluate_all(
     assignment: Assignment,
     gains: LinkGainTensor,
     beam_table: BeamGainTable,
-    geometries: list[list[LinkGeometry]],
+    links: np.ndarray,
     antenna_cfg: AntennaConfig,
     rf: RfConstants,
     power_divisor: float = 1.0,
@@ -95,7 +95,7 @@ def evaluate_all(
 ) -> ThroughputReport:
     """Score every UAV and aggregate into a ThroughputReport."""
     t0 = time.perf_counter()
-    sinrs = sinr_matrix(assignment, gains, beam_table, geometries, antenna_cfg, rf, power_divisor)
+    sinrs = sinr_matrix(assignment, gains, beam_table, links, antenna_cfg, rf, power_divisor)
     rates = rf.bandwidth_hz * np.log2(1.0 + sinrs)
     return ThroughputReport(
         per_uav_sinr=sinrs,

@@ -1,5 +1,9 @@
 """BS and UAV placement plus the BS-local spherical view of each link.
 
+Every consumer of a link reads the one (M, L) array that `link_geometries`
+returns: its fields `distance_3d`, `theta` and `phi` hold the values the
+scalar `link_geometry` computes for link [m, l].
+
 Coordinate convention: x east, y north, z altitude above ground (meters).
 The zenith angle theta is measured from straight up at the BS, so a UAV
 level with the BS sits at theta = pi/2 (the horizon) and one directly
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,11 +49,14 @@ class CorridorSpec:
     altitude: float = 100.0
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(NamedTuple):
     distance_3d: float
     theta: float  # zenith angle at the BS, radians in [0, pi]
     phi: float  # azimuth relative to boresight, radians in (-pi, pi]
+
+
+# One link per element: the fields of LinkGeometry, in its order.
+LINK_DTYPE = np.dtype([(name, float) for name in LinkGeometry._fields])
 
 
 def wrap_angle(angle: float) -> float:
@@ -98,14 +106,11 @@ def link_geometry(bs: BaseStationSite, uav: Position3D) -> LinkGeometry:
     return LinkGeometry(distance_3d=distance, theta=theta, phi=phi)
 
 
-def link_geometries(
-    uavs: list[Position3D], bss: list[BaseStationSite]
-) -> list[list[LinkGeometry]]:
-    """Per-(UAV, BS) link geometry, indexed [m][l]."""
-    return [[link_geometry(bs, uav) for bs in bss] for uav in uavs]
+def link_geometries(uavs: list[Position3D], bss: list[BaseStationSite]) -> np.ndarray:
+    """Every (UAV, BS) link as one (M, L) array of LINK_DTYPE, indexed [m, l].
 
-
-def link_angles(geometries: list[list[LinkGeometry]]) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, phi) of every link as (M, L) arrays, from `link_geometries` output."""
-    angles = np.array([[(g.theta, g.phi) for g in row] for row in geometries], dtype=float)
-    return angles[..., 0], angles[..., 1]
+    Each element is `link_geometry(bss[l], uavs[m])` bit for bit: the trig
+    stays in `math`, whose acos and atan2 can differ from numpy's by an ulp.
+    """
+    rows = [[link_geometry(bs, uav) for bs in bss] for uav in uavs]
+    return np.array(rows, dtype=LINK_DTYPE).reshape(len(uavs), len(bss))

@@ -42,12 +42,7 @@ from .allocator import (
     fill_scan_angles,
     solve_assignment,
 )
-from .antenna import (
-    AntennaConfig,
-    SteeringDirection,
-    array_gain,
-    element_gain,
-)
+from .antenna import AntennaConfig, folded_gain_db, scan_coefficients
 from .channel import (
     _SEED_MASK,
     ChannelProviderSpec,
@@ -418,7 +413,7 @@ def _derive_seed(*parts: int) -> int:
 def _allocation_tensor(
     config: ScenarioConfig,
     eval_tensor: LinkGainTensor,
-    geoms,
+    links: np.ndarray,
     r: int,
 ) -> LinkGainTensor:
     if config.allocation_channel == "hf":
@@ -432,8 +427,8 @@ def _allocation_tensor(
     spec = config.channel_lf
     if spec.kind != "statistical":
         spec = replace(spec, kind="statistical", rician_k_db=config.channel_hf.rician_k_db)
-    spec = replace(spec, seed=_derive_seed(config.seed, _TAG_STATISTICAL, r))
-    return generate_statistical(geoms, spec, config.rf)
+    seed = _derive_seed(config.seed, _TAG_STATISTICAL, r)
+    return generate_statistical(links, spec, config.rf, seed)
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
@@ -446,7 +441,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
         raise ConfigurationError("\n".join(errors))
     digest = config_digest(config, echo)
     uavs = generate_corridor(config.corridor, config.uav_count)
-    geoms = link_geometries(uavs, config.bss)
+    links = link_geometries(uavs, config.bss)
     divisor = float(config.codebook.n_beams) if config.split_power_among_beams else 1.0
 
     # Stage 1 depends only on geometry, which is fixed across replications,
@@ -459,11 +454,11 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
 
     def one_replication(r: int) -> ThroughputReport:
         channel_seed = _derive_seed(config.seed, _TAG_CHANNEL, r)
-        eval_tensor = generate(geoms, replace(config.channel_hf, seed=channel_seed), config.rf)
+        eval_tensor = generate(links, config.channel_hf, config.rf, channel_seed)
         if (eval_tensor.m, eval_tensor.l) != (mm, ll):
             got = f"{eval_tensor.m}x{eval_tensor.l}"
             raise TensorFormatError(f"channel tensor is {got} links, expected {mm}x{ll}")
-        alloc_tensor = _allocation_tensor(config, eval_tensor, geoms, r)
+        alloc_tensor = _allocation_tensor(config, eval_tensor, links, r)
         t_alloc = time.perf_counter()
         if config.allocator == "two_stage":
             util = build_utility(table, alloc_tensor, config.rf, divisor)
@@ -474,7 +469,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
             )
         else:
             util = build_utility(table, alloc_tensor, config.rf, divisor)
-            assignment = allocate_closest_bs(uavs, config.bss, util)
+            assignment = allocate_closest_bs(links["distance_3d"], util)
         fill_scan_angles(assignment, table)
         stage2_seconds = time.perf_counter() - t_alloc
         violations = validate(assignment, mm, ll, nn)
@@ -484,7 +479,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
             assignment,
             eval_tensor,
             table,
-            geoms,
+            links,
             config.antenna,
             config.rf,
             divisor,
@@ -639,34 +634,26 @@ def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[s
     return written
 
 
+_GAIN_SWEEP_FIELDS = ("phi_deg", "element_db", "array_db", "total_db")
+
+
 def gain_sweep_rows(
     antenna_cfg: AntennaConfig,
     theta_deg: float = 90.0,
     scan_deg: float = 0.0,
     step_deg: float = 0.5,
 ) -> list[dict]:
-    """Gain-vs-azimuth cut at a fixed elevation and scan angle."""
+    """Gain-vs-azimuth cut at a fixed elevation and scan angle, one batched pass."""
     for name, value in (("theta", theta_deg), ("scan", scan_deg)):
         if not math.isfinite(value):
             raise ConfigurationError(f"gain-sweep {name} must be finite, got {value}")
-    rows = []
-    theta = math.radians(theta_deg)
-    scan = math.radians(scan_deg)
-    n_steps = int(round(360.0 / step_deg))
-    for k in range(n_steps + 1):
-        phi_deg = -180.0 + k * step_deg
-        direction = SteeringDirection(theta=theta, phi=math.radians(phi_deg))
-        e_db = element_gain(direction.theta, direction.phi, antenna_cfg)
-        a_db = array_gain(direction, scan, antenna_cfg)
-        rows.append(
-            {
-                "phi_deg": phi_deg,
-                "element_db": e_db,
-                "array_db": a_db,
-                "total_db": e_db + a_db,
-            }
-        )
-    return rows
+    phi_deg = -180.0 + np.arange(int(round(360.0 / step_deg)) + 1) * step_deg
+    element_db, coeffs, alpha = scan_coefficients(
+        math.radians(theta_deg), np.radians(phi_deg), antenna_cfg
+    )
+    array_db = folded_gain_db(0.0, coeffs, alpha, math.radians(scan_deg), antenna_cfg)
+    columns = (phi_deg, element_db, array_db, element_db + array_db)
+    return [dict(zip(_GAIN_SWEEP_FIELDS, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
 def write_gain_sweep(rows: list[dict], out_dir: str | Path) -> Path:
@@ -675,7 +662,7 @@ def write_gain_sweep(rows: list[dict], out_dir: str | Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "gain_sweep.csv"
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["phi_deg", "element_db", "array_db", "total_db"])
+        writer = csv.DictWriter(fh, fieldnames=_GAIN_SWEEP_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     return path

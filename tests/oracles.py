@@ -25,7 +25,6 @@ from corridorsim.allocator import Assignment, BeamGainTable
 from corridorsim.antenna import AntennaConfig, SteeringDirection, make_scan_gain, total_gain
 from corridorsim.channel import _SEED_MASK, LinkGainTensor, RfConstants
 from corridorsim.errors import ConfigurationError
-from corridorsim.geometry import LinkGeometry
 
 # Generalized-annealing acceptance shape; more negative = greedier.
 _ACCEPTANCE_PARAM = -5.0
@@ -185,19 +184,19 @@ def interference_at(
     assignment: Assignment,
     gains: LinkGainTensor,
     beam_table: BeamGainTable,
-    geometries: list[list[LinkGeometry]],
+    links: np.ndarray,
     antenna_cfg: AntennaConfig,
     rf: RfConstants,
     power_divisor: float = 1.0,
 ) -> float:
-    """Aggregate interference power (watts) received by UAV m."""
+    """Aggregate interference power (watts) received by UAV m; `links` is (M, L)."""
     p_eff = rf.tx_power_w / power_divisor
     total = 0.0
     for m_prime, (l_prime, n_prime) in enumerate(zip(assignment.bs, assignment.beam)):
         if m_prime == m or l_prime == assignment.bs[m]:
             continue
-        geom = geometries[m][l_prime]
-        direction = SteeringDirection(theta=geom.theta, phi=geom.phi)
+        link = links[m, l_prime]
+        direction = SteeringDirection(theta=link["theta"], phi=link["phi"])
         g_db = total_gain(direction, beam_table.phi_star[m_prime, l_prime, n_prime], antenna_cfg)
         total += p_eff * gains.power_gains[m, l_prime] * 10.0 ** (g_db / 10.0)
     return total

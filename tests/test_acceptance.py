@@ -8,7 +8,6 @@ calibration.
 import itertools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from corridorsim.antenna import (
 )
 from corridorsim.channel import ChannelProviderSpec, LinkGainTensor, RfConstants
 from corridorsim.evaluator import validate
-from corridorsim.geometry import BaseStationSite, Position3D
+from corridorsim.geometry import LINK_DTYPE, BaseStationSite, Position3D, link_geometries
 from corridorsim.harness import ScenarioConfig, emit_reports, run_scenario, sweep
 from oracles import AnnealerConfig, optimize_scan_angle
 
@@ -141,7 +140,7 @@ class TestAcceptance:
             for a in (
                 solve_assignment(values),
                 allocate_random(mm, ll, nn, seed=int(rng.integers(2**32))),
-                allocate_closest_bs(uavs, bss, values),
+                allocate_closest_bs(link_geometries(uavs, bss)["distance_3d"], values),
             ):
                 assert validate(a, mm, ll, nn) == []
             checked += 1
@@ -216,12 +215,12 @@ class TestAcceptance:
         cfg = scenario(808, uav_count=1, replications=3)
         result = run_scenario(cfg)
         from corridorsim.channel import generate
-        from corridorsim.geometry import generate_corridor, link_geometries
+        from corridorsim.geometry import generate_corridor
 
         uavs = generate_corridor(cfg.corridor, 1)
         geoms = link_geometries(uavs, cfg.bss)
         for rep in result.reports:
-            tensor = generate(geoms, replace(cfg.channel_hf, seed=rep.seed), cfg.rf)
+            tensor = generate(geoms, cfg.channel_hf, cfg.rf, rep.seed)
             # noise-only SINR is bounded by the best link at the gain ceiling
             s = rep.per_uav_sinr[0]
             best = (
@@ -236,14 +235,13 @@ class TestAcceptance:
         from corridorsim.evaluator import sinr_matrix
         from oracles import interference_at
         from corridorsim.allocator import Assignment, BeamGainTable
-        from corridorsim.geometry import LinkGeometry
 
         a = Assignment(bs=np.array([0]), beam=np.array([0]))
         gains = LinkGainTensor(power_gains=np.array([[2.5e-9, 4e-9]]))
         table = BeamGainTable(
             phi_star=np.zeros((1, 2, 1)), gain_db=np.array([[[3.0], [1.0]]]), stage1_evals=0
         )
-        geoms1 = [[LinkGeometry(100.0, math.pi / 2, 0.0)] * 2]
+        geoms1 = np.array([[(100.0, math.pi / 2, 0.0)] * 2], dtype=LINK_DTYPE)
         rf = RfConstants()
         assert interference_at(0, a, gains, table, geoms1, CFG, rf) == 0.0
         expect = rf.tx_power_w * 2.5e-9 * 10.0 ** 0.3 / rf.noise_power_w

@@ -28,7 +28,7 @@ from corridorsim.antenna import (
 from corridorsim.channel import LinkGainTensor, RfConstants
 from corridorsim.errors import ConfigurationError, InfeasibleAssignmentError
 from corridorsim.evaluator import validate
-from corridorsim.geometry import BaseStationSite, Position3D, generate_corridor
+from corridorsim.geometry import BaseStationSite, Position3D, generate_corridor, link_geometries
 from corridorsim.harness import ScenarioConfig
 from oracles import AnnealerConfig, optimize_scan_angle
 
@@ -570,11 +570,14 @@ class TestAllocateClosestBs:
             BaseStationSite(2, Position3D(500.0, 0.0, 25.0), 0.0),
         ]
 
+    def distance(self, uavs):
+        return link_geometries(uavs, self.bss())["distance_3d"]
+
     def test_nearest_wins_regardless_of_utility(self):
         uavs = [Position3D(100.0, 0.0, 100.0)]
         # utility strongly favors the far BS, distance still decides
         values = np.array([[[0.001, 0.001], [100.0, 100.0]]])
-        a = allocate_closest_bs(uavs, self.bss(), values)
+        a = allocate_closest_bs(self.distance(uavs), values)
         assert a.bs.tolist() == [0]
 
     def test_two_uavs_same_bs_distinct_beams(self):
@@ -585,7 +588,7 @@ class TestAllocateClosestBs:
                 [[9.0, 3.0], [0.3, 0.1]],
             ]
         )
-        a = allocate_closest_bs(uavs, self.bss(), values)
+        a = allocate_closest_bs(self.distance(uavs), values)
         # UAV 0: argmax of [5, 7]; UAV 1: beam 1 is taken, so the free beam 0
         assert served(a) == [(0, 1), (0, 0)]
         assert not validate(a, 2, 2, 2)
@@ -594,21 +597,21 @@ class TestAllocateClosestBs:
         # both UAVs nearest to BS 0, which has a single beam
         uavs = [Position3D(90.0, 0.0, 100.0), Position3D(100.0, 0.0, 100.0)]
         values = np.ones((2, 2, 1))
-        a = allocate_closest_bs(uavs, self.bss(), values)
+        a = allocate_closest_bs(self.distance(uavs), values)
         assert served(a) == [(0, 0), (1, 0)]  # BS 0 full, next nearest
         assert not validate(a, 2, 2, 1)
 
     def test_equidistant_tie_lower_index(self):
         uavs = [Position3D(250.0, 0.0, 100.0)]  # equidistant from both BSs
         values = np.ones((1, 2, 2))
-        a = allocate_closest_bs(uavs, self.bss(), values)
+        a = allocate_closest_bs(self.distance(uavs), values)
         assert a.bs.tolist() == [0]
 
     def test_no_free_beam_anywhere(self):
         uavs = [Position3D(90.0 + k, 0.0, 100.0) for k in range(3)]
         values = np.ones((3, 2, 1))
         with pytest.raises(InfeasibleAssignmentError, match="no free beam"):
-            allocate_closest_bs(uavs, self.bss()[:1], values[:, :1])
+            allocate_closest_bs(self.distance(uavs)[:, :1], values[:, :1])
 
 
 class TestTwoStagePipeline:

@@ -11,7 +11,9 @@ from corridorsim.antenna import (
     element_gain,
     element_gain_horizontal,
     element_gain_vertical,
+    folded_gain_db,
     make_scan_gain,
+    scan_coefficients,
     steering_vector,
     total_gain,
 )
@@ -194,3 +196,18 @@ class TestTotalGain:
             fn = make_scan_gain(d, CFG)
             scan = rng.uniform(-math.pi, math.pi)
             assert fn(scan) == pytest.approx(total_gain(d, scan, CFG), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "cfg", [CFG, AntennaConfig(n_h=7, n_v=3, d_h=0.6, d_v=0.4, theta_tilt=deg(-5.0))]
+    )
+    def test_folded_gain_matches_direct(self, cfg):
+        # The batched fold that stage 1, the evaluator and gain-sweep use,
+        # checked directly rather than through make_scan_gain.
+        rng = np.random.default_rng(43)
+        theta = rng.uniform(0.0, math.pi, 300)
+        phi = rng.uniform(-math.pi, math.pi, 300)
+        scan = rng.uniform(-math.pi, math.pi, 300)
+        got = folded_gain_db(*scan_coefficients(theta, phi, cfg), scan, cfg)
+        assert got.shape == (300,)
+        for t, p, s, g in zip(theta, phi, scan, got):
+            assert g == pytest.approx(total_gain(SteeringDirection(t, p), s, cfg), abs=1e-9)

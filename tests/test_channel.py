@@ -29,17 +29,18 @@ from corridorsim.channel import (
 )
 from corridorsim.cli import main as cli_main
 from corridorsim.errors import GeometryError, TensorFormatError
-from corridorsim.geometry import LinkGeometry
+from corridorsim.geometry import LINK_DTYPE
 
 RF = RfConstants()
 
 
-def geoms_at(distances, theta=math.pi / 2, phi=0.0):
-    """One row per entry of `distances` when nested; (m, l) grid otherwise."""
-    return [
-        [LinkGeometry(distance_3d=d, theta=theta, phi=phi) for d in row]
-        for row in distances
-    ]
+def links_at(distances, theta=math.pi / 2, phi=0.0):
+    """(M, L) link array with `distances`, nested [m][l], and one direction."""
+    links = np.empty(np.shape(distances), dtype=LINK_DTYPE)
+    links["distance_3d"] = distances
+    links["theta"] = theta
+    links["phi"] = phi
+    return links
 
 
 class TestFreeSpacePathGain:
@@ -68,30 +69,30 @@ class TestFreeSpacePathGain:
 
 class TestFewRay:
     def test_single_ray_is_pure_los(self):
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=1, seed=4)
-        tensor = generate_few_ray(geoms_at([[100.0, 250.0]]), spec, RF)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=1)
+        tensor = generate_few_ray(links_at([[100.0, 250.0]]), spec, RF, 4)
         for l, d in enumerate((100.0, 250.0)):
             assert tensor.power_gains[0, l] == pytest.approx(
                 free_space_path_gain(d, RF.carrier_hz), rel=1e-12
             )
 
     def test_deterministic(self):
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=64, seed=99)
-        g = geoms_at([[120.0], [340.0]])
-        t1 = generate_few_ray(g, spec, RF)
-        t2 = generate_few_ray(g, spec, RF)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=64)
+        g = links_at([[120.0], [340.0]])
+        t1 = generate_few_ray(g, spec, RF, 99)
+        t2 = generate_few_ray(g, spec, RF, 99)
         assert np.array_equal(t1.power_gains, t2.power_gains)
         assert np.array_equal(t1.coefficients, t2.coefficients)
 
     def test_huge_k_converges_to_los(self):
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=50, rician_k_db=200.0, seed=8)
-        tensor = generate_few_ray(geoms_at([[80.0]]), spec, RF)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=50, rician_k_db=200.0)
+        tensor = generate_few_ray(links_at([[80.0]]), spec, RF, 8)
         los = free_space_path_gain(80.0, RF.carrier_hz)
         assert tensor.power_gains[0, 0] == pytest.approx(los, rel=1e-6)
 
     def test_aggregation_consistency(self):
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=16, seed=3)
-        tensor = generate_few_ray(geoms_at([[100.0, 200.0], [150.0, 300.0]]), spec, RF)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=16)
+        tensor = generate_few_ray(links_at([[100.0, 200.0], [150.0, 300.0]]), spec, RF, 3)
         np.testing.assert_array_equal(
             tensor.power_gains, aggregate_power(tensor.coefficients)
         )
@@ -100,18 +101,18 @@ class TestFewRay:
         # 100 seeded realizations per distance inside one tensor: rows share
         # the distance profile, per-link substreams differ.
         distances = [60.0, 90.0, 130.0, 180.0, 240.0, 310.0, 390.0, 480.0, 580.0, 690.0]
-        g = geoms_at([distances] * 100)
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=8, seed=12)
-        tensor = generate_few_ray(g, spec, RF)
+        g = links_at([distances] * 100)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=8)
+        tensor = generate_few_ray(g, spec, RF, 12)
         mean_gain = tensor.power_gains.mean(axis=0)
         rho = spearmanr(mean_gain, distances).statistic
         assert rho < -0.99
 
     def test_large_ray_count_converges_to_fixed_diffuse(self):
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=1_000_000, seed=7)
-        g = geoms_at([[100.0]])
-        t1 = generate_few_ray(g, spec, RF)
-        t2 = generate_few_ray(g, spec, RF)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=1_000_000)
+        g = links_at([[100.0]])
+        t1 = generate_few_ray(g, spec, RF, 7)
+        t2 = generate_few_ray(g, spec, RF, 7)
         assert np.array_equal(t1.coefficients, t2.coefficients)
         # reconstruct the infinite-ray limit: LOS phasor plus the fixed
         # diffuse phasor whose phase is the first draw of the link substream
@@ -127,8 +128,8 @@ class TestFewRay:
         assert t1.power_gains[0, 0] == pytest.approx(abs(limit) ** 2, rel=1e-2)
 
 
-def reference_link(spec, distance, m, l, exact):
-    """Coefficient of link (m, l) at `distance`, written out from the model.
+def reference_link(spec, seed, distance, m, l, exact):
+    """Coefficient of link (m, l) at `distance` and `seed`, written out from the model.
 
     The diffuse phase chi is the first draw of the link substream on both
     branches; `exact` sums the spec.ray_count - 1 uniform scatter phasors,
@@ -138,7 +139,7 @@ def reference_link(spec, distance, m, l, exact):
     lam = SPEED_OF_LIGHT / RF.carrier_hz
     a0 = math.sqrt(free_space_path_gain(distance, RF.carrier_hz))
     los = math.fmod(2.0 * math.pi * distance / lam, 2.0 * math.pi)
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, m, l)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, m, l)))
     chi = rng.uniform(-math.pi, math.pi)
     if exact:
         psi = rng.uniform(-math.pi, math.pi, size=n)
@@ -225,14 +226,14 @@ class TestGaussianLimit:
         # 2 000 links at K = 0 dB, so the diffuse amplitude equals the LOS
         # one; err is what is left after the LOS ray (ray_count = 1) and the
         # diffuse phasor exp(i chi) are taken off.
-        g = geoms_at([[100.0] * 50] * 40)
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=n + 1, rician_k_db=0.0, seed=6)
-        h = generate_few_ray(g, spec, RF).coefficients[:, :, 0]
-        los = generate_few_ray(g, replace(spec, ray_count=1), RF).coefficients[:, :, 0]
+        g = links_at([[100.0] * 50] * 40)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=n + 1, rician_k_db=0.0)
+        h = generate_few_ray(g, spec, RF, 6).coefficients[:, :, 0]
+        los = generate_few_ray(g, replace(spec, ray_count=1), RF, 6).coefficients[:, :, 0]
         chi = np.array(
             [
                 [
-                    np.random.default_rng(np.random.SeedSequence((spec.seed, m, l))).uniform(
+                    np.random.default_rng(np.random.SeedSequence((6, m, l))).uniform(
                         -math.pi, math.pi
                     )
                     for l in range(50)
@@ -252,20 +253,20 @@ class TestExactRayLimitBoundary:
     DISTANCES = [[100.0, 230.0, 415.0], [150.0, 260.0, 90.0]]
 
     def tensor(self, ray_count):
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count, seed=2024)
-        return spec, generate_few_ray(geoms_at(self.DISTANCES), spec, RF).coefficients
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count)
+        return spec, generate_few_ray(links_at(self.DISTANCES), spec, RF, 2024).coefficients
 
     def test_last_exact_ray_count_is_the_uniform_phasor_sum(self):
         spec, coeffs = self.tensor(_EXACT_RAY_LIMIT + 1)
         for (m, l), d in np.ndenumerate(self.DISTANCES):
-            assert coeffs[m, l, 0] == reference_link(spec, d, m, l, exact=True)
+            assert coeffs[m, l, 0] == reference_link(spec, 2024, d, m, l, exact=True)
 
     def test_first_gaussian_ray_count_keeps_the_diffuse_phasor(self):
         # Same (seed, m, l) and the same chi on both sides; only err moves.
         spec, coeffs = self.tensor(_EXACT_RAY_LIMIT + 2)
         for (m, l), d in np.ndenumerate(self.DISTANCES):
-            assert coeffs[m, l, 0] == reference_link(spec, d, m, l, exact=False)
-            assert coeffs[m, l, 0] != reference_link(spec, d, m, l, exact=True)
+            assert coeffs[m, l, 0] == reference_link(spec, 2024, d, m, l, exact=False)
+            assert coeffs[m, l, 0] != reference_link(spec, 2024, d, m, l, exact=True)
 
 
 def link_rng(seed, m, l):
@@ -273,12 +274,12 @@ def link_rng(seed, m, l):
     return np.random.default_rng(np.random.SeedSequence((seed & _SEED_MASK, m, l)))
 
 
-def reference_statistical(spec, distance, m, l):
+def reference_statistical(spec, seed, distance, m, l):
     """Coefficient of a statistical link, drawn from its own SeedSequence."""
     lam = SPEED_OF_LIGHT / RF.carrier_hz
     k_lin = 10.0 ** (spec.rician_k_db / 10.0)
     pl_db = 32.4 + 21.0 * math.log10(distance) + 20.0 * math.log10(RF.carrier_hz / 1e9)
-    g = link_rng(spec.seed, m, l).standard_normal(2)
+    g = link_rng(seed, m, l).standard_normal(2)
     los = 2.0 * math.pi * distance / lam
     fading = math.sqrt(k_lin / (k_lin + 1.0)) * complex(
         math.cos(los), math.sin(los)
@@ -317,8 +318,8 @@ class TestLinkRngs:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("ray_count", [1, 9, _EXACT_RAY_LIMIT + 1, 10_000])
     def test_few_ray_matches_per_link_seed_sequences(self, seed, ray_count):
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count, seed=seed)
-        coeffs = generate_few_ray(geoms_at(self.DISTANCES), spec, RF).coefficients
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count)
+        coeffs = generate_few_ray(links_at(self.DISTANCES), spec, RF, seed).coefficients
         lam = SPEED_OF_LIGHT / RF.carrier_hz
         for (m, l), d in np.ndenumerate(self.DISTANCES):
             if ray_count == 1:
@@ -327,21 +328,21 @@ class TestLinkRngs:
                 expect = a0 * complex(math.cos(los), math.sin(los))
             else:
                 exact = ray_count - 1 <= _EXACT_RAY_LIMIT
-                expect = reference_link(spec, d, m, l, exact=exact)
+                expect = reference_link(spec, seed, d, m, l, exact=exact)
             assert coeffs[m, l, 0] == expect
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_statistical_matches_per_link_seed_sequences(self, seed):
-        spec = ChannelProviderSpec(kind="statistical", seed=seed)
-        coeffs = generate_statistical(geoms_at(self.DISTANCES), spec, RF).coefficients
+        spec = ChannelProviderSpec(kind="statistical")
+        coeffs = generate_statistical(links_at(self.DISTANCES), spec, RF, seed).coefficients
         for (m, l), d in np.ndenumerate(self.DISTANCES):
-            assert coeffs[m, l, 0] == reference_statistical(spec, d, m, l)
+            assert coeffs[m, l, 0] == reference_statistical(spec, seed, d, m, l)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("with_coefficients", [True, False])
     def test_degrade_matches_per_link_seed_sequences(self, seed, with_coefficients):
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=10_000, seed=3)
-        src = generate_few_ray(geoms_at(self.DISTANCES), spec, RF)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=10_000)
+        src = generate_few_ray(links_at(self.DISTANCES), spec, RF, 3)
         if not with_coefficients:
             src = LinkGainTensor(power_gains=src.power_gains, ray_count=src.ray_count)
         out = degrade(src, 100, seed)
@@ -364,47 +365,47 @@ class TestStatistical:
     def test_path_loss_anchor_1m_1ghz(self):
         # huge K collapses the fading to the unit phasor, exposing PL = 32.4 dB
         rf = RfConstants(carrier_hz=1e9)
-        spec = ChannelProviderSpec(kind="statistical", rician_k_db=300.0, seed=2)
-        tensor = generate_statistical(geoms_at([[1.0]]), spec, rf)
+        spec = ChannelProviderSpec(kind="statistical", rician_k_db=300.0)
+        tensor = generate_statistical(links_at([[1.0]]), spec, rf, 2)
         assert tensor.power_gains[0, 0] == pytest.approx(10.0 ** (-3.24), rel=1e-9)
 
     def test_path_loss_hand_value(self):
         rf = RfConstants(carrier_hz=3.5e9)
-        spec = ChannelProviderSpec(kind="statistical", rician_k_db=300.0, seed=2)
-        tensor = generate_statistical(geoms_at([[100.0]]), spec, rf)
+        spec = ChannelProviderSpec(kind="statistical", rician_k_db=300.0)
+        tensor = generate_statistical(links_at([[100.0]]), spec, rf, 2)
         pl_db = 32.4 + 21.0 * math.log10(100.0) + 20.0 * math.log10(3.5)  # 85.281
         assert pl_db == pytest.approx(85.281, abs=5e-4)
         assert tensor.power_gains[0, 0] == pytest.approx(10.0 ** (-pl_db / 10.0), rel=1e-9)
 
     def test_fading_unit_mean(self):
         # 1e5 seeded draws at one distance; normalize out the path loss
-        spec = ChannelProviderSpec(kind="statistical", rician_k_db=3.0, seed=77)
-        g = geoms_at([[50.0] * 250] * 400)
-        tensor = generate_statistical(g, spec, RF)
+        spec = ChannelProviderSpec(kind="statistical", rician_k_db=3.0)
+        g = links_at([[50.0] * 250] * 400)
+        tensor = generate_statistical(g, spec, RF, 77)
         pl_db = 32.4 + 21.0 * math.log10(50.0) + 20.0 * math.log10(3.5)
         fading_power = tensor.power_gains / 10.0 ** (-pl_db / 10.0)
         assert fading_power.mean() == pytest.approx(1.0, rel=0.02)
 
     def test_deterministic(self):
-        spec = ChannelProviderSpec(kind="statistical", seed=5)
-        g = geoms_at([[100.0, 220.0]])
-        t1 = generate_statistical(g, spec, RF)
-        t2 = generate_statistical(g, spec, RF)
+        spec = ChannelProviderSpec(kind="statistical")
+        g = links_at([[100.0, 220.0]])
+        t1 = generate_statistical(g, spec, RF, 5)
+        t2 = generate_statistical(g, spec, RF, 5)
         assert np.array_equal(t1.power_gains, t2.power_gains)
 
     def test_mean_power_decreases_with_distance(self):
         distances = [60.0, 90.0, 130.0, 180.0, 240.0, 310.0, 390.0, 480.0, 580.0, 690.0]
-        g = geoms_at([distances] * 100)
-        spec = ChannelProviderSpec(kind="statistical", rician_k_db=3.0, seed=21)
-        tensor = generate_statistical(g, spec, RF)
+        g = links_at([distances] * 100)
+        spec = ChannelProviderSpec(kind="statistical", rician_k_db=3.0)
+        tensor = generate_statistical(g, spec, RF, 21)
         rho = spearmanr(tensor.power_gains.mean(axis=0), distances).statistic
         assert rho < -0.99
 
 
 class TestDegrade:
     def source(self, seed=1):
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=1_000_000, seed=seed)
-        return generate_few_ray(geoms_at([[100.0, 200.0], [150.0, 260.0]]), spec, RF)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=1_000_000)
+        return generate_few_ray(links_at([[100.0, 200.0], [150.0, 260.0]]), spec, RF, seed)
 
     def test_same_fidelity_is_noop(self):
         src = self.source()
@@ -449,8 +450,8 @@ class TestDegrade:
 
 class TestTensorIO:
     def test_binary_round_trip(self, tmp_path):
-        spec = ChannelProviderSpec(kind="few_ray", ray_count=12, seed=6)
-        src = generate_few_ray(geoms_at([[100.0, 200.0], [150.0, 260.0]]), spec, RF)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=12)
+        src = generate_few_ray(links_at([[100.0, 200.0], [150.0, 260.0]]), spec, RF, 6)
         path = tmp_path / "tensor.ctns"
         export_tensor(src, path)
         out = import_tensor(path)
@@ -557,7 +558,7 @@ class TestTensorIO:
 
         spec = ChannelProviderSpec(kind="import", import_path=None)
         with pytest.raises(TensorFormatError, match="import_path"):
-            generate(geoms_at([[100.0]]), spec, RF)
+            generate(links_at([[100.0]]), spec, RF, 0)
 
     def test_non_finite_rejected(self, tmp_path):
         doc = {

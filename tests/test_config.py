@@ -158,6 +158,19 @@ class TestRetiredEvaluationKeys:
         assert config_to_dict(cfg) == old
 
 
+class TestRetiredChannelSeeds:
+    """Channel seeds derive from `seed`; the old per-provider keys load and are ignored."""
+
+    def test_old_seed_keys_load_and_leave_the_echo(self):
+        cfg = config_from_dict({"channel_hf": {"seed": 5}, "channel_lf": {"seed": 7}})
+        assert config_to_dict(cfg) == DEFAULT_ECHO
+
+    def test_a_provider_spec_holds_no_seed(self):
+        assert "seed" not in ChannelProviderSpec.__dataclass_fields__
+        with pytest.raises(TypeError):
+            ChannelProviderSpec(seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------

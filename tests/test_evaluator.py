@@ -7,7 +7,7 @@ from corridorsim.allocator import Assignment, BeamGainTable, allocate_random
 from corridorsim.antenna import AntennaConfig, SteeringDirection, total_gain
 from corridorsim.channel import LinkGainTensor, RfConstants
 from corridorsim.evaluator import evaluate_all, sinr_matrix, validate
-from corridorsim.geometry import LinkGeometry
+from corridorsim.geometry import LINK_DTYPE
 from oracles import interference_at
 
 CFG = AntennaConfig()
@@ -25,11 +25,13 @@ def make_table(gain_db, phi_star=None):
     return BeamGainTable(phi_star=p, gain_db=g, stage1_evals=0)
 
 
+def links_of(rows):
+    """(M, L) link array from nested [m][l] (distance_3d, theta, phi) tuples."""
+    return np.array(rows, dtype=LINK_DTYPE)
+
+
 def flat_geoms(mm, ll, distance=100.0):
-    return [
-        [LinkGeometry(distance_3d=distance, theta=math.pi / 2, phi=0.0) for _ in range(ll)]
-        for _ in range(mm)
-    ]
+    return links_of([[(distance, math.pi / 2, 0.0)] * ll] * mm)
 
 
 class TestInterference:
@@ -55,20 +57,22 @@ class TestInterference:
         gains = LinkGainTensor(power_gains=np.array([[1e-8, 3e-9], [2e-9, 5e-9]]))
         phi_star = np.array([[[0.1], [0.4]], [[-0.2], [0.7]]])
         table = make_table(np.zeros((2, 2, 1)), phi_star)
-        geoms = [
+        geoms = links_of(
             [
-                LinkGeometry(100.0, math.radians(80), math.radians(10)),
-                LinkGeometry(150.0, math.radians(85), math.radians(-30)),
-            ],
-            [
-                LinkGeometry(120.0, math.radians(95), math.radians(40)),
-                LinkGeometry(90.0, math.radians(75), math.radians(5)),
-            ],
-        ]
+                [
+                    (100.0, math.radians(80), math.radians(10)),
+                    (150.0, math.radians(85), math.radians(-30)),
+                ],
+                [
+                    (120.0, math.radians(95), math.radians(40)),
+                    (90.0, math.radians(75), math.radians(5)),
+                ],
+            ]
+        )
         rf = RfConstants()
         got = interference_at(0, a, gains, table, geoms, CFG, rf)
         # lone term: P * |h[0, 1]|^2 * 10^(G(victim angles toward BS 1, interferer scan)/10)
-        victim_dir = SteeringDirection(geoms[0][1].theta, geoms[0][1].phi)
+        victim_dir = SteeringDirection(geoms[0, 1]["theta"], geoms[0, 1]["phi"])
         g_db = total_gain(victim_dir, phi_star[1, 1, 0], CFG)
         expect = rf.tx_power_w * gains.power_gains[0, 1] * 10.0 ** (g_db / 10.0)
         assert got == pytest.approx(expect, rel=1e-12)
@@ -193,13 +197,15 @@ class TestSinrMatrix:
             rng.uniform(-30.0, 12.0, size=(mm, ll, nn)),
             rng.uniform(-math.pi, math.pi, size=(mm, ll, nn)),
         )
-        geoms = [
+        geoms = links_of(
             [
-                LinkGeometry(100.0, rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
-                for _ in range(ll)
+                [
+                    (100.0, rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
+                    for _ in range(ll)
+                ]
+                for _ in range(mm)
             ]
-            for _ in range(mm)
-        ]
+        )
         divisor = float(rng.uniform(1.5, 16.0))
         rf = RfConstants(noise_power_w=float(rng.uniform(1e-10, 1e-8)))
         return a, gains, table, geoms, rf, divisor

@@ -1,14 +1,19 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corridorsim.errors import ConfigurationError, GeometryError
 from corridorsim.geometry import (
+    LINK_DTYPE,
     BaseStationSite,
     CorridorSpec,
     Position3D,
     generate_corridor,
+    link_geometries,
     link_geometry,
     wrap_angle,
 )
@@ -146,3 +151,58 @@ class TestLinkGeometry:
             assert rec[0] == pytest.approx(uav.x, abs=1e-9)
             assert rec[1] == pytest.approx(uav.y, abs=1e-9)
             assert rec[2] == pytest.approx(uav.z, abs=1e-9)
+
+
+coords = st.floats(-1e4, 1e4)
+
+
+@st.composite
+def sites_and_waypoints(draw):
+    """Up to 6 waypoints and 5 BS sites anywhere, waypoints above ground."""
+    bss = [
+        BaseStationSite(
+            l + 1,
+            Position3D(draw(coords), draw(coords), draw(st.floats(0.0, 100.0))),
+            draw(st.floats(-4.0, 4.0)),
+        )
+        for l in range(draw(st.integers(1, 5)))
+    ]
+    uavs = [
+        Position3D(draw(coords), draw(coords), draw(st.floats(1.0, 500.0)))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return uavs, bss
+
+
+class TestLinkGeometries:
+    """The (M, L) link array holds the scalar link_geometry of every link."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=sites_and_waypoints())
+    def test_every_link_is_the_scalar_link_bit_for_bit(self, case):
+        uavs, bss = case
+        try:
+            expect = [[link_geometry(bs, uav) for bs in bss] for uav in uavs]
+        except GeometryError:  # a UAV on (or within underflow of) a site
+            with pytest.raises(GeometryError):
+                link_geometries(uavs, bss)
+            return
+        links = link_geometries(uavs, bss)
+        assert links.dtype == LINK_DTYPE
+        assert links.shape == (len(uavs), len(bss)) == (len(links), len(links[0]))
+        for m, l in np.ndindex(links.shape):
+            assert links[m, l].tobytes() == struct.pack("3d", *expect[m][l])
+
+    def test_nominal_corridor(self):
+        corners = [(0.0, 0.0), (400.0, 0.0), (400.0, 400.0), (0.0, 400.0)]
+        bss = [BaseStationSite(l + 1, Position3D(x, y, 25.0), 0.7 * l)
+               for l, (x, y) in enumerate(corners)]
+        uavs = generate_corridor(spec(radius=200.0, center=Position3D(200.0, 200.0, 0.0)), 64)
+        links = link_geometries(uavs, bss)
+        for m, l in np.ndindex(links.shape):
+            assert links[m, l].tobytes() == struct.pack("3d", *link_geometry(bss[l], uavs[m]))
+
+    def test_coincident_uav_is_a_geometry_error(self):
+        bss = [BaseStationSite(1, Position3D(0.0, 0.0, 0.0), 0.0)]
+        with pytest.raises(GeometryError):
+            link_geometries([Position3D(5.0, 0.0, 1.0), Position3D(0.0, 0.0, 0.0)], bss)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from corridorsim.antenna import AntennaConfig, SteeringDirection, array_gain, element_gain
 from corridorsim.channel import ChannelProviderSpec, LinkGainTensor, export_tensor
 from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError, TensorFormatError
@@ -199,7 +200,7 @@ class TestRunScenario:
         cfg = small_config(seed=12, replications=1)
         uavs = generate_corridor(cfg.corridor, cfg.uav_count)
         geoms = link_geometries(uavs, cfg.bss)
-        tensor = generate(geoms, replace(cfg.channel_hf, seed=4242), cfg.rf)
+        tensor = generate(geoms, cfg.channel_hf, cfg.rf, 4242)
         path = tmp_path / "twin.ctns"
         export_tensor(tensor, path)
         cfg.channel_hf = ChannelProviderSpec(kind="import", import_path=str(path))
@@ -323,6 +324,19 @@ class TestEmitReports:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == len(rows) == 73
         assert float(parsed[36]["phi_deg"]) == pytest.approx(0.0)
+
+    def test_gain_sweep_rows_match_the_scalar_gains(self):
+        # The batched cut against element_gain and array_gain per azimuth;
+        # this cut has no exact array null, where both are rounding noise.
+        cfg = AntennaConfig()
+        rows = gain_sweep_rows(cfg, theta_deg=70.0, scan_deg=25.0)
+        assert [row["phi_deg"] for row in rows] == [-180.0 + k * 0.5 for k in range(721)]
+        theta, scan = math.radians(70.0), math.radians(25.0)
+        for row in rows:
+            direction = SteeringDirection(theta, math.radians(row["phi_deg"]))
+            assert row["element_db"] == element_gain(theta, direction.phi, cfg)
+            assert row["array_db"] == pytest.approx(array_gain(direction, scan, cfg), abs=1e-9)
+            assert row["total_db"] == row["element_db"] + row["array_db"]
 
 
 class TestCli:
@@ -500,6 +514,24 @@ class TestCli:
         assert cli_main(["gain-sweep", flag, value, "--out", str(out_dir)]) == 1
         name = flag.removeprefix("--")
         assert capsys.readouterr().err.startswith(f"error: gain-sweep {name} must be finite")
+        assert not (out_dir / "gain_sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "antenna, message",
+        [
+            ({"n_h": 0}, "error: antenna.n_h/n_v must be >= 1, got 0x4"),
+            ({"theta_3db_deg": 0.0}, "error: antenna.theta_3db must be positive, got 0.0"),
+        ],
+        ids=["n_h_0", "theta_3db_0"],
+    )
+    def test_gain_sweep_validates_its_config(self, tmp_path, capsys, antenna, message):
+        # Unchecked, n_h = 0 wrote a flat -400 dB array gain and a zero
+        # beamwidth wrote nan; both are rejected as validate-config does.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"antenna": antenna}))
+        out_dir = tmp_path / "out"
+        assert cli_main(["gain-sweep", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
         assert not (out_dir / "gain_sweep.csv").exists()
 
     def test_bench_subcommand(self, tmp_path, capsys):
