@@ -26,6 +26,12 @@ numpy's seed sequence of (seed, m, l) seeds, bit for bit, so parallel and
 serial generation produce bit-identical tensors. ``_link_rngs`` derives
 those states for all links of a call in one numpy pass instead of building
 a seed sequence and a generator per link.
+
+The per-link loop only positions each link's stream and draws into a row of
+a preallocated array; the rest of a provider runs once on (M*L,) arrays. Its
+libm calls (cos, sin, log10, 10 ** x) go through ``math`` on Python floats,
+because numpy's SIMD float64 log10 and exp may round differently from libm,
+so every coefficient equals the per-link computation bit for bit.
 """
 
 from __future__ import annotations
@@ -129,18 +135,22 @@ def free_space_path_gain(distance: float, carrier_hz: float):
     return float(out) if np.ndim(distance) == 0 else out
 
 
-def _hasher(init: int, mult: int):
-    """numpy's seed-sequence hash: xor with, then multiply by, a running constant."""
-    const = init
+def _hashes(init: int, mult: int, count: int):
+    """Constants of `count` successive seed-sequence hashes, as (count, 1) columns.
 
-    def step(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
+    numpy's hash xors a value with a running constant, advances the constant
+    by `mult` and multiplies by it; hash k uses xors[k] and mults[k].
+    """
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
 
-    return step
+
+def _hash(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    values = (values ^ xors) * mults
+    return values ^ (values >> np.uint32(16))
 
 
 def _link_rngs(seed: int, mm: int, ll: int):
@@ -148,31 +158,37 @@ def _link_rngs(seed: int, mm: int, ll: int):
 
     rng starts where numpy's PCG64 seeded by the seed sequence of
     (seed & _SEED_MASK, m, l) starts, bit for bit. The sequence's mixing runs
-    once on (mm * ll,) uint32 arrays; each link then only sets the PCG64
-    state of one Generator built per call, so concurrent calls share nothing.
-    That Generator is re-seeded for the next link, so draw before advancing.
+    once on (pool word, link) uint32 arrays, hashes that use the same pool
+    word side by side; each link then only sets the PCG64 state of one
+    Generator built per call, so concurrent calls share nothing. That
+    Generator is re-seeded for the next link, so draw before advancing.
     """
     seed &= _SEED_MASK
     n = mm * ll
-    m_idx, l_idx = np.divmod(np.arange(n, dtype=np.uint32), np.uint32(ll))
     seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [np.full(n, w, dtype=np.uint32) for w in seed_words] + [m_idx, l_idx]
-    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    k = len(seed_words)
+    entropy = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
+    entropy[:k] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[k], entropy[k + 1] = np.divmod(np.arange(n, dtype=np.uint32), np.uint32(ll))
 
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy]
+    # Hash every pool word, then mix each source word into the other three
+    # in turn; the three hashes of one source differ only in their constants.
+    xors, mults = _hashes(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+    pool = _hash(entropy, xors[:_POOL_SIZE], mults[:_POOL_SIZE])
+    used = _POOL_SIZE  # hashes consumed so far
     for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                y = hashmix(pool[i_src])
-                x = np.uint32(_MIX_MULT_L) * pool[i_dst] - np.uint32(_MIX_MULT_R) * y
-                pool[i_dst] = x ^ (x >> np.uint32(16))
+        dst = [i for i in range(_POOL_SIZE) if i != i_src]
+        at = slice(used, used + len(dst))
+        used += len(dst)
+        y = _hash(pool[i_src], xors[at], mults[at])
+        x = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * y
+        pool[dst] = x ^ (x >> np.uint32(16))
 
     # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
     # paired little-endian into four uint64 words w0..w3 per link.
-    out_hash = _hasher(_INIT_B, _MULT_B)
-    state32 = np.stack([out_hash(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
-    words = state32.astype("<u4").view("<u8").tolist()
+    cycle = [i % _POOL_SIZE for i in range(8)]
+    state32 = _hash(pool[cycle], *_hashes(_INIT_B, _MULT_B, 8))
+    words = state32.T.astype("<u4", order="C").view("<u8").tolist()
 
     # PCG64(seed_seq): initstate = w0:w1, initseq = w2:w3 (high:low), then
     # pcg_setseq_128_srandom_r's two LCG steps.
@@ -189,8 +205,11 @@ def _link_rngs(seed: int, mm: int, ll: int):
         yield i // ll, i % ll, rng
 
 
-def _unit_phasor(phase: float) -> complex:
-    return complex(math.cos(phase), math.sin(phase))
+def _unit_phasors(phases: np.ndarray) -> np.ndarray:
+    """exp(1j * phase) per element, through libm's cos and sin on Python floats."""
+    return np.array(
+        [complex(math.cos(p), math.sin(p)) for p in phases.tolist()], dtype=complex
+    )
 
 
 def generate_few_ray(
@@ -207,32 +226,33 @@ def generate_few_ray(
     """
     if spec.ray_count < 1:
         raise ValueError(f"ray_count must be >= 1, got {spec.ray_count}")
-    dist = links["distance_3d"]
-    mm, ll = dist.shape
+    mm, ll = links.shape
+    dist = links["distance_3d"].ravel()
     lam = SPEED_OF_LIGHT / rf.carrier_hz
-    k_lin = 10.0 ** (spec.rician_k_db / 10.0)
     n_scatter = spec.ray_count - 1
 
     amp = np.sqrt(free_space_path_gain(dist, rf.carrier_hz))
-    los_phase = np.fmod(2.0 * math.pi * dist / lam, 2.0 * math.pi)
-    rays = np.empty(n_scatter if n_scatter <= _EXACT_RAY_LIMIT else 0, dtype=complex)
-    coeffs = np.empty((mm, ll, 1), dtype=np.complex128)
-    for m, l, rng in _link_rngs(seed, mm, ll):
-        a0 = float(amp[m, l])
-        h = a0 * _unit_phasor(los_phase[m, l])
-        if n_scatter >= 1:
-            s_amp = a0 / math.sqrt(k_lin)
-            chi = rng.uniform(-math.pi, math.pi)
-            if n_scatter <= _EXACT_RAY_LIMIT:
-                psi = rng.uniform(-math.pi, math.pi, size=n_scatter)
-                np.cos(psi, out=rays.real)
-                np.sin(psi, out=rays.imag)
-                err = rays.sum() / n_scatter
-            else:
-                g = rng.standard_normal(2)
-                err = (g[0] + 1j * g[1]) * math.sqrt(0.5 / n_scatter)
-            h += s_amp * (_unit_phasor(chi) + err)
-        coeffs[m, l, 0] = h
+    h = amp * _unit_phasors(np.fmod(2.0 * math.pi * dist / lam, 2.0 * math.pi))
+    if n_scatter >= 1:
+        # chi, then psi (exact) or the two Gaussian components of err.
+        exact = n_scatter <= _EXACT_RAY_LIMIT
+        u = np.empty((dist.size, 1 + n_scatter if exact else 1))
+        g = None if exact else np.empty((dist.size, 2))
+        for i, (_, _, rng) in enumerate(_link_rngs(seed, mm, ll)):
+            rng.random(out=u[i])
+            if g is not None:
+                rng.standard_normal(out=g[i])
+        phase = -math.pi + 2.0 * math.pi * u  # rng.uniform(-pi, pi), bit for bit
+        if exact:
+            rays = np.empty((dist.size, n_scatter), dtype=complex)
+            np.cos(phase[:, 1:], out=rays.real)
+            np.sin(phase[:, 1:], out=rays.imag)
+            err = rays.sum(axis=1) / n_scatter
+        else:
+            err = (g[:, 0] + 1j * g[:, 1]) * math.sqrt(0.5 / n_scatter)
+        s_amp = amp / math.sqrt(10.0 ** (spec.rician_k_db / 10.0))
+        h = h + s_amp * (_unit_phasors(phase[:, 0]) + err)
+    coeffs = h.reshape(mm, ll, 1)
     return LinkGainTensor(
         power_gains=aggregate_power(coeffs),
         coefficients=coeffs,
@@ -244,27 +264,23 @@ def generate_statistical(
     links: np.ndarray, spec: ChannelProviderSpec, rf: RfConstants, seed: int
 ) -> LinkGainTensor:
     """Street-canyon LOS path loss with unit-mean Rician fading."""
-    dist = links["distance_3d"]
-    mm, ll = dist.shape
+    mm, ll = links.shape
+    dist = links["distance_3d"].ravel()
     lam = SPEED_OF_LIGHT / rf.carrier_hz
     k_lin = 10.0 ** (spec.rician_k_db / 10.0)
     los_frac = math.sqrt(k_lin / (k_lin + 1.0))
     scatter_frac = math.sqrt(1.0 / (k_lin + 1.0))
 
-    coeffs = np.empty((mm, ll, 1), dtype=np.complex128)
-    for m, l, rng in _link_rngs(seed, mm, ll):
-        d = dist[m, l]
-        pl_db = (
-            32.4
-            + 21.0 * math.log10(d)
-            + 20.0 * math.log10(rf.carrier_hz / 1e9)
-        )
-        amp = 10.0 ** (-pl_db / 20.0)
-        g = rng.standard_normal(2)
-        fading = los_frac * _unit_phasor(2.0 * math.pi * d / lam) + scatter_frac * (
-            g[0] + 1j * g[1]
-        ) / math.sqrt(2.0)
-        coeffs[m, l, 0] = amp * fading
+    g = np.empty((dist.size, 2))
+    for i, (_, _, rng) in enumerate(_link_rngs(seed, mm, ll)):
+        rng.standard_normal(out=g[i])
+    log10_d = np.array([math.log10(d) for d in dist.tolist()])
+    pl_db = 32.4 + 21.0 * log10_d + 20.0 * math.log10(rf.carrier_hz / 1e9)
+    amp = np.array([10.0**x for x in (-pl_db / 20.0).tolist()])
+    fading = los_frac * _unit_phasors(2.0 * math.pi * dist / lam) + scatter_frac * (
+        g[:, 0] + 1j * g[:, 1]
+    ) / math.sqrt(2.0)
+    coeffs = (amp * fading).reshape(mm, ll, 1)
     return LinkGainTensor(
         power_gains=aggregate_power(coeffs), coefficients=coeffs, ray_count=None
     )
@@ -289,9 +305,11 @@ def degrade(
             coefficients=None if tensor.coefficients is None else tensor.coefficients.copy(),
             ray_count=tensor.ray_count,
         )
-    gamma = np.empty((tensor.m, tensor.l), dtype=float)
-    for m, l, rng in _link_rngs(seed, tensor.m, tensor.l):
-        gamma[m, l] = rng.gamma(shape=target_ray_count, scale=1.0 / target_ray_count)
+    gamma = np.empty(tensor.m * tensor.l)
+    for i, (_, _, rng) in enumerate(_link_rngs(seed, tensor.m, tensor.l)):
+        gamma[i] = rng.standard_gamma(target_ray_count)
+    # rng.gamma(shape=k, scale=1/k) is scale * standard_gamma(k), bit for bit.
+    gamma = (gamma * (1.0 / target_ray_count)).reshape(tensor.m, tensor.l)
     if tensor.coefficients is not None:
         coeffs = tensor.coefficients * np.sqrt(gamma)[:, :, None]
         power = aggregate_power(coeffs)  # keep the aggregation rule bit-exact

@@ -59,9 +59,10 @@ def sinr_matrix(
     """Linear SINR of every UAV, shape (M,), in one pass.
 
     Victim m hears interferer m' (served by BS l' on beam n') through the
-    gain of BS l' toward m at the interferer's scan angle phi*[m', l', n'];
-    `scan_coefficients` folds each (victim, l') direction of `links`, the
-    (M, L) array of `geometry.link_geometries`, as in stage 1.
+    gain of BS l' toward m at the interferer's scan angle phi*[m', l', n'].
+    `scan_coefficients` folds each (UAV, BS) direction of `links`, the (M, L)
+    array of `geometry.link_geometries`, once, as in stage 1; the columns of
+    the interferers' BSs then give every (victim, interferer) pair.
     """
     mm = gains.power_gains.shape[0]
     l, n = assignment.bs, assignment.beam
@@ -70,9 +71,10 @@ def sinr_matrix(
     h = gains.power_gains
     signal = p_eff * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
 
-    toward = links[:, l]  # (victim, interferer)
-    folded = scan_coefficients(toward["theta"], toward["phi"], antenna_cfg)
-    g_db = folded_gain_db(*folded, beam_table.phi_star[rows, l, n], antenna_cfg)
+    elem_db, coeffs, alpha = scan_coefficients(links["theta"], links["phi"], antenna_cfg)
+    g_db = folded_gain_db(
+        elem_db[:, l], coeffs[:, l], alpha, beam_table.phi_star[rows, l, n], antenna_cfg
+    )
     heard = l[:, None] != l  # every UAV served by another BS
     coupling = np.where(heard, p_eff * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
     # A BLAS matrix-vector product, not .sum(axis=1): it keeps every SINR

@@ -42,7 +42,7 @@ from .allocator import (
     fill_scan_angles,
     solve_assignment,
 )
-from .antenna import AntennaConfig, folded_gain_db, scan_coefficients
+from .antenna import SPEED_OF_LIGHT, AntennaConfig, folded_gain_db, scan_coefficients
 from .channel import (
     _SEED_MASK,
     ChannelProviderSpec,
@@ -339,6 +339,8 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
     for name in ("carrier_hz", "bandwidth_hz", "tx_power_w", "noise_power_w"):
         if getattr(config.rf, name) <= 0.0:
             errors.append(f"rf.{name} must be positive, got {getattr(config.rf, name)}")
+    if config.rf.carrier_hz > 0.0 and not math.isfinite(SPEED_OF_LIGHT / config.rf.carrier_hz):
+        errors.append(f"rf.carrier_hz must give a finite wavelength, got {config.rf.carrier_hz}")
     a = config.antenna
     if a.n_h < 1 or a.n_v < 1:
         errors.append(f"antenna.n_h/n_v must be >= 1, got {a.n_h}x{a.n_v}")
@@ -383,9 +385,22 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
             errors.append(f"{label}.ray_count must be >= 1, got {spec.ray_count}")
         if spec.kind == "import" and not spec.import_path:
             errors.append(f"{label}.import_path is required for kind 'import'")
+        if math.isfinite(spec.rician_k_db) and not 0.0 < _linear(spec.rician_k_db) < math.inf:
+            errors.append(
+                f"{label}.rician_k_db must have a finite, positive linear value, "
+                f"got {spec.rician_k_db} dB"
+            )
     if config.replications < 1:
         errors.append(f"replications must be >= 1, got {config.replications}")
     return errors
+
+
+def _linear(db: float) -> float:
+    """10^(db/10) as the channel providers compute it; inf where that overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _non_finite(doc, path: str = ""):
@@ -431,6 +446,13 @@ def _allocation_tensor(
     return generate_statistical(links, spec, config.rf, seed)
 
 
+def _check_gains(tensor: LinkGainTensor, source: str) -> None:
+    """A generated tensor must hold finite, non-negative power gains, as a file must."""
+    gains = tensor.power_gains
+    if not np.all(np.isfinite(gains)) or np.any(gains < 0.0):
+        raise ConfigurationError(f"{source} gave non-finite or negative power gains")
+
+
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     """Run every replication of one scenario and aggregate the reports."""
     if threads < 1:
@@ -458,7 +480,10 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
         if (eval_tensor.m, eval_tensor.l) != (mm, ll):
             got = f"{eval_tensor.m}x{eval_tensor.l}"
             raise TensorFormatError(f"channel tensor is {got} links, expected {mm}x{ll}")
+        _check_gains(eval_tensor, f"channel_hf ({config.channel_hf.kind})")
         alloc_tensor = _allocation_tensor(config, eval_tensor, links, r)
+        if alloc_tensor is not eval_tensor:
+            _check_gains(alloc_tensor, f"allocation channel {config.allocation_channel!r}")
         t_alloc = time.perf_counter()
         if config.allocator == "two_stage":
             util = build_utility(table, alloc_tensor, config.rf, divisor)

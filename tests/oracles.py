@@ -6,9 +6,11 @@ distribution, Brent refinement of each new incumbent) inside one beam's
 sector. `allocator.optimal_scan_angles` must never fall below it.
 
 `interference_at` sums the interference one UAV hears term by term with the
-scalar `total_gain`; `evaluator.sinr_matrix` must match it.
+scalar `total_gain`; `evaluator.sinr_matrix` must match it. `pairwise_sinr`
+is the earlier `sinr_matrix`, which folds every (victim, interferer)
+direction instead of every (UAV, BS) one; the two must agree bit for bit.
 
-Neither runs in a scenario; they live here so that the package carries only
+None of them runs in a scenario; they live here so that the package carries only
 the run path.
 """
 
@@ -22,7 +24,14 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from corridorsim.allocator import Assignment, BeamGainTable
-from corridorsim.antenna import AntennaConfig, SteeringDirection, make_scan_gain, total_gain
+from corridorsim.antenna import (
+    AntennaConfig,
+    SteeringDirection,
+    folded_gain_db,
+    make_scan_gain,
+    scan_coefficients,
+    total_gain,
+)
 from corridorsim.channel import _SEED_MASK, LinkGainTensor, RfConstants
 from corridorsim.errors import ConfigurationError
 
@@ -200,3 +209,32 @@ def interference_at(
         g_db = total_gain(direction, beam_table.phi_star[m_prime, l_prime, n_prime], antenna_cfg)
         total += p_eff * gains.power_gains[m, l_prime] * 10.0 ** (g_db / 10.0)
     return total
+
+
+def pairwise_sinr(
+    assignment: Assignment,
+    gains: LinkGainTensor,
+    beam_table: BeamGainTable,
+    links: np.ndarray,
+    antenna_cfg: AntennaConfig,
+    rf: RfConstants,
+    power_divisor: float = 1.0,
+) -> np.ndarray:
+    """Linear SINR of every UAV, shape (M,), folding all M x M directions."""
+    mm = gains.power_gains.shape[0]
+    l, n = assignment.bs, assignment.beam
+    rows = np.arange(mm)
+    p_eff = rf.tx_power_w / power_divisor
+    h = gains.power_gains
+    signal = p_eff * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
+
+    toward = links[:, l]  # (victim, interferer)
+    folded = scan_coefficients(toward["theta"], toward["phi"], antenna_cfg)
+    g_db = folded_gain_db(*folded, beam_table.phi_star[rows, l, n], antenna_cfg)
+    heard = l[:, None] != l  # every UAV served by another BS
+    coupling = np.where(heard, p_eff * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
+    # A BLAS matrix-vector product, not .sum(axis=1): it keeps every SINR
+    # bit-identical to the results.json files already written, and numpy's
+    # pairwise row sum does not.
+    interference = coupling @ np.ones(mm)
+    return signal / (interference + rf.noise_power_w)

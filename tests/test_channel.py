@@ -361,6 +361,62 @@ class TestLinkRngs:
             assert np.array_equal(out.power_gains, src.power_gains * gamma)
 
 
+class TestBatchedProvidersAtScale:
+    """Array-shaped providers against the per-link references, at any size and seed.
+
+    The providers draw per link and then do their arithmetic on whole
+    arrays; every coefficient must still be the one its own SeedSequence
+    gives. The sizes reach past the montecarlo workload's 64 x 4 links.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds_64,
+        mm=st.integers(1, 70),
+        ll=st.integers(1, 6),
+        ray_count=st.sampled_from([1, 2, 64, 65, 66, 10_000]),
+        target=st.sampled_from([3, 100, 1_000]),
+        layout=st.integers(0, 2**32 - 1),
+    )
+    def test_providers_equal_the_per_link_references(
+        self, seed, mm, ll, ray_count, target, layout
+    ):
+        distances = np.random.default_rng(layout).uniform(20.0, 900.0, size=(mm, ll))
+        links = links_at(distances)
+        few_spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count)
+        stat_spec = ChannelProviderSpec(kind="statistical")
+        few_ray = generate_few_ray(links, few_spec, RF, seed)
+        statistical = generate_statistical(links, stat_spec, RF, seed)
+        los_only = generate_few_ray(links, replace(few_spec, ray_count=1), RF, seed)
+        for (m, l), d in np.ndenumerate(distances):
+            if ray_count > 1:
+                exact = ray_count - 1 <= _EXACT_RAY_LIMIT
+                assert few_ray.coefficients[m, l, 0] == reference_link(
+                    few_spec, seed & _SEED_MASK, d, m, l, exact=exact
+                )
+            a0 = math.sqrt(free_space_path_gain(d, RF.carrier_hz))
+            los = math.fmod(2.0 * math.pi * d / (SPEED_OF_LIGHT / RF.carrier_hz), 2.0 * math.pi)
+            assert los_only.coefficients[m, l, 0] == a0 * complex(math.cos(los), math.sin(los))
+            assert statistical.coefficients[m, l, 0] == reference_statistical(
+                stat_spec, seed, d, m, l
+            )
+
+        gamma = np.array(
+            [
+                [link_rng(seed, m, l).gamma(shape=target, scale=1.0 / target) for l in range(ll)]
+                for m in range(mm)
+            ]
+        )
+        with_coefficients = degrade(few_ray, target, seed)
+        coeffs = few_ray.coefficients * np.sqrt(gamma)[:, :, None]
+        assert np.array_equal(with_coefficients.coefficients, coeffs)
+        assert np.array_equal(with_coefficients.power_gains, aggregate_power(coeffs))
+        power_only = LinkGainTensor(power_gains=statistical.power_gains)
+        assert np.array_equal(
+            degrade(power_only, target, seed).power_gains, statistical.power_gains * gamma
+        )
+
+
 class TestStatistical:
     def test_path_loss_anchor_1m_1ghz(self):
         # huge K collapses the fading to the unit phasor, exposing PL = 32.4 dB

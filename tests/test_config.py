@@ -177,6 +177,8 @@ class TestRetiredChannelSeeds:
 
 finite = st.floats(-1e9, 1e9)
 positive = st.floats(1e-6, 1e12)
+# Rician K in dB whose linear value 10^(K/10) is a finite, positive float.
+rician_k_dbs = st.floats(-3000.0, 3000.0)
 
 
 def radians_of(lo, hi):
@@ -194,14 +196,14 @@ providers = st.one_of(
         ChannelProviderSpec,
         kind=st.sampled_from(["few_ray", "statistical"]),
         ray_count=st.integers(1, 10**7),
-        rician_k_db=finite,
+        rician_k_db=rician_k_dbs,
         import_path=st.none() | st.text(),
     ),
     st.builds(
         ChannelProviderSpec,
         kind=st.just("import"),
         ray_count=st.integers(1, 10**7),
-        rician_k_db=finite,
+        rician_k_db=rician_k_dbs,
         import_path=st.text(min_size=1),
     ),
 )

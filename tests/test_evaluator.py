@@ -8,7 +8,7 @@ from corridorsim.antenna import AntennaConfig, SteeringDirection, total_gain
 from corridorsim.channel import LinkGainTensor, RfConstants
 from corridorsim.evaluator import evaluate_all, sinr_matrix, validate
 from corridorsim.geometry import LINK_DTYPE
-from oracles import interference_at
+from oracles import interference_at, pairwise_sinr
 
 CFG = AntennaConfig()
 
@@ -231,6 +231,55 @@ class TestSinrMatrix:
             rates = rf.bandwidth_hz * np.log2(1.0 + got)
             np.testing.assert_allclose(report.per_uav_rate_bps, rates, rtol=1e-12)
         assert interfered > 0
+
+
+class TestSinrMatrixFoldsEachLinkOnce:
+    """sinr_matrix folds the (M, L) directions once; the M x M fold is the oracle."""
+
+    def case(self, rng, mm, ll, nn, one_bs=False):
+        if one_bs:
+            a = make_assignment([(0, beam) for beam in rng.permutation(nn)[:mm]])
+        else:
+            a = allocate_random(mm, ll, nn, seed=int(rng.integers(2**32)))
+        gains = LinkGainTensor(power_gains=rng.uniform(1e-10, 1e-7, size=(mm, ll)))
+        table = make_table(
+            rng.uniform(-30.0, 12.0, size=(mm, ll, nn)),
+            rng.uniform(-math.pi, math.pi, size=(mm, ll, nn)),
+        )
+        links = np.empty((mm, ll), dtype=LINK_DTYPE)
+        links["distance_3d"] = 100.0
+        links["theta"] = rng.uniform(0.0, math.pi, size=(mm, ll))
+        links["phi"] = rng.uniform(-math.pi, math.pi, size=(mm, ll))
+        rf = RfConstants(noise_power_w=float(rng.uniform(1e-10, 1e-8)))
+        return a, gains, table, links, CFG, rf, float(rng.uniform(1.0, 16.0))
+
+    @pytest.mark.parametrize(
+        "mm, ll, nn, one_bs",
+        [
+            (1, 1, 1, False),
+            (2, 5, 3, False),  # fewer UAVs than BSs
+            (3, 6, 1, False),
+            (7, 4, 4, False),
+            (12, 4, 4, False),
+            (6, 4, 8, True),  # every UAV on one BS: no interference
+            (64, 4, 16, False),
+            (64, 6, 12, False),
+        ],
+    )
+    def test_equals_the_pairwise_fold(self, mm, ll, nn, one_bs):
+        rng = np.random.default_rng([mm, ll, nn, one_bs])
+        for _ in range(5):
+            args = self.case(rng, mm, ll, nn, one_bs)
+            got = sinr_matrix(*args)
+            np.testing.assert_array_equal(got, pairwise_sinr(*args))
+            if one_bs:
+                a, gains, table, _, _, rf, divisor = args
+                rows = np.arange(mm)
+                signal = (
+                    rf.tx_power_w / divisor * gains.power_gains[rows, 0]
+                    * 10.0 ** (table.gain_db[rows, 0, a.beam] / 10.0)
+                )
+                np.testing.assert_array_equal(got, signal / rf.noise_power_w)
 
 
 class TestValidate:

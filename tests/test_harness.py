@@ -141,6 +141,80 @@ class TestConfigPlumbing:
                 load_config(path)
 
 
+class TestLinkBudgetOutsideTheFloats:
+    """Inputs whose link budget leaves the floats end at validation or as `error: …`."""
+
+    @pytest.mark.parametrize("provider", ["channel_hf", "channel_lf"])
+    @pytest.mark.parametrize("kind", ["few_ray", "statistical"])
+    @pytest.mark.parametrize("k_db", [-4000.0, 4000.0])
+    def test_rician_k_without_a_linear_value_is_rejected(self, provider, kind, k_db):
+        cfg = small_config()
+        setattr(cfg, provider, ChannelProviderSpec(kind=kind, ray_count=100, rician_k_db=k_db))
+        assert validate_config(cfg) == [
+            f"{provider}.rician_k_db must have a finite, positive linear value, got {k_db} dB"
+        ]
+
+    @pytest.mark.parametrize("k_db", [-3000.0, 3000.0])
+    def test_extreme_representable_k_is_valid(self, k_db):
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=100, rician_k_db=k_db)
+        assert validate_config(small_config(channel_hf=spec, channel_lf=spec)) == []
+
+    @pytest.mark.parametrize("kind", ["few_ray", "statistical"])
+    @pytest.mark.parametrize("k_db", [-4000, 4000])
+    def test_cli_rejects_the_k_with_exit_1(self, tmp_path, capsys, kind, k_db):
+        path = tmp_path / "cfg.json"
+        doc = {"channel_hf": {"kind": kind, "ray_count": 100, "rician_k_db": k_db}}
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert cli_main(["validate-config", "--config", str(path)]) == 1
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        expect = (
+            "error: channel_hf.rician_k_db must have a finite, positive linear value, "
+            f"got {float(k_db)} dB"
+        )
+        assert err == [expect, expect]
+        assert not (out_dir / "results.json").exists()
+
+    @pytest.mark.parametrize("carrier_hz", [1e-300, 1e-320])
+    def test_carrier_without_a_finite_wavelength_is_rejected(self, carrier_hz):
+        cfg = small_config()
+        cfg.rf = replace(cfg.rf, carrier_hz=carrier_hz)
+        assert validate_config(cfg) == [
+            f"rf.carrier_hz must give a finite wavelength, got {carrier_hz}"
+        ]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "doc, source",
+        [
+            ({"rf": {"carrier_hz": 2e-300}}, "channel_hf (statistical)"),
+            (
+                {"rf": {"carrier_hz": 2e-300}, "channel_hf": {"kind": "few_ray", "ray_count": 1}},
+                "channel_hf (few_ray)",
+            ),
+            (
+                {"channel_hf": {"kind": "few_ray", "ray_count": 100, "rician_k_db": -3200.0}},
+                "channel_hf (few_ray)",
+            ),
+        ],
+    )
+    def test_non_finite_gains_end_as_an_error_naming_the_provider(
+        self, tmp_path, capsys, doc, source
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert cli_main(["validate-config", "--config", str(path)]) == 0
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        # numpy may warn of the overflow first; the error is the last line.
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"error: {source} gave non-finite or negative power gains"
+        )
+        assert not (out_dir / "results.json").exists()
+
+
 class TestRunScenario:
     def test_single_link_completes(self):
         cfg = small_config(seed=5)
