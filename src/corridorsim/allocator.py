@@ -6,10 +6,10 @@ angle is optimized inside that sector, so the N beams of a BS stay distinct
 and beam exclusivity is meaningful. `build_beam_gain_table` solves all
 triplets in one deterministic numpy pass: the array power of a link is a
 real trig polynomial P(s) in s = alpha * sin(phi_scan), whose peaks are
-refined once per link by vectorized golden-section search; each sector's
-best angle is then read off those peaks, its ends and +-pi/2. The paper's
-per-triplet dual annealing is kept in tests/oracles.py as the reference
-this pass must never fall below.
+found once per link by a coarse grid and a few Newton steps on P'(s) = 0;
+each sector's best angle is then read off those peaks, its ends and
++-pi/2. The paper's per-triplet dual annealing is kept in tests/oracles.py
+as the reference this pass must never fall below.
 
 Stage 2 turns the optimized gains and the channel gains into a utility
 tensor Lambda[m, l, n] = P * |h|^2 * 10^(G/10), flattens it to an
@@ -25,7 +25,6 @@ deterministic given their inputs and seeds.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,9 +37,10 @@ from .channel import _SEED_MASK, LinkGainTensor, RfConstants
 from .errors import ConfigurationError, InfeasibleAssignmentError
 from .geometry import BaseStationSite, Position3D, link_geometries
 
-# Batched stage 1 refines each peak of the array power to this width in s.
-_SCAN_XTOL = 1e-9
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Batched stage 1 seeds each peak of the array power from this many sub-grid
+# steps per cell, then polishes it with this many Newton steps.
+_SUBGRID = 8
+_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -114,37 +114,34 @@ def _refine_peaks(autocorr: np.ndarray, reach: float, degree: int) -> tuple[np.n
     `autocorr` has shape (K, 1, n_h). The range is cut into cells at most
     pi / (2 * degree) wide, a quarter period of the highest harmonic: the
     array factor of a uniform array has one maximum between consecutive
-    nulls, 2 pi / n_h apart in s, so a cell holds at most one. Golden-section
-    search refines every cell to `_SCAN_XTOL`. The phasor of a bracket's
-    lower end turns by one of two fixed angles per step, so the loop takes
-    no trig. Returns the refined s, shape (K, cells), and the evaluations
-    per direction.
+    nulls, 2 pi / n_h apart in s, so a cell holds at most one. Each cell
+    starts from the best of `_SUBGRID` + 1 evenly spaced points, then takes
+    `_NEWTON_STEPS` Newton steps on P'(s) = 0, each only where P''(s) < 0
+    and clipped to the cell; P' and P'' are `_array_power` of the
+    autocorrelation r_d scaled by i*d and -d^2. A cell keeps the Newton
+    point only if P there is at least the grid best. Returns the refined s,
+    shape (K, cells), and the evaluations per direction.
     """
     cells = max(1, math.ceil(4.0 * reach * degree / math.pi))
     width = 2.0 * reach / cells
-    steps = 0
-    if width > _SCAN_XTOL:
-        steps = math.ceil(math.log(_SCAN_XTOL / width) / math.log(_INV_PHI))
     lower = -reach + width * np.arange(cells)
-    f1 = _array_power(autocorr, np.exp(1j * (lower + (1.0 - _INV_PHI) * width)))
-    f2 = _array_power(autocorr, np.exp(1j * (lower + _INV_PHI * width)))
-    a = np.broadcast_to(lower, f1.shape).copy()
-    z = np.broadcast_to(np.exp(1j * lower), f1.shape).copy()
-    right = f1 < f2  # the maximum lies in [x1, b], else in [a, x2]
-    kept = np.maximum(f1, f2)  # P at the interior point the next bracket keeps
-    for _ in range(steps):
-        shift = (1.0 - _INV_PHI) * width
-        np.add(a, shift, out=a, where=right)
-        np.multiply(z, cmath.exp(1j * shift), out=z, where=right)
-        width *= _INV_PHI
-        # After a move right the new point is x2 of the new bracket, else x1.
-        turn = np.where(
-            right, cmath.exp(1j * _INV_PHI * width), cmath.exp(1j * (1.0 - _INV_PHI) * width)
-        )
-        f_new = _array_power(autocorr, z * turn)
-        right = np.where(right, kept < f_new, f_new < kept)
-        np.maximum(kept, f_new, out=kept)
-    return a + 0.5 * width, cells * (2 + steps)
+    upper = lower + width
+    grid = lower[:, None] + (width / _SUBGRID) * np.arange(_SUBGRID + 1)
+    grid_power = _array_power(autocorr[..., None, :], np.exp(1j * grid))  # (K, cells, g+1)
+    best = grid_power.argmax(axis=-1)
+    seed = grid[np.arange(cells), best]
+    seed_power = grid_power.max(axis=-1)
+
+    lags = np.arange(autocorr.shape[-1])
+    slope, curvature = autocorr * (1j * lags), autocorr * -(lags**2.0)
+    s = seed
+    for _ in range(_NEWTON_STEPS):
+        z = np.exp(1j * s)
+        first, second = _array_power(slope, z), _array_power(curvature, z)
+        step = np.divide(first, -second, out=np.zeros_like(first), where=second < 0.0)
+        s = np.clip(s + step, lower, upper)
+    peaks = np.where(_array_power(autocorr, np.exp(1j * s)) >= seed_power, s, seed)
+    return peaks, cells * (_SUBGRID + 2 + 2 * _NEWTON_STEPS)
 
 
 def optimal_scan_angles(
@@ -161,8 +158,9 @@ def optimal_scan_angles(
     (`scan_coefficients`), which make the array power a real trig
     polynomial P(s) of degree n_h - 1 in s = alpha * sin(phi_scan). All
     sectors of a direction share P, so its peaks over s in [-|alpha|,
-    |alpha|] are refined once (`_refine_peaks`). An interior maximum of
-    P(alpha * sin(phi)) has cos(phi) = 0 or P'(s) = 0, so a sector's best
+    |alpha|] are found once, by a grid and Newton steps (`_refine_peaks`).
+    An interior maximum of P(alpha * sin(phi)) has cos(phi) = 0 or
+    P'(s) = 0, so a sector's best
     angle is one of its two ends, +-pi/2, or an arcsin branch of a refined
     peak, whichever inside the sector has the highest P. The evaluation
     count is a fixed multiple of the number of pairs.

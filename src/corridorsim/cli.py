@@ -89,7 +89,7 @@ def _print_summary(results) -> None:
             f"{row['allocator']:>10s}  channel={row['allocation_channel']:<11s} "
             f"M={row['uav_count']:<3d} alt={row['altitude_m']:<6.1f} "
             f"mean={row['mean_mbps']:.6g} Mbps  std={row['std_mbps']:.3g}  "
-            f"stage1={row['stage1_seconds']:.2f}s"
+            f"stage1={row['stage1_seconds'] * 1e3:.3g}ms"
         )
 
 

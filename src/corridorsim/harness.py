@@ -476,14 +476,16 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
 
     def one_replication(r: int) -> ThroughputReport:
         channel_seed = _derive_seed(config.seed, _TAG_CHANNEL, r)
-        eval_tensor = generate(links, config.channel_hf, config.rf, channel_seed)
-        if (eval_tensor.m, eval_tensor.l) != (mm, ll):
-            got = f"{eval_tensor.m}x{eval_tensor.l}"
-            raise TensorFormatError(f"channel tensor is {got} links, expected {mm}x{ll}")
-        _check_gains(eval_tensor, f"channel_hf ({config.channel_hf.kind})")
-        alloc_tensor = _allocation_tensor(config, eval_tensor, links, r)
-        if alloc_tensor is not eval_tensor:
-            _check_gains(alloc_tensor, f"allocation channel {config.allocation_channel!r}")
+        # An overflowing link budget is reported by _check_gains, not by numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            eval_tensor = generate(links, config.channel_hf, config.rf, channel_seed)
+            if (eval_tensor.m, eval_tensor.l) != (mm, ll):
+                got = f"{eval_tensor.m}x{eval_tensor.l}"
+                raise TensorFormatError(f"channel tensor is {got} links, expected {mm}x{ll}")
+            _check_gains(eval_tensor, f"channel_hf ({config.channel_hf.kind})")
+            alloc_tensor = _allocation_tensor(config, eval_tensor, links, r)
+            if alloc_tensor is not eval_tensor:
+                _check_gains(alloc_tensor, f"allocation channel {config.allocation_channel!r}")
         t_alloc = time.perf_counter()
         if config.allocator == "two_stage":
             util = build_utility(table, alloc_tensor, config.rf, divisor)

@@ -10,12 +10,18 @@ scalar `total_gain`; `evaluator.sinr_matrix` must match it. `pairwise_sinr`
 is the earlier `sinr_matrix`, which folds every (victim, interferer)
 direction instead of every (UAV, BS) one; the two must agree bit for bit.
 
+`golden_section_peaks` is the earlier peak search of stage 1: it refines
+every cell of `allocator._refine_peaks` by golden-section search to 1e-9 in
+s. The grid-and-Newton search that replaced it must reach its P in every
+cell, to 1e-12 of the largest P.
+
 None of them runs in a scenario; they live here so that the package carries only
 the run path.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from corridorsim.allocator import Assignment, BeamGainTable
+from corridorsim.allocator import Assignment, BeamGainTable, _array_power
 from corridorsim.antenna import (
     AntennaConfig,
     SteeringDirection,
@@ -38,6 +44,9 @@ from corridorsim.errors import ConfigurationError
 # Generalized-annealing acceptance shape; more negative = greedier.
 _ACCEPTANCE_PARAM = -5.0
 _TAIL_LIMIT = 1e8
+# golden_section_peaks refines each peak of the array power to this width in s.
+_SCAN_XTOL = 1e-9
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -238,3 +247,44 @@ def pairwise_sinr(
     # pairwise row sum does not.
     interference = coupling @ np.ones(mm)
     return signal / (interference + rf.noise_power_w)
+
+
+def golden_section_peaks(
+    autocorr: np.ndarray, reach: float, degree: int
+) -> tuple[np.ndarray, int]:
+    """Every local maximum of P(s) by golden-section search, stage 1's earlier way.
+
+    `autocorr` has shape (K, 1, n_h). The range is cut into cells at most
+    pi / (2 * degree) wide, a quarter period of the highest harmonic: the
+    array factor of a uniform array has one maximum between consecutive
+    nulls, 2 pi / n_h apart in s, so a cell holds at most one. Golden-section
+    search refines every cell to `_SCAN_XTOL`. The phasor of a bracket's
+    lower end turns by one of two fixed angles per step, so the loop takes
+    no trig. Returns the refined s, shape (K, cells), and the evaluations
+    per direction.
+    """
+    cells = max(1, math.ceil(4.0 * reach * degree / math.pi))
+    width = 2.0 * reach / cells
+    steps = 0
+    if width > _SCAN_XTOL:
+        steps = math.ceil(math.log(_SCAN_XTOL / width) / math.log(_INV_PHI))
+    lower = -reach + width * np.arange(cells)
+    f1 = _array_power(autocorr, np.exp(1j * (lower + (1.0 - _INV_PHI) * width)))
+    f2 = _array_power(autocorr, np.exp(1j * (lower + _INV_PHI * width)))
+    a = np.broadcast_to(lower, f1.shape).copy()
+    z = np.broadcast_to(np.exp(1j * lower), f1.shape).copy()
+    right = f1 < f2  # the maximum lies in [x1, b], else in [a, x2]
+    kept = np.maximum(f1, f2)  # P at the interior point the next bracket keeps
+    for _ in range(steps):
+        shift = (1.0 - _INV_PHI) * width
+        np.add(a, shift, out=a, where=right)
+        np.multiply(z, cmath.exp(1j * shift), out=z, where=right)
+        width *= _INV_PHI
+        # After a move right the new point is x2 of the new bracket, else x1.
+        turn = np.where(
+            right, cmath.exp(1j * _INV_PHI * width), cmath.exp(1j * (1.0 - _INV_PHI) * width)
+        )
+        f_new = _array_power(autocorr, z * turn)
+        right = np.where(right, kept < f_new, f_new < kept)
+        np.maximum(kept, f_new, out=kept)
+    return a + 0.5 * width, cells * (2 + steps)

@@ -16,7 +16,8 @@ from corridorsim.allocator import (
     optimal_scan_angles,
     solve_assignment,
 )
-from corridorsim.allocator import _scan_power
+from corridorsim import allocator
+from corridorsim.allocator import _array_power, _refine_peaks, _scan_power
 from corridorsim.antenna import (
     AntennaConfig,
     SteeringDirection,
@@ -30,7 +31,7 @@ from corridorsim.errors import ConfigurationError, InfeasibleAssignmentError
 from corridorsim.evaluator import validate
 from corridorsim.geometry import BaseStationSite, Position3D, generate_corridor, link_geometries
 from corridorsim.harness import ScenarioConfig
-from oracles import AnnealerConfig, optimize_scan_angle
+from oracles import AnnealerConfig, golden_section_peaks, optimize_scan_angle
 
 CFG = AntennaConfig()
 ANN = AnnealerConfig(seed=1234)
@@ -394,6 +395,58 @@ class TestOptimalScanAngles:
         assert np.all(gain_db <= bound + 1e-9)
         for n, (lo, hi) in enumerate(sectors):
             assert lo < phi_star[n] <= hi
+
+
+def autocorrelation(theta, phi, cfg):
+    """The (K, 1, n_h) lags r_d of `optimal_scan_angles` and the reach |alpha|."""
+    _, coeffs, alpha = scan_coefficients(theta, phi, cfg)
+    lags = [(coeffs[..., d:] * coeffs[..., : cfg.n_h - d].conj()).sum(-1) for d in range(cfg.n_h)]
+    return np.stack(lags, -1).reshape(-1, 1, cfg.n_h), abs(alpha)
+
+
+class TestRefinePeaks:
+    """The grid-seeded Newton peaks of P(s) against the golden-section oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_h=st.integers(1, 16),
+        d_h=st.floats(0.2, 2.5),
+        tilt=st.floats(0.0, math.pi / 2),
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(-math.pi, math.pi),
+    )
+    def test_never_below_golden_section(self, n_h, d_h, tilt, theta, phi):
+        cfg = AntennaConfig(n_h=n_h, n_v=1, d_h=d_h, theta_tilt=tilt)
+        autocorr, reach = autocorrelation(theta, phi, cfg)
+        peaks, _ = _refine_peaks(autocorr, reach, n_h - 1)
+        golden, _ = golden_section_peaks(autocorr, reach, n_h - 1)
+        assert peaks.shape == golden.shape
+        power = _array_power(autocorr, np.exp(1j * peaks))
+        oracle = _array_power(autocorr, np.exp(1j * golden))
+        assert np.all(power >= oracle - 1e-12 * oracle.max())
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            CFG,
+            AntennaConfig(n_h=2, d_h=0.2),
+            AntennaConfig(n_h=8, d_h=1.0),
+            AntennaConfig(n_h=16, d_h=2.5, theta_tilt=0.0),
+        ],
+    )
+    def test_one_more_newton_step_moves_no_interior_peak(self, cfg, monkeypatch):
+        rng = np.random.default_rng(cfg.n_h)
+        autocorr, reach = autocorrelation(
+            rng.uniform(0.0, math.pi, 200), rng.uniform(-math.pi, math.pi, 200), cfg
+        )
+        peaks, _ = _refine_peaks(autocorr, reach, cfg.n_h - 1)
+        monkeypatch.setattr(allocator, "_NEWTON_STEPS", allocator._NEWTON_STEPS + 1)
+        further, _ = _refine_peaks(autocorr, reach, cfg.n_h - 1)
+        width = 2.0 * reach / peaks.shape[-1]
+        lower = -reach + width * np.arange(peaks.shape[-1])
+        interior = (peaks > lower) & (peaks < lower + width)
+        assert interior.any()
+        assert np.abs(further - peaks)[interior].max() <= 1e-12
 
 
 class TestBuildUtility:

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import corridorsim
 from corridorsim.antenna import AntennaConfig, SteeringDirection, array_gain, element_gain
 from corridorsim.channel import ChannelProviderSpec, LinkGainTensor, export_tensor
 from corridorsim.cli import main as cli_main
@@ -24,6 +28,8 @@ from corridorsim.harness import (
     validate_config,
     write_gain_sweep,
 )
+
+SRC = os.path.dirname(os.path.dirname(corridorsim.__file__))
 
 
 def small_config(seed=100, **overrides):
@@ -184,8 +190,6 @@ class TestLinkBudgetOutsideTheFloats:
             f"rf.carrier_hz must give a finite wavelength, got {carrier_hz}"
         ]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "doc, source",
         [
@@ -208,11 +212,36 @@ class TestLinkBudgetOutsideTheFloats:
         out_dir = tmp_path / "out"
         assert cli_main(["validate-config", "--config", str(path)]) == 0
         assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
-        # numpy may warn of the overflow first; the error is the last line.
-        assert capsys.readouterr().err.splitlines()[-1].startswith(
+        assert capsys.readouterr().err.splitlines() == [
             f"error: {source} gave non-finite or negative power gains"
-        )
+        ]
         assert not (out_dir / "results.json").exists()
+
+    @pytest.mark.parametrize(
+        "doc, source",
+        [
+            ({"rf": {"carrier_hz": 2e-300}}, "channel_hf (statistical)"),
+            (
+                {"rf": {"carrier_hz": 2e-300}, "channel_hf": {"kind": "few_ray", "ray_count": 10}},
+                "channel_hf (few_ray)",
+            ),
+        ],
+    )
+    def test_overflowing_link_budget_prints_only_the_error(self, tmp_path, capfd, doc, source):
+        # A fresh interpreter with warnings shown: pytest would record numpy's
+        # RuntimeWarnings instead of letting them reach stderr.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        path_list = [SRC, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        code = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "corridorsim.cli", *argv], env=env
+        ).returncode
+        assert code == 1
+        assert capfd.readouterr().err == (
+            f"error: {source} gave non-finite or negative power gains\n"
+        )
 
 
 class TestRunScenario:
@@ -414,6 +443,16 @@ class TestEmitReports:
 
 
 class TestCli:
+    def test_run_summary_prints_stage1_in_milliseconds(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(small_config(replications=1))))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            seconds = float(next(csv.DictReader(f))["stage1_seconds"])
+        # Stage 1 takes about a millisecond here, which "{:.2f}s" printed as 0.00s.
+        assert summary.endswith(f" stage1={seconds * 1e3:.3g}ms")
+
     def test_validate_config_ok(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config_to_dict(small_config())))
