@@ -23,11 +23,10 @@ Every provider is a pure function of (links, spec, rf, seed): ``links`` is
 the (M, L) array of ``geometry.link_geometries``, and the seed is an
 argument, as for ``degrade``. Link (m, l) draws from the PCG64 stream that
 numpy's seed sequence of (seed, m, l) seeds, bit for bit, so parallel and
-serial generation produce bit-identical tensors. ``_link_rngs`` derives
-those states for all links of a call in one numpy pass instead of building
-a seed sequence and a generator per link.
+serial generation produce bit-identical tensors. ``_link_rngs`` replays the
+seed sequences of a call's links in one numpy pass.
 
-The per-link loop only positions each link's stream and draws into a row of
+The per-link loop only seeds each link's Generator and draws into a row of
 a preallocated array; the rest of a provider runs once on (M*L,) arrays. Its
 libm calls (cos, sin, log10, 10 ** x) go through ``math`` on Python floats,
 because numpy's SIMD float64 log10 and exp may round differently from libm,
@@ -43,6 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .antenna import SPEED_OF_LIGHT
 from .errors import GeometryError, TensorFormatError
@@ -59,10 +59,9 @@ _EXACT_RAY_LIMIT = 64
 
 _SEED_MASK = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 
-# numpy's seed sequence (pool of four uint32 words, hashmix/mix constants)
-# and PCG64's 128-bit LCG multiplier, as _link_rngs replays them.
+# numpy's seed sequence (pool of four uint32 words, hashmix/mix constants),
+# as _link_rngs replays it.
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -70,7 +69,6 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -148,20 +146,34 @@ def _hashes(init: int, mult: int, count: int):
     return column[:-1], column[1:]
 
 
+# The pool's 4 entropy hashes and 12 mixing hashes, then generate_state's 8.
+_POOL_XORS, _POOL_MULTS = _hashes(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_STATE_HASHES = _hashes(_INIT_B, _MULT_B, 8)
+
+
 def _hash(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
     values = (values ^ xors) * mults
     return values ^ (values >> np.uint32(16))
 
 
+class _StateWords(ISeedSequence):
+    """A seed sequence whose generate_state is one link's replayed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _link_rngs(seed: int, mm: int, ll: int):
     """Yield (m, l, rng) for every link in row-major order.
 
-    rng starts where numpy's PCG64 seeded by the seed sequence of
-    (seed & _SEED_MASK, m, l) starts, bit for bit. The sequence's mixing runs
-    once on (pool word, link) uint32 arrays, hashes that use the same pool
-    word side by side; each link then only sets the PCG64 state of one
-    Generator built per call, so concurrent calls share nothing. That
-    Generator is re-seeded for the next link, so draw before advancing.
+    rng is the Generator that numpy's PCG64 gives for the seed sequence of
+    (seed & _SEED_MASK, m, l), bit for bit. The sequence's mixing runs once
+    on (pool word, link) uint32 arrays, hashes that use the same pool word
+    side by side; PCG64 then seeds a fresh Generator per link from that
+    link's words (_StateWords).
     """
     seed &= _SEED_MASK
     n = mm * ll
@@ -173,36 +185,22 @@ def _link_rngs(seed: int, mm: int, ll: int):
 
     # Hash every pool word, then mix each source word into the other three
     # in turn; the three hashes of one source differ only in their constants.
-    xors, mults = _hashes(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-    pool = _hash(entropy, xors[:_POOL_SIZE], mults[:_POOL_SIZE])
-    used = _POOL_SIZE  # hashes consumed so far
+    pool = _hash(entropy, _POOL_XORS[:_POOL_SIZE], _POOL_MULTS[:_POOL_SIZE])
     for i_src in range(_POOL_SIZE):
         dst = [i for i in range(_POOL_SIZE) if i != i_src]
-        at = slice(used, used + len(dst))
-        used += len(dst)
-        y = _hash(pool[i_src], xors[at], mults[at])
+        at = slice(_POOL_SIZE + 3 * i_src, _POOL_SIZE + 3 * (i_src + 1))
+        y = _hash(pool[i_src], _POOL_XORS[at], _POOL_MULTS[at])
         x = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * y
         pool[dst] = x ^ (x >> np.uint32(16))
 
     # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
-    # paired little-endian into four uint64 words w0..w3 per link.
+    # paired little-endian into four uint64 words per link. PCG64 reads a
+    # link's row in place, so the rows are native-endian, C-contiguous uint64.
     cycle = [i % _POOL_SIZE for i in range(8)]
-    state32 = _hash(pool[cycle], *_hashes(_INIT_B, _MULT_B, 8))
-    words = state32.T.astype("<u4", order="C").view("<u8").tolist()
-
-    # PCG64(seed_seq): initstate = w0:w1, initseq = w2:w3 (high:low), then
-    # pcg_setseq_128_srandom_r's two LCG steps.
-    bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for i, (w0, w1, w2, w3) in enumerate(words):
-        inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK128
-        state["state"] = {
-            "state": (((inc + (w0 << 64 | w1)) * _PCG64_MULT) + inc) & _MASK128,
-            "inc": inc,
-        }
-        bit_gen.state = state
-        yield i // ll, i % ll, rng
+    state32 = _hash(pool[cycle], *_STATE_HASHES)
+    words = state32.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+    for i in range(n):
+        yield i // ll, i % ll, np.random.Generator(np.random.PCG64(_StateWords(words[i])))
 
 
 def _unit_phasors(phases: np.ndarray) -> np.ndarray:

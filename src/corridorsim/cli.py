@@ -167,8 +167,8 @@ def main(argv: list[str] | None = None) -> int:
             bench_path.write_text(json.dumps(rows, indent=2) + "\n")
             for row in rows:
                 print(
-                    f"M={row['uav_count']:<3d} stage1={row['stage1_seconds']:.3f}s "
-                    f"stage2={row['stage2_seconds']:.4f}s evals={row['stage1_evals']}"
+                    f"M={row['uav_count']:<3d} stage1={row['stage1_seconds'] * 1e3:.3g}ms "
+                    f"stage2={row['stage2_seconds'] * 1e3:.3g}ms evals={row['stage1_evals']}"
                 )
             print(f"wrote {bench_path}")
             return 0

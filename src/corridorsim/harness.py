@@ -556,9 +556,9 @@ def _with_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     raise ConfigurationError(f"sweep axis must be uav_count|altitude, got {axis!r}")
 
 
-# Timed runs per UAV count in `benchmark`; odd, so the median is one run.
-# A nominal run takes only ~10-30 ms, so a short slow phase of the machine
-# can swap neighbouring UAV counts' medians of 5; 15 repeats keep them apart.
+# Timed runs per UAV count in `benchmark`; odd, so the median is one run. A
+# one-replication nominal run takes only ~3-6 ms at M = 10-40 (2-vCPU VM), so a
+# short slow phase can swap neighbouring UAV counts' medians of 5; 15 keep them apart.
 _BENCH_REPEATS = 15
 
 
@@ -570,9 +570,10 @@ def benchmark(config: ScenarioConfig, uav_counts: list[int], threads: int = 1) -
     slow phase of the machine hits all counts alike, and each stage time
     is the median over the repeats.
     """
+    if not uav_counts:
+        raise ConfigurationError("benchmark needs at least one UAV count")
     configs = [replace(_with_axis(config, "uav_count", m), replications=1) for m in uav_counts]
-    if configs:
-        run_scenario(configs[0], threads)
+    run_scenario(configs[0], threads)
     samples = [[] for _ in configs]
     for _ in range(_BENCH_REPEATS):
         for cfg, runs in zip(configs, samples):

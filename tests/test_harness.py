@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -381,6 +382,10 @@ class TestSweepAndBench:
         with pytest.raises(ConfigurationError):
             sweep(small_config(), "uav_count", [])
 
+    def test_benchmark_needs_a_uav_count(self):
+        with pytest.raises(ConfigurationError):
+            benchmark(small_config(), [])
+
     def test_benchmark_rows(self):
         cfg = small_config(seed=17)
         rows = benchmark(cfg, [2, 4])
@@ -657,3 +662,19 @@ class TestCli:
         assert code == 0
         rows = json.loads((out_dir / "benchmark.json").read_text())
         assert [r["uav_count"] for r in rows] == [2, 3]
+        # Stage times print in ms to 3 significant digits, as the run summary does.
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            for stage in ("stage1", "stage2"):
+                printed = re.search(rf"\b{stage}=(\S+)ms ", line)
+                assert printed, line
+                ms = row[f"{stage}_seconds"] * 1e3
+                assert printed.group(1) == f"{ms:.3g}"
+
+    def test_bench_without_a_uav_count_exits_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli_main(["bench", "--uavs", ",", "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: benchmark needs at least one UAV count")
+        assert not (out_dir / "benchmark.json").exists()
