@@ -40,11 +40,11 @@ class AntennaConfig:
     d_h: float = 0.5  # horizontal spacing, wavelengths
     d_v: float = 0.5  # vertical spacing, wavelengths
     g_e_max_dbi: float = -8.0
-    theta_3db: float = math.radians(65.0)  # elevation 3 dB beamwidth
-    phi_3db: float = math.radians(90.0)  # azimuth 3 dB beamwidth
+    theta_3db_deg: float = 65.0  # elevation 3 dB beamwidth
+    phi_3db_deg: float = 90.0  # azimuth 3 dB beamwidth
     a_m_db: float = 30.0  # front-to-back ratio
     sl_av_db: float = 30.0  # vertical side-lobe limit
-    theta_tilt: float = math.radians(15.0)
+    tilt_deg: float = 15.0  # vertical downtilt of every beam
     gain_floor_db: float = -400.0  # clamp for |V^H W|^2 underflow
 
     @property
@@ -67,16 +67,14 @@ def _maybe_scalar(x):
 def element_gain_vertical(theta, cfg: AntennaConfig):
     """Vertical element cut A_EV(theta) in dB: 0 at the horizon, floor -SL_AV."""
     t_deg = np.degrees(np.asarray(theta, dtype=float))
-    bw_deg = math.degrees(cfg.theta_3db)
-    out = -np.minimum(12.0 * ((t_deg - 90.0) / bw_deg) ** 2, cfg.sl_av_db)
+    out = -np.minimum(12.0 * ((t_deg - 90.0) / cfg.theta_3db_deg) ** 2, cfg.sl_av_db)
     return _maybe_scalar(out)
 
 
 def element_gain_horizontal(phi, cfg: AntennaConfig):
     """Horizontal element cut A_EH(phi) in dB: 0 on boresight, floor -A_m."""
     p_deg = np.degrees(np.asarray(phi, dtype=float))
-    bw_deg = math.degrees(cfg.phi_3db)
-    out = -np.minimum(12.0 * (p_deg / bw_deg) ** 2, cfg.a_m_db)
+    out = -np.minimum(12.0 * (p_deg / cfg.phi_3db_deg) ** 2, cfg.a_m_db)
     return _maybe_scalar(out)
 
 
@@ -111,10 +109,11 @@ def beamforming_vector(phi_scan, cfg: AntennaConfig) -> np.ndarray:
     is last.
     """
     scan = np.asarray(phi_scan, dtype=float)
+    tilt = math.radians(cfg.tilt_deg)
     m = np.arange(cfg.n_h)
     n = np.arange(cfg.n_v)
-    h_phase = cfg.d_h * np.sin(scan)[..., None] * math.cos(cfg.theta_tilt) * m
-    v_phase = -cfg.d_v * n * math.sin(cfg.theta_tilt)
+    h_phase = cfg.d_h * np.sin(scan)[..., None] * math.cos(tilt) * m
+    v_phase = -cfg.d_v * n * math.sin(tilt)
     phase = h_phase[..., :, None] + v_phase
     w = np.exp(-2j * math.pi * phase) / math.sqrt(cfg.n_elements)
     return w.reshape(*scan.shape, cfg.n_elements) if scan.ndim else w.reshape(-1)
@@ -154,14 +153,15 @@ def scan_coefficients(theta, phi, cfg: AntennaConfig):
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    tilt = math.radians(cfg.tilt_deg)
     elem_db = np.asarray(element_gain(theta, phi, cfg))
     k = np.arange(cfg.n_h)
     n = np.arange(cfg.n_v)
     h_phase = cfg.d_h * (np.sin(theta) * np.sin(phi))[..., None] * k
-    v_phase = cfg.d_v * (math.sin(cfg.theta_tilt) - np.cos(theta))[..., None] * n
+    v_phase = cfg.d_v * (math.sin(tilt) - np.cos(theta))[..., None] * n
     vertical = np.exp(2j * math.pi * v_phase).sum(axis=-1)
     coeffs = np.exp(-2j * math.pi * h_phase) * (vertical / math.sqrt(cfg.n_elements))[..., None]
-    alpha = -2.0 * math.pi * cfg.d_h * math.cos(cfg.theta_tilt)
+    alpha = -2.0 * math.pi * cfg.d_h * math.cos(tilt)
     return elem_db, coeffs, alpha
 
 

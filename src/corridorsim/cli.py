@@ -21,6 +21,8 @@ from pathlib import Path
 from .channel import ChannelProviderSpec
 from .errors import ConfigurationError, CorridorsimError
 from .harness import (
+    ALLOCATION_CHANNELS,
+    ALLOCATORS,
     ScenarioConfig,
     benchmark,
     emit_reports,
@@ -46,12 +48,10 @@ def _add_common(parser: argparse.ArgumentParser, replications: bool = True) -> N
     parser.add_argument("--config", type=Path, help="scenario JSON file")
     parser.add_argument("--seed", type=int, help="override scenario seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument(
-        "--allocator", choices=("two_stage", "random", "closest_bs"), help="allocator override"
-    )
+    parser.add_argument("--allocator", choices=ALLOCATORS, help="allocator override")
     parser.add_argument(
         "--channel",
-        choices=("hf", "lf", "statistical", "import"),
+        choices=ALLOCATION_CHANNELS + ("import",),
         help="allocation-side channel override",
     )
     parser.add_argument("--import-path", type=Path, help="tensor file for --channel import")

@@ -13,8 +13,7 @@ against a scalar per-interferer loop kept in tests/oracles.py.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ class ThroughputReport:
     mean_rate_bps: float
     seed: int
     config_digest: str
-    timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -96,7 +94,6 @@ def evaluate_all(
     config_digest: str = "",
 ) -> ThroughputReport:
     """Score every UAV and aggregate into a ThroughputReport."""
-    t0 = time.perf_counter()
     sinrs = sinr_matrix(assignment, gains, beam_table, links, antenna_cfg, rf, power_divisor)
     rates = rf.bandwidth_hz * np.log2(1.0 + sinrs)
     return ThroughputReport(
@@ -106,7 +103,6 @@ def evaluate_all(
         mean_rate_bps=float(rates.mean()),
         seed=seed,
         config_digest=config_digest,
-        timings={"evaluation_seconds": time.perf_counter() - t0},
     )
 
 

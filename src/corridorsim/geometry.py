@@ -33,11 +33,11 @@ class Position3D:
 
 @dataclass(frozen=True)
 class BaseStationSite:
-    """A BS site; `boresight_azimuth` is the array normal in the horizontal plane."""
+    """A BS site; `boresight_deg` is the array normal in the horizontal plane."""
 
     id: int
     position: Position3D
-    boresight_azimuth: float  # radians, 0 = east, counterclockwise
+    boresight_deg: float  # degrees, 0 = east, counterclockwise
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def link_geometry(bs: BaseStationSite, uav: Position3D) -> LinkGeometry:
         raise GeometryError(f"UAV coincides with BS {bs.id} at {bs.position}")
     # Clamp guards acos against rounding when the UAV is exactly overhead.
     theta = math.acos(max(-1.0, min(1.0, dz / distance)))
-    phi = wrap_angle(math.atan2(dy, dx) - bs.boresight_azimuth)
+    phi = wrap_angle(math.atan2(dy, dx) - math.radians(bs.boresight_deg))
     return LinkGeometry(distance_3d=distance, theta=theta, phi=phi)
 
 

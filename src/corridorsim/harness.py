@@ -1,13 +1,13 @@
 """Scenario configuration, experiment orchestration, and report emission.
 
-A scenario is one JSON document (degrees and meters at the file boundary,
-radians internally) describing RF constants, the array, the beam codebook,
-BS sites, the corridor, channel providers, the allocator under test, and
-the seed schedule. Running a scenario generates the evaluation (high
-fidelity) tensor per replication, builds the allocation-side tensor for the
-configured channel axis, runs the selected allocator, and always scores the
-result on the evaluation tensor, so every scheme is judged on the same
-channel.
+A scenario is one JSON document (angles in degrees, lengths in meters, in
+the file and in ScenarioConfig alike) describing RF constants, the array,
+the beam codebook, BS sites, the corridor, the channel providers, the
+allocator under test, and the seed schedule. Running a scenario generates
+the evaluation (high fidelity) tensor per replication, builds the
+allocation-side tensor for the configured channel axis, runs the selected
+allocator, and always scores the result on the evaluation tensor, so every
+scheme is judged on the same channel.
 
 Replication r of every scenario derives its channel seed from
 (scenario seed, r): sweeps over UAV count or altitude are therefore paired
@@ -77,9 +77,9 @@ def aim_boresights_at(bss: list[BaseStationSite], target: Position3D) -> list[Ba
     """Point every BS boresight at `target` in the horizontal plane."""
 
     def toward(p: Position3D) -> float:
-        return math.atan2(target.y - p.y, target.x - p.x)
+        return math.degrees(math.atan2(target.y - p.y, target.x - p.x))
 
-    return [replace(bs, boresight_azimuth=toward(bs.position)) for bs in bss]
+    return [replace(bs, boresight_deg=toward(bs.position)) for bs in bss]
 
 
 def _nominal_sites(center: Position3D = CorridorSpec().center) -> list[BaseStationSite]:
@@ -102,9 +102,7 @@ class ScenarioConfig:
     corridor: CorridorSpec = field(default_factory=CorridorSpec)
     uav_count: int = 20
     channel_hf: ChannelProviderSpec = field(default_factory=ChannelProviderSpec)
-    channel_lf: ChannelProviderSpec = field(
-        default_factory=lambda: ChannelProviderSpec(kind="few_ray", ray_count=100)
-    )
+    lf_ray_count: int = 100  # the ray count `lf` re-estimates channel_hf at
     allocator: str = "two_stage"
     allocation_channel: str = "hf"
     seed: int = 0
@@ -123,6 +121,8 @@ class ExperimentResult:
     std_rate_bps: float
     stage1_seconds: float
     stage1_evals: int
+    stage2_seconds: float  # mean over the replications, as is evaluation_seconds
+    evaluation_seconds: float
 
     def to_dict(self) -> dict:
         return {
@@ -136,67 +136,74 @@ class ExperimentResult:
 
 
 # --------------------------------------------------------------------------
-# Config file round trip (degrees at the boundary)
+# Config file round trip
 # --------------------------------------------------------------------------
 
-# Every config file key once: (dotted file key, dotted attribute path, unit).
-# A "deg" key holds degrees in the file and radians in the attribute. A key
-# a file omits keeps its value in ScenarioConfig(), and a value must have the
-# JSON type of the attribute's annotation.
+# Every config file key once: (dotted file key, dotted attribute path). The
+# attribute holds the file's value as it stands, so the echo of a loaded
+# config loads back to the same config. A key a file omits keeps its value
+# in ScenarioConfig(), and a value must have the JSON type of the
+# attribute's annotation.
 _SCHEMA = (
-    ("seed", "seed", None),
-    ("uav_count", "uav_count", None),
-    ("replications", "replications", None),
-    ("allocator", "allocator", None),
-    ("allocation_channel", "allocation_channel", None),
-    ("split_power_among_beams", "split_power_among_beams", None),
-    ("rf.carrier_hz", "rf.carrier_hz", None),
-    ("rf.bandwidth_hz", "rf.bandwidth_hz", None),
-    ("rf.tx_power_w", "rf.tx_power_w", None),
-    ("rf.noise_power_w", "rf.noise_power_w", None),
-    ("antenna.n_h", "antenna.n_h", None),
-    ("antenna.n_v", "antenna.n_v", None),
-    ("antenna.d_h_wavelengths", "antenna.d_h", None),
-    ("antenna.d_v_wavelengths", "antenna.d_v", None),
-    ("antenna.g_e_max_dbi", "antenna.g_e_max_dbi", None),
-    ("antenna.theta_3db_deg", "antenna.theta_3db", "deg"),
-    ("antenna.phi_3db_deg", "antenna.phi_3db", "deg"),
-    ("antenna.a_m_db", "antenna.a_m_db", None),
-    ("antenna.sl_av_db", "antenna.sl_av_db", None),
-    ("antenna.tilt_deg", "antenna.theta_tilt", "deg"),
-    ("antenna.gain_floor_db", "antenna.gain_floor_db", None),
-    ("codebook.n_beams", "codebook.n_beams", None),
-    ("corridor.center_x_m", "corridor.center.x", None),
-    ("corridor.center_y_m", "corridor.center.y", None),
-    ("corridor.radius_m", "corridor.radius", None),
-    ("corridor.altitude_m", "corridor.altitude", None),
-    *(
-        (f"{provider}.{key}", f"{provider}.{key}", None)
-        for provider in ("channel_hf", "channel_lf")
-        for key in ("kind", "ray_count", "rician_k_db", "import_path")
-    ),
+    ("seed", "seed"),
+    ("uav_count", "uav_count"),
+    ("replications", "replications"),
+    ("allocator", "allocator"),
+    ("allocation_channel", "allocation_channel"),
+    ("split_power_among_beams", "split_power_among_beams"),
+    ("rf.carrier_hz", "rf.carrier_hz"),
+    ("rf.bandwidth_hz", "rf.bandwidth_hz"),
+    ("rf.tx_power_w", "rf.tx_power_w"),
+    ("rf.noise_power_w", "rf.noise_power_w"),
+    ("antenna.n_h", "antenna.n_h"),
+    ("antenna.n_v", "antenna.n_v"),
+    ("antenna.d_h_wavelengths", "antenna.d_h"),
+    ("antenna.d_v_wavelengths", "antenna.d_v"),
+    ("antenna.g_e_max_dbi", "antenna.g_e_max_dbi"),
+    ("antenna.theta_3db_deg", "antenna.theta_3db_deg"),
+    ("antenna.phi_3db_deg", "antenna.phi_3db_deg"),
+    ("antenna.a_m_db", "antenna.a_m_db"),
+    ("antenna.sl_av_db", "antenna.sl_av_db"),
+    ("antenna.tilt_deg", "antenna.tilt_deg"),
+    ("antenna.gain_floor_db", "antenna.gain_floor_db"),
+    ("codebook.n_beams", "codebook.n_beams"),
+    ("corridor.center_x_m", "corridor.center.x"),
+    ("corridor.center_y_m", "corridor.center.y"),
+    ("corridor.radius_m", "corridor.radius"),
+    ("corridor.altitude_m", "corridor.altitude"),
+    *((f"channel_hf.{key}", f"channel_hf.{key}")
+      for key in ("kind", "ray_count", "rician_k_db", "import_path")),
+    ("channel_lf.ray_count", "lf_ray_count"),
 )
 
 # One `bss` entry, relative to a BaseStationSite. An omitted `id` is the
 # entry's index + 1, an omitted or null `boresight_deg` aims the site at the
 # corridor center, and omitted coordinates are those of nominal site 1.
 _SITE_SCHEMA = (
-    ("id", "id", None),
-    ("x_m", "position.x", None),
-    ("y_m", "position.y", None),
-    ("z_m", "position.z", None),
-    ("boresight_deg", "boresight_azimuth", "deg"),
+    ("id", "id"),
+    ("x_m", "position.x"),
+    ("y_m", "position.y"),
+    ("z_m", "position.z"),
+    ("boresight_deg", "boresight_deg"),
 )
 
 # Keys earlier versions read. Files that still carry them load; the values
-# are ignored.
-_RETIRED = frozenset(
-    {"annealer", "evaluation_channel", "codebook.tilt_deg", "channel_hf.seed", "channel_lf.seed"}
-)
+# are ignored. A few-ray `channel_lf` never read its `rician_k_db`.
+_RETIRED = frozenset({
+    "annealer", "evaluation_channel", "codebook.tilt_deg", "channel_hf.seed", "channel_lf.seed",
+    "channel_lf.rician_k_db",
+})
 
-# Retired keys that load only at the value the evaluator now always uses;
-# dropping any other value would silently change the rates.
-_PINNED = {"num_rrbs": 1, "beta_reading": "interferer"}
+# Retired keys that load only at the value the run now always uses; dropping
+# any other value would silently change the rates. `lf` re-estimates the
+# evaluation tensor and `statistical` uses channel_hf's K, which is what a
+# few-ray `channel_lf` without an import path gave.
+_PINNED = {
+    "num_rrbs": 1,
+    "beta_reading": "interferer",
+    "channel_lf.kind": "few_ray",
+    "channel_lf.import_path": None,
+}
 
 # The JSON types a value may have, by its attribute's annotation. A float
 # attribute takes any JSON number through float(), so 10 and 10.0 load alike.
@@ -210,15 +217,15 @@ _JSON_TYPES = {
 
 
 def _compile(schema, root: type) -> dict:
-    """{section or None: {file key: (getter, path, JSON types, their name, is float, unit)}}."""
+    """{section or None: {file key: (getter, path, JSON types, their name, is float)}}."""
     hints = functools.cache(get_type_hints)
     tables = {}
-    for name, dotted, unit in schema:
+    for name, dotted in schema:
         *owners, attr = path = tuple(dotted.split("."))
         owner = functools.reduce(lambda cls, step: hints(cls)[step], owners, root)
         section, _, key = name.rpartition(".")
         hint = hints(owner)[attr]
-        row = (attrgetter(dotted), path, *_JSON_TYPES[hint], hint is float, unit)
+        row = (attrgetter(dotted), path, *_JSON_TYPES[hint], hint is float)
         tables.setdefault(section or None, {})[key] = row
     return tables
 
@@ -228,7 +235,7 @@ _SITE_TABLE = _compile(_SITE_SCHEMA, BaseStationSite)[None]
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    """The config file of `config`: every schema key, angles in degrees."""
+    """The config file of `config`: every schema key."""
     doc = {}
     for section, table in _TABLES.items():
         (doc.setdefault(section, {}) if section else doc).update(_dump(config, table))
@@ -237,11 +244,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
 
 
 def _dump(obj, table: dict) -> dict:
-    out = {}
-    for key, (get, *_, unit) in table.items():
-        value = get(obj)
-        out[key] = math.degrees(value) if unit == "deg" else value
-    return out
+    return {key: get(obj) for key, (get, *_) in table.items()}
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
@@ -266,7 +269,7 @@ def _site_from_dict(i: int, doc, center: Position3D) -> BaseStationSite:
     given = {k: v for k, v in _expect(where, doc).items() if k != "boresight_deg" or v is not None}
     values = _load(given, _SITE_TABLE, f"{where}.")
     site = _assign(replace(_nominal_sites()[0], id=i + 1), values)
-    return site if ("boresight_azimuth",) in values else aim_boresights_at([site], center)[0]
+    return site if ("boresight_deg",) in values else aim_boresights_at([site], center)[0]
 
 
 def _expect(key: str, value, kind: type = dict, name: str = "a JSON object"):
@@ -291,14 +294,13 @@ def _load(doc: dict, table: dict, where: str) -> dict:
             continue
         if key not in table:
             raise ConfigurationError(f"unknown config key {where + key!r}")
-        _, path, types, expected, is_float, unit = table[key]
+        _, path, types, expected, is_float = table[key]
         if type(value) not in types:
             raise ConfigurationError(f"{where + key} must be {expected}, got {value!r}")
         try:
-            value = float(value) if is_float else value
+            values[path] = float(value) if is_float else value
         except OverflowError:
             raise ConfigurationError(f"{where + key} is out of range") from None
-        values[path] = math.radians(value) if unit == "deg" else value
     return values
 
 
@@ -330,23 +332,24 @@ def config_digest(config: ScenarioConfig, echo: dict | None = None) -> str:
 def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[str]:
     """Every problem with the scenario, one message per offending field.
 
-    `echo` is `config_to_dict(config)`, built here unless the caller has it.
+    A message names the file key and the value the file holds. `echo` is
+    `config_to_dict(config)`, built here unless the caller has it.
     """
-    errors = [
-        f"{path} must be finite, got {value}"
-        for path, value in _non_finite(config_to_dict(config) if echo is None else echo)
-    ]
-    for name in ("carrier_hz", "bandwidth_hz", "tx_power_w", "noise_power_w"):
-        if getattr(config.rf, name) <= 0.0:
-            errors.append(f"rf.{name} must be positive, got {getattr(config.rf, name)}")
+    echo = config_to_dict(config) if echo is None else echo
+    errors = [f"{path} must be finite, got {value}" for path, value in _non_finite(echo)]
+    for key, value in echo["rf"].items():
+        if value <= 0.0:
+            errors.append(f"rf.{key} must be positive, got {value}")
     if config.rf.carrier_hz > 0.0 and not math.isfinite(SPEED_OF_LIGHT / config.rf.carrier_hz):
         errors.append(f"rf.carrier_hz must give a finite wavelength, got {config.rf.carrier_hz}")
-    a = config.antenna
-    if a.n_h < 1 or a.n_v < 1:
-        errors.append(f"antenna.n_h/n_v must be >= 1, got {a.n_h}x{a.n_v}")
-    for name in ("d_h", "d_v", "theta_3db", "phi_3db", "a_m_db", "sl_av_db"):
-        if getattr(a, name) <= 0.0:
-            errors.append(f"antenna.{name} must be positive, got {getattr(a, name)}")
+    a = echo["antenna"]
+    if a["n_h"] < 1 or a["n_v"] < 1:
+        errors.append(f"antenna.n_h/n_v must be >= 1, got {a['n_h']}x{a['n_v']}")
+    for key in (
+        "d_h_wavelengths", "d_v_wavelengths", "theta_3db_deg", "phi_3db_deg", "a_m_db", "sl_av_db"
+    ):
+        if a[key] <= 0.0:
+            errors.append(f"antenna.{key} must be positive, got {a[key]}")
     if config.codebook.n_beams < 1:
         errors.append(f"codebook.n_beams must be >= 1, got {config.codebook.n_beams}")
     if not config.bss:
@@ -378,18 +381,20 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
             f"allocation_channel must be one of {ALLOCATION_CHANNELS}, "
             f"got {config.allocation_channel!r}"
         )
-    for label, spec in (("channel_hf", config.channel_hf), ("channel_lf", config.channel_lf)):
-        if spec.kind not in ("few_ray", "statistical", "import"):
-            errors.append(f"{label}.kind must be few_ray|statistical|import, got {spec.kind!r}")
-        if spec.ray_count < 1:
-            errors.append(f"{label}.ray_count must be >= 1, got {spec.ray_count}")
-        if spec.kind == "import" and not spec.import_path:
-            errors.append(f"{label}.import_path is required for kind 'import'")
-        if math.isfinite(spec.rician_k_db) and not 0.0 < _linear(spec.rician_k_db) < math.inf:
-            errors.append(
-                f"{label}.rician_k_db must have a finite, positive linear value, "
-                f"got {spec.rician_k_db} dB"
-            )
+    hf = config.channel_hf
+    if hf.kind not in ("few_ray", "statistical", "import"):
+        errors.append(f"channel_hf.kind must be few_ray|statistical|import, got {hf.kind!r}")
+    if hf.ray_count < 1:
+        errors.append(f"channel_hf.ray_count must be >= 1, got {hf.ray_count}")
+    if hf.kind == "import" and not hf.import_path:
+        errors.append("channel_hf.import_path is required for kind 'import'")
+    if math.isfinite(hf.rician_k_db) and not 0.0 < _linear(hf.rician_k_db) < math.inf:
+        errors.append(
+            f"channel_hf.rician_k_db must have a finite, positive linear value, "
+            f"got {hf.rician_k_db} dB"
+        )
+    if config.lf_ray_count < 1:
+        errors.append(f"channel_lf.ray_count must be >= 1, got {config.lf_ray_count}")
     if config.replications < 1:
         errors.append(f"replications must be >= 1, got {config.replications}")
     return errors
@@ -435,15 +440,11 @@ def _allocation_tensor(
         return eval_tensor
     if config.allocation_channel == "lf":
         return degrade(
-            eval_tensor,
-            config.channel_lf.ray_count,
-            _derive_seed(config.seed, _TAG_DEGRADE, r),
+            eval_tensor, config.lf_ray_count, _derive_seed(config.seed, _TAG_DEGRADE, r)
         )
-    spec = config.channel_lf
-    if spec.kind != "statistical":
-        spec = replace(spec, kind="statistical", rician_k_db=config.channel_hf.rician_k_db)
+    # generate_statistical reads only the spec's rician_k_db.
     seed = _derive_seed(config.seed, _TAG_STATISTICAL, r)
-    return generate_statistical(links, spec, config.rf, seed)
+    return generate_statistical(links, config.channel_hf, config.rf, seed)
 
 
 def _check_gains(tensor: LinkGainTensor, source: str) -> None:
@@ -474,7 +475,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
 
     mm, ll, nn = config.uav_count, len(config.bss), config.codebook.n_beams
 
-    def one_replication(r: int) -> ThroughputReport:
+    def one_replication(r: int) -> tuple[ThroughputReport, float, float]:
+        """The replication's report, its stage-2 seconds and its evaluation seconds."""
         channel_seed = _derive_seed(config.seed, _TAG_CHANNEL, r)
         # An overflowing link budget is reported by _check_gains, not by numpy.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -502,6 +504,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
         violations = validate(assignment, mm, ll, nn)
         if violations:
             raise InfeasibleAssignmentError("; ".join(violations))
+        t_eval = time.perf_counter()
         report = evaluate_all(
             assignment,
             eval_tensor,
@@ -513,25 +516,27 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
             seed=channel_seed,
             config_digest=digest,
         )
-        report.timings["stage2_seconds"] = stage2_seconds
-        return report
+        return report, stage2_seconds, time.perf_counter() - t_eval
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one_replication, range(config.replications)))
+            runs = list(pool.map(one_replication, range(config.replications)))
     else:
-        reports = [one_replication(r) for r in range(config.replications)]
+        runs = [one_replication(r) for r in range(config.replications)]
+    reports, stage2_seconds, evaluation_seconds = zip(*runs)
 
     mean_rates = np.array([rep.mean_rate_bps for rep in reports])
     std = float(np.std(mean_rates, ddof=1)) if len(mean_rates) > 1 else 0.0
     return ExperimentResult(
         config=echo,
         config_digest=digest,
-        reports=reports,
+        reports=list(reports),
         mean_rate_bps=float(mean_rates.mean()),
         std_rate_bps=std,
         stage1_seconds=stage1_seconds,
         stage1_evals=table.stage1_evals,
+        stage2_seconds=statistics.fmean(stage2_seconds),
+        evaluation_seconds=statistics.fmean(evaluation_seconds),
     )
 
 
@@ -578,15 +583,14 @@ def benchmark(config: ScenarioConfig, uav_counts: list[int], threads: int = 1) -
     for _ in range(_BENCH_REPEATS):
         for cfg, runs in zip(configs, samples):
             result = run_scenario(cfg, threads)
-            timings = result.reports[0].timings
-            stage2 = timings.get("stage2_seconds", 0.0)
-            evaluation = timings.get("evaluation_seconds", 0.0)
             runs.append(
                 {
                     "stage1_seconds": result.stage1_seconds,
-                    "stage2_seconds": stage2,
-                    "evaluation_seconds": evaluation,
-                    "total_seconds": result.stage1_seconds + stage2 + evaluation,
+                    "stage2_seconds": result.stage2_seconds,
+                    "evaluation_seconds": result.evaluation_seconds,
+                    "total_seconds": (
+                        result.stage1_seconds + result.stage2_seconds + result.evaluation_seconds
+                    ),
                     "stage1_evals": result.stage1_evals,
                 }
             )
@@ -619,8 +623,6 @@ _SUMMARY_FIELDS = [
 
 def summary_row(result: ExperimentResult) -> dict:
     cfg = result.config
-    stage2 = [r.timings.get("stage2_seconds", 0.0) for r in result.reports]
-    evals = [r.timings.get("evaluation_seconds", 0.0) for r in result.reports]
     return {
         "allocator": cfg["allocator"],
         "allocation_channel": cfg["allocation_channel"],
@@ -631,8 +633,8 @@ def summary_row(result: ExperimentResult) -> dict:
         "std_mbps": result.std_rate_bps / 1e6,
         "stage1_seconds": result.stage1_seconds,
         "stage1_evals": result.stage1_evals,
-        "stage2_seconds_mean": float(np.mean(stage2)) if stage2 else 0.0,
-        "evaluation_seconds_mean": float(np.mean(evals)) if evals else 0.0,
+        "stage2_seconds_mean": result.stage2_seconds,
+        "evaluation_seconds_mean": result.evaluation_seconds,
         "seed": cfg["seed"],
         "config_digest": result.config_digest,
     }

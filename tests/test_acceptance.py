@@ -195,13 +195,10 @@ class TestAcceptance:
 
     def test_07_fidelity_gap(self):
         hf_spec = ChannelProviderSpec(kind="few_ray", ray_count=1_000_000, rician_k_db=3.0)
-        lf_spec = ChannelProviderSpec(kind="few_ray", ray_count=100, rician_k_db=3.0)
-        on_hf = scenario(707, allocation_channel="hf")
+        on_hf = scenario(707, allocation_channel="hf", lf_ray_count=100)
         on_hf.channel_hf = hf_spec
-        on_hf.channel_lf = lf_spec
-        on_lf = scenario(707, allocation_channel="lf")
+        on_lf = scenario(707, allocation_channel="lf", lf_ray_count=100)
         on_lf.channel_hf = hf_spec
-        on_lf.channel_lf = lf_spec
         result_hf = run_scenario(on_hf)
         result_lf = run_scenario(on_lf)
         gap = result_hf.mean_rate_bps - result_lf.mean_rate_bps

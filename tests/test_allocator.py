@@ -327,7 +327,7 @@ class TestOptimalScanAngles:
 
     def test_alpha_beyond_pi_spans_several_periods(self):
         cfg = AntennaConfig(d_h=2.5)
-        assert 2.0 * math.pi * cfg.d_h * math.cos(cfg.theta_tilt) > math.pi
+        assert 2.0 * math.pi * cfg.d_h * math.cos(math.radians(cfg.tilt_deg)) > math.pi
         rng = np.random.default_rng(23)
         theta = rng.uniform(0.0, math.pi, 4)
         phi = rng.uniform(-math.pi, math.pi, 4)
@@ -344,11 +344,11 @@ class TestOptimalScanAngles:
         self.assert_sector_optima(theta, phi, sectors, cfg)
 
     @pytest.mark.parametrize(
-        "cfg", [AntennaConfig(theta_tilt=math.pi / 2), AntennaConfig(d_h=0.0)]
+        "cfg", [AntennaConfig(tilt_deg=90.0), AntennaConfig(d_h=0.0)]
     )
     def test_vanishing_alpha_gives_finite_angles_in_every_sector(self, cfg):
         # cos(pi/2) leaves |alpha| ~ 1e-16; d_h = 0 makes alpha exactly 0.
-        assert abs(2.0 * math.pi * cfg.d_h * math.cos(cfg.theta_tilt)) < 1e-15
+        assert abs(2.0 * math.pi * cfg.d_h * math.cos(math.radians(cfg.tilt_deg))) < 1e-15
         theta, phi = np.array([0.4, 2.0]), np.array([0.3, -2.5])
         self.assert_sector_optima(theta, phi, BeamCodebook(16).sectors, cfg)
 
@@ -363,7 +363,7 @@ class TestOptimalScanAngles:
     @given(
         n_h=st.integers(1, 16),
         d_h=st.floats(0.2, 2.5),
-        tilt=st.floats(0.0, math.pi / 2),
+        tilt=st.floats(0.0, 90.0),
         theta=st.floats(0.0, math.pi),
         phi=st.floats(-math.pi, math.pi),
         ends=st.lists(
@@ -379,7 +379,7 @@ class TestOptimalScanAngles:
         # nulls (theta = tilt = 0, d_v = 0.5), where the whole pattern is
         # rounding noise near -350 dB and the solver's folded sum and the
         # grid's full array sum disagree by dBs.
-        cfg = AntennaConfig(n_h=n_h, n_v=1, d_h=d_h, theta_tilt=tilt)
+        cfg = AntennaConfig(n_h=n_h, n_v=1, d_h=d_h, tilt_deg=tilt)
         self.assert_sector_optima(np.array([theta]), np.array([phi]), sectors, cfg)
 
     @settings(max_examples=60, deadline=None)
@@ -411,12 +411,12 @@ class TestRefinePeaks:
     @given(
         n_h=st.integers(1, 16),
         d_h=st.floats(0.2, 2.5),
-        tilt=st.floats(0.0, math.pi / 2),
+        tilt=st.floats(0.0, 90.0),
         theta=st.floats(0.0, math.pi),
         phi=st.floats(-math.pi, math.pi),
     )
     def test_never_below_golden_section(self, n_h, d_h, tilt, theta, phi):
-        cfg = AntennaConfig(n_h=n_h, n_v=1, d_h=d_h, theta_tilt=tilt)
+        cfg = AntennaConfig(n_h=n_h, n_v=1, d_h=d_h, tilt_deg=tilt)
         autocorr, reach = autocorrelation(theta, phi, cfg)
         peaks, _ = _refine_peaks(autocorr, reach, n_h - 1)
         golden, _ = golden_section_peaks(autocorr, reach, n_h - 1)
@@ -431,7 +431,7 @@ class TestRefinePeaks:
             CFG,
             AntennaConfig(n_h=2, d_h=0.2),
             AntennaConfig(n_h=8, d_h=1.0),
-            AntennaConfig(n_h=16, d_h=2.5, theta_tilt=0.0),
+            AntennaConfig(n_h=16, d_h=2.5, tilt_deg=0.0),
         ],
     )
     def test_one_more_newton_step_moves_no_interior_peak(self, cfg, monkeypatch):

@@ -101,7 +101,7 @@ class TestVectors:
         assert phases[1] == pytest.approx(2.0 * math.pi * 0.5 * 0.5, rel=1e-12)  # pi/2
 
     def test_beamforming_uniform_no_tilt(self):
-        cfg = AntennaConfig(theta_tilt=0.0)
+        cfg = AntennaConfig(tilt_deg=0.0)
         w = beamforming_vector(0.0, cfg)
         np.testing.assert_allclose(w, np.full(16, 0.25), atol=1e-12)
 
@@ -122,7 +122,7 @@ class TestVectors:
 
 class TestArrayGain:
     def test_aligned_attains_cauchy_schwarz(self):
-        cfg = AntennaConfig(theta_tilt=0.0)
+        cfg = AntennaConfig(tilt_deg=0.0)
         d = SteeringDirection(deg(90), 0.0)
         assert array_gain(d, 0.0, cfg) == pytest.approx(BOUND_16, rel=1e-9)
 
@@ -152,7 +152,7 @@ class TestArrayGain:
 
     def test_underflow_clamped(self):
         # two-element array with a scan placing the elements in anti-phase
-        cfg = AntennaConfig(n_h=2, n_v=1, theta_tilt=0.0)
+        cfg = AntennaConfig(n_h=2, n_v=1, tilt_deg=0.0)
         d = SteeringDirection(deg(90), 0.0)
         # sin(scan) = 1 -> phase difference pi at half-wavelength spacing
         g = array_gain(d, deg(90), cfg)
@@ -162,7 +162,7 @@ class TestArrayGain:
 
 class TestTotalGain:
     def test_boresight_aligned(self):
-        cfg = AntennaConfig(theta_tilt=0.0)
+        cfg = AntennaConfig(tilt_deg=0.0)
         d = SteeringDirection(deg(90), 0.0)
         assert total_gain(d, 0.0, cfg) == pytest.approx(-8.0 + BOUND_16, rel=1e-9)
 
@@ -198,7 +198,7 @@ class TestTotalGain:
             assert fn(scan) == pytest.approx(total_gain(d, scan, CFG), abs=1e-9)
 
     @pytest.mark.parametrize(
-        "cfg", [CFG, AntennaConfig(n_h=7, n_v=3, d_h=0.6, d_v=0.4, theta_tilt=deg(-5.0))]
+        "cfg", [CFG, AntennaConfig(n_h=7, n_v=3, d_h=0.6, d_v=0.4, tilt_deg=-5.0)]
     )
     def test_folded_gain_matches_direct(self, cfg):
         # The batched fold that stage 1, the evaluator and gain-sweep use,

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from corridorsim.harness import (
     config_digest,
     config_from_dict,
     config_to_dict,
+    emit_reports,
+    run_scenario,
     validate_config,
 )
 
@@ -36,7 +39,7 @@ class TestSchema:
 
     def test_partial_section_keeps_the_other_defaults(self):
         cfg = config_from_dict({"channel_lf": {"ray_count": 50}, "corridor": {"radius_m": 150}})
-        assert cfg.channel_lf == ChannelProviderSpec(kind="few_ray", ray_count=50)
+        assert cfg.lf_ray_count == 50
         assert cfg.corridor == replace(CorridorSpec(), radius=150.0)
         assert cfg.channel_hf == ScenarioConfig().channel_hf
 
@@ -47,8 +50,8 @@ class TestSchema:
         first, second = cfg.bss
         assert first.id == 1 and second.id == 1  # a missing id is index + 1
         assert first.position == Position3D(400.0, 0.0, 25.0)
-        assert first.boresight_azimuth == pytest.approx(math.atan2(200.0, -200.0))
-        assert second.boresight_azimuth == math.radians(90.0)
+        assert first.boresight_deg == math.degrees(math.atan2(200.0, -200.0))
+        assert second.boresight_deg == 90.0
         assert any("ids must be unique" in p for p in validate_config(cfg))
 
     def test_empty_site_list_is_reported(self):
@@ -97,6 +100,17 @@ class TestSchema:
     def test_document_must_be_an_object(self):
         with pytest.raises(ConfigurationError, match="config must be a JSON object"):
             config_from_dict([])
+
+    def test_validation_names_the_file_key_and_the_file_value(self):
+        doc = {
+            "antenna": {"theta_3db_deg": -10, "d_h_wavelengths": -0.5},
+            "channel_lf": {"ray_count": 0},
+        }
+        assert validate_config(config_from_dict(doc)) == [
+            "antenna.d_h_wavelengths must be positive, got -0.5",
+            "antenna.theta_3db_deg must be positive, got -10.0",
+            "channel_lf.ray_count must be >= 1, got 0",
+        ]
 
 
 # The config echo of a 4-UAV nominal run, as results.json held it while the
@@ -155,7 +169,34 @@ class TestRetiredEvaluationKeys:
         cfg = config_from_dict(old)
         assert validate_config(cfg) == []
         del old["num_rrbs"], old["beta_reading"]
+        old["channel_lf"] = {"ray_count": 100}
         assert config_to_dict(cfg) == old
+
+
+class TestChannelLfIsItsRayCount:
+    """`channel_lf` keeps only `ray_count`; its other keys load at the reading runs used."""
+
+    def test_the_old_keys_load_at_their_used_values_and_leave_the_echo(self):
+        doc = {"channel_lf": {"kind": "few_ray", "import_path": None, "rician_k_db": 7.0}}
+        assert config_to_dict(config_from_dict(doc)) == DEFAULT_ECHO
+        assert DEFAULT_ECHO["channel_lf"] == {"ray_count": 100}
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"channel_lf": {"kind": "statistical"}},
+                "channel_lf.kind is retired and loads only as \"few_ray\", got 'statistical'",
+            ),
+            (
+                {"channel_lf": {"import_path": "lf.bin"}},
+                "channel_lf.import_path is retired and loads only as null, got 'lf.bin'",
+            ),
+        ],
+    )
+    def test_other_values_raise_naming_the_key(self, doc, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            config_from_dict(doc)
 
 
 class TestRetiredChannelSeeds:
@@ -181,16 +222,6 @@ positive = st.floats(1e-6, 1e12)
 rician_k_dbs = st.floats(-3000.0, 3000.0)
 
 
-def radians_of(lo, hi):
-    """Angles drawn in degrees, as every loaded config holds them.
-
-    A radian value with no exact degree twin can move by one ulp on its first
-    trip through the file (degrees(radians(degrees(t))) != degrees(t) for
-    ~5% of uniform t); a loaded value is a fixed point from then on.
-    """
-    return st.floats(lo, hi).map(math.radians)
-
-
 providers = st.one_of(
     st.builds(
         ChannelProviderSpec,
@@ -213,7 +244,7 @@ providers = st.one_of(
 def scenario_configs(draw):
     places = draw(
         st.lists(
-            st.tuples(finite, finite, st.floats(0.0, 1e4), radians_of(-720.0, 720.0)),
+            st.tuples(finite, finite, st.floats(0.0, 1e4), st.floats(-720.0, 720.0)),
             min_size=1,
             max_size=6,
         )
@@ -231,11 +262,11 @@ def scenario_configs(draw):
             d_h=draw(positive),
             d_v=draw(positive),
             g_e_max_dbi=draw(finite),
-            theta_3db=draw(radians_of(1e-3, 360.0)),
-            phi_3db=draw(radians_of(1e-3, 360.0)),
+            theta_3db_deg=draw(st.floats(1e-3, 360.0)),
+            phi_3db_deg=draw(st.floats(1e-3, 360.0)),
             a_m_db=draw(positive),
             sl_av_db=draw(positive),
-            theta_tilt=draw(radians_of(-90.0, 90.0)),
+            tilt_deg=draw(st.floats(-90.0, 90.0)),
             gain_floor_db=draw(finite),
         ),
         codebook=BeamCodebook(n_beams),
@@ -244,7 +275,7 @@ def scenario_configs(draw):
                               draw(positive)),
         uav_count=draw(st.integers(1, len(bss) * n_beams)),
         channel_hf=draw(providers),
-        channel_lf=draw(providers),
+        lf_ray_count=draw(st.integers(1, 10**7)),
         allocator=draw(st.sampled_from(ALLOCATORS)),
         allocation_channel=draw(st.sampled_from(ALLOCATION_CHANNELS)),
         seed=draw(st.integers(-(2**70), 2**70)),
@@ -259,8 +290,56 @@ def test_valid_config_survives_the_file_round_trip(cfg):
     assert validate_config(cfg) == []
     echo = config_to_dict(cfg)
     back = config_from_dict(json.loads(json.dumps(echo)))
+    assert back == cfg
     assert config_to_dict(back) == echo
     assert config_digest(back) == config_digest(cfg)
+
+
+def results_json(doc: dict) -> tuple[bytes, dict]:
+    """The results.json bytes of a run of config file `doc`, and its config echo."""
+    result = run_scenario(config_from_dict(doc))
+    with tempfile.TemporaryDirectory() as out:
+        return emit_reports([result], out)["results"].read_bytes(), result.config
+
+
+def assert_reruns_from_its_echo(doc: dict) -> None:
+    first, echo = results_json(doc)
+    again, _ = results_json(json.loads(json.dumps(echo)))
+    assert again == first
+
+
+def two_decimals(lo: int, hi: int):
+    return st.integers(100 * lo, 100 * hi).map(lambda k: k / 100)
+
+
+# Explicit or aimed (null) boresights; aimed ones point at the corridor center.
+site_docs = st.lists(
+    st.fixed_dictionaries(
+        {
+            "x_m": two_decimals(-500, 900),
+            "y_m": two_decimals(-500, 900),
+            "z_m": two_decimals(0, 50),
+        },
+        optional={"boresight_deg": st.none() | two_decimals(-180, 180)},
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(uav_count=st.integers(1, 8), tilt=two_decimals(0, 30), sites=st.none() | site_docs)
+def test_a_run_reruns_from_its_own_echo(uav_count, tilt, sites):
+    doc = {"uav_count": uav_count, "antenna": {"tilt_deg": tilt}}
+    if sites is not None:
+        doc["bss"] = sites
+    assert_reruns_from_its_echo(doc)
+
+
+def test_a_two_decimal_tilt_reruns_from_its_own_echo():
+    # Held in radians, this tilt came back from its echo one ulp away and
+    # moved per-UAV results under the same config_digest.
+    assert_reruns_from_its_echo({"uav_count": 20, "antenna": {"tilt_deg": 0.84}})
 
 
 json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)

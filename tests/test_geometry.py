@@ -100,7 +100,7 @@ class TestLinkGeometry:
             link_geometry(bs, Position3D(1.0, 2.0, 3.0))
 
     def test_phi_wrapped_half_open(self):
-        bs = BaseStationSite(1, Position3D(0.0, 0.0, 0.0), math.pi)
+        bs = BaseStationSite(1, Position3D(0.0, 0.0, 0.0), 180.0)
         # UAV due east, boresight west: relative azimuth is exactly pi, not -pi
         g = link_geometry(bs, Position3D(10.0, 0.0, 5.0))
         assert g.phi == pytest.approx(math.pi)
@@ -117,14 +117,14 @@ class TestLinkGeometry:
             )
             boresight = rng.uniform(-math.pi, math.pi)
             delta = rng.uniform(-math.pi, math.pi)
-            g0 = link_geometry(BaseStationSite(1, bs_pos, boresight), uav)
+            g0 = link_geometry(BaseStationSite(1, bs_pos, math.degrees(boresight)), uav)
             dx, dy = uav.x - bs_pos.x, uav.y - bs_pos.y
             rot = Position3D(
                 bs_pos.x + dx * math.cos(delta) - dy * math.sin(delta),
                 bs_pos.y + dx * math.sin(delta) + dy * math.cos(delta),
                 uav.z,
             )
-            g1 = link_geometry(BaseStationSite(1, bs_pos, boresight + delta), rot)
+            g1 = link_geometry(BaseStationSite(1, bs_pos, math.degrees(boresight + delta)), rot)
             assert g1.distance_3d == pytest.approx(g0.distance_3d, abs=1e-9)
             assert g1.theta == pytest.approx(g0.theta, abs=1e-12)
             assert abs(wrap_angle(g1.phi - g0.phi)) < 1e-12
@@ -139,7 +139,7 @@ class TestLinkGeometry:
                 (uav.x, uav.y, uav.z), (bs_pos.x, bs_pos.y, bs_pos.z)
             ) < 1e-6:
                 continue
-            g = link_geometry(BaseStationSite(1, bs_pos, boresight), uav)
+            g = link_geometry(BaseStationSite(1, bs_pos, math.degrees(boresight)), uav)
             dz = g.distance_3d * math.cos(g.theta)
             dh = g.distance_3d * math.sin(g.theta)
             bearing = g.phi + boresight
@@ -163,7 +163,7 @@ def sites_and_waypoints(draw):
         BaseStationSite(
             l + 1,
             Position3D(draw(coords), draw(coords), draw(st.floats(0.0, 100.0))),
-            draw(st.floats(-4.0, 4.0)),
+            draw(st.floats(-240.0, 240.0)),
         )
         for l in range(draw(st.integers(1, 5)))
     ]
@@ -195,7 +195,7 @@ class TestLinkGeometries:
 
     def test_nominal_corridor(self):
         corners = [(0.0, 0.0), (400.0, 0.0), (400.0, 400.0), (0.0, 400.0)]
-        bss = [BaseStationSite(l + 1, Position3D(x, y, 25.0), 0.7 * l)
+        bss = [BaseStationSite(l + 1, Position3D(x, y, 25.0), 40.0 * l)
                for l, (x, y) in enumerate(corners)]
         uavs = generate_corridor(spec(radius=200.0, center=Position3D(200.0, 200.0, 0.0)), 64)
         links = link_geometries(uavs, bss)

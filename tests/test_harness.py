@@ -98,7 +98,7 @@ class TestConfigPlumbing:
     def test_default_boresights_point_at_center(self):
         cfg = ScenarioConfig()
         bs = cfg.bss[0]  # at (0, 0), center at (200, 200)
-        assert bs.boresight_azimuth == pytest.approx(math.pi / 4)
+        assert bs.boresight_deg == 45.0
 
     def test_default_sites_aim_at_configured_center(self):
         cfg = config_from_dict({"corridor": {"center_x_m": 1000.0, "center_y_m": 1000.0}})
@@ -109,9 +109,9 @@ class TestConfigPlumbing:
             math.atan2(600.0, 600.0),
             math.atan2(600.0, 1000.0),
         ]
-        got = [bs.boresight_azimuth for bs in cfg.bss]
-        assert got == pytest.approx(expect, rel=1e-12)
-        assert all(0.0 < b < math.pi / 2 for b in got)
+        got = [bs.boresight_deg for bs in cfg.bss]
+        assert got == [math.degrees(a) for a in expect]
+        assert all(0.0 < b < 90.0 for b in got)
 
     def test_retired_keys_still_load(self):
         base = config_to_dict(small_config())
@@ -151,7 +151,7 @@ class TestConfigPlumbing:
 class TestLinkBudgetOutsideTheFloats:
     """Inputs whose link budget leaves the floats end at validation or as `error: …`."""
 
-    @pytest.mark.parametrize("provider", ["channel_hf", "channel_lf"])
+    @pytest.mark.parametrize("provider", ["channel_hf"])
     @pytest.mark.parametrize("kind", ["few_ray", "statistical"])
     @pytest.mark.parametrize("k_db", [-4000.0, 4000.0])
     def test_rician_k_without_a_linear_value_is_rejected(self, provider, kind, k_db):
@@ -164,7 +164,7 @@ class TestLinkBudgetOutsideTheFloats:
     @pytest.mark.parametrize("k_db", [-3000.0, 3000.0])
     def test_extreme_representable_k_is_valid(self, k_db):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=100, rician_k_db=k_db)
-        assert validate_config(small_config(channel_hf=spec, channel_lf=spec)) == []
+        assert validate_config(small_config(channel_hf=spec)) == []
 
     @pytest.mark.parametrize("kind", ["few_ray", "statistical"])
     @pytest.mark.parametrize("k_db", [-4000, 4000])
@@ -280,7 +280,7 @@ class TestRunScenario:
         # evaluation, degraded per link for allocation on LF.
         cfg = ScenarioConfig(seed=12, uav_count=16, replications=4, allocation_channel="lf")
         cfg.channel_hf = replace(cfg.channel_hf, kind="few_ray", ray_count=10_000)
-        cfg.channel_lf = replace(cfg.channel_lf, kind="few_ray", ray_count=100)
+        cfg.lf_ray_count = 100
         serial = run_scenario(cfg, threads=1)
         threaded = run_scenario(cfg, threads=2)
         assert serial.to_dict() == threaded.to_dict()
@@ -638,7 +638,7 @@ class TestCli:
         "antenna, message",
         [
             ({"n_h": 0}, "error: antenna.n_h/n_v must be >= 1, got 0x4"),
-            ({"theta_3db_deg": 0.0}, "error: antenna.theta_3db must be positive, got 0.0"),
+            ({"theta_3db_deg": 0.0}, "error: antenna.theta_3db_deg must be positive, got 0.0"),
         ],
         ids=["n_h_0", "theta_3db_0"],
     )
