@@ -21,16 +21,16 @@ Three interchangeable providers fill a LinkGainTensor:
 
 Every provider is a pure function of (links, spec, rf, seed): ``links`` is
 the (M, L) array of ``geometry.link_geometries``, and the seed is an
-argument, as for ``degrade``. Link (m, l) draws from the PCG64 stream that
-numpy's seed sequence of (seed, m, l) seeds, bit for bit, so parallel and
-serial generation produce bit-identical tensors. ``_link_rngs`` replays the
-seed sequences of a call's links in one numpy pass.
+argument, as for ``degrade``. A call draws from one numpy Generator per
+draw kind, seeded by ``SeedSequence(seed mod 2^64)``, and each stream fills
+a row-major (M*L, k) block in one call: link (m, l)'s draws are row
+m*L + l. A link therefore keeps its draws when M grows, the few-ray
+diffuse phase does not depend on the ray count, and tensors do not depend
+on the thread count.
 
-The per-link loop only seeds each link's Generator and draws into a row of
-a preallocated array; the rest of a provider runs once on (M*L,) arrays. Its
-libm calls (cos, sin, log10, 10 ** x) go through ``math`` on Python floats,
-because numpy's SIMD float64 log10 and exp may round differently from libm,
-so every coefficient equals the per-link computation bit for bit.
+The rest of a provider runs once on (M*L,) arrays. Its libm calls (cos,
+sin, log10, 10 ** x) go through ``math`` on Python floats, because numpy's
+SIMD float64 log10 and exp may round differently from libm.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .antenna import SPEED_OF_LIGHT
 from .errors import GeometryError, TensorFormatError
@@ -58,17 +57,6 @@ from .errors import GeometryError, TensorFormatError
 _EXACT_RAY_LIMIT = 64
 
 _SEED_MASK = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
-
-# numpy's seed sequence (pool of four uint32 words, hashmix/mix constants),
-# as _link_rngs replays it.
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -133,76 +121,6 @@ def free_space_path_gain(distance: float, carrier_hz: float):
     return float(out) if np.ndim(distance) == 0 else out
 
 
-def _hashes(init: int, mult: int, count: int):
-    """Constants of `count` successive seed-sequence hashes, as (count, 1) columns.
-
-    numpy's hash xors a value with a running constant, advances the constant
-    by `mult` and multiplies by it; hash k uses xors[k] and mults[k].
-    """
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    return column[:-1], column[1:]
-
-
-# The pool's 4 entropy hashes and 12 mixing hashes, then generate_state's 8.
-_POOL_XORS, _POOL_MULTS = _hashes(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-_STATE_HASHES = _hashes(_INIT_B, _MULT_B, 8)
-
-
-def _hash(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    values = (values ^ xors) * mults
-    return values ^ (values >> np.uint32(16))
-
-
-class _StateWords(ISeedSequence):
-    """A seed sequence whose generate_state is one link's replayed words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _link_rngs(seed: int, mm: int, ll: int):
-    """Yield (m, l, rng) for every link in row-major order.
-
-    rng is the Generator that numpy's PCG64 gives for the seed sequence of
-    (seed & _SEED_MASK, m, l), bit for bit. The sequence's mixing runs once
-    on (pool word, link) uint32 arrays, hashes that use the same pool word
-    side by side; PCG64 then seeds a fresh Generator per link from that
-    link's words (_StateWords).
-    """
-    seed &= _SEED_MASK
-    n = mm * ll
-    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    k = len(seed_words)
-    entropy = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
-    entropy[:k] = np.array(seed_words, dtype=np.uint32)[:, None]
-    entropy[k], entropy[k + 1] = np.divmod(np.arange(n, dtype=np.uint32), np.uint32(ll))
-
-    # Hash every pool word, then mix each source word into the other three
-    # in turn; the three hashes of one source differ only in their constants.
-    pool = _hash(entropy, _POOL_XORS[:_POOL_SIZE], _POOL_MULTS[:_POOL_SIZE])
-    for i_src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != i_src]
-        at = slice(_POOL_SIZE + 3 * i_src, _POOL_SIZE + 3 * (i_src + 1))
-        y = _hash(pool[i_src], _POOL_XORS[at], _POOL_MULTS[at])
-        x = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * y
-        pool[dst] = x ^ (x >> np.uint32(16))
-
-    # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
-    # paired little-endian into four uint64 words per link. PCG64 reads a
-    # link's row in place, so the rows are native-endian, C-contiguous uint64.
-    cycle = [i % _POOL_SIZE for i in range(8)]
-    state32 = _hash(pool[cycle], *_STATE_HASHES)
-    words = state32.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-    for i in range(n):
-        yield i // ll, i % ll, np.random.Generator(np.random.PCG64(_StateWords(words[i])))
-
-
 def _unit_phasors(phases: np.ndarray) -> np.ndarray:
     """exp(1j * phase) per element, through libm's cos and sin on Python floats."""
     return np.array(
@@ -215,9 +133,9 @@ def generate_few_ray(
 ) -> LinkGainTensor:
     """LOS ray plus (ray_count - 1) seeded scatter rays per link.
 
-    The diffuse field of link (m, l) is a fixed phasor of power
-    LOS/K (drawn once from the link substream, independent of ray count);
-    the scatter rays estimate it with zero-mean error of variance
+    The diffuse field of link (m, l) is a fixed phasor of power LOS/K; its
+    phase chi is row m*L + l of the call's chi stream, independent of ray
+    count. The scatter rays estimate it with zero-mean error of variance
     diffuse_power/(ray_count - 1), summed exactly up to _EXACT_RAY_LIMIT
     scatter rays and drawn from its Gaussian limit above. ray_count = 1 is
     the pure-LOS channel.
@@ -232,24 +150,19 @@ def generate_few_ray(
     amp = np.sqrt(free_space_path_gain(dist, rf.carrier_hz))
     h = amp * _unit_phasors(np.fmod(2.0 * math.pi * dist / lam, 2.0 * math.pi))
     if n_scatter >= 1:
-        # chi, then psi (exact) or the two Gaussian components of err.
-        exact = n_scatter <= _EXACT_RAY_LIMIT
-        u = np.empty((dist.size, 1 + n_scatter if exact else 1))
-        g = None if exact else np.empty((dist.size, 2))
-        for i, (_, _, rng) in enumerate(_link_rngs(seed, mm, ll)):
-            rng.random(out=u[i])
-            if g is not None:
-                rng.standard_normal(out=g[i])
-        phase = -math.pi + 2.0 * math.pi * u  # rng.uniform(-pi, pi), bit for bit
-        if exact:
-            rays = np.empty((dist.size, n_scatter), dtype=complex)
-            np.cos(phase[:, 1:], out=rays.real)
-            np.sin(phase[:, 1:], out=rays.imag)
-            err = rays.sum(axis=1) / n_scatter
+        # chi has a stream of its own, so it does not depend on the ray count;
+        # the second stream gives psi (exact) or the two Gaussian components of err.
+        seeds = np.random.SeedSequence(seed & _SEED_MASK).spawn(2)
+        chi_rng, err_rng = map(np.random.default_rng, seeds)
+        chi = -math.pi + 2.0 * math.pi * chi_rng.random(dist.size)  # uniform(-pi, pi)
+        if n_scatter <= _EXACT_RAY_LIMIT:
+            psi = -math.pi + 2.0 * math.pi * err_rng.random((dist.size, n_scatter))
+            err = (np.cos(psi) + 1j * np.sin(psi)).sum(axis=1) / n_scatter
         else:
+            g = err_rng.standard_normal((dist.size, 2))
             err = (g[:, 0] + 1j * g[:, 1]) * math.sqrt(0.5 / n_scatter)
         s_amp = amp / math.sqrt(10.0 ** (spec.rician_k_db / 10.0))
-        h = h + s_amp * (_unit_phasors(phase[:, 0]) + err)
+        h = h + s_amp * (_unit_phasors(chi) + err)
     coeffs = h.reshape(mm, ll, 1)
     return LinkGainTensor(
         power_gains=aggregate_power(coeffs),
@@ -269,9 +182,7 @@ def generate_statistical(
     los_frac = math.sqrt(k_lin / (k_lin + 1.0))
     scatter_frac = math.sqrt(1.0 / (k_lin + 1.0))
 
-    g = np.empty((dist.size, 2))
-    for i, (_, _, rng) in enumerate(_link_rngs(seed, mm, ll)):
-        rng.standard_normal(out=g[i])
+    g = np.random.default_rng(seed & _SEED_MASK).standard_normal((dist.size, 2))
     log10_d = np.array([math.log10(d) for d in dist.tolist()])
     pl_db = 32.4 + 21.0 * log10_d + 20.0 * math.log10(rf.carrier_hz / 1e9)
     amp = np.array([10.0**x for x in (-pl_db / 20.0).tolist()])
@@ -303,11 +214,9 @@ def degrade(
             coefficients=None if tensor.coefficients is None else tensor.coefficients.copy(),
             ray_count=tensor.ray_count,
         )
-    gamma = np.empty(tensor.m * tensor.l)
-    for i, (_, _, rng) in enumerate(_link_rngs(seed, tensor.m, tensor.l)):
-        gamma[i] = rng.standard_gamma(target_ray_count)
-    # rng.gamma(shape=k, scale=1/k) is scale * standard_gamma(k), bit for bit.
-    gamma = (gamma * (1.0 / target_ray_count)).reshape(tensor.m, tensor.l)
+    gamma = np.random.default_rng(seed & _SEED_MASK).gamma(
+        target_ray_count, 1.0 / target_ray_count, size=(tensor.m, tensor.l)
+    )
     if tensor.coefficients is not None:
         coeffs = tensor.coefficients * np.sqrt(gamma)[:, :, None]
         power = aggregate_power(coeffs)  # keep the aggregation rule bit-exact

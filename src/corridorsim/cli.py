@@ -66,6 +66,8 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
         config.seed = args.seed
     if args.allocator:
         config.allocator = args.allocator
+    if args.import_path and args.channel != "import":
+        raise ConfigurationError("--import-path needs --channel import")
     if args.channel == "import":
         if not args.import_path:
             raise ConfigurationError("--channel import requires --import-path")

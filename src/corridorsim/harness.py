@@ -9,11 +9,12 @@ allocation-side tensor for the configured channel axis, runs the selected
 allocator, and always scores the result on the evaluation tensor, so every
 scheme is judged on the same channel.
 
-Replication r of every scenario derives its channel seed from
-(scenario seed, r): sweeps over UAV count or altitude are therefore paired
-sample-by-sample. results.json contains only deterministic payload (wall
-clock timings go to summary.csv), so identical configs and seeds reproduce
-it byte for byte regardless of thread count.
+Replication r of every scenario derives its channel seeds from
+(scenario seed, r), and link (m, l) draws row m*L + l of each stream of a
+channel call, so sweeps over UAV count or altitude are paired sample by
+sample. results.json contains only deterministic payload (wall clock
+timings go to summary.csv), so identical configs and seeds reproduce it
+byte for byte regardless of thread count.
 """
 
 from __future__ import annotations
@@ -205,6 +206,13 @@ _PINNED = {
     "channel_lf.import_path": None,
 }
 
+# channel_hf keys that only some provider kinds read. Every kind reads `kind`
+# and `rician_k_db` (an import's K feeds the `statistical` allocation
+# channel). The echo holds only the keys the kind reads; a file may give
+# another only at its ChannelProviderSpec default, so older echoes load and
+# no value that the run ignores loads silently.
+_READ_BY_KIND = {"ray_count": ("few_ray",), "import_path": ("import",)}
+
 # The JSON types a value may have, by its attribute's annotation. A float
 # attribute takes any JSON number through float(), so 10 and 10.0 load alike.
 _JSON_TYPES = {
@@ -239,8 +247,14 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     doc = {}
     for section, table in _TABLES.items():
         (doc.setdefault(section, {}) if section else doc).update(_dump(config, table))
+    for key in _unread_channel_keys(config.channel_hf):
+        del doc["channel_hf"][key]
     doc["bss"] = [_dump(bs, _SITE_TABLE) for bs in config.bss]
     return doc
+
+
+def _unread_channel_keys(spec: ChannelProviderSpec) -> list[str]:
+    return [key for key, kinds in _READ_BY_KIND.items() if spec.kind not in kinds]
 
 
 def _dump(obj, table: dict) -> dict:
@@ -248,13 +262,24 @@ def _dump(obj, table: dict) -> dict:
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Load a JSON document; omitted keys keep defaults, unknown keys and wrong types raise."""
+    """Load a JSON document; omitted keys keep defaults, unknown keys and wrong types raise.
+
+    A channel_hf key its kind does not read raises too, unless it holds its default.
+    """
     top = {k: v for k, v in _expect("config", doc).items() if k not in _TABLES and k != "bss"}
     values = _load(top, _TABLES[None], "")
     for section, table in _TABLES.items():
         if section in doc:
             values.update(_load(_expect(section, doc[section]), table, f"{section}."))
     config = _assign(ScenarioConfig(), values)
+    default = ChannelProviderSpec()
+    for key in _unread_channel_keys(config.channel_hf):
+        value, pinned = getattr(config.channel_hf, key), getattr(default, key)
+        if value != pinned:
+            raise ConfigurationError(
+                f"channel_hf.{key} is not read by kind {config.channel_hf.kind!r} and loads "
+                f"only as {json.dumps(pinned)}, got {value!r}"
+            )
     center = config.corridor.center
     if "bss" not in doc:
         config.bss = _nominal_sites(center)
@@ -384,7 +409,7 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
     hf = config.channel_hf
     if hf.kind not in ("few_ray", "statistical", "import"):
         errors.append(f"channel_hf.kind must be few_ray|statistical|import, got {hf.kind!r}")
-    if hf.ray_count < 1:
+    if hf.kind == "few_ray" and hf.ray_count < 1:
         errors.append(f"channel_hf.ray_count must be >= 1, got {hf.ray_count}")
     if hf.kind == "import" and not hf.import_path:
         errors.append("channel_hf.import_path is required for kind 'import'")

@@ -15,7 +15,6 @@ from corridorsim.antenna import SPEED_OF_LIGHT
 from corridorsim.channel import (
     _EXACT_RAY_LIMIT,
     _SEED_MASK,
-    _link_rngs,
     ChannelProviderSpec,
     LinkGainTensor,
     RfConstants,
@@ -99,7 +98,7 @@ class TestFewRay:
 
     def test_mean_power_decreases_with_distance(self):
         # 100 seeded realizations per distance inside one tensor: rows share
-        # the distance profile, per-link substreams differ.
+        # the distance profile, each link draws its own row of the streams.
         distances = [60.0, 90.0, 130.0, 180.0, 240.0, 310.0, 390.0, 480.0, 580.0, 690.0]
         g = links_at([distances] * 100)
         spec = ChannelProviderSpec(kind="few_ray", ray_count=8)
@@ -115,38 +114,58 @@ class TestFewRay:
         t2 = generate_few_ray(g, spec, RF, 7)
         assert np.array_equal(t1.coefficients, t2.coefficients)
         # reconstruct the infinite-ray limit: LOS phasor plus the fixed
-        # diffuse phasor whose phase is the first draw of the link substream
+        # diffuse phasor whose phase is the first draw of the chi stream
         lam = SPEED_OF_LIGHT / RF.carrier_hz
         a0 = math.sqrt(free_space_path_gain(100.0, RF.carrier_hz))
         psi0 = math.fmod(2.0 * math.pi * 100.0 / lam, 2.0 * math.pi)
-        chi = np.random.default_rng(np.random.SeedSequence((7, 0, 0))).uniform(
-            -math.pi, math.pi
-        )
+        chi = reference_chi(7, 0)
         k_lin = 10.0 ** (spec.rician_k_db / 10.0)
         limit = a0 * np.exp(1j * psi0) + a0 / math.sqrt(k_lin) * np.exp(1j * chi)
         # residual sampling noise has relative scale ~1/sqrt(1e6)
         assert t1.power_gains[0, 0] == pytest.approx(abs(limit) ** 2, rel=1e-2)
 
 
-def reference_link(spec, seed, distance, m, l, exact):
-    """Coefficient of link (m, l) at `distance` and `seed`, written out from the model.
+def call_stream(seed, child=None):
+    """A provider call's stream at `seed`: SeedSequence(seed mod 2^64), or its spawned child.
 
-    The diffuse phase chi is the first draw of the link substream on both
-    branches; `exact` sums the spec.ray_count - 1 uniform scatter phasors,
-    otherwise err is the Gaussian limit drawn next.
+    Few-ray draws chi from child 0 and psi or err from child 1; statistical
+    and degrade draw from the root sequence itself.
     """
-    n = spec.ray_count - 1
+    ss = np.random.SeedSequence(seed & _SEED_MASK)
+    return np.random.default_rng(ss if child is None else ss.spawn(2)[child])
+
+
+def link_row(draw, row):
+    """Row `row` of the block `draw(rows)` fills: one link's draws, read on their own."""
+    return draw(row + 1)[row]
+
+
+def reference_chi(seed, row):
+    """Diffuse phase of the link at `row` (m * L + l): its draw of the chi stream."""
+    return link_row(lambda k: call_stream(seed, 0).uniform(-math.pi, math.pi, size=k), row)
+
+
+def reference_err(seed, row, n, exact):
+    """Scatter error of the link at `row` for n scatter rays, from the second stream.
+
+    `exact` sums its n uniform scatter phasors; otherwise err is the
+    Gaussian limit, two standard normals scaled to variance 1/2n each.
+    """
+    if exact:
+        draw = lambda k: call_stream(seed, 1).uniform(-math.pi, math.pi, size=(k, n))
+        psi = link_row(draw, row)
+        return (np.cos(psi) + 1j * np.sin(psi)).sum() / n
+    g = link_row(lambda k: call_stream(seed, 1).standard_normal((k, 2)), row)
+    return (g[0] + 1j * g[1]) * math.sqrt(0.5 / n)
+
+
+def reference_link(spec, seed, distance, row, exact):
+    """Coefficient of the link at `row` (m * L + l), `distance` and `seed`, from the model."""
     lam = SPEED_OF_LIGHT / RF.carrier_hz
     a0 = math.sqrt(free_space_path_gain(distance, RF.carrier_hz))
     los = math.fmod(2.0 * math.pi * distance / lam, 2.0 * math.pi)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, m, l)))
-    chi = rng.uniform(-math.pi, math.pi)
-    if exact:
-        psi = rng.uniform(-math.pi, math.pi, size=n)
-        err = (np.cos(psi) + 1j * np.sin(psi)).sum() / n
-    else:
-        g = rng.standard_normal(2)
-        err = (g[0] + 1j * g[1]) * math.sqrt(0.5 / n)
+    chi = reference_chi(seed, row)
+    err = reference_err(seed, row, spec.ray_count - 1, exact)
     s_amp = a0 / math.sqrt(10.0 ** (spec.rician_k_db / 10.0))
     h = a0 * complex(math.cos(los), math.sin(los))
     return h + s_amp * (complex(math.cos(chi), math.sin(chi)) + err)
@@ -230,17 +249,7 @@ class TestGaussianLimit:
         spec = ChannelProviderSpec(kind="few_ray", ray_count=n + 1, rician_k_db=0.0)
         h = generate_few_ray(g, spec, RF, 6).coefficients[:, :, 0]
         los = generate_few_ray(g, replace(spec, ray_count=1), RF, 6).coefficients[:, :, 0]
-        chi = np.array(
-            [
-                [
-                    np.random.default_rng(np.random.SeedSequence((6, m, l))).uniform(
-                        -math.pi, math.pi
-                    )
-                    for l in range(50)
-                ]
-                for m in range(40)
-            ]
-        )
+        chi = call_stream(6, 0).uniform(-math.pi, math.pi, size=(40, 50))
         a0 = math.sqrt(free_space_path_gain(100.0, RF.carrier_hz))
         err = ((h - los) / a0 - np.exp(1j * chi)).ravel()
         sd = math.sqrt(0.5 / n)
@@ -259,32 +268,34 @@ class TestExactRayLimitBoundary:
     def test_last_exact_ray_count_is_the_uniform_phasor_sum(self):
         spec, coeffs = self.tensor(_EXACT_RAY_LIMIT + 1)
         for (m, l), d in np.ndenumerate(self.DISTANCES):
-            assert coeffs[m, l, 0] == reference_link(spec, 2024, d, m, l, exact=True)
+            assert coeffs[m, l, 0] == reference_link(spec, 2024, d, 3 * m + l, exact=True)
 
     def test_first_gaussian_ray_count_keeps_the_diffuse_phasor(self):
-        # Same (seed, m, l) and the same chi on both sides; only err moves.
+        # Same seed and row, so the same chi on both sides; only err moves.
         spec, coeffs = self.tensor(_EXACT_RAY_LIMIT + 2)
         for (m, l), d in np.ndenumerate(self.DISTANCES):
-            assert coeffs[m, l, 0] == reference_link(spec, 2024, d, m, l, exact=False)
-            assert coeffs[m, l, 0] != reference_link(spec, 2024, d, m, l, exact=True)
+            row = 3 * m + l
+            assert coeffs[m, l, 0] == reference_link(spec, 2024, d, row, exact=False)
+            assert coeffs[m, l, 0] != reference_link(spec, 2024, d, row, exact=True)
 
 
-def link_rng(seed, m, l):
-    """Link (m, l)'s substream as numpy builds it: one SeedSequence per link."""
-    return np.random.default_rng(np.random.SeedSequence((seed & _SEED_MASK, m, l)))
-
-
-def reference_statistical(spec, seed, distance, m, l):
-    """Coefficient of a statistical link, drawn from its own SeedSequence."""
+def reference_statistical(spec, seed, distance, row):
+    """Coefficient of the statistical link at `row` (m * L + l), from its two normals."""
     lam = SPEED_OF_LIGHT / RF.carrier_hz
     k_lin = 10.0 ** (spec.rician_k_db / 10.0)
     pl_db = 32.4 + 21.0 * math.log10(distance) + 20.0 * math.log10(RF.carrier_hz / 1e9)
-    g = link_rng(seed, m, l).standard_normal(2)
+    g = link_row(lambda k: call_stream(seed).standard_normal((k, 2)), row)
     los = 2.0 * math.pi * distance / lam
     fading = math.sqrt(k_lin / (k_lin + 1.0)) * complex(
         math.cos(los), math.sin(los)
     ) + math.sqrt(1.0 / (k_lin + 1.0)) * (g[0] + 1j * g[1]) / math.sqrt(2.0)
     return 10.0 ** (-pl_db / 20.0) * fading
+
+
+def reference_gamma(seed, target, mm, ll):
+    """degrade's mean-one Gamma factors, each link's read from its own row."""
+    draw = lambda k: call_stream(seed).gamma(shape=target, scale=1.0 / target, size=k)
+    return np.array([[link_row(draw, ll * m + l) for l in range(ll)] for m in range(mm)])
 
 
 # Edges of SeedSequence's entropy words: the masked seed is one uint32 word
@@ -297,7 +308,7 @@ seeds_64 = (
 
 
 class TestLinkRngs:
-    """_link_rngs replays SeedSequence((seed, m, l)) -> PCG64 for all links at once."""
+    """Each link reads its row m * L + l of the call's seed-sequence streams, at every seed edge."""
 
     DISTANCES = [
         [100.0, 230.0, 415.0, 60.0],
@@ -305,15 +316,6 @@ class TestLinkRngs:
         [75.0, 510.0, 120.0, 200.0],
     ]
     SEEDS = [0, 2**32 + 5, 2**64 - 1]
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=seeds_64, mm=st.integers(1, 70), ll=st.integers(1, 6))
-    def test_every_state_is_the_seed_sequence_state(self, seed, mm, ll):
-        links = [(m, l, rng.bit_generator.state) for m, l, rng in _link_rngs(seed, mm, ll)]
-        assert [(m, l) for m, l, _ in links] == [(m, l) for m in range(mm) for l in range(ll)]
-        for m, l, state in links:
-            expect = np.random.PCG64(np.random.SeedSequence((seed & _SEED_MASK, m, l)))
-            assert state == expect.state
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("ray_count", [1, 9, _EXACT_RAY_LIMIT + 1, 10_000])
@@ -328,7 +330,7 @@ class TestLinkRngs:
                 expect = a0 * complex(math.cos(los), math.sin(los))
             else:
                 exact = ray_count - 1 <= _EXACT_RAY_LIMIT
-                expect = reference_link(spec, seed, d, m, l, exact=exact)
+                expect = reference_link(spec, seed, d, 4 * m + l, exact=exact)
             assert coeffs[m, l, 0] == expect
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -336,7 +338,7 @@ class TestLinkRngs:
         spec = ChannelProviderSpec(kind="statistical")
         coeffs = generate_statistical(links_at(self.DISTANCES), spec, RF, seed).coefficients
         for (m, l), d in np.ndenumerate(self.DISTANCES):
-            assert coeffs[m, l, 0] == reference_statistical(spec, seed, d, m, l)
+            assert coeffs[m, l, 0] == reference_statistical(spec, seed, d, 4 * m + l)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("with_coefficients", [True, False])
@@ -346,12 +348,7 @@ class TestLinkRngs:
         if not with_coefficients:
             src = LinkGainTensor(power_gains=src.power_gains, ray_count=src.ray_count)
         out = degrade(src, 100, seed)
-        gamma = np.array(
-            [
-                [link_rng(seed, m, l).gamma(shape=100, scale=1.0 / 100) for l in range(src.l)]
-                for m in range(src.m)
-            ]
-        )
+        gamma = reference_gamma(seed, 100, src.m, src.l)
         if with_coefficients:
             coeffs = src.coefficients * np.sqrt(gamma)[:, :, None]
             assert np.array_equal(out.coefficients, coeffs)
@@ -364,9 +361,10 @@ class TestLinkRngs:
 class TestBatchedProvidersAtScale:
     """Array-shaped providers against the per-link references, at any size and seed.
 
-    The providers draw per link and then do their arithmetic on whole
-    arrays; every coefficient must still be the one its own SeedSequence
-    gives. The sizes reach past the montecarlo workload's 64 x 4 links.
+    The providers draw each stream's whole block in one call and then do
+    their arithmetic on whole arrays; every coefficient must still be the
+    one its own row gives. The sizes reach past the montecarlo workload's
+    64 x 4 links.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -392,21 +390,16 @@ class TestBatchedProvidersAtScale:
             if ray_count > 1:
                 exact = ray_count - 1 <= _EXACT_RAY_LIMIT
                 assert few_ray.coefficients[m, l, 0] == reference_link(
-                    few_spec, seed & _SEED_MASK, d, m, l, exact=exact
+                    few_spec, seed, d, ll * m + l, exact=exact
                 )
             a0 = math.sqrt(free_space_path_gain(d, RF.carrier_hz))
             los = math.fmod(2.0 * math.pi * d / (SPEED_OF_LIGHT / RF.carrier_hz), 2.0 * math.pi)
             assert los_only.coefficients[m, l, 0] == a0 * complex(math.cos(los), math.sin(los))
             assert statistical.coefficients[m, l, 0] == reference_statistical(
-                stat_spec, seed, d, m, l
+                stat_spec, seed, d, ll * m + l
             )
 
-        gamma = np.array(
-            [
-                [link_rng(seed, m, l).gamma(shape=target, scale=1.0 / target) for l in range(ll)]
-                for m in range(mm)
-            ]
-        )
+        gamma = reference_gamma(seed, target, mm, ll)
         with_coefficients = degrade(few_ray, target, seed)
         coeffs = few_ray.coefficients * np.sqrt(gamma)[:, :, None]
         assert np.array_equal(with_coefficients.coefficients, coeffs)
@@ -415,6 +408,71 @@ class TestBatchedProvidersAtScale:
         assert np.array_equal(
             degrade(power_only, target, seed).power_gains, statistical.power_gains * gamma
         )
+
+
+class TestStreamLayout:
+    """What the per-call streams promise, at any seed and size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds_64,
+        mm=st.integers(1, 40),
+        ll=st.integers(1, 6),
+        cut=st.integers(1, 40),
+        ray_count=st.sampled_from([2, 33, 65, 66, 10_000]),
+        layout=st.integers(0, 2**32 - 1),
+    )
+    def test_fewer_uavs_draw_the_first_rows(self, seed, mm, ll, cut, ray_count, layout):
+        # UAV-count sweeps stay paired: the first m1 UAVs of a larger run
+        # get the channel the m1-UAV run gives them, from every draw site.
+        m1 = min(cut, mm)
+        distances = np.random.default_rng(layout).uniform(20.0, 900.0, size=(mm, ll))
+        few_spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count)
+        stat_spec = ChannelProviderSpec(kind="statistical")
+
+        def power_only(links):
+            gains = generate_statistical(links, stat_spec, RF, 5).power_gains
+            return LinkGainTensor(power_gains=gains)
+
+        sites = {
+            "few_ray": lambda links: generate_few_ray(links, few_spec, RF, seed),
+            "statistical": lambda links: generate_statistical(links, stat_spec, RF, seed),
+            "degrade": lambda links: degrade(generate_few_ray(links, few_spec, RF, 5), 100, seed),
+            "degrade power": lambda links: degrade(power_only(links), 100, seed),
+        }
+        for site, make in sites.items():
+            full, head = make(links_at(distances)), make(links_at(distances[:m1]))
+            assert np.array_equal(head.power_gains, full.power_gains[:m1]), site
+            if full.coefficients is not None:
+                assert np.array_equal(head.coefficients, full.coefficients[:m1]), site
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=seeds_64,
+        mm=st.integers(1, 20),
+        ll=st.integers(1, 6),
+        layout=st.integers(0, 2**32 - 1),
+    )
+    def test_chi_does_not_depend_on_the_ray_count(self, seed, mm, ll, layout):
+        # What is left of a coefficient once the LOS ray and the scatter
+        # error (read from its own stream) are taken off is the diffuse
+        # phasor exp(i chi); it is the same at every ray count, on both
+        # sides of _EXACT_RAY_LIMIT.
+        distances = np.random.default_rng(layout).uniform(20.0, 900.0, size=(mm, ll))
+        links = links_at(distances)
+        spec = ChannelProviderSpec(kind="few_ray", ray_count=1)
+        los = generate_few_ray(links, spec, RF, seed).coefficients.ravel()
+        a0 = np.sqrt(free_space_path_gain(distances.ravel(), RF.carrier_hz))
+        s_amp = a0 / math.sqrt(10.0 ** (spec.rician_k_db / 10.0))
+        diffuse = []
+        for ray_count in (2, _EXACT_RAY_LIMIT + 1, _EXACT_RAY_LIMIT + 2, 10_000):
+            n = ray_count - 1
+            h = generate_few_ray(links, replace(spec, ray_count=ray_count), RF, seed)
+            err = [reference_err(seed, row, n, n <= _EXACT_RAY_LIMIT) for row in range(mm * ll)]
+            diffuse.append((h.coefficients.ravel() - los) / s_amp - np.array(err))
+        np.testing.assert_allclose(np.abs(diffuse[0]), 1.0, rtol=0.0, atol=1e-9)
+        for other in diffuse[1:]:
+            np.testing.assert_allclose(other, diffuse[0], rtol=0.0, atol=1e-9)
 
 
 class TestStatistical:

@@ -169,6 +169,7 @@ class TestRetiredEvaluationKeys:
         cfg = config_from_dict(old)
         assert validate_config(cfg) == []
         del old["num_rrbs"], old["beta_reading"]
+        del old["channel_hf"]["ray_count"], old["channel_hf"]["import_path"]
         old["channel_lf"] = {"ray_count": 100}
         assert config_to_dict(cfg) == old
 
@@ -199,6 +200,62 @@ class TestChannelLfIsItsRayCount:
             config_from_dict(doc)
 
 
+class TestChannelHfEchoesWhatItsKindReads:
+    """`channel_hf` echoes the keys its kind reads; another loads only at its default."""
+
+    @pytest.mark.parametrize(
+        "spec, keys",
+        [
+            (ChannelProviderSpec(kind="statistical"), {"kind", "rician_k_db"}),
+            (ChannelProviderSpec(kind="few_ray"), {"kind", "ray_count", "rician_k_db"}),
+            (
+                ChannelProviderSpec(kind="import", import_path="t.ctns"),
+                {"kind", "rician_k_db", "import_path"},
+            ),
+        ],
+    )
+    def test_echo_holds_the_keys_the_kind_reads(self, spec, keys):
+        echo = config_to_dict(ScenarioConfig(channel_hf=spec))
+        assert echo["channel_hf"].keys() == keys
+        assert config_from_dict(echo).channel_hf == spec
+
+    def test_unread_keys_at_their_defaults_load(self):
+        doc = {"channel_hf": {"kind": "statistical", "ray_count": 1_000_000, "import_path": None}}
+        assert config_to_dict(config_from_dict(doc)) == DEFAULT_ECHO
+
+    @pytest.mark.parametrize(
+        "hf, message",
+        [
+            (
+                {"ray_count": 0},
+                "channel_hf.ray_count is not read by kind 'statistical' and loads only as "
+                "1000000, got 0",
+            ),
+            (
+                {"kind": "few_ray", "import_path": "t.ctns"},
+                "channel_hf.import_path is not read by kind 'few_ray' and loads only as null, "
+                "got 't.ctns'",
+            ),
+            (
+                {"kind": "import", "import_path": "t.ctns", "ray_count": 100},
+                "channel_hf.ray_count is not read by kind 'import' and loads only as 1000000, "
+                "got 100",
+            ),
+        ],
+    )
+    def test_other_values_raise_naming_the_key_and_the_kind(self, hf, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            config_from_dict({"channel_hf": hf})
+
+    def test_ray_count_is_checked_only_where_it_is_read(self):
+        unread = ChannelProviderSpec(kind="statistical", ray_count=0)
+        assert validate_config(ScenarioConfig(channel_hf=unread)) == []
+        read = ChannelProviderSpec(kind="few_ray", ray_count=0)
+        assert validate_config(ScenarioConfig(channel_hf=read)) == [
+            "channel_hf.ray_count must be >= 1, got 0"
+        ]
+
+
 class TestRetiredChannelSeeds:
     """Channel seeds derive from `seed`; the old per-provider keys load and are ignored."""
 
@@ -222,18 +279,18 @@ positive = st.floats(1e-6, 1e12)
 rician_k_dbs = st.floats(-3000.0, 3000.0)
 
 
+# A spec sets only the keys its kind reads; the others stay at their defaults.
 providers = st.one_of(
     st.builds(
         ChannelProviderSpec,
-        kind=st.sampled_from(["few_ray", "statistical"]),
+        kind=st.just("few_ray"),
         ray_count=st.integers(1, 10**7),
         rician_k_db=rician_k_dbs,
-        import_path=st.none() | st.text(),
     ),
+    st.builds(ChannelProviderSpec, kind=st.just("statistical"), rician_k_db=rician_k_dbs),
     st.builds(
         ChannelProviderSpec,
         kind=st.just("import"),
-        ray_count=st.integers(1, 10**7),
         rician_k_db=rician_k_dbs,
         import_path=st.text(min_size=1),
     ),
@@ -351,7 +408,9 @@ json_values = st.recursive(
 )
 # Keys mostly drawn from the schema and the retired keys, so documents get past
 # the unknown-key check and reach the type checks.
-inner_names = sorted({k for v in DEFAULT_ECHO.values() if isinstance(v, dict) for k in v})
+inner_names = sorted(
+    {k for v in DEFAULT_ECHO.values() if isinstance(v, dict) for k in v} | {"import_path"}
+)
 site_names = sorted(DEFAULT_ECHO["bss"][0])
 sites = st.lists(
     st.dictionaries(st.sampled_from([*site_names, "seed"]), json_leaves, max_size=5)

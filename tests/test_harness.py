@@ -170,7 +170,7 @@ class TestLinkBudgetOutsideTheFloats:
     @pytest.mark.parametrize("k_db", [-4000, 4000])
     def test_cli_rejects_the_k_with_exit_1(self, tmp_path, capsys, kind, k_db):
         path = tmp_path / "cfg.json"
-        doc = {"channel_hf": {"kind": kind, "ray_count": 100, "rician_k_db": k_db}}
+        doc = {"channel_hf": {"kind": kind, "rician_k_db": k_db}}
         path.write_text(json.dumps(doc))
         out_dir = tmp_path / "out"
         assert cli_main(["validate-config", "--config", str(path)]) == 1
@@ -517,6 +517,18 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: channel tensor is 7x3 links")
         assert not (out_dir / "results.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["run", "--channel", "lf"], ["sweep", "--uavs", "2,3"], ["bench", "--uavs", "2"]],
+    )
+    def test_import_path_without_channel_import_exits_1(self, tmp_path, capsys, argv):
+        # Without --channel import the tensor file would go unread.
+        out_dir = tmp_path / "out"
+        extra = ["--import-path", str(tmp_path / "missing.ctns"), "--out", str(out_dir)]
+        assert cli_main(argv + extra) == 1
+        assert capsys.readouterr().err == "error: --import-path needs --channel import\n"
+        assert not out_dir.exists()
 
     def test_run_rejects_several_uav_counts(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
