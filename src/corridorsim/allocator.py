@@ -5,11 +5,11 @@ Each beam owns one of N equal azimuth sectors of (-pi, pi], and its scan
 angle is optimized inside that sector, so the N beams of a BS stay distinct
 and beam exclusivity is meaningful. `build_beam_gain_table` solves all
 triplets in one deterministic numpy pass: the array power of a link is a
-real trig polynomial P(s) in s = alpha * sin(phi_scan), whose peaks are
-found once per link by a coarse grid and a few Newton steps on P'(s) = 0;
-each sector's best angle is then read off those peaks, its ends and
-+-pi/2. The paper's per-triplet dual annealing is kept in tests/oracles.py
-as the reference this pass must never fall below.
+Dirichlet kernel in s = alpha * sin(phi_scan), shifted by the link's phase
+step beta, so its peaks are beta plus lobe offsets that depend on n_h alone;
+each sector's best angle is then read off those peaks, its ends and +-pi/2.
+The paper's per-triplet dual annealing is kept in tests/oracles.py as the
+reference this pass must never fall below.
 
 Stage 2 turns the optimized gains and the channel gains into a utility
 tensor Lambda[m, l, n] = P * |h|^2 * 10^(G/10), flattens it to an
@@ -27,20 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import brentq, linear_sum_assignment
 
 from .antenna import AntennaConfig, folded_gain_db, scan_coefficients
 from .antenna import make_scan_gain  # unused here; perfbench/tracing.py patches it
 from .channel import _SEED_MASK, LinkGainTensor, RfConstants
 from .errors import ConfigurationError, InfeasibleAssignmentError
 from .geometry import BaseStationSite, Position3D, link_geometries
-
-# Batched stage 1 seeds each peak of the array power from this many sub-grid
-# steps per cell, then polishes it with this many Newton steps.
-_SUBGRID = 8
-_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -108,40 +104,38 @@ def _scan_power(autocorr: np.ndarray, alpha: float, phi_scan) -> np.ndarray:
     return _array_power(autocorr, np.exp(1j * alpha * np.sin(phi_scan)))
 
 
-def _refine_peaks(autocorr: np.ndarray, reach: float, degree: int) -> tuple[np.ndarray, int]:
-    """Every local maximum of the array power P(s) over s in [-reach, reach].
+@lru_cache(maxsize=None)
+def _lobe_offsets(n_h: int) -> tuple[float, ...]:
+    """Where the Dirichlet kernel |sum_{k<n_h} exp(1j * k * x)|^2 peaks in [0, 2 pi).
 
-    `autocorr` has shape (K, 1, n_h). The range is cut into cells at most
-    pi / (2 * degree) wide, a quarter period of the highest harmonic: the
-    array factor of a uniform array has one maximum between consecutive
-    nulls, 2 pi / n_h apart in s, so a cell holds at most one. Each cell
-    starts from the best of `_SUBGRID` + 1 evenly spaced points, then takes
-    `_NEWTON_STEPS` Newton steps on P'(s) = 0, each only where P''(s) < 0
-    and clipped to the cell; P' and P'' are `_array_power` of the
-    autocorrelation r_d scaled by i*d and -d^2. A cell keeps the Newton
-    point only if P there is at least the grid best. Returns the refined s,
-    shape (K, cells), and the evaluations per direction.
+    The main lobe is at 0, and one side lobe lies between each pair of
+    consecutive nulls 2 pi j / n_h, where the amplitude
+    sin(n_h x / 2) / sin(x / 2) has zero slope; that slope's numerator
+    changes sign from one null to the next, so brentq brackets each root.
+    n_h <= 2 leaves the main lobe alone. Constants of n_h, cached per n_h.
     """
-    cells = max(1, math.ceil(4.0 * reach * degree / math.pi))
-    width = 2.0 * reach / cells
-    lower = -reach + width * np.arange(cells)
-    upper = lower + width
-    grid = lower[:, None] + (width / _SUBGRID) * np.arange(_SUBGRID + 1)
-    grid_power = _array_power(autocorr[..., None, :], np.exp(1j * grid))  # (K, cells, g+1)
-    best = grid_power.argmax(axis=-1)
-    seed = grid[np.arange(cells), best]
-    seed_power = grid_power.max(axis=-1)
 
-    lags = np.arange(autocorr.shape[-1])
-    slope, curvature = autocorr * (1j * lags), autocorr * -(lags**2.0)
-    s = seed
-    for _ in range(_NEWTON_STEPS):
-        z = np.exp(1j * s)
-        first, second = _array_power(slope, z), _array_power(curvature, z)
-        step = np.divide(first, -second, out=np.zeros_like(first), where=second < 0.0)
-        s = np.clip(s + step, lower, upper)
-    peaks = np.where(_array_power(autocorr, np.exp(1j * s)) >= seed_power, s, seed)
-    return peaks, cells * (_SUBGRID + 2 + 2 * _NEWTON_STEPS)
+    def slope(x: float) -> float:  # the amplitude's slope times 2 sin^2(x / 2)
+        half, whole = 0.5 * x, 0.5 * n_h * x
+        return n_h * math.cos(whole) * math.sin(half) - math.sin(whole) * math.cos(half)
+
+    nulls = 2.0 * math.pi * np.arange(1, n_h) / n_h
+    side = [brentq(slope, a, b, xtol=1e-15) for a, b in zip(nulls[:-1], nulls[1:])]
+    return (0.0, *side)
+
+
+def _lobe_peaks(beta: np.ndarray, reach: float, n_h: int) -> np.ndarray:
+    """Every local maximum s of the array power P(s) = |v|^2 |sum_k exp(1j k (s - beta))|^2.
+
+    The peaks sit at s = beta + x + 2 pi q for the `_lobe_offsets` x. Each
+    beta + x is wrapped into [-pi, pi), so the peaks inside [-reach, reach]
+    all have |q| <= (reach + pi) / 2 pi. Returns shape beta.shape + (peaks,),
+    the same count for every beta, so some peaks lie outside [-reach, reach].
+    """
+    wraps = math.floor((reach + math.pi) / (2.0 * math.pi))
+    lobes = np.remainder(beta[..., None] + _lobe_offsets(n_h) + math.pi, 2.0 * math.pi) - math.pi
+    turns = 2.0 * math.pi * np.arange(-wraps, wraps + 1)
+    return (lobes[..., None] + turns).reshape(beta.shape + (-1,))
 
 
 def optimal_scan_angles(
@@ -155,15 +149,15 @@ def optimal_scan_angles(
     S + (N,), every phi_star inside its sector.
 
     Each direction folds into its element gain and n_h scan coefficients
-    (`scan_coefficients`), which make the array power a real trig
-    polynomial P(s) of degree n_h - 1 in s = alpha * sin(phi_scan). All
-    sectors of a direction share P, so its peaks over s in [-|alpha|,
-    |alpha|] are found once, by a grid and Newton steps (`_refine_peaks`).
-    An interior maximum of P(alpha * sin(phi)) has cos(phi) = 0 or
-    P'(s) = 0, so a sector's best
-    angle is one of its two ends, +-pi/2, or an arcsin branch of a refined
-    peak, whichever inside the sector has the highest P. The evaluation
-    count is a fixed multiple of the number of pairs.
+    (`scan_coefficients`), c_k = v * exp(-1j * beta * k) with
+    beta = 2 pi d_h sin(theta) sin(phi), so the array power in
+    s = alpha * sin(phi_scan) is |v|^2 |sum_k exp(1j k (s - beta))|^2. All
+    sectors of a direction share it, and its peaks over s in [-|alpha|,
+    |alpha|] are the lobes of that Dirichlet kernel (`_lobe_peaks`). An
+    interior maximum of P(alpha * sin(phi)) has cos(phi) = 0 or P'(s) = 0,
+    so a sector's best angle is one of its two ends, +-pi/2, or an arcsin
+    branch of a peak, whichever inside the sector has the highest P. The
+    evaluation count is a fixed multiple of the number of pairs.
     """
     lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
     if lo.size == 0 or not np.all((-math.pi <= lo) & (lo < hi) & (hi <= math.pi)):
@@ -177,7 +171,9 @@ def optimal_scan_angles(
         axis=-1,
     ).reshape(-1, 1, cfg.n_h)  # (K, 1, n_h), K directions
 
-    peaks, refine_evals = _refine_peaks(autocorr, abs(alpha), cfg.n_h - 1)
+    beta = 2.0 * math.pi * cfg.d_h * (np.sin(theta) * np.sin(phi))
+    peaks = _lobe_peaks(np.reshape(beta, -1), abs(alpha), cfg.n_h)
+    # A peak outside [-|alpha|, |alpha|] clips onto a pole, a candidate anyway.
     branch = np.arcsin(np.clip(peaks / alpha, -1.0, 1.0) if alpha else np.zeros_like(peaks))
     poles = np.broadcast_to([-0.5 * math.pi, 0.5 * math.pi], (branch.shape[0], 2))
     cand = np.concatenate(
@@ -202,8 +198,7 @@ def optimal_scan_angles(
     phi_star = np.take_along_axis(points, best, axis=-1).reshape(elem_db.shape + (nn,))
 
     gain_db = folded_gain_db(elem_db[..., None], coeffs[..., None, :], alpha, phi_star, cfg)
-    per_direction = refine_evals + cand.shape[-1]
-    return phi_star, gain_db, k * per_direction + k * nn * 3
+    return phi_star, gain_db, k * cand.shape[-1] + k * nn * 3
 
 
 def build_beam_gain_table(

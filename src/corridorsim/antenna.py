@@ -150,6 +150,7 @@ def scan_coefficients(theta, phi, cfg: AntennaConfig):
     phases sum out over the vertical elements. Returns (elem_db, c, alpha):
     elem_db has the broadcast shape S of theta and phi, c has shape
     S + (n_h,), and alpha = -2*pi*d_h*cos(tilt) is shared by every direction.
+    Stage 1's closed form relies on c_k = c_0 * exp(-2j*pi*d_h*sin(theta)*sin(phi)*k).
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)

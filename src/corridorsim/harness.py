@@ -72,6 +72,9 @@ _TAG_RANDOM = 5
 
 ALLOCATORS = ("two_stage", "random", "closest_bs")
 ALLOCATION_CHANNELS = ("hf", "lf", "statistical")
+# Stage 1 holds ~2 * (n_h - 1) * (2 * d_h + 1) scan candidates per link.
+MAX_ARRAY_SIDE = 64
+MAX_D_H_WAVELENGTHS = 10.0
 
 
 def aim_boresights_at(bss: list[BaseStationSite], target: Position3D) -> list[BaseStationSite]:
@@ -370,6 +373,10 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
     a = echo["antenna"]
     if a["n_h"] < 1 or a["n_v"] < 1:
         errors.append(f"antenna.n_h/n_v must be >= 1, got {a['n_h']}x{a['n_v']}")
+    for key, top in (("n_h", MAX_ARRAY_SIDE), ("n_v", MAX_ARRAY_SIDE),
+                     ("d_h_wavelengths", MAX_D_H_WAVELENGTHS)):
+        if a[key] > top:
+            errors.append(f"antenna.{key} must be <= {top}, got {a[key]}")
     for key in (
         "d_h_wavelengths", "d_v_wavelengths", "theta_3db_deg", "phi_3db_deg", "a_m_db", "sl_av_db"
     ):
@@ -571,11 +578,7 @@ def sweep(
     """One run_scenario per axis value, sharing the base seed schedule."""
     if not values:
         raise ConfigurationError("sweep needs at least one axis value")
-    results = []
-    for value in values:
-        cfg = _with_axis(config, axis, value)
-        results.append(run_scenario(cfg, threads))
-    return results
+    return [run_scenario(_with_axis(config, axis, value), threads) for value in values]
 
 
 def _with_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
@@ -673,11 +676,9 @@ def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[s
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = {}
     results_path = out / "results.json"
     payload = {"results": [r.to_dict() for r in results]}
     results_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    written["results"] = results_path
 
     summary_path = out / "summary.csv"
     with summary_path.open("w", newline="") as fh:
@@ -685,8 +686,7 @@ def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[s
         writer.writeheader()
         for result in results:
             writer.writerow(summary_row(result))
-    written["summary"] = summary_path
-    return written
+    return {"results": results_path, "summary": summary_path}
 
 
 _GAIN_SWEEP_FIELDS = ("phi_deg", "element_db", "array_db", "total_db")

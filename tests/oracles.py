@@ -10,10 +10,14 @@ scalar `total_gain`; `evaluator.sinr_matrix` must match it. `pairwise_sinr`
 is the earlier `sinr_matrix`, which folds every (victim, interferer)
 direction instead of every (UAV, BS) one; the two must agree bit for bit.
 
-`golden_section_peaks` is the earlier peak search of stage 1: it refines
-every cell of `allocator._refine_peaks` by golden-section search to 1e-9 in
-s. The grid-and-Newton search that replaced it must reach its P in every
-cell, to 1e-12 of the largest P.
+`grid_newton_peaks` and `golden_section_peaks` are the two earlier peak
+searches of stage 1. Both cut the reach of s into cells that hold at most
+one local maximum of the array power P(s) and refine every cell: by a
+sub-grid and Newton steps on P'(s) = 0, or by golden-section search to 1e-9
+in s. Stage 1 now takes the peaks in closed form, from the lobes of the
+Dirichlet kernel (`allocator._lobe_peaks`); every peak the grid-and-Newton
+search finds inside a cell must have a closed-form peak next to it in s
+whose P is no lower, to 1e-12 of the largest P.
 
 None of them runs in a scenario; they live here so that the package carries only
 the run path.
@@ -47,6 +51,10 @@ _TAIL_LIMIT = 1e8
 # golden_section_peaks refines each peak of the array power to this width in s.
 _SCAN_XTOL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# grid_newton_peaks seeds each peak from this many sub-grid steps per cell,
+# then polishes it with this many Newton steps.
+_SUBGRID = 8
+_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -247,6 +255,42 @@ def pairwise_sinr(
     # pairwise row sum does not.
     interference = coupling @ np.ones(mm)
     return signal / (interference + rf.noise_power_w)
+
+
+def grid_newton_peaks(autocorr: np.ndarray, reach: float, degree: int) -> tuple[np.ndarray, int]:
+    """Every local maximum of P(s) by grid-seeded Newton steps, stage 1's earlier way.
+
+    `autocorr` has shape (K, 1, n_h). The range is cut into cells at most
+    pi / (2 * degree) wide, a quarter period of the highest harmonic: the
+    array factor of a uniform array has one maximum between consecutive
+    nulls, 2 pi / n_h apart in s, so a cell holds at most one. Each cell
+    starts from the best of `_SUBGRID` + 1 evenly spaced points, then takes
+    `_NEWTON_STEPS` Newton steps on P'(s) = 0, each only where P''(s) < 0
+    and clipped to the cell; P' and P'' are `_array_power` of the
+    autocorrelation r_d scaled by i*d and -d^2. A cell keeps the Newton
+    point only if P there is at least the grid best. Returns the refined s,
+    shape (K, cells), and the evaluations per direction.
+    """
+    cells = max(1, math.ceil(4.0 * reach * degree / math.pi))
+    width = 2.0 * reach / cells
+    lower = -reach + width * np.arange(cells)
+    upper = lower + width
+    grid = lower[:, None] + (width / _SUBGRID) * np.arange(_SUBGRID + 1)
+    grid_power = _array_power(autocorr[..., None, :], np.exp(1j * grid))  # (K, cells, g+1)
+    best = grid_power.argmax(axis=-1)
+    seed = grid[np.arange(cells), best]
+    seed_power = grid_power.max(axis=-1)
+
+    lags = np.arange(autocorr.shape[-1])
+    slope, curvature = autocorr * (1j * lags), autocorr * -(lags**2.0)
+    s = seed
+    for _ in range(_NEWTON_STEPS):
+        z = np.exp(1j * s)
+        first, second = _array_power(slope, z), _array_power(curvature, z)
+        step = np.divide(first, -second, out=np.zeros_like(first), where=second < 0.0)
+        s = np.clip(s + step, lower, upper)
+    peaks = np.where(_array_power(autocorr, np.exp(1j * s)) >= seed_power, s, seed)
+    return peaks, cells * (_SUBGRID + 2 + 2 * _NEWTON_STEPS)
 
 
 def golden_section_peaks(

@@ -16,8 +16,7 @@ from corridorsim.allocator import (
     optimal_scan_angles,
     solve_assignment,
 )
-from corridorsim import allocator
-from corridorsim.allocator import _array_power, _refine_peaks, _scan_power
+from corridorsim.allocator import _array_power, _lobe_offsets, _lobe_peaks, _scan_power
 from corridorsim.antenna import (
     AntennaConfig,
     SteeringDirection,
@@ -31,7 +30,12 @@ from corridorsim.errors import ConfigurationError, InfeasibleAssignmentError
 from corridorsim.evaluator import validate
 from corridorsim.geometry import BaseStationSite, Position3D, generate_corridor, link_geometries
 from corridorsim.harness import ScenarioConfig
-from oracles import AnnealerConfig, golden_section_peaks, optimize_scan_angle
+from oracles import (
+    AnnealerConfig,
+    golden_section_peaks,
+    grid_newton_peaks,
+    optimize_scan_angle,
+)
 
 CFG = AntennaConfig()
 ANN = AnnealerConfig(seed=1234)
@@ -404,9 +408,21 @@ def autocorrelation(theta, phi, cfg):
     return np.stack(lags, -1).reshape(-1, 1, cfg.n_h), abs(alpha)
 
 
-class TestRefinePeaks:
-    """The grid-seeded Newton peaks of P(s) against the golden-section oracle."""
+def kernel_derivatives(x, n_h):
+    """First and second derivative of |sum_k exp(1j k x)|^2 / n_h^2 at x.
 
+    The kernel is 1/n_h + sum_(d>=1) 2 (n_h - d) / n_h^2 cos(d x).
+    """
+    d = np.arange(1, n_h)
+    weight = 2.0 * (n_h - d) / n_h**2
+    phase = np.multiply.outer(x, d)
+    return -(weight * d * np.sin(phase)).sum(-1), -(weight * d**2 * np.cos(phase)).sum(-1)
+
+
+class TestLobePeaks:
+    """The closed-form peaks of P(s), the lobes of a Dirichlet kernel."""
+
+    @pytest.mark.parametrize("oracle", [grid_newton_peaks, golden_section_peaks])
     @settings(max_examples=200, deadline=None)
     @given(
         n_h=st.integers(1, 16),
@@ -415,38 +431,66 @@ class TestRefinePeaks:
         theta=st.floats(0.0, math.pi),
         phi=st.floats(-math.pi, math.pi),
     )
-    def test_never_below_golden_section(self, n_h, d_h, tilt, theta, phi):
+    def test_every_oracle_peak_has_a_closed_form_peak(self, oracle, n_h, d_h, tilt, theta, phi):
+        # An oracle point strictly inside its cell whose P beats both cell ends
+        # by more than rounding marks a local maximum there. Rounding alone can
+        # put a point inside: at tilt 90 deg the reach is ~1e-15 and P is flat.
         cfg = AntennaConfig(n_h=n_h, n_v=1, d_h=d_h, tilt_deg=tilt)
         autocorr, reach = autocorrelation(theta, phi, cfg)
-        peaks, _ = _refine_peaks(autocorr, reach, n_h - 1)
-        golden, _ = golden_section_peaks(autocorr, reach, n_h - 1)
-        assert peaks.shape == golden.shape
-        power = _array_power(autocorr, np.exp(1j * peaks))
-        oracle = _array_power(autocorr, np.exp(1j * golden))
-        assert np.all(power >= oracle - 1e-12 * oracle.max())
+        found, _ = oracle(autocorr, reach, n_h - 1)
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            CFG,
-            AntennaConfig(n_h=2, d_h=0.2),
-            AntennaConfig(n_h=8, d_h=1.0),
-            AntennaConfig(n_h=16, d_h=2.5, tilt_deg=0.0),
-        ],
+        def power(s):
+            return _array_power(autocorr[0, 0], np.exp(1j * s))
+
+        width = 2.0 * reach / found.shape[-1]
+        lower = -reach + width * np.arange(found.shape[-1])
+        top = power(found).max()
+        ends = np.maximum(power(lower), power(lower + width))
+        inside = (found > lower) & (found < lower + width) & (power(found) > ends + 1e-12 * top)
+        beta = 2.0 * math.pi * d_h * math.sin(theta) * math.sin(phi)
+        peaks = _lobe_peaks(np.array(beta), reach, n_h)
+        for s in found[inside]:
+            near = np.abs(peaks - s) <= 1e-7
+            assert near.any(), (s, peaks)
+            assert power(peaks[near]).max() >= power(s) - 1e-12 * top
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3, 4, 8, 16])
+    def test_offsets_are_the_kernel_maxima(self, n_h):
+        offsets = np.array(_lobe_offsets(n_h))
+        assert offsets.size == max(1, n_h - 1)
+        assert offsets[0] == 0.0
+        # One side lobe between each pair of consecutive nulls 2 pi j / n_h.
+        nulls = 2.0 * math.pi * np.arange(1, n_h) / n_h
+        assert np.all((nulls[:-1] < offsets[1:]) & (offsets[1:] < nulls[1:]))
+        slope, curvature = kernel_derivatives(offsets, n_h)
+        assert np.abs(slope).max() <= 1e-12
+        if n_h > 1:  # the n_h = 1 kernel is flat
+            assert curvature.max() < 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_h=st.integers(2, 16),
+        n_v=st.integers(1, 8),
+        d_h=st.floats(0.2, 2.5),
+        d_v=st.floats(0.2, 2.5),
+        tilt=st.floats(-90.0, 90.0),
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(-math.pi, math.pi),
     )
-    def test_one_more_newton_step_moves_no_interior_peak(self, cfg, monkeypatch):
-        rng = np.random.default_rng(cfg.n_h)
-        autocorr, reach = autocorrelation(
-            rng.uniform(0.0, math.pi, 200), rng.uniform(-math.pi, math.pi, 200), cfg
+    def test_scan_coefficients_form_a_geometric_progression(
+        self, n_h, n_v, d_h, d_v, tilt, theta, phi
+    ):
+        """c_(k+1) / c_k = exp(-1j * beta), beta = 2 pi d_h sin(theta) sin(phi).
+
+        Stage 1's closed form depends on this: it makes P(s) the Dirichlet
+        kernel shifted to beta, whose peaks `_lobe_peaks` writes down.
+        """
+        cfg = AntennaConfig(n_h=n_h, n_v=n_v, d_h=d_h, d_v=d_v, tilt_deg=tilt)
+        _, coeffs, _ = scan_coefficients(theta, phi, cfg)
+        beta = 2.0 * math.pi * d_h * math.sin(theta) * math.sin(phi)
+        np.testing.assert_allclose(
+            coeffs[1:] / coeffs[:-1], np.exp(-1j * beta), rtol=0.0, atol=1e-12
         )
-        peaks, _ = _refine_peaks(autocorr, reach, cfg.n_h - 1)
-        monkeypatch.setattr(allocator, "_NEWTON_STEPS", allocator._NEWTON_STEPS + 1)
-        further, _ = _refine_peaks(autocorr, reach, cfg.n_h - 1)
-        width = 2.0 * reach / peaks.shape[-1]
-        lower = -reach + width * np.arange(peaks.shape[-1])
-        interior = (peaks > lower) & (peaks < lower + width)
-        assert interior.any()
-        assert np.abs(further - peaks)[interior].max() <= 1e-12
 
 
 class TestBuildUtility:

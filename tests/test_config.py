@@ -19,6 +19,7 @@ from corridorsim.geometry import BaseStationSite, CorridorSpec, Position3D
 from corridorsim.harness import (
     ALLOCATION_CHANNELS,
     ALLOCATORS,
+    MAX_D_H_WAVELENGTHS,
     ScenarioConfig,
     config_digest,
     config_from_dict,
@@ -316,7 +317,7 @@ def scenario_configs(draw):
         antenna=AntennaConfig(
             n_h=draw(st.integers(1, 16)),
             n_v=draw(st.integers(1, 16)),
-            d_h=draw(positive),
+            d_h=draw(st.floats(1e-6, MAX_D_H_WAVELENGTHS)),
             d_v=draw(positive),
             g_e_max_dbi=draw(finite),
             theta_3db_deg=draw(st.floats(1e-3, 360.0)),

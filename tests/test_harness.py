@@ -16,6 +16,8 @@ from corridorsim.channel import ChannelProviderSpec, LinkGainTensor, export_tens
 from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError, TensorFormatError
 from corridorsim.harness import (
+    MAX_ARRAY_SIDE,
+    MAX_D_H_WAVELENGTHS,
     ScenarioConfig,
     benchmark,
     config_digest,
@@ -243,6 +245,39 @@ class TestLinkBudgetOutsideTheFloats:
         assert capfd.readouterr().err == (
             f"error: {source} gave non-finite or negative power gains\n"
         )
+
+
+class TestAntennaSizeBounds:
+    """Stage 1's arrays grow with n_h and d_h, so the antenna's size is bounded."""
+
+    def test_the_bounds_are_valid(self):
+        antenna = {"n_h": MAX_ARRAY_SIDE, "n_v": MAX_ARRAY_SIDE,
+                   "d_h_wavelengths": MAX_D_H_WAVELENGTHS}
+        assert validate_config(config_from_dict({"antenna": antenna})) == []
+
+    @pytest.mark.parametrize(
+        "antenna, message",
+        [
+            ({"n_h": MAX_ARRAY_SIDE + 1},
+             f"antenna.n_h must be <= {MAX_ARRAY_SIDE}, got {MAX_ARRAY_SIDE + 1}"),
+            ({"n_v": 10**9}, f"antenna.n_v must be <= {MAX_ARRAY_SIDE}, got 1000000000"),
+            ({"d_h_wavelengths": 1e6},
+             f"antenna.d_h_wavelengths must be <= {MAX_D_H_WAVELENGTHS}, got 1000000.0"),
+        ],
+        ids=["n_h", "n_v", "d_h"],
+    )
+    def test_cli_rejects_an_oversized_antenna_with_exit_1(
+        self, tmp_path, capsys, antenna, message
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"antenna": antenna}))
+        out_dir = tmp_path / "out"
+        assert validate_config(load_config(path)) == [message]
+        assert cli_main(["validate-config", "--config", str(path)]) == 1
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert cli_main(["gain-sweep", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"] * 3
+        assert not out_dir.exists()
 
 
 class TestRunScenario:
