@@ -38,6 +38,14 @@ from .channel import _SEED_MASK, LinkGainTensor, RfConstants
 from .errors import ConfigurationError, InfeasibleAssignmentError
 from .geometry import BaseStationSite, Position3D, link_geometries
 
+# Stage 1 holds ~2 * (n_h - 1) * (2 * d_h + 1) scan candidates per link and
+# (links, N, 3) arrays over the N sectors, which it visits one by one. 1 024
+# sectors of 0.35 degrees, 64 times the nominal count, take a nominal run
+# about 60 ms; 10^9 would exhaust memory on the sector ends alone.
+MAX_ARRAY_SIDE = 64
+MAX_D_H_WAVELENGTHS = 10.0
+MAX_BEAMS = 1024
+
 
 @dataclass(frozen=True)
 class BeamCodebook:
@@ -50,6 +58,8 @@ class BeamCodebook:
         """The N half-open sectors (lo, hi], ordered, covering (-pi, pi]."""
         if self.n_beams < 1:
             raise ConfigurationError(f"codebook needs >= 1 beam, got {self.n_beams}")
+        if self.n_beams > MAX_BEAMS:
+            raise ConfigurationError(f"codebook.n_beams must be <= {MAX_BEAMS}, got {self.n_beams}")
         # -pi + n * 2pi/N, except that the last end is pi itself, never pi + 1 ulp
         ends = np.linspace(-math.pi, math.pi, self.n_beams + 1).tolist()
         return tuple(zip(ends[:-1], ends[1:]))
@@ -138,6 +148,14 @@ def _lobe_peaks(beta: np.ndarray, reach: float, n_h: int) -> np.ndarray:
     return (lobes[..., None] + turns).reshape(beta.shape + (-1,))
 
 
+def stage1_size_errors(cfg: AntennaConfig, n_beams: int) -> list[str]:
+    """One message per Stage-1 size above its bound, named by its config file key."""
+    sizes = (("antenna.n_h", cfg.n_h, MAX_ARRAY_SIDE), ("antenna.n_v", cfg.n_v, MAX_ARRAY_SIDE),
+             ("antenna.d_h_wavelengths", cfg.d_h, MAX_D_H_WAVELENGTHS),
+             ("codebook.n_beams", n_beams, MAX_BEAMS))
+    return [f"{key} must be <= {top}, got {value}" for key, value, top in sizes if value > top]
+
+
 def optimal_scan_angles(
     theta, phi, sectors, cfg: AntennaConfig
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -157,9 +175,13 @@ def optimal_scan_angles(
     interior maximum of P(alpha * sin(phi)) has cos(phi) = 0 or P'(s) = 0,
     so a sector's best angle is one of its two ends, +-pi/2, or an arcsin
     branch of a peak, whichever inside the sector has the highest P. The
-    evaluation count is a fixed multiple of the number of pairs.
+    evaluation count is a fixed multiple of the number of pairs. An array,
+    a spacing or a sector count above its MAX_* bound raises.
     """
     lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
+    oversized = stage1_size_errors(cfg, lo.size)
+    if oversized:
+        raise ConfigurationError("; ".join(oversized))
     if lo.size == 0 or not np.all((-math.pi <= lo) & (lo < hi) & (hi <= math.pi)):
         raise ConfigurationError(
             f"scan sectors must be non-empty (lo, hi] inside [-pi, pi], got {sectors}"
@@ -224,17 +246,15 @@ def build_utility(
     table: BeamGainTable,
     gains: LinkGainTensor,
     rf: RfConstants,
-    power_divisor: float = 1.0,
 ) -> np.ndarray:
-    """Lambda[m, l, n] = (P / power_divisor) * |h[m, l]|^2 * 10^(G[m, l, n]/10), watts."""
+    """Lambda[m, l, n] = P * |h[m, l]|^2 * 10^(G[m, l, n]/10), watts."""
     mm, ll, nn = table.gain_db.shape
     if gains.power_gains.shape != (mm, ll):
         raise ValueError(
             f"beam table is {mm}x{ll} links but gains are "
             f"{gains.power_gains.shape[0]}x{gains.power_gains.shape[1]}"
         )
-    p_eff = rf.tx_power_w / power_divisor
-    return p_eff * gains.power_gains[:, :, None] * 10.0 ** (table.gain_db / 10.0)
+    return rf.tx_power_w * gains.power_gains[:, :, None] * 10.0 ** (table.gain_db / 10.0)
 
 
 def _assignment(cols: np.ndarray | list[int], nn: int) -> Assignment:

@@ -24,6 +24,9 @@ from typing import Callable
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+# |V^H W|^2 is clamped here so that an exact null never reaches log10(0).
+GAIN_FLOOR_DB = -400.0
+_GAIN_FLOOR = 10.0 ** (GAIN_FLOOR_DB / 10.0)
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class AntennaConfig:
     a_m_db: float = 30.0  # front-to-back ratio
     sl_av_db: float = 30.0  # vertical side-lobe limit
     tilt_deg: float = 15.0  # vertical downtilt of every beam
-    gain_floor_db: float = -400.0  # clamp for |V^H W|^2 underflow
 
     @property
     def n_elements(self) -> int:
@@ -120,7 +122,7 @@ def beamforming_vector(phi_scan, cfg: AntennaConfig) -> np.ndarray:
 
 
 def array_gain(direction: SteeringDirection, phi_scan, cfg: AntennaConfig):
-    """Array factor 10*log10(|V^H W|^2) in dB, clamped at `gain_floor_db`.
+    """Array factor 10*log10(|V^H W|^2) in dB, clamped at GAIN_FLOOR_DB.
 
     Never exceeds 10*log10(n_h*n_v) (Cauchy-Schwarz). Vectorized over
     `phi_scan`.
@@ -128,7 +130,7 @@ def array_gain(direction: SteeringDirection, phi_scan, cfg: AntennaConfig):
     v = steering_vector(direction, cfg)
     w = beamforming_vector(phi_scan, cfg)
     inner = w @ v.conj()
-    power = np.maximum(np.abs(inner) ** 2, 10.0 ** (cfg.gain_floor_db / 10.0))
+    power = np.maximum(np.abs(inner) ** 2, _GAIN_FLOOR)
     return _maybe_scalar(10.0 * np.log10(power))
 
 
@@ -174,8 +176,7 @@ def folded_gain_db(elem_db, coeffs, alpha: float, phi_scan, cfg: AntennaConfig):
     """
     z = np.exp(1j * alpha * np.sin(phi_scan)[..., None] * np.arange(cfg.n_h))
     field = (coeffs * z).sum(axis=-1)
-    floor = 10.0 ** (cfg.gain_floor_db / 10.0)
-    return elem_db + 10.0 * np.log10(np.maximum(field.real**2 + field.imag**2, floor))
+    return elem_db + 10.0 * np.log10(np.maximum(field.real**2 + field.imag**2, _GAIN_FLOOR))
 
 
 def make_scan_gain(direction: SteeringDirection, cfg: AntennaConfig) -> Callable[[float], float]:
@@ -189,7 +190,6 @@ def make_scan_gain(direction: SteeringDirection, cfg: AntennaConfig) -> Callable
     elem_db, coeffs, alpha = scan_coefficients(direction.theta, direction.phi, cfg)
     elem_db = float(elem_db)
     coeffs_list = [complex(c) for c in coeffs]
-    floor = 10.0 ** (cfg.gain_floor_db / 10.0)
 
     def gain(phi_scan: float) -> float:
         step = alpha * math.sin(phi_scan)
@@ -197,8 +197,8 @@ def make_scan_gain(direction: SteeringDirection, cfg: AntennaConfig) -> Callable
         for k, c in enumerate(coeffs_list):
             acc += c * cmath.exp(1j * step * k)
         power = acc.real * acc.real + acc.imag * acc.imag
-        if power < floor:
-            power = floor
+        if power < _GAIN_FLOOR:
+            power = _GAIN_FLOOR
         return elem_db + 10.0 * math.log10(power)
 
     return gain

@@ -18,7 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-from .channel import ChannelProviderSpec
 from .errors import ConfigurationError, CorridorsimError
 from .harness import (
     ALLOCATION_CHANNELS,
@@ -50,11 +49,8 @@ def _add_common(parser: argparse.ArgumentParser, replications: bool = True) -> N
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--allocator", choices=ALLOCATORS, help="allocator override")
     parser.add_argument(
-        "--channel",
-        choices=ALLOCATION_CHANNELS + ("import",),
-        help="allocation-side channel override",
+        "--channel", choices=ALLOCATION_CHANNELS, help="allocation-side channel override"
     )
-    parser.add_argument("--import-path", type=Path, help="tensor file for --channel import")
     if replications:
         parser.add_argument("--replications", type=int, help="replications override")
     parser.add_argument("--threads", type=int, default=1, help="worker threads")
@@ -66,16 +62,7 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
         config.seed = args.seed
     if args.allocator:
         config.allocator = args.allocator
-    if args.import_path and args.channel != "import":
-        raise ConfigurationError("--import-path needs --channel import")
-    if args.channel == "import":
-        if not args.import_path:
-            raise ConfigurationError("--channel import requires --import-path")
-        config.channel_hf = ChannelProviderSpec(
-            kind="import", import_path=str(args.import_path)
-        )
-        config.allocation_channel = "hf"
-    elif args.channel:
+    if args.channel:
         config.allocation_channel = args.channel
     if getattr(args, "replications", None) is not None:
         config.replications = args.replications

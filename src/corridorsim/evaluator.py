@@ -52,7 +52,6 @@ def sinr_matrix(
     links: np.ndarray,
     antenna_cfg: AntennaConfig,
     rf: RfConstants,
-    power_divisor: float = 1.0,
 ) -> np.ndarray:
     """Linear SINR of every UAV, shape (M,), in one pass.
 
@@ -65,16 +64,15 @@ def sinr_matrix(
     mm = gains.power_gains.shape[0]
     l, n = assignment.bs, assignment.beam
     rows = np.arange(mm)
-    p_eff = rf.tx_power_w / power_divisor
     h = gains.power_gains
-    signal = p_eff * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
+    signal = rf.tx_power_w * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
 
     elem_db, coeffs, alpha = scan_coefficients(links["theta"], links["phi"], antenna_cfg)
     g_db = folded_gain_db(
         elem_db[:, l], coeffs[:, l], alpha, beam_table.phi_star[rows, l, n], antenna_cfg
     )
     heard = l[:, None] != l  # every UAV served by another BS
-    coupling = np.where(heard, p_eff * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
+    coupling = np.where(heard, rf.tx_power_w * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
     # A BLAS matrix-vector product, not .sum(axis=1): it keeps every SINR
     # bit-identical to the results.json files already written, and numpy's
     # pairwise row sum does not.
@@ -89,12 +87,11 @@ def evaluate_all(
     links: np.ndarray,
     antenna_cfg: AntennaConfig,
     rf: RfConstants,
-    power_divisor: float = 1.0,
     seed: int = 0,
     config_digest: str = "",
 ) -> ThroughputReport:
     """Score every UAV and aggregate into a ThroughputReport."""
-    sinrs = sinr_matrix(assignment, gains, beam_table, links, antenna_cfg, rf, power_divisor)
+    sinrs = sinr_matrix(assignment, gains, beam_table, links, antenna_cfg, rf)
     rates = rf.bandwidth_hz * np.log2(1.0 + sinrs)
     return ThroughputReport(
         per_uav_sinr=sinrs,

@@ -42,8 +42,9 @@ from .allocator import (
     build_utility,
     fill_scan_angles,
     solve_assignment,
+    stage1_size_errors,
 )
-from .antenna import SPEED_OF_LIGHT, AntennaConfig, folded_gain_db, scan_coefficients
+from .antenna import GAIN_FLOOR_DB, SPEED_OF_LIGHT, AntennaConfig, folded_gain_db, scan_coefficients
 from .channel import (
     _SEED_MASK,
     ChannelProviderSpec,
@@ -72,9 +73,6 @@ _TAG_RANDOM = 5
 
 ALLOCATORS = ("two_stage", "random", "closest_bs")
 ALLOCATION_CHANNELS = ("hf", "lf", "statistical")
-# Stage 1 holds ~2 * (n_h - 1) * (2 * d_h + 1) scan candidates per link.
-MAX_ARRAY_SIDE = 64
-MAX_D_H_WAVELENGTHS = 10.0
 
 
 def aim_boresights_at(bss: list[BaseStationSite], target: Position3D) -> list[BaseStationSite]:
@@ -111,7 +109,6 @@ class ScenarioConfig:
     allocation_channel: str = "hf"
     seed: int = 0
     replications: int = 1
-    split_power_among_beams: bool = False
 
 
 @dataclass
@@ -154,7 +151,6 @@ _SCHEMA = (
     ("replications", "replications"),
     ("allocator", "allocator"),
     ("allocation_channel", "allocation_channel"),
-    ("split_power_among_beams", "split_power_among_beams"),
     ("rf.carrier_hz", "rf.carrier_hz"),
     ("rf.bandwidth_hz", "rf.bandwidth_hz"),
     ("rf.tx_power_w", "rf.tx_power_w"),
@@ -169,7 +165,6 @@ _SCHEMA = (
     ("antenna.a_m_db", "antenna.a_m_db"),
     ("antenna.sl_av_db", "antenna.sl_av_db"),
     ("antenna.tilt_deg", "antenna.tilt_deg"),
-    ("antenna.gain_floor_db", "antenna.gain_floor_db"),
     ("codebook.n_beams", "codebook.n_beams"),
     ("corridor.center_x_m", "corridor.center.x"),
     ("corridor.center_y_m", "corridor.center.y"),
@@ -201,12 +196,16 @@ _RETIRED = frozenset({
 # Retired keys that load only at the value the run now always uses; dropping
 # any other value would silently change the rates. `lf` re-estimates the
 # evaluation tensor and `statistical` uses channel_hf's K, which is what a
-# few-ray `channel_lf` without an import path gave.
+# few-ray `channel_lf` without an import path gave. Power split among the
+# beams is `rf.tx_power_w` / n_beams written out, and the gain floor guards
+# log10(0) only.
 _PINNED = {
     "num_rrbs": 1,
     "beta_reading": "interferer",
     "channel_lf.kind": "few_ray",
     "channel_lf.import_path": None,
+    "split_power_among_beams": False,
+    "antenna.gain_floor_db": GAIN_FLOOR_DB,
 }
 
 # channel_hf keys that only some provider kinds read. Every kind reads `kind`
@@ -314,7 +313,8 @@ def _load(doc: dict, table: dict, where: str) -> dict:
             continue
         if where + key in _PINNED:
             pinned = _PINNED[where + key]
-            if type(value) is not type(pinned) or value != pinned:
+            types = (float, int) if type(pinned) is float else (type(pinned),)
+            if type(value) not in types or value != pinned:
                 raise ConfigurationError(
                     f"{where + key} is retired and loads only as {json.dumps(pinned)}, "
                     f"got {value!r}"
@@ -373,10 +373,7 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
     a = echo["antenna"]
     if a["n_h"] < 1 or a["n_v"] < 1:
         errors.append(f"antenna.n_h/n_v must be >= 1, got {a['n_h']}x{a['n_v']}")
-    for key, top in (("n_h", MAX_ARRAY_SIDE), ("n_v", MAX_ARRAY_SIDE),
-                     ("d_h_wavelengths", MAX_D_H_WAVELENGTHS)):
-        if a[key] > top:
-            errors.append(f"antenna.{key} must be <= {top}, got {a[key]}")
+    errors += stage1_size_errors(config.antenna, config.codebook.n_beams)
     for key in (
         "d_h_wavelengths", "d_v_wavelengths", "theta_3db_deg", "phi_3db_deg", "a_m_db", "sl_av_db"
     ):
@@ -497,7 +494,6 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     digest = config_digest(config, echo)
     uavs = generate_corridor(config.corridor, config.uav_count)
     links = link_geometries(uavs, config.bss)
-    divisor = float(config.codebook.n_beams) if config.split_power_among_beams else 1.0
 
     # Stage 1 depends only on geometry, which is fixed across replications,
     # so the table is computed once and shared.
@@ -522,14 +518,14 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
                 _check_gains(alloc_tensor, f"allocation channel {config.allocation_channel!r}")
         t_alloc = time.perf_counter()
         if config.allocator == "two_stage":
-            util = build_utility(table, alloc_tensor, config.rf, divisor)
+            util = build_utility(table, alloc_tensor, config.rf)
             assignment = solve_assignment(util)
         elif config.allocator == "random":
             assignment = allocate_random(
                 mm, ll, nn, _derive_seed(config.seed, _TAG_RANDOM, r)
             )
         else:
-            util = build_utility(table, alloc_tensor, config.rf, divisor)
+            util = build_utility(table, alloc_tensor, config.rf)
             assignment = allocate_closest_bs(links["distance_3d"], util)
         fill_scan_angles(assignment, table)
         stage2_seconds = time.perf_counter() - t_alloc
@@ -544,7 +540,6 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
             links,
             config.antenna,
             config.rf,
-            divisor,
             seed=channel_seed,
             config_digest=digest,
         )

@@ -213,10 +213,8 @@ def interference_at(
     links: np.ndarray,
     antenna_cfg: AntennaConfig,
     rf: RfConstants,
-    power_divisor: float = 1.0,
 ) -> float:
     """Aggregate interference power (watts) received by UAV m; `links` is (M, L)."""
-    p_eff = rf.tx_power_w / power_divisor
     total = 0.0
     for m_prime, (l_prime, n_prime) in enumerate(zip(assignment.bs, assignment.beam)):
         if m_prime == m or l_prime == assignment.bs[m]:
@@ -224,7 +222,7 @@ def interference_at(
         link = links[m, l_prime]
         direction = SteeringDirection(theta=link["theta"], phi=link["phi"])
         g_db = total_gain(direction, beam_table.phi_star[m_prime, l_prime, n_prime], antenna_cfg)
-        total += p_eff * gains.power_gains[m, l_prime] * 10.0 ** (g_db / 10.0)
+        total += rf.tx_power_w * gains.power_gains[m, l_prime] * 10.0 ** (g_db / 10.0)
     return total
 
 
@@ -235,21 +233,19 @@ def pairwise_sinr(
     links: np.ndarray,
     antenna_cfg: AntennaConfig,
     rf: RfConstants,
-    power_divisor: float = 1.0,
 ) -> np.ndarray:
     """Linear SINR of every UAV, shape (M,), folding all M x M directions."""
     mm = gains.power_gains.shape[0]
     l, n = assignment.bs, assignment.beam
     rows = np.arange(mm)
-    p_eff = rf.tx_power_w / power_divisor
     h = gains.power_gains
-    signal = p_eff * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
+    signal = rf.tx_power_w * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
 
     toward = links[:, l]  # (victim, interferer)
     folded = scan_coefficients(toward["theta"], toward["phi"], antenna_cfg)
     g_db = folded_gain_db(*folded, beam_table.phi_star[rows, l, n], antenna_cfg)
     heard = l[:, None] != l  # every UAV served by another BS
-    coupling = np.where(heard, p_eff * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
+    coupling = np.where(heard, rf.tx_power_w * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
     # A BLAS matrix-vector product, not .sum(axis=1): it keeps every SINR
     # bit-identical to the results.json files already written, and numpy's
     # pairwise row sum does not.

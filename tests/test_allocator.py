@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corridorsim.allocator import (
+    MAX_ARRAY_SIDE,
+    MAX_BEAMS,
+    MAX_D_H_WAVELENGTHS,
     BeamCodebook,
     allocate_closest_bs,
     allocate_random,
@@ -79,6 +83,12 @@ class TestCodebook:
     def test_no_beam_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="codebook needs >= 1 beam, got 0"):
             BeamCodebook(0).sectors
+
+    def test_more_beams_than_the_bound_are_a_configuration_error(self):
+        assert len(BeamCodebook(MAX_BEAMS).sectors) == MAX_BEAMS
+        message = f"codebook.n_beams must be <= {MAX_BEAMS}, got {MAX_BEAMS + 1}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            BeamCodebook(MAX_BEAMS + 1).sectors
 
 
 class TestOptimizeScanAngle:
@@ -363,6 +373,30 @@ class TestOptimalScanAngles:
         with pytest.raises(ConfigurationError, match="sector"):
             optimal_scan_angles(1.0, 0.0, sectors, CFG)
 
+    def test_accepts_the_largest_array_spacing_and_codebook(self):
+        cfg = AntennaConfig(n_h=MAX_ARRAY_SIDE, n_v=MAX_ARRAY_SIDE, d_h=MAX_D_H_WAVELENGTHS)
+        phi_star, _, _ = optimal_scan_angles(1.0, 0.3, BeamCodebook(MAX_BEAMS).sectors, cfg)
+        assert phi_star.shape == (MAX_BEAMS,)
+
+    @pytest.mark.parametrize(
+        "cfg, n_beams, message",
+        [
+            (AntennaConfig(d_h=12.0), 16,
+             f"antenna.d_h_wavelengths must be <= {MAX_D_H_WAVELENGTHS}, got 12.0"),
+            (AntennaConfig(n_h=80), 16, f"antenna.n_h must be <= {MAX_ARRAY_SIDE}, got 80"),
+            (AntennaConfig(n_v=MAX_ARRAY_SIDE + 1), 16,
+             f"antenna.n_v must be <= {MAX_ARRAY_SIDE}, got {MAX_ARRAY_SIDE + 1}"),
+            (CFG, MAX_BEAMS + 1, f"codebook.n_beams must be <= {MAX_BEAMS}, got {MAX_BEAMS + 1}"),
+        ],
+        ids=["d_h", "n_h", "n_v", "n_beams"],
+    )
+    def test_rejects_sizes_above_the_bounds(self, cfg, n_beams, message):
+        # The bounds hold for library callers too, not only behind validate_config.
+        ends = np.linspace(-math.pi, math.pi, n_beams + 1).tolist()
+        sectors = tuple(zip(ends[:-1], ends[1:]))
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            optimal_scan_angles(1.0, 0.3, sectors, cfg)
+
     @settings(max_examples=40, deadline=None)
     @given(
         n_h=st.integers(1, 16),
@@ -522,11 +556,6 @@ class TestBuildUtility:
         u1 = build_utility(self.table(g), gains, RfConstants())
         u2 = build_utility(self.table(g + 10.0), gains, RfConstants())
         np.testing.assert_allclose(u2, 10.0 * u1, rtol=1e-12)
-
-    def test_power_divisor(self):
-        gains = LinkGainTensor(power_gains=np.array([[2.0]]))
-        u = build_utility(self.table([[[0.0]]]), gains, RfConstants(tx_power_w=8.0), 16.0)
-        assert u[0, 0, 0] == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         gains = LinkGainTensor(power_gains=np.ones((3, 2)))

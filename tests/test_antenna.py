@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corridorsim.antenna import (
+    GAIN_FLOOR_DB,
     AntennaConfig,
     SteeringDirection,
     array_gain,
@@ -157,7 +158,7 @@ class TestArrayGain:
         # sin(scan) = 1 -> phase difference pi at half-wavelength spacing
         g = array_gain(d, deg(90), cfg)
         assert np.isfinite(g)
-        assert g >= cfg.gain_floor_db
+        assert g >= GAIN_FLOOR_DB
 
 
 class TestTotalGain:

@@ -724,9 +724,11 @@ class TestJsonTensorTypes:
 
     def test_cli_run_on_a_bad_document_exits_1(self, tmp_path, capsys):
         path = tmp_path / "t.json"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"channel_hf": {"kind": "import", "import_path": str(path)}}))
         for doc, message in BAD_JSON_TENSORS:
             path.write_text(json.dumps(doc))
-            argv = ["run", "--channel", "import", "--import-path", str(path)]
+            argv = ["run", "--config", str(config)]
             assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err

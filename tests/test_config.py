@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corridorsim.allocator import BeamCodebook
+from corridorsim.allocator import MAX_D_H_WAVELENGTHS, BeamCodebook
 from corridorsim.antenna import AntennaConfig
 from corridorsim.channel import ChannelProviderSpec, RfConstants
 from corridorsim.errors import ConfigurationError
@@ -19,7 +19,6 @@ from corridorsim.geometry import BaseStationSite, CorridorSpec, Position3D
 from corridorsim.harness import (
     ALLOCATION_CHANNELS,
     ALLOCATORS,
-    MAX_D_H_WAVELENGTHS,
     ScenarioConfig,
     config_digest,
     config_from_dict,
@@ -79,8 +78,6 @@ class TestSchema:
             ({"uav_count": 2.7}, "uav_count must be an integer, got 2.7"),
             ({"uav_count": 20.0}, "uav_count must be an integer, got 20.0"),
             ({"uav_count": True}, "uav_count must be an integer, got True"),
-            ({"split_power_among_beams": "false"}, "split_power_among_beams must be true or"),
-            ({"split_power_among_beams": 0}, "split_power_among_beams must be true or false"),
             ({"rf": {"tx_power_w": "10"}}, "rf.tx_power_w must be a number, got '10'"),
             ({"rf": {"tx_power_w": False}}, "rf.tx_power_w must be a number"),
             ({"antenna": {"tilt_deg": None}}, "antenna.tilt_deg must be a number"),
@@ -139,14 +136,41 @@ OLD_ECHO = """{
   "seed": 0, "split_power_among_beams": false, "uav_count": 4
 }"""
 
+# The default config echo while `split_power_among_beams` and
+# `antenna.gain_floor_db` were still settable.
+PARENT_ECHO = """{
+  "allocation_channel": "hf", "allocator": "two_stage",
+  "antenna": {"a_m_db": 30.0, "d_h_wavelengths": 0.5, "d_v_wavelengths": 0.5,
+              "g_e_max_dbi": -8.0, "gain_floor_db": -400.0, "n_h": 4, "n_v": 4,
+              "phi_3db_deg": 90.0, "sl_av_db": 30.0, "theta_3db_deg": 65.0, "tilt_deg": 15.0},
+  "bss": [{"boresight_deg": 45.0, "id": 1, "x_m": 0.0, "y_m": 0.0, "z_m": 25.0},
+          {"boresight_deg": 135.0, "id": 2, "x_m": 400.0, "y_m": 0.0, "z_m": 25.0},
+          {"boresight_deg": -135.0, "id": 3, "x_m": 400.0, "y_m": 400.0, "z_m": 25.0},
+          {"boresight_deg": -45.0, "id": 4, "x_m": 0.0, "y_m": 400.0, "z_m": 25.0}],
+  "channel_hf": {"kind": "statistical", "rician_k_db": 3.0},
+  "channel_lf": {"ray_count": 100},
+  "codebook": {"n_beams": 16},
+  "corridor": {"altitude_m": 100.0, "center_x_m": 200.0, "center_y_m": 200.0,
+               "radius_m": 200.0},
+  "replications": 1,
+  "rf": {"bandwidth_hz": 30000000.0, "carrier_hz": 3500000000.0, "noise_power_w": 0.3,
+         "tx_power_w": 10.0},
+  "seed": 0, "split_power_among_beams": false, "uav_count": 20
+}"""
+
 
 class TestRetiredEvaluationKeys:
-    """`num_rrbs` and `beta_reading` load only at the one value the evaluator uses."""
+    """`num_rrbs`, `beta_reading`, `split_power_among_beams` and `antenna.gain_floor_db`
+    load only at the one value the run uses."""
 
     def test_pinned_values_load_and_leave_the_echo(self):
-        cfg = config_from_dict({"num_rrbs": 1, "beta_reading": "interferer"})
+        cfg = config_from_dict({
+            "num_rrbs": 1, "beta_reading": "interferer", "split_power_among_beams": False,
+            "antenna": {"gain_floor_db": -400},
+        })
         echo = config_to_dict(cfg)
         assert "num_rrbs" not in echo and "beta_reading" not in echo
+        assert "split_power_among_beams" not in echo and "gain_floor_db" not in echo["antenna"]
         assert echo == DEFAULT_ECHO
 
     @pytest.mark.parametrize(
@@ -159,6 +183,22 @@ class TestRetiredEvaluationKeys:
                 {"beta_reading": "victim"},
                 "beta_reading is retired and loads only as \"interferer\", got 'victim'",
             ),
+            (
+                {"split_power_among_beams": True},
+                "split_power_among_beams is retired and loads only as false, got True",
+            ),
+            (
+                {"split_power_among_beams": 0},
+                "split_power_among_beams is retired and loads only as false, got 0",
+            ),
+            (
+                {"antenna": {"gain_floor_db": 10.0}},
+                "antenna.gain_floor_db is retired and loads only as -400.0, got 10.0",
+            ),
+            (
+                {"antenna": {"gain_floor_db": True}},
+                "antenna.gain_floor_db is retired and loads only as -400.0, got True",
+            ),
         ],
     )
     def test_other_values_raise_naming_the_key(self, doc, message):
@@ -169,10 +209,14 @@ class TestRetiredEvaluationKeys:
         old = json.loads(OLD_ECHO)
         cfg = config_from_dict(old)
         assert validate_config(cfg) == []
-        del old["num_rrbs"], old["beta_reading"]
+        del old["num_rrbs"], old["beta_reading"], old["split_power_among_beams"]
+        del old["antenna"]["gain_floor_db"]
         del old["channel_hf"]["ray_count"], old["channel_hf"]["import_path"]
         old["channel_lf"] = {"ray_count": 100}
         assert config_to_dict(cfg) == old
+
+    def test_a_default_echo_with_the_retired_keys_loads_as_the_default(self):
+        assert config_from_dict(json.loads(PARENT_ECHO)) == ScenarioConfig()
 
 
 class TestChannelLfIsItsRayCount:
@@ -325,7 +369,6 @@ def scenario_configs(draw):
             a_m_db=draw(positive),
             sl_av_db=draw(positive),
             tilt_deg=draw(st.floats(-90.0, 90.0)),
-            gain_floor_db=draw(finite),
         ),
         codebook=BeamCodebook(n_beams),
         bss=bss,
@@ -338,7 +381,6 @@ def scenario_configs(draw):
         allocation_channel=draw(st.sampled_from(ALLOCATION_CHANNELS)),
         seed=draw(st.integers(-(2**70), 2**70)),
         replications=draw(st.integers(1, 100)),
-        split_power_among_beams=draw(st.booleans()),
     )
 
 
@@ -410,7 +452,8 @@ json_values = st.recursive(
 # Keys mostly drawn from the schema and the retired keys, so documents get past
 # the unknown-key check and reach the type checks.
 inner_names = sorted(
-    {k for v in DEFAULT_ECHO.values() if isinstance(v, dict) for k in v} | {"import_path"}
+    {k for v in DEFAULT_ECHO.values() if isinstance(v, dict) for k in v}
+    | {"import_path", "gain_floor_db"}
 )
 site_names = sorted(DEFAULT_ECHO["bss"][0])
 sites = st.lists(
@@ -420,7 +463,8 @@ sites = st.lists(
 )
 documents = st.dictionaries(
     st.sampled_from(
-        [*DEFAULT_ECHO, "annealer", "evaluation_channel", "num_rrbs", "beta_reading", "bogus"]
+        [*DEFAULT_ECHO, "annealer", "evaluation_channel", "num_rrbs", "beta_reading",
+         "split_power_among_beams", "bogus"]
     ),
     st.dictionaries(st.sampled_from([*inner_names, "seed", "tilt_deg"]), json_leaves, max_size=6)
     | sites

@@ -206,27 +206,28 @@ class TestSinrMatrix:
                 for _ in range(mm)
             ]
         )
-        divisor = float(rng.uniform(1.5, 16.0))
-        rf = RfConstants(noise_power_w=float(rng.uniform(1e-10, 1e-8)))
-        return a, gains, table, geoms, rf, divisor
+        # A transmit power of 10 W split among 1.5 to 16 beams.
+        tx_power_w = RfConstants().tx_power_w / float(rng.uniform(1.5, 16.0))
+        rf = RfConstants(tx_power_w=tx_power_w, noise_power_w=float(rng.uniform(1e-10, 1e-8)))
+        return a, gains, table, geoms, rf
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(2024)
         interfered = 0  # UAVs where interference at least doubles I + N
         for case in range(40):
-            a, gains, table, geoms, rf, divisor = self.random_case(rng, case == 0)
-            got = sinr_matrix(a, gains, table, geoms, CFG, rf, divisor)
+            a, gains, table, geoms, rf = self.random_case(rng, case == 0)
+            got = sinr_matrix(a, gains, table, geoms, CFG, rf)
             mm = a.bs.size
             assert got.shape == (mm,)
-            p_eff = rf.tx_power_w / divisor
             for m in range(mm):
                 l, n = a.bs[m], a.beam[m]
-                signal = p_eff * gains.power_gains[m, l] * 10.0 ** (table.gain_db[m, l, n] / 10.0)
-                i_ref = interference_at(m, a, gains, table, geoms, CFG, rf, divisor)
+                gain = 10.0 ** (table.gain_db[m, l, n] / 10.0)
+                signal = rf.tx_power_w * gains.power_gains[m, l] * gain
+                i_ref = interference_at(m, a, gains, table, geoms, CFG, rf)
                 expect = signal / (i_ref + rf.noise_power_w)
                 assert got[m] == pytest.approx(expect, rel=1e-12, abs=0.0)
                 interfered += i_ref > rf.noise_power_w
-            report = evaluate_all(a, gains, table, geoms, CFG, rf, divisor)
+            report = evaluate_all(a, gains, table, geoms, CFG, rf)
             np.testing.assert_array_equal(report.per_uav_sinr, got)
             rates = rf.bandwidth_hz * np.log2(1.0 + got)
             np.testing.assert_allclose(report.per_uav_rate_bps, rates, rtol=1e-12)
@@ -250,8 +251,12 @@ class TestSinrMatrixFoldsEachLinkOnce:
         links["distance_3d"] = 100.0
         links["theta"] = rng.uniform(0.0, math.pi, size=(mm, ll))
         links["phi"] = rng.uniform(-math.pi, math.pi, size=(mm, ll))
-        rf = RfConstants(noise_power_w=float(rng.uniform(1e-10, 1e-8)))
-        return a, gains, table, links, CFG, rf, float(rng.uniform(1.0, 16.0))
+        # Keyword arguments draw in the order written, noise first.
+        rf = RfConstants(
+            noise_power_w=float(rng.uniform(1e-10, 1e-8)),
+            tx_power_w=RfConstants().tx_power_w / float(rng.uniform(1.0, 16.0)),
+        )
+        return a, gains, table, links, CFG, rf
 
     @pytest.mark.parametrize(
         "mm, ll, nn, one_bs",
@@ -273,10 +278,10 @@ class TestSinrMatrixFoldsEachLinkOnce:
             got = sinr_matrix(*args)
             np.testing.assert_array_equal(got, pairwise_sinr(*args))
             if one_bs:
-                a, gains, table, _, _, rf, divisor = args
+                a, gains, table, _, _, rf = args
                 rows = np.arange(mm)
                 signal = (
-                    rf.tx_power_w / divisor * gains.power_gains[rows, 0]
+                    rf.tx_power_w * gains.power_gains[rows, 0]
                     * 10.0 ** (table.gain_db[rows, 0, a.beam] / 10.0)
                 )
                 np.testing.assert_array_equal(got, signal / rf.noise_power_w)

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 import corridorsim
+from corridorsim.allocator import MAX_ARRAY_SIDE, MAX_BEAMS, MAX_D_H_WAVELENGTHS
 from corridorsim.antenna import AntennaConfig, SteeringDirection, array_gain, element_gain
 from corridorsim.channel import ChannelProviderSpec, LinkGainTensor, export_tensor
 from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError, TensorFormatError
 from corridorsim.harness import (
-    MAX_ARRAY_SIDE,
-    MAX_D_H_WAVELENGTHS,
     ScenarioConfig,
     benchmark,
     config_digest,
@@ -247,30 +246,34 @@ class TestLinkBudgetOutsideTheFloats:
         )
 
 
-class TestAntennaSizeBounds:
-    """Stage 1's arrays grow with n_h and d_h, so the antenna's size is bounded."""
+class TestStage1SizeBounds:
+    """Stage 1's arrays grow with n_h, d_h and n_beams, so all three are bounded."""
 
     def test_the_bounds_are_valid(self):
         antenna = {"n_h": MAX_ARRAY_SIDE, "n_v": MAX_ARRAY_SIDE,
                    "d_h_wavelengths": MAX_D_H_WAVELENGTHS}
-        assert validate_config(config_from_dict({"antenna": antenna})) == []
+        doc = {"antenna": antenna, "codebook": {"n_beams": MAX_BEAMS}}
+        assert validate_config(config_from_dict(doc)) == []
 
     @pytest.mark.parametrize(
-        "antenna, message",
+        "doc, message",
         [
-            ({"n_h": MAX_ARRAY_SIDE + 1},
+            ({"antenna": {"n_h": MAX_ARRAY_SIDE + 1}},
              f"antenna.n_h must be <= {MAX_ARRAY_SIDE}, got {MAX_ARRAY_SIDE + 1}"),
-            ({"n_v": 10**9}, f"antenna.n_v must be <= {MAX_ARRAY_SIDE}, got 1000000000"),
-            ({"d_h_wavelengths": 1e6},
+            ({"antenna": {"n_v": 10**9}},
+             f"antenna.n_v must be <= {MAX_ARRAY_SIDE}, got 1000000000"),
+            ({"antenna": {"d_h_wavelengths": 1e6}},
              f"antenna.d_h_wavelengths must be <= {MAX_D_H_WAVELENGTHS}, got 1000000.0"),
+            ({"codebook": {"n_beams": 10**9}},
+             f"codebook.n_beams must be <= {MAX_BEAMS}, got 1000000000"),
         ],
-        ids=["n_h", "n_v", "d_h"],
+        ids=["n_h", "n_v", "d_h", "n_beams"],
     )
-    def test_cli_rejects_an_oversized_antenna_with_exit_1(
-        self, tmp_path, capsys, antenna, message
+    def test_cli_rejects_an_oversized_stage1_input_with_exit_1(
+        self, tmp_path, capsys, doc, message
     ):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"antenna": antenna}))
+        path.write_text(json.dumps(doc))
         out_dir = tmp_path / "out"
         assert validate_config(load_config(path)) == [message]
         assert cli_main(["validate-config", "--config", str(path)]) == 1
@@ -356,16 +359,6 @@ class TestRunScenario:
         )
         with pytest.raises(TensorFormatError, match="7x3 links, expected 20x4"):
             run_scenario(cfg)
-
-    def test_power_split_lowers_rates(self):
-        base = small_config(seed=25, replications=1)
-        split = small_config(seed=25, replications=1, split_power_among_beams=True)
-        full = run_scenario(base)
-        divided = run_scenario(split)
-        # power divided by the 4-beam codebook: rates drop, ~linearly in the
-        # noise-dominated regime
-        assert divided.mean_rate_bps < full.mean_rate_bps
-        assert divided.mean_rate_bps == pytest.approx(full.mean_rate_bps / 4.0, rel=1e-3)
 
     def test_reports_carry_digest_and_seed(self):
         cfg = small_config(seed=13, replications=2)
@@ -532,12 +525,11 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_run_missing_import_file(self, tmp_path, capsys):
+        doc = config_to_dict(small_config(replications=1))
+        doc["channel_hf"] = {"kind": "import", "import_path": str(tmp_path / "missing.ctns")}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config_to_dict(small_config(replications=1))))
-        code = cli_main(
-            ["run", "--config", str(path), "--out", str(tmp_path / "out"),
-             "--channel", "import", "--import-path", str(tmp_path / "missing.ctns")]
-        )
+        path.write_text(json.dumps(doc))
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing.ctns" in err
@@ -545,10 +537,10 @@ class TestCli:
     def test_run_import_of_wrong_shape_exits_1(self, tmp_path, capsys):
         tensor = tmp_path / "wrong.ctns"
         export_tensor(LinkGainTensor(power_gains=np.ones((7, 3))), tensor)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"channel_hf": {"kind": "import", "import_path": str(tensor)}}))
         out_dir = tmp_path / "out"
-        code = cli_main(
-            ["run", "--out", str(out_dir), "--channel", "import", "--import-path", str(tensor)]
-        )
+        code = cli_main(["run", "--config", str(path), "--out", str(out_dir)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: channel tensor is 7x3 links")
         assert not (out_dir / "results.json").exists()
@@ -557,12 +549,21 @@ class TestCli:
         "argv",
         [["run"], ["run", "--channel", "lf"], ["sweep", "--uavs", "2,3"], ["bench", "--uavs", "2"]],
     )
-    def test_import_path_without_channel_import_exits_1(self, tmp_path, capsys, argv):
-        # Without --channel import the tensor file would go unread.
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--import-path", "t.ctns"], "unrecognized arguments: --import-path t.ctns"),
+            (["--channel", "import"], "argument --channel: invalid choice: 'import'"),
+        ],
+        ids=["import-path", "channel-import"],
+    )
+    def test_removed_import_flags_exit_2(self, tmp_path, capsys, argv, flags, message):
+        # An imported tensor is set in the config, as channel_hf.
         out_dir = tmp_path / "out"
-        extra = ["--import-path", str(tmp_path / "missing.ctns"), "--out", str(out_dir)]
-        assert cli_main(argv + extra) == 1
-        assert capsys.readouterr().err == "error: --import-path needs --channel import\n"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + flags + ["--out", str(out_dir)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_run_rejects_several_uav_counts(self, tmp_path, capsys):
