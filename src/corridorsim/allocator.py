@@ -45,6 +45,10 @@ from .geometry import BaseStationSite, Position3D, link_geometries
 MAX_ARRAY_SIDE = 64
 MAX_D_H_WAVELENGTHS = 10.0
 MAX_BEAMS = 1024
+# Stage 1 and the run hold several arrays over all M * L * N triplets, and
+# evaluation an M x M one; 2^20 triplets (M = 1 024 UAVs on 4 BSs of 256
+# beams) is 800 times the nominal run.
+MAX_TRIPLETS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -148,12 +152,22 @@ def _lobe_peaks(beta: np.ndarray, reach: float, n_h: int) -> np.ndarray:
     return (lobes[..., None] + turns).reshape(beta.shape + (-1,))
 
 
-def stage1_size_errors(cfg: AntennaConfig, n_beams: int) -> list[str]:
-    """One message per Stage-1 size above its bound, named by its config file key."""
+def stage1_size_errors(cfg: AntennaConfig, n_beams: int, n_links: int) -> list[str]:
+    """One message per Stage-1 size above its bound, named by its config file keys.
+
+    `n_links` is the number of (UAV, BS) links, M * L. The triplet count
+    M * L * N is checked only for an N within MAX_BEAMS, which reports N alone.
+    """
     sizes = (("antenna.n_h", cfg.n_h, MAX_ARRAY_SIDE), ("antenna.n_v", cfg.n_v, MAX_ARRAY_SIDE),
              ("antenna.d_h_wavelengths", cfg.d_h, MAX_D_H_WAVELENGTHS),
              ("codebook.n_beams", n_beams, MAX_BEAMS))
-    return [f"{key} must be <= {top}, got {value}" for key, value, top in sizes if value > top]
+    errors = [f"{key} must be <= {top}, got {value}" for key, value, top in sizes if value > top]
+    if n_beams <= MAX_BEAMS and n_links * n_beams > MAX_TRIPLETS:
+        errors.append(
+            f"uav_count x bss x codebook.n_beams must be <= {MAX_TRIPLETS} stage-1 triplets, "
+            f"got {n_links * n_beams}"
+        )
+    return errors
 
 
 def optimal_scan_angles(
@@ -176,10 +190,10 @@ def optimal_scan_angles(
     so a sector's best angle is one of its two ends, +-pi/2, or an arcsin
     branch of a peak, whichever inside the sector has the highest P. The
     evaluation count is a fixed multiple of the number of pairs. An array,
-    a spacing or a sector count above its MAX_* bound raises.
+    a spacing, a sector count or a pair count above its MAX_* bound raises.
     """
     lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
-    oversized = stage1_size_errors(cfg, lo.size)
+    oversized = stage1_size_errors(cfg, lo.size, np.broadcast(theta, phi).size)
     if oversized:
         raise ConfigurationError("; ".join(oversized))
     if lo.size == 0 or not np.all((-math.pi <= lo) & (lo < hi) & (hi <= math.pi)):

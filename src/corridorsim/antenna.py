@@ -174,8 +174,17 @@ def folded_gain_db(elem_db, coeffs, alpha: float, phi_scan, cfg: AntennaConfig):
     `phi_scan` broadcasts against `elem_db`. Summing the coefficients
     directly keeps total_gain()'s precision near nulls of the array factor.
     """
-    z = np.exp(1j * alpha * np.sin(phi_scan)[..., None] * np.arange(cfg.n_h))
-    field = (coeffs * z).sum(axis=-1)
+    field = (coeffs * scan_phasors(alpha, phi_scan, cfg.n_h)).sum(axis=-1)
+    return field_gain_db(elem_db, field)
+
+
+def scan_phasors(alpha: float, phi_scan, n_h: int) -> np.ndarray:
+    """The powers z^k, k < n_h, of z = exp(1j * alpha * sin(phi_scan)), on a new last axis."""
+    return np.exp(1j * alpha * np.sin(phi_scan)[..., None] * np.arange(n_h))
+
+
+def field_gain_db(elem_db, field):
+    """Total gain in dBi of a direction whose array field sum_k c_k z^k is `field`."""
     return elem_db + 10.0 * np.log10(np.maximum(field.real**2 + field.imag**2, _GAIN_FLOOR))
 
 

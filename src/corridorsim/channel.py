@@ -29,12 +29,13 @@ diffuse phase does not depend on the ray count, and tensors do not depend
 on the thread count.
 
 The rest of a provider runs once on (M*L,) arrays. Its libm calls (cos,
-sin, log10, 10 ** x) go through ``math`` on Python floats, because numpy's
-SIMD float64 log10 and exp may round differently from libm.
+sin, log10, 10 ** x) go through ``math`` and ``cmath`` on Python floats,
+because numpy's SIMD float64 log10 and exp may round differently from libm.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import struct
@@ -122,10 +123,16 @@ def free_space_path_gain(distance: float, carrier_hz: float):
 
 
 def _unit_phasors(phases: np.ndarray) -> np.ndarray:
-    """exp(1j * phase) per element, through libm's cos and sin on Python floats."""
-    return np.array(
-        [complex(math.cos(p), math.sin(p)) for p in phases.tolist()], dtype=complex
-    )
+    """exp(1j * phase) per element, through libm's cos and sin on Python floats.
+
+    cmath.exp of complex(0, phase) is exp(0) = 1 times libm's cos and sin,
+    so it equals complex(math.cos(phase), math.sin(phase)) bit for bit, in
+    one call per phase. The imaginary part is set, not multiplied by 1j,
+    which would turn a phase of -0.0 into +0.0.
+    """
+    z = np.zeros(phases.shape, dtype=complex)
+    z.imag = phases
+    return np.array(list(map(cmath.exp, z.tolist())), dtype=complex)
 
 
 def generate_few_ray(

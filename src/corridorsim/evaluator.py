@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocator import Assignment, BeamGainTable
-from .antenna import AntennaConfig, folded_gain_db, scan_coefficients
+from .antenna import field_gain_db, scan_phasors
 from .antenna import total_gain  # unused here; perfbench/tracing.py patches it
 from .channel import LinkGainTensor, RfConstants
 
@@ -49,28 +49,30 @@ def sinr_matrix(
     assignment: Assignment,
     gains: LinkGainTensor,
     beam_table: BeamGainTable,
-    links: np.ndarray,
-    antenna_cfg: AntennaConfig,
+    fold: tuple[np.ndarray, np.ndarray, float],
     rf: RfConstants,
 ) -> np.ndarray:
     """Linear SINR of every UAV, shape (M,), in one pass.
 
     Victim m hears interferer m' (served by BS l' on beam n') through the
     gain of BS l' toward m at the interferer's scan angle phi*[m', l', n'].
-    `scan_coefficients` folds each (UAV, BS) direction of `links`, the (M, L)
-    array of `geometry.link_geometries`, once, as in stage 1; the columns of
-    the interferers' BSs then give every (victim, interferer) pair.
+    `fold` is `scan_coefficients` of the run's (M, L) link array: elem_db
+    (M, L), the coefficients c (M, L, n_h) and alpha. Row m' of Z (M, L*n_h)
+    holds the interferer's n_h scan phasors in the block of its BS l' and
+    zeros elsewhere, so one complex product c.reshape(M, L*n_h) @ Z.T gives
+    the field sum_k c[m, l', k] z[m', k] of every (victim, interferer) pair.
     """
-    mm = gains.power_gains.shape[0]
+    elem_db, coeffs, alpha = fold
+    mm, ll, n_h = coeffs.shape
     l, n = assignment.bs, assignment.beam
     rows = np.arange(mm)
     h = gains.power_gains
     signal = rf.tx_power_w * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
 
-    elem_db, coeffs, alpha = scan_coefficients(links["theta"], links["phi"], antenna_cfg)
-    g_db = folded_gain_db(
-        elem_db[:, l], coeffs[:, l], alpha, beam_table.phi_star[rows, l, n], antenna_cfg
-    )
+    z = np.zeros((mm, ll, n_h), dtype=complex)
+    z[rows, l] = scan_phasors(alpha, beam_table.phi_star[rows, l, n], n_h)
+    field = coeffs.reshape(mm, ll * n_h) @ z.reshape(mm, ll * n_h).T
+    g_db = field_gain_db(elem_db[:, l], field)
     heard = l[:, None] != l  # every UAV served by another BS
     coupling = np.where(heard, rf.tx_power_w * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
     # A BLAS matrix-vector product, not .sum(axis=1): it keeps every SINR
@@ -84,14 +86,13 @@ def evaluate_all(
     assignment: Assignment,
     gains: LinkGainTensor,
     beam_table: BeamGainTable,
-    links: np.ndarray,
-    antenna_cfg: AntennaConfig,
+    fold: tuple[np.ndarray, np.ndarray, float],
     rf: RfConstants,
     seed: int = 0,
     config_digest: str = "",
 ) -> ThroughputReport:
-    """Score every UAV and aggregate into a ThroughputReport."""
-    sinrs = sinr_matrix(assignment, gains, beam_table, links, antenna_cfg, rf)
+    """Score every UAV and aggregate into a ThroughputReport; `fold` as in `sinr_matrix`."""
+    sinrs = sinr_matrix(assignment, gains, beam_table, fold, rf)
     rates = rf.bandwidth_hz * np.log2(1.0 + sinrs)
     return ThroughputReport(
         per_uav_sinr=sinrs,

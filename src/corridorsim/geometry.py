@@ -109,8 +109,25 @@ def link_geometry(bs: BaseStationSite, uav: Position3D) -> LinkGeometry:
 def link_geometries(uavs: list[Position3D], bss: list[BaseStationSite]) -> np.ndarray:
     """Every (UAV, BS) link as one (M, L) array of LINK_DTYPE, indexed [m, l].
 
-    Each element is `link_geometry(bss[l], uavs[m])` bit for bit: the trig
-    stays in `math`, whose acos and atan2 can differ from numpy's by an ulp.
+    Each element is `link_geometry(bss[l], uavs[m])` bit for bit. The
+    arithmetic, sqrt, clamp and wrap are numpy's, which round as the scalar
+    code does; acos and atan2 stay in `math`, whose results can differ from
+    numpy's by an ulp.
     """
-    rows = [[link_geometry(bs, uav) for bs in bss] for uav in uavs]
-    return np.array(rows, dtype=LINK_DTYPE).reshape(len(uavs), len(bss))
+    u = np.array([(p.x, p.y, p.z) for p in uavs], dtype=float).reshape(-1, 1, 3)
+    b = np.array([(bs.position.x, bs.position.y, bs.position.z) for bs in bss], dtype=float)
+    dx, dy, dz = np.moveaxis(u - b.reshape(-1, 3), -1, 0)
+    distance = np.sqrt(dx * dx + dy * dy + dz * dz)
+    if np.any(distance <= 0.0):
+        _, l = np.argwhere(distance <= 0.0)[0]
+        raise GeometryError(f"UAV coincides with BS {bss[l].id} at {bss[l].position}")
+    links = np.empty(distance.shape, dtype=LINK_DTYPE)
+    links["distance_3d"] = distance
+    cosine = np.clip(dz / distance, -1.0, 1.0).ravel().tolist()
+    links["theta"] = np.reshape(list(map(math.acos, cosine)), distance.shape)
+    bearing = np.reshape(list(map(math.atan2, dy.ravel().tolist(), dx.ravel().tolist())),
+                         distance.shape)
+    boresight = np.array([math.radians(bs.boresight_deg) for bs in bss])
+    phi = np.remainder(bearing - boresight + math.pi, TWO_PI) - math.pi
+    links["phi"] = np.where(phi <= -math.pi, phi + TWO_PI, phi)
+    return links

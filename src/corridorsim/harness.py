@@ -373,7 +373,9 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
     a = echo["antenna"]
     if a["n_h"] < 1 or a["n_v"] < 1:
         errors.append(f"antenna.n_h/n_v must be >= 1, got {a['n_h']}x{a['n_v']}")
-    errors += stage1_size_errors(config.antenna, config.codebook.n_beams)
+    errors += stage1_size_errors(
+        config.antenna, config.codebook.n_beams, config.uav_count * len(config.bss)
+    )
     for key in (
         "d_h_wavelengths", "d_v_wavelengths", "theta_3db_deg", "phi_3db_deg", "a_m_db", "sl_av_db"
     ):
@@ -494,6 +496,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     digest = config_digest(config, echo)
     uavs = generate_corridor(config.corridor, config.uav_count)
     links = link_geometries(uavs, config.bss)
+    # The geometry is fixed across replications, so evaluation folds it once.
+    fold = scan_coefficients(links["theta"], links["phi"], config.antenna)
 
     # Stage 1 depends only on geometry, which is fixed across replications,
     # so the table is computed once and shared.
@@ -537,8 +541,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
             assignment,
             eval_tensor,
             table,
-            links,
-            config.antenna,
+            fold,
             config.rf,
             seed=channel_seed,
             config_digest=digest,

@@ -229,6 +229,7 @@ class TestAcceptance:
             assert s <= best * (1.0 + 1e-9)
             assert s > 0.0
         # direct closed-form identity on a hand-built single-UAV case
+        from corridorsim.antenna import scan_coefficients
         from corridorsim.evaluator import sinr_matrix
         from oracles import interference_at
         from corridorsim.allocator import Assignment, BeamGainTable
@@ -242,7 +243,8 @@ class TestAcceptance:
         rf = RfConstants()
         assert interference_at(0, a, gains, table, geoms1, CFG, rf) == 0.0
         expect = rf.tx_power_w * 2.5e-9 * 10.0 ** 0.3 / rf.noise_power_w
-        got = sinr_matrix(a, gains, table, geoms1, CFG, rf)[0]
+        fold = scan_coefficients(geoms1["theta"], geoms1["phi"], CFG)
+        got = sinr_matrix(a, gains, table, fold, rf)[0]
         assert got == pytest.approx(expect, rel=1e-12)
         # L = 1: every UAV interference-free
         cfg_l1 = scenario(809, uav_count=6, replications=1)

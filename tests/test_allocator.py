@@ -11,6 +11,7 @@ from corridorsim.allocator import (
     MAX_ARRAY_SIDE,
     MAX_BEAMS,
     MAX_D_H_WAVELENGTHS,
+    MAX_TRIPLETS,
     BeamCodebook,
     allocate_closest_bs,
     allocate_random,
@@ -396,6 +397,14 @@ class TestOptimalScanAngles:
         sectors = tuple(zip(ends[:-1], ends[1:]))
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             optimal_scan_angles(1.0, 0.3, sectors, cfg)
+
+    def test_rejects_more_triplets_than_the_bound(self):
+        # Directions broadcast from theta and phi: 1 025 of them on 1 024 sectors.
+        theta = np.full(MAX_TRIPLETS // MAX_BEAMS + 1, 1.0)
+        message = (f"uav_count x bss x codebook.n_beams must be <= {MAX_TRIPLETS} stage-1 "
+                   f"triplets, got {(MAX_TRIPLETS // MAX_BEAMS + 1) * MAX_BEAMS}")
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            optimal_scan_angles(theta, 0.3, BeamCodebook(MAX_BEAMS).sectors, CFG)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -15,6 +15,7 @@ from corridorsim.antenna import SPEED_OF_LIGHT
 from corridorsim.channel import (
     _EXACT_RAY_LIMIT,
     _SEED_MASK,
+    _unit_phasors,
     ChannelProviderSpec,
     LinkGainTensor,
     RfConstants,
@@ -40,6 +41,19 @@ def links_at(distances, theta=math.pi / 2, phi=0.0):
     links["theta"] = theta
     links["phi"] = phi
     return links
+
+
+class TestUnitPhasors:
+    def test_equal_libm_cos_and_sin_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        phases = np.concatenate([
+            rng.uniform(-1e4, 1e4, 20_000), rng.uniform(-7.0, 7.0, 20_000),
+            [0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324, 1e300],
+        ])
+        expect = np.array([complex(math.cos(p), math.sin(p)) for p in phases.tolist()])
+        got = _unit_phasors(phases)
+        assert got.dtype == complex and got.shape == phases.shape
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestFreeSpacePathGain:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corridorsim.allocator import Assignment, BeamGainTable, allocate_random
-from corridorsim.antenna import AntennaConfig, SteeringDirection, total_gain
+from corridorsim.antenna import AntennaConfig, SteeringDirection, scan_coefficients, total_gain
 from corridorsim.channel import LinkGainTensor, RfConstants
 from corridorsim.evaluator import evaluate_all, sinr_matrix, validate
 from corridorsim.geometry import LINK_DTYPE
@@ -32,6 +32,11 @@ def links_of(rows):
 
 def flat_geoms(mm, ll, distance=100.0):
     return links_of([[(distance, math.pi / 2, 0.0)] * ll] * mm)
+
+
+def fold_of(links):
+    """The fold of an (M, L) link array that run_scenario passes to the evaluator."""
+    return scan_coefficients(links["theta"], links["phi"], CFG)
 
 
 class TestInterference:
@@ -79,7 +84,7 @@ class TestInterference:
 
 
 def rate_of_uav_0(a, gains, table, geoms, rf):
-    return evaluate_all(a, gains, table, geoms, CFG, rf).per_uav_rate_bps[0]
+    return evaluate_all(a, gains, table, fold_of(geoms), rf).per_uav_rate_bps[0]
 
 
 class TestSinrThroughput:
@@ -92,17 +97,17 @@ class TestSinrThroughput:
 
     def test_hand_sinr_of_one(self):
         a, gains, table, geoms, rf = self.single_link()
-        assert sinr_matrix(a, gains, table, geoms, CFG, rf)[0] == pytest.approx(1.0, rel=1e-12)
+        assert sinr_matrix(a, gains, table, fold_of(geoms), rf)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_gain_zero_sinr(self):
         a, gains, table, geoms, rf = self.single_link(h=0.0)
-        assert sinr_matrix(a, gains, table, geoms, CFG, rf)[0] == 0.0
+        assert sinr_matrix(a, gains, table, fold_of(geoms), rf)[0] == 0.0
 
     def test_doubling_noise_halves_sinr(self):
         a, gains, table, geoms, rf = self.single_link()
-        s1 = sinr_matrix(a, gains, table, geoms, CFG, rf)[0]
+        s1 = sinr_matrix(a, gains, table, fold_of(geoms), rf)[0]
         rf2 = RfConstants(tx_power_w=10.0, noise_power_w=0.6)
-        s2 = sinr_matrix(a, gains, table, geoms, CFG, rf2)[0]
+        s2 = sinr_matrix(a, gains, table, fold_of(geoms), rf2)[0]
         assert s2 == pytest.approx(s1 / 2.0, rel=1e-12)
 
     def test_throughput_30_mbps_at_sinr_one(self):
@@ -112,7 +117,7 @@ class TestSinrThroughput:
 
     def test_throughput_60_mbps_at_sinr_three(self):
         a, gains, table, geoms, rf = self.single_link(h=9e-2)
-        assert sinr_matrix(a, gains, table, geoms, CFG, rf)[0] == pytest.approx(3.0, rel=1e-12)
+        assert sinr_matrix(a, gains, table, fold_of(geoms), rf)[0] == pytest.approx(3.0, rel=1e-12)
         rate = rate_of_uav_0(a, gains, table, geoms, rf)
         assert rate == pytest.approx(60e6, rel=1e-12)
 
@@ -129,7 +134,7 @@ class TestSinrThroughput:
             noise = rng.uniform(0.01, 1.0)
             a, gains, table, geoms, rf = self.single_link(p, h, g_db, noise)
             expect = p * h * 10.0 ** (g_db / 10.0) / noise
-            assert sinr_matrix(a, gains, table, geoms, CFG, rf)[0] == pytest.approx(
+            assert sinr_matrix(a, gains, table, fold_of(geoms), rf)[0] == pytest.approx(
                 expect, rel=1e-12
             )
 
@@ -140,18 +145,18 @@ class TestSinrThroughput:
         table = make_table(np.zeros((2, 2, 1)))
         geoms = flat_geoms(2, 2)
         s1 = sinr_matrix(
-            a, gains, table, geoms, CFG, RfConstants(tx_power_w=1.0, noise_power_w=0.0)
+            a, gains, table, fold_of(geoms), RfConstants(tx_power_w=1.0, noise_power_w=0.0)
         )[0]
         s2 = sinr_matrix(
-            a, gains, table, geoms, CFG, RfConstants(tx_power_w=7.0, noise_power_w=0.0)
+            a, gains, table, fold_of(geoms), RfConstants(tx_power_w=7.0, noise_power_w=0.0)
         )[0]
         assert s2 == pytest.approx(s1, rel=1e-12)
         # with sigma^2 > 0 the SINR is non-decreasing in P
         s3 = sinr_matrix(
-            a, gains, table, geoms, CFG, RfConstants(tx_power_w=1.0, noise_power_w=0.3)
+            a, gains, table, fold_of(geoms), RfConstants(tx_power_w=1.0, noise_power_w=0.3)
         )[0]
         s4 = sinr_matrix(
-            a, gains, table, geoms, CFG, RfConstants(tx_power_w=7.0, noise_power_w=0.3)
+            a, gains, table, fold_of(geoms), RfConstants(tx_power_w=7.0, noise_power_w=0.3)
         )[0]
         assert s4 >= s3
 
@@ -177,7 +182,7 @@ class TestSinrThroughput:
         a = make_assignment([(0, 0), (1, 0), (0, 1)])
         gains = LinkGainTensor(power_gains=rng.uniform(1e-10, 1e-7, size=(3, 2)))
         table = make_table(rng.uniform(-30, 10, size=(3, 2, 2)))
-        report = evaluate_all(a, gains, table, flat_geoms(3, 2), CFG, RfConstants())
+        report = evaluate_all(a, gains, table, fold_of(flat_geoms(3, 2)), RfConstants())
         assert np.all(np.isfinite(report.per_uav_sinr))
         assert np.all(np.isfinite(report.per_uav_rate_bps))
         assert np.all(report.per_uav_rate_bps >= 0.0)
@@ -216,7 +221,7 @@ class TestSinrMatrix:
         interfered = 0  # UAVs where interference at least doubles I + N
         for case in range(40):
             a, gains, table, geoms, rf = self.random_case(rng, case == 0)
-            got = sinr_matrix(a, gains, table, geoms, CFG, rf)
+            got = sinr_matrix(a, gains, table, fold_of(geoms), rf)
             mm = a.bs.size
             assert got.shape == (mm,)
             for m in range(mm):
@@ -227,7 +232,7 @@ class TestSinrMatrix:
                 expect = signal / (i_ref + rf.noise_power_w)
                 assert got[m] == pytest.approx(expect, rel=1e-12, abs=0.0)
                 interfered += i_ref > rf.noise_power_w
-            report = evaluate_all(a, gains, table, geoms, CFG, rf)
+            report = evaluate_all(a, gains, table, fold_of(geoms), rf)
             np.testing.assert_array_equal(report.per_uav_sinr, got)
             rates = rf.bandwidth_hz * np.log2(1.0 + got)
             np.testing.assert_allclose(report.per_uav_rate_bps, rates, rtol=1e-12)
@@ -235,7 +240,11 @@ class TestSinrMatrix:
 
 
 class TestSinrMatrixFoldsEachLinkOnce:
-    """sinr_matrix folds the (M, L) directions once; the M x M fold is the oracle."""
+    """sinr_matrix reads the (M, L) fold of the run; the M x M fold is the oracle.
+
+    Its fields are one complex matrix product, which sums in another order
+    than the oracle's per-pair sum, so interfered SINRs agree to rounding.
+    """
 
     def case(self, rng, mm, ll, nn, one_bs=False):
         if one_bs:
@@ -275,16 +284,18 @@ class TestSinrMatrixFoldsEachLinkOnce:
         rng = np.random.default_rng([mm, ll, nn, one_bs])
         for _ in range(5):
             args = self.case(rng, mm, ll, nn, one_bs)
-            got = sinr_matrix(*args)
-            np.testing.assert_array_equal(got, pairwise_sinr(*args))
+            a, gains, table, links, _, rf = args
+            got = sinr_matrix(a, gains, table, fold_of(links), rf)
             if one_bs:
-                a, gains, table, _, _, rf = args
+                np.testing.assert_array_equal(got, pairwise_sinr(*args))
                 rows = np.arange(mm)
                 signal = (
                     rf.tx_power_w * gains.power_gains[rows, 0]
                     * 10.0 ** (table.gain_db[rows, 0, a.beam] / 10.0)
                 )
                 np.testing.assert_array_equal(got, signal / rf.noise_power_w)
+            else:
+                np.testing.assert_allclose(got, pairwise_sinr(*args), rtol=1e-12, atol=0.0)
 
 
 class TestValidate:

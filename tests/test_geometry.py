@@ -202,6 +202,30 @@ class TestLinkGeometries:
         for m, l in np.ndindex(links.shape):
             assert links[m, l].tobytes() == struct.pack("3d", *link_geometry(bss[l], uavs[m]))
 
+    def test_random_layouts_with_overhead_and_opposite_uavs_bit_for_bit(self):
+        # Boresights up to two turns either way; per layout one UAV right above
+        # a site (theta = 0) and one due opposite its boresight (phi = pi).
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            bss = []
+            for l in range(int(rng.integers(1, 7))):
+                where = Position3D(*rng.uniform(-500.0, 500.0, 2), rng.uniform(0.0, 50.0))
+                boresight = rng.choice([0.0, 90.0, 180.0, -180.0, rng.uniform(-720.0, 720.0)])
+                bss.append(BaseStationSite(l + 1, where, float(boresight)))
+            uavs = [Position3D(*rng.uniform(-500.0, 500.0, 2), rng.uniform(1.0, 300.0))
+                    for _ in range(int(rng.integers(1, 30)))]
+            site = bss[int(rng.integers(len(bss)))]
+            p = site.position
+            uavs.append(Position3D(p.x, p.y, p.z + rng.uniform(1.0, 300.0)))
+            uavs.append(Position3D(p.x - 40.0, p.y, p.z + 60.0))
+            links = link_geometries(uavs, bss)
+            for m, l in np.ndindex(links.shape):
+                assert links[m, l].tobytes() == struct.pack("3d", *link_geometry(bss[l], uavs[m]))
+        edge = BaseStationSite(1, Position3D(0.0, 0.0, 0.0), 0.0)
+        over, west = link_geometries([Position3D(0.0, 0.0, 9.0), Position3D(-3.0, 0.0, 4.0)],
+                                     [edge])
+        assert over["theta"][0] == 0.0 and west["phi"][0] == math.pi
+
     def test_coincident_uav_is_a_geometry_error(self):
         bss = [BaseStationSite(1, Position3D(0.0, 0.0, 0.0), 0.0)]
         with pytest.raises(GeometryError):

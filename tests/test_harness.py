@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 import corridorsim
-from corridorsim.allocator import MAX_ARRAY_SIDE, MAX_BEAMS, MAX_D_H_WAVELENGTHS
-from corridorsim.antenna import AntennaConfig, SteeringDirection, array_gain, element_gain
+from corridorsim.allocator import MAX_ARRAY_SIDE, MAX_BEAMS, MAX_D_H_WAVELENGTHS, MAX_TRIPLETS
+from corridorsim.antenna import (
+    AntennaConfig,
+    SteeringDirection,
+    array_gain,
+    element_gain,
+    scan_coefficients,
+)
 from corridorsim.channel import ChannelProviderSpec, LinkGainTensor, export_tensor
 from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError, TensorFormatError
@@ -247,12 +253,15 @@ class TestLinkBudgetOutsideTheFloats:
 
 
 class TestStage1SizeBounds:
-    """Stage 1's arrays grow with n_h, d_h and n_beams, so all three are bounded."""
+    """Stage 1's arrays grow with n_h, d_h, n_beams and M * L * N, so all four are bounded."""
 
     def test_the_bounds_are_valid(self):
         antenna = {"n_h": MAX_ARRAY_SIDE, "n_v": MAX_ARRAY_SIDE,
                    "d_h_wavelengths": MAX_D_H_WAVELENGTHS}
         doc = {"antenna": antenna, "codebook": {"n_beams": MAX_BEAMS}}
+        assert validate_config(config_from_dict(doc)) == []
+        # 1 024 UAVs x 4 BSs x 256 beams is MAX_TRIPLETS exactly.
+        doc = {"uav_count": 1024, "codebook": {"n_beams": MAX_TRIPLETS // 4096}}
         assert validate_config(config_from_dict(doc)) == []
 
     @pytest.mark.parametrize(
@@ -266,8 +275,11 @@ class TestStage1SizeBounds:
              f"antenna.d_h_wavelengths must be <= {MAX_D_H_WAVELENGTHS}, got 1000000.0"),
             ({"codebook": {"n_beams": 10**9}},
              f"codebook.n_beams must be <= {MAX_BEAMS}, got 1000000000"),
+            ({"uav_count": 4096, "codebook": {"n_beams": MAX_BEAMS}},
+             f"uav_count x bss x codebook.n_beams must be <= {MAX_TRIPLETS} stage-1 triplets, "
+             f"got {4096 * 4 * MAX_BEAMS}"),
         ],
-        ids=["n_h", "n_v", "d_h", "n_beams"],
+        ids=["n_h", "n_v", "d_h", "n_beams", "triplets"],
     )
     def test_cli_rejects_an_oversized_stage1_input_with_exit_1(
         self, tmp_path, capsys, doc, message
@@ -312,6 +324,33 @@ class TestRunScenario:
         serial = run_scenario(cfg, threads=1)
         threaded = run_scenario(cfg, threads=4)
         assert serial.to_dict() == threaded.to_dict()
+
+    def test_threads_do_not_change_interference_limited_bytes(self, tmp_path):
+        # At kTB noise interference dominates the SINR, so the bytes pin the
+        # evaluator's matrix product, which worker threads run concurrently.
+        cfg = ScenarioConfig(seed=13, uav_count=64, replications=4)
+        cfg.rf = replace(cfg.rf, noise_power_w=1.2e-13)
+        serial = emit_reports([run_scenario(cfg, threads=1)], tmp_path / "t1")["results"]
+        threaded = emit_reports([run_scenario(cfg, threads=4)], tmp_path / "t4")["results"]
+        assert serial.read_bytes() == threaded.read_bytes()
+
+    def test_evaluation_folds_the_links_once_per_run(self, monkeypatch):
+        # Stage 1 folds through corridorsim.allocator's name; every other
+        # module that holds scan_coefficients is counted.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return scan_coefficients(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("corridorsim.") and name != "corridorsim.allocator"
+                    and getattr(module, "scan_coefficients", None) is scan_coefficients):
+                monkeypatch.setattr(module, "scan_coefficients", counted)
+        cfg = small_config(seed=14, replications=4)
+        result = run_scenario(cfg)
+        assert len(result.reports) == 4
+        assert len(calls) == 1
 
     def test_threads_do_not_change_few_ray_lf_output(self):
         # The montecarlo workload's shape: the Gaussian few-ray branch for
