@@ -49,6 +49,11 @@ MAX_BEAMS = 1024
 # evaluation an M x M one; 2^20 triplets (M = 1 024 UAVs on 4 BSs of 256
 # beams) is 800 times the nominal run.
 MAX_TRIPLETS = 1 << 20
+# A run stacks its replications on a leading axis, in chunks whose largest
+# array (the (R, M, L, N) utility, or the exact few-ray branch's
+# (R, M*L, n_scatter) phases) holds at most this many elements: one
+# replication at the triplet bound.
+MAX_STACKED = MAX_TRIPLETS
 
 
 @dataclass(frozen=True)
@@ -261,14 +266,15 @@ def build_utility(
     gains: LinkGainTensor,
     rf: RfConstants,
 ) -> np.ndarray:
-    """Lambda[m, l, n] = P * |h[m, l]|^2 * 10^(G[m, l, n]/10), watts."""
+    """Lambda[..., m, l, n] = P * |h[..., m, l]|^2 * 10^(G[m, l, n]/10), watts.
+
+    Leading replication axes of the gains broadcast: stacked (R, M, L) gains
+    give an (R, M, L, N) utility, and 10^(G/10) is taken once for all of them.
+    """
     mm, ll, nn = table.gain_db.shape
-    if gains.power_gains.shape != (mm, ll):
-        raise ValueError(
-            f"beam table is {mm}x{ll} links but gains are "
-            f"{gains.power_gains.shape[0]}x{gains.power_gains.shape[1]}"
-        )
-    return rf.tx_power_w * gains.power_gains[:, :, None] * 10.0 ** (table.gain_db / 10.0)
+    if (gains.m, gains.l) != (mm, ll):
+        raise ValueError(f"beam table is {mm}x{ll} links but gains are {gains.m}x{gains.l}")
+    return rf.tx_power_w * gains.power_gains[..., None] * 10.0 ** (table.gain_db / 10.0)
 
 
 def _assignment(cols: np.ndarray | list[int], nn: int) -> Assignment:

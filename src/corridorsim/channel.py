@@ -19,18 +19,23 @@ Three interchangeable providers fill a LinkGainTensor:
 * ``import``       - reads an externally produced tensor from the binary or
                      JSON file format documented at the bottom of this file.
 
-Every provider is a pure function of (links, spec, rf, seed): ``links`` is
-the (M, L) array of ``geometry.link_geometries``, and the seed is an
-argument, as for ``degrade``. A call draws from one numpy Generator per
-draw kind, seeded by ``SeedSequence(seed mod 2^64)``, and each stream fills
-a row-major (M*L, k) block in one call: link (m, l)'s draws are row
-m*L + l. A link therefore keeps its draws when M grows, the few-ray
-diffuse phase does not depend on the ray count, and tensors do not depend
-on the thread count.
+Every provider is a pure function of (links, spec, rf, seeds): ``links``
+is the (M, L) array of ``geometry.link_geometries``, and ``seeds`` holds one
+int per replication, as for ``degrade``. A call returns one tensor stacked
+on a leading replication axis, power gains (R, M, L) and coefficients
+(R, M, L, k), and row r is a function of seeds[r] alone. Row r draws from
+one numpy Generator per draw kind, seeded by ``SeedSequence(seeds[r] mod
+2^64)``, and each stream fills a row-major (M*L, k) block in one call: link
+(m, l)'s draws are row m*L + l. A link therefore keeps its draws when M
+grows, the few-ray diffuse phase does not depend on the ray count, and a
+replication's tensor does not depend on which rows share its call or on
+the thread count.
 
-The rest of a provider runs once on (M*L,) arrays. Its libm calls (cos,
-sin, log10, 10 ** x) go through ``math`` and ``cmath`` on Python floats,
-because numpy's SIMD float64 log10 and exp may round differently from libm.
+The rest of a provider runs once on (R, M*L) arrays, and what does not
+depend on the seed (the LOS ray, the path loss) once on (M*L,) arrays. Its
+libm calls (cos, sin, log10, 10 ** x) go through ``math`` and ``cmath`` on
+Python floats, because numpy's SIMD float64 log10 and exp may round
+differently from libm.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import cmath
 import json
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,7 +78,7 @@ class RfConstants:
 
 @dataclass(frozen=True)
 class ChannelProviderSpec:
-    """Which provider to run and with what fidelity; the seed is a call argument."""
+    """Which provider to run and with what fidelity; the seeds are a call argument."""
 
     kind: str = "statistical"  # few_ray | statistical | import
     ray_count: int = 1_000_000
@@ -84,10 +90,12 @@ class ChannelProviderSpec:
 class LinkGainTensor:
     """Per-link channel state: scalar power gains plus optional coefficients.
 
-    ``power_gains[m, l]`` is the linear |h|^2 for UAV m and BS l. When
-    per-element ``coefficients`` (m, l, k) are present, power gains are their
-    mean element power. ``ray_count`` records the fidelity the tensor was
-    generated (or degraded) at, None for statistical/imported tensors.
+    ``power_gains[..., m, l]`` is the linear |h|^2 for UAV m and BS l, with
+    one leading replication axis on generated tensors, (R, M, L), and none
+    on a file's, (M, L). When per-element ``coefficients`` (..., m, l, k)
+    are present, power gains are their mean element power. ``ray_count``
+    records the fidelity the tensor was generated (or degraded) at, None
+    for statistical/imported tensors.
     """
 
     power_gains: np.ndarray
@@ -96,20 +104,20 @@ class LinkGainTensor:
 
     @property
     def m(self) -> int:
-        return self.power_gains.shape[0]
+        return self.power_gains.shape[-2]
 
     @property
     def l(self) -> int:
-        return self.power_gains.shape[1]
+        return self.power_gains.shape[-1]
 
     @property
     def n_elems(self) -> int:
-        return 0 if self.coefficients is None else self.coefficients.shape[2]
+        return 0 if self.coefficients is None else self.coefficients.shape[-1]
 
 
 def aggregate_power(coefficients: np.ndarray) -> np.ndarray:
     """Scalar |h|^2 per link: mean element power over the antenna axis."""
-    return np.mean(np.abs(coefficients) ** 2, axis=2)
+    return np.mean(np.abs(coefficients) ** 2, axis=-1)
 
 
 def free_space_path_gain(distance: float, carrier_hz: float):
@@ -130,22 +138,28 @@ def _unit_phasors(phases: np.ndarray) -> np.ndarray:
     one call per phase. The imaginary part is set, not multiplied by 1j,
     which would turn a phase of -0.0 into +0.0.
     """
-    z = np.zeros(phases.shape, dtype=complex)
-    z.imag = phases
-    return np.array(list(map(cmath.exp, z.tolist())), dtype=complex)
+    z = np.zeros(phases.size, dtype=complex)
+    z.imag = phases.ravel()
+    return np.array(list(map(cmath.exp, z.tolist())), dtype=complex).reshape(phases.shape)
+
+
+def _stacked(row: np.ndarray, count: int) -> np.ndarray:
+    """`row` repeated on a new leading axis of `count` rows, as a read-only view."""
+    return np.broadcast_to(row, (count,) + row.shape)
 
 
 def generate_few_ray(
-    links: np.ndarray, spec: ChannelProviderSpec, rf: RfConstants, seed: int
+    links: np.ndarray, spec: ChannelProviderSpec, rf: RfConstants, seeds: Sequence[int]
 ) -> LinkGainTensor:
-    """LOS ray plus (ray_count - 1) seeded scatter rays per link.
+    """LOS ray plus (ray_count - 1) seeded scatter rays per link, one row per seed.
 
     The diffuse field of link (m, l) is a fixed phasor of power LOS/K; its
-    phase chi is row m*L + l of the call's chi stream, independent of ray
-    count. The scatter rays estimate it with zero-mean error of variance
+    phase chi is row m*L + l of the replication's chi stream, independent of
+    ray count. The scatter rays estimate it with zero-mean error of variance
     diffuse_power/(ray_count - 1), summed exactly up to _EXACT_RAY_LIMIT
     scatter rays and drawn from its Gaussian limit above. ray_count = 1 is
-    the pure-LOS channel.
+    the pure-LOS channel, the same in every row. The LOS ray is computed
+    once for all rows.
     """
     if spec.ray_count < 1:
         raise ValueError(f"ray_count must be >= 1, got {spec.ray_count}")
@@ -155,22 +169,28 @@ def generate_few_ray(
     n_scatter = spec.ray_count - 1
 
     amp = np.sqrt(free_space_path_gain(dist, rf.carrier_hz))
-    h = amp * _unit_phasors(np.fmod(2.0 * math.pi * dist / lam, 2.0 * math.pi))
+    los = amp * _unit_phasors(np.fmod(2.0 * math.pi * dist / lam, 2.0 * math.pi))
+    h = _stacked(los, len(seeds))
     if n_scatter >= 1:
         # chi has a stream of its own, so it does not depend on the ray count;
         # the second stream gives psi (exact) or the two Gaussian components of err.
-        seeds = np.random.SeedSequence(seed & _SEED_MASK).spawn(2)
-        chi_rng, err_rng = map(np.random.default_rng, seeds)
-        chi = -math.pi + 2.0 * math.pi * chi_rng.random(dist.size)  # uniform(-pi, pi)
-        if n_scatter <= _EXACT_RAY_LIMIT:
-            psi = -math.pi + 2.0 * math.pi * err_rng.random((dist.size, n_scatter))
-            err = (np.cos(psi) + 1j * np.sin(psi)).sum(axis=1) / n_scatter
+        exact = n_scatter <= _EXACT_RAY_LIMIT
+        chi = np.empty(h.shape)
+        draws = np.empty(h.shape + (n_scatter if exact else 2,))
+        for r, seed in enumerate(seeds):
+            children = np.random.SeedSequence(seed & _SEED_MASK).spawn(2)
+            chi_rng, err_rng = map(np.random.default_rng, children)
+            chi_rng.random(out=chi[r])
+            (err_rng.random if exact else err_rng.standard_normal)(out=draws[r])
+        chi = -math.pi + 2.0 * math.pi * chi  # uniform(-pi, pi)
+        if exact:
+            psi = -math.pi + 2.0 * math.pi * draws
+            err = (np.cos(psi) + 1j * np.sin(psi)).sum(axis=-1) / n_scatter
         else:
-            g = err_rng.standard_normal((dist.size, 2))
-            err = (g[:, 0] + 1j * g[:, 1]) * math.sqrt(0.5 / n_scatter)
+            err = (draws[..., 0] + 1j * draws[..., 1]) * math.sqrt(0.5 / n_scatter)
         s_amp = amp / math.sqrt(10.0 ** (spec.rician_k_db / 10.0))
         h = h + s_amp * (_unit_phasors(chi) + err)
-    coeffs = h.reshape(mm, ll, 1)
+    coeffs = h.reshape(len(seeds), mm, ll, 1)
     return LinkGainTensor(
         power_gains=aggregate_power(coeffs),
         coefficients=coeffs,
@@ -179,9 +199,12 @@ def generate_few_ray(
 
 
 def generate_statistical(
-    links: np.ndarray, spec: ChannelProviderSpec, rf: RfConstants, seed: int
+    links: np.ndarray, spec: ChannelProviderSpec, rf: RfConstants, seeds: Sequence[int]
 ) -> LinkGainTensor:
-    """Street-canyon LOS path loss with unit-mean Rician fading."""
+    """Street-canyon LOS path loss with unit-mean Rician fading, one row per seed.
+
+    Path loss and the LOS phasor are computed once for all rows.
+    """
     mm, ll = links.shape
     dist = links["distance_3d"].ravel()
     lam = SPEED_OF_LIGHT / rf.carrier_hz
@@ -189,23 +212,25 @@ def generate_statistical(
     los_frac = math.sqrt(k_lin / (k_lin + 1.0))
     scatter_frac = math.sqrt(1.0 / (k_lin + 1.0))
 
-    g = np.random.default_rng(seed & _SEED_MASK).standard_normal((dist.size, 2))
+    g = np.empty((len(seeds), dist.size, 2))
+    for r, seed in enumerate(seeds):
+        np.random.default_rng(seed & _SEED_MASK).standard_normal(out=g[r])
     log10_d = np.array([math.log10(d) for d in dist.tolist()])
     pl_db = 32.4 + 21.0 * log10_d + 20.0 * math.log10(rf.carrier_hz / 1e9)
     amp = np.array([10.0**x for x in (-pl_db / 20.0).tolist()])
     fading = los_frac * _unit_phasors(2.0 * math.pi * dist / lam) + scatter_frac * (
-        g[:, 0] + 1j * g[:, 1]
+        g[..., 0] + 1j * g[..., 1]
     ) / math.sqrt(2.0)
-    coeffs = (amp * fading).reshape(mm, ll, 1)
+    coeffs = (amp * fading).reshape(len(seeds), mm, ll, 1)
     return LinkGainTensor(
         power_gains=aggregate_power(coeffs), coefficients=coeffs, ray_count=None
     )
 
 
 def degrade(
-    tensor: LinkGainTensor, target_ray_count: int, seed: int
+    tensor: LinkGainTensor, target_ray_count: int, seeds: Sequence[int]
 ) -> LinkGainTensor:
-    """Re-estimate a tensor at a coarser ray count.
+    """Re-estimate a stacked tensor at a coarser ray count, row r from seeds[r].
 
     Each link's power is jittered by an independent mean-one Gamma factor
     with variance 1/target_ray_count (the variance of a target_ray_count-ray
@@ -215,17 +240,22 @@ def degrade(
     """
     if target_ray_count < 1:
         raise ValueError(f"target_ray_count must be >= 1, got {target_ray_count}")
+    shape = tensor.power_gains.shape
+    if shape[:-2] != (len(seeds),):
+        raise ValueError(f"degrade needs one seed per row of {shape} gains, got {len(seeds)}")
     if tensor.ray_count is not None and target_ray_count == tensor.ray_count:
         return LinkGainTensor(
             power_gains=tensor.power_gains.copy(),
             coefficients=None if tensor.coefficients is None else tensor.coefficients.copy(),
             ray_count=tensor.ray_count,
         )
-    gamma = np.random.default_rng(seed & _SEED_MASK).gamma(
-        target_ray_count, 1.0 / target_ray_count, size=(tensor.m, tensor.l)
-    )
+    gamma = np.empty(shape)
+    for r, seed in enumerate(seeds):
+        gamma[r] = np.random.default_rng(seed & _SEED_MASK).gamma(
+            target_ray_count, 1.0 / target_ray_count, size=shape[1:]
+        )
     if tensor.coefficients is not None:
-        coeffs = tensor.coefficients * np.sqrt(gamma)[:, :, None]
+        coeffs = tensor.coefficients * np.sqrt(gamma)[..., None]
         power = aggregate_power(coeffs)  # keep the aggregation rule bit-exact
     else:
         coeffs = None
@@ -236,17 +266,26 @@ def degrade(
 
 
 def generate(
-    links: np.ndarray, spec: ChannelProviderSpec, rf: RfConstants, seed: int
+    links: np.ndarray, spec: ChannelProviderSpec, rf: RfConstants, seeds: Sequence[int]
 ) -> LinkGainTensor:
-    """Dispatch to the provider named by ``spec.kind``; an import draws nothing."""
+    """Dispatch to the provider named by ``spec.kind``, one row per seed.
+
+    An import draws nothing: the file is read once and its tensor shared,
+    read-only, by every row.
+    """
     if spec.kind == "few_ray":
-        return generate_few_ray(links, spec, rf, seed)
+        return generate_few_ray(links, spec, rf, seeds)
     if spec.kind == "statistical":
-        return generate_statistical(links, spec, rf, seed)
+        return generate_statistical(links, spec, rf, seeds)
     if spec.kind == "import":
         if spec.import_path is None:
             raise TensorFormatError("import provider needs an import_path")
-        return import_tensor(spec.import_path)
+        tensor = import_tensor(spec.import_path)
+        coeffs = tensor.coefficients
+        return LinkGainTensor(
+            power_gains=_stacked(tensor.power_gains, len(seeds)),
+            coefficients=None if coeffs is None else _stacked(coeffs, len(seeds)),
+        )
     raise ValueError(f"unknown channel provider kind {spec.kind!r}")
 
 
@@ -271,7 +310,11 @@ _HEADER = struct.Struct("<4sHIIIB")
 
 
 def export_tensor(tensor: LinkGainTensor, path: str | Path) -> None:
-    """Write a tensor in the binary file format."""
+    """Write a tensor of one replication, (M, L) or (1, M, L), in the binary file format."""
+    if tensor.power_gains.size != tensor.m * tensor.l:
+        raise ValueError(
+            f"a tensor file holds one replication, got gains of shape {tensor.power_gains.shape}"
+        )
     has_coeff = tensor.coefficients is not None
     blob = _HEADER.pack(
         _MAGIC, _VERSION, tensor.m, tensor.l, tensor.n_elems, int(has_coeff)

@@ -22,6 +22,7 @@ from .errors import ConfigurationError, CorridorsimError
 from .harness import (
     ALLOCATION_CHANNELS,
     ALLOCATORS,
+    MAX_THREADS,
     ScenarioConfig,
     benchmark,
     emit_reports,
@@ -53,7 +54,9 @@ def _add_common(parser: argparse.ArgumentParser, replications: bool = True) -> N
     )
     if replications:
         parser.add_argument("--replications", type=int, help="replications override")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=1, help=f"worker threads, 1 to {MAX_THREADS}"
+    )
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:

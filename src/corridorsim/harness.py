@@ -4,17 +4,19 @@ A scenario is one JSON document (angles in degrees, lengths in meters, in
 the file and in ScenarioConfig alike) describing RF constants, the array,
 the beam codebook, BS sites, the corridor, the channel providers, the
 allocator under test, and the seed schedule. Running a scenario generates
-the evaluation (high fidelity) tensor per replication, builds the
-allocation-side tensor for the configured channel axis, runs the selected
-allocator, and always scores the result on the evaluation tensor, so every
-scheme is judged on the same channel.
+the evaluation (high fidelity) tensors of its replications, stacked on a
+leading axis, builds the allocation-side tensors for the configured
+channel axis and their utility in the same stacked pass, runs the selected
+allocator per replication, and always scores the result on the evaluation
+tensor, so every scheme is judged on the same channel.
 
 Replication r of every scenario derives its channel seeds from
-(scenario seed, r), and link (m, l) draws row m*L + l of each stream of a
-channel call, so sweeps over UAV count or altitude are paired sample by
-sample. results.json contains only deterministic payload (wall clock
-timings go to summary.csv), so identical configs and seeds reproduce it
-byte for byte regardless of thread count.
+(scenario seed, r), its tensors are row r of each stacked call, and link
+(m, l) draws row m*L + l of each of its streams, so sweeps over UAV count
+or altitude are paired sample by sample. results.json contains only
+deterministic payload (wall clock timings go to summary.csv), so identical
+configs and seeds reproduce it byte for byte regardless of thread count
+and of how replications are chunked.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ import math
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -35,6 +39,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .allocator import (
+    MAX_STACKED,
     BeamCodebook,
     allocate_closest_bs,
     allocate_random,
@@ -46,6 +51,7 @@ from .allocator import (
 )
 from .antenna import GAIN_FLOOR_DB, SPEED_OF_LIGHT, AntennaConfig, folded_gain_db, scan_coefficients
 from .channel import (
+    _EXACT_RAY_LIMIT,
     _SEED_MASK,
     ChannelProviderSpec,
     LinkGainTensor,
@@ -73,6 +79,9 @@ _TAG_RANDOM = 5
 
 ALLOCATORS = ("two_stage", "random", "closest_bs")
 ALLOCATION_CHANNELS = ("hf", "lf", "statistical")
+# Worker threads a run may ask for. Replications are short numpy calls, and
+# beyond a few threads the pool only adds contention.
+MAX_THREADS = 64
 
 
 def aim_boresights_at(bss: list[BaseStationSite], target: Position3D) -> list[BaseStationSite]:
@@ -461,21 +470,24 @@ def _derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _seeds(config: ScenarioConfig, tag: int, reps: range) -> list[int]:
+    """The seed of stream family `tag` for each replication in `reps`."""
+    return [_derive_seed(config.seed, tag, r) for r in reps]
+
+
 def _allocation_tensor(
     config: ScenarioConfig,
     eval_tensor: LinkGainTensor,
     links: np.ndarray,
-    r: int,
+    reps: range,
 ) -> LinkGainTensor:
     if config.allocation_channel == "hf":
         return eval_tensor
     if config.allocation_channel == "lf":
-        return degrade(
-            eval_tensor, config.lf_ray_count, _derive_seed(config.seed, _TAG_DEGRADE, r)
-        )
+        return degrade(eval_tensor, config.lf_ray_count, _seeds(config, _TAG_DEGRADE, reps))
     # generate_statistical reads only the spec's rician_k_db.
-    seed = _derive_seed(config.seed, _TAG_STATISTICAL, r)
-    return generate_statistical(links, config.channel_hf, config.rf, seed)
+    seeds = _seeds(config, _TAG_STATISTICAL, reps)
+    return generate_statistical(links, config.channel_hf, config.rf, seeds)
 
 
 def _check_gains(tensor: LinkGainTensor, source: str) -> None:
@@ -485,10 +497,30 @@ def _check_gains(tensor: LinkGainTensor, source: str) -> None:
         raise ConfigurationError(f"{source} gave non-finite or negative power gains")
 
 
+def _chunk_size(config: ScenarioConfig) -> int:
+    """Replications per channel pass: its largest stacked array within MAX_STACKED elements.
+
+    That array is the (R, M, L, N) utility or, on the exact few-ray branch,
+    the (R, M*L, n_scatter) scatter phases.
+    """
+    hf = config.channel_hf
+    exact = hf.kind == "few_ray" and hf.ray_count - 1 <= _EXACT_RAY_LIMIT
+    width = max(config.codebook.n_beams, hf.ray_count - 1 if exact else 0)
+    return max(1, MAX_STACKED // (config.uav_count * len(config.bss) * width))
+
+
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
-    """Run every replication of one scenario and aggregate the reports."""
+    """Run every replication of one scenario and aggregate the reports.
+
+    Replications are stacked in chunks of `_chunk_size`: each chunk makes one
+    channel pass (generate, allocation tensor, checks, utility) over all its
+    replications, then assigns and scores each replication on its own, on
+    up to `threads` worker threads.
+    """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise ConfigurationError(f"threads must be <= {MAX_THREADS}, got {threads}")
     echo = config_to_dict(config)
     errors = validate_config(config, echo)
     if errors:
@@ -506,53 +538,63 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
     stage1_seconds = time.perf_counter() - t0
 
     mm, ll, nn = config.uav_count, len(config.bss), config.codebook.n_beams
+    channel_seeds = _seeds(config, _TAG_CHANNEL, range(config.replications))
 
-    def one_replication(r: int) -> tuple[ThroughputReport, float, float]:
-        """The replication's report, its stage-2 seconds and its evaluation seconds."""
-        channel_seed = _derive_seed(config.seed, _TAG_CHANNEL, r)
+    def channel_pass(reps: range) -> tuple[Iterable, Iterable, Iterable]:
+        """Per replication of `reps`: evaluation gains, utility, share of the utility seconds."""
+        seeds = channel_seeds[reps.start : reps.stop]
         # An overflowing link budget is reported by _check_gains, not by numpy.
         with np.errstate(over="ignore", invalid="ignore"):
-            eval_tensor = generate(links, config.channel_hf, config.rf, channel_seed)
+            eval_tensor = generate(links, config.channel_hf, config.rf, seeds)
             if (eval_tensor.m, eval_tensor.l) != (mm, ll):
                 got = f"{eval_tensor.m}x{eval_tensor.l}"
                 raise TensorFormatError(f"channel tensor is {got} links, expected {mm}x{ll}")
             _check_gains(eval_tensor, f"channel_hf ({config.channel_hf.kind})")
-            alloc_tensor = _allocation_tensor(config, eval_tensor, links, r)
+            alloc_tensor = _allocation_tensor(config, eval_tensor, links, reps)
             if alloc_tensor is not eval_tensor:
                 _check_gains(alloc_tensor, f"allocation channel {config.allocation_channel!r}")
+        if config.allocator == "random":
+            return eval_tensor.power_gains, repeat(None), repeat(0.0)
+        t_util = time.perf_counter()
+        util = build_utility(table, alloc_tensor, config.rf)
+        return eval_tensor.power_gains, util, repeat((time.perf_counter() - t_util) / len(reps))
+
+    def one_replication(
+        r: int, gains: np.ndarray, util: np.ndarray | None, util_seconds: float
+    ) -> tuple[ThroughputReport, float, float]:
+        """The replication's report, its stage-2 seconds and its evaluation seconds."""
         t_alloc = time.perf_counter()
         if config.allocator == "two_stage":
-            util = build_utility(table, alloc_tensor, config.rf)
             assignment = solve_assignment(util)
         elif config.allocator == "random":
-            assignment = allocate_random(
-                mm, ll, nn, _derive_seed(config.seed, _TAG_RANDOM, r)
-            )
+            assignment = allocate_random(mm, ll, nn, _derive_seed(config.seed, _TAG_RANDOM, r))
         else:
-            util = build_utility(table, alloc_tensor, config.rf)
             assignment = allocate_closest_bs(links["distance_3d"], util)
         fill_scan_angles(assignment, table)
-        stage2_seconds = time.perf_counter() - t_alloc
+        stage2_seconds = util_seconds + time.perf_counter() - t_alloc
         violations = validate(assignment, mm, ll, nn)
         if violations:
             raise InfeasibleAssignmentError("; ".join(violations))
         t_eval = time.perf_counter()
         report = evaluate_all(
             assignment,
-            eval_tensor,
+            LinkGainTensor(power_gains=gains),
             table,
             fold,
             config.rf,
-            seed=channel_seed,
+            seed=channel_seeds[r],
             config_digest=digest,
         )
         return report, stage2_seconds, time.perf_counter() - t_eval
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(one_replication, range(config.replications)))
-    else:
-        runs = [one_replication(r) for r in range(config.replications)]
+    chunk = _chunk_size(config)
+    workers = min(threads, config.replications)
+    runs = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        each = pool.map if workers > 1 else map
+        for start in range(0, config.replications, chunk):
+            reps = range(start, min(start + chunk, config.replications))
+            runs += each(one_replication, reps, *channel_pass(reps))
     reports, stage2_seconds, evaluation_seconds = zip(*runs)
 
     mean_rates = np.array([rep.mean_rate_bps for rep in reports])

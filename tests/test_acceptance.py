@@ -217,12 +217,12 @@ class TestAcceptance:
         uavs = generate_corridor(cfg.corridor, 1)
         geoms = link_geometries(uavs, cfg.bss)
         for rep in result.reports:
-            tensor = generate(geoms, cfg.channel_hf, cfg.rf, rep.seed)
+            tensor = generate(geoms, cfg.channel_hf, cfg.rf, [rep.seed])
             # noise-only SINR is bounded by the best link at the gain ceiling
             s = rep.per_uav_sinr[0]
             best = (
                 cfg.rf.tx_power_w
-                * tensor.power_gains[0].max()  # upper bound over BSs at G <= bound
+                * tensor.power_gains[0, 0].max()  # upper bound over BSs at G <= bound
                 * 10.0 ** ((CFG.g_e_max_dbi + BOUND_16) / 10.0)
                 / cfg.rf.noise_power_w
             )

@@ -83,29 +83,29 @@ class TestFreeSpacePathGain:
 class TestFewRay:
     def test_single_ray_is_pure_los(self):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=1)
-        tensor = generate_few_ray(links_at([[100.0, 250.0]]), spec, RF, 4)
+        tensor = generate_few_ray(links_at([[100.0, 250.0]]), spec, RF, [4])
         for l, d in enumerate((100.0, 250.0)):
-            assert tensor.power_gains[0, l] == pytest.approx(
+            assert tensor.power_gains[0, 0, l] == pytest.approx(
                 free_space_path_gain(d, RF.carrier_hz), rel=1e-12
             )
 
     def test_deterministic(self):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=64)
         g = links_at([[120.0], [340.0]])
-        t1 = generate_few_ray(g, spec, RF, 99)
-        t2 = generate_few_ray(g, spec, RF, 99)
+        t1 = generate_few_ray(g, spec, RF, [99])
+        t2 = generate_few_ray(g, spec, RF, [99])
         assert np.array_equal(t1.power_gains, t2.power_gains)
         assert np.array_equal(t1.coefficients, t2.coefficients)
 
     def test_huge_k_converges_to_los(self):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=50, rician_k_db=200.0)
-        tensor = generate_few_ray(links_at([[80.0]]), spec, RF, 8)
+        tensor = generate_few_ray(links_at([[80.0]]), spec, RF, [8])
         los = free_space_path_gain(80.0, RF.carrier_hz)
-        assert tensor.power_gains[0, 0] == pytest.approx(los, rel=1e-6)
+        assert tensor.power_gains[0, 0, 0] == pytest.approx(los, rel=1e-6)
 
     def test_aggregation_consistency(self):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=16)
-        tensor = generate_few_ray(links_at([[100.0, 200.0], [150.0, 300.0]]), spec, RF, 3)
+        tensor = generate_few_ray(links_at([[100.0, 200.0], [150.0, 300.0]]), spec, RF, [3])
         np.testing.assert_array_equal(
             tensor.power_gains, aggregate_power(tensor.coefficients)
         )
@@ -116,16 +116,16 @@ class TestFewRay:
         distances = [60.0, 90.0, 130.0, 180.0, 240.0, 310.0, 390.0, 480.0, 580.0, 690.0]
         g = links_at([distances] * 100)
         spec = ChannelProviderSpec(kind="few_ray", ray_count=8)
-        tensor = generate_few_ray(g, spec, RF, 12)
-        mean_gain = tensor.power_gains.mean(axis=0)
+        tensor = generate_few_ray(g, spec, RF, [12])
+        mean_gain = tensor.power_gains[0].mean(axis=0)
         rho = spearmanr(mean_gain, distances).statistic
         assert rho < -0.99
 
     def test_large_ray_count_converges_to_fixed_diffuse(self):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=1_000_000)
         g = links_at([[100.0]])
-        t1 = generate_few_ray(g, spec, RF, 7)
-        t2 = generate_few_ray(g, spec, RF, 7)
+        t1 = generate_few_ray(g, spec, RF, [7])
+        t2 = generate_few_ray(g, spec, RF, [7])
         assert np.array_equal(t1.coefficients, t2.coefficients)
         # reconstruct the infinite-ray limit: LOS phasor plus the fixed
         # diffuse phasor whose phase is the first draw of the chi stream
@@ -136,7 +136,7 @@ class TestFewRay:
         k_lin = 10.0 ** (spec.rician_k_db / 10.0)
         limit = a0 * np.exp(1j * psi0) + a0 / math.sqrt(k_lin) * np.exp(1j * chi)
         # residual sampling noise has relative scale ~1/sqrt(1e6)
-        assert t1.power_gains[0, 0] == pytest.approx(abs(limit) ** 2, rel=1e-2)
+        assert t1.power_gains[0, 0, 0] == pytest.approx(abs(limit) ** 2, rel=1e-2)
 
 
 def call_stream(seed, child=None):
@@ -261,8 +261,8 @@ class TestGaussianLimit:
         # diffuse phasor exp(i chi) are taken off.
         g = links_at([[100.0] * 50] * 40)
         spec = ChannelProviderSpec(kind="few_ray", ray_count=n + 1, rician_k_db=0.0)
-        h = generate_few_ray(g, spec, RF, 6).coefficients[:, :, 0]
-        los = generate_few_ray(g, replace(spec, ray_count=1), RF, 6).coefficients[:, :, 0]
+        h = generate_few_ray(g, spec, RF, [6]).coefficients[0, :, :, 0]
+        los = generate_few_ray(g, replace(spec, ray_count=1), RF, [6]).coefficients[0, :, :, 0]
         chi = call_stream(6, 0).uniform(-math.pi, math.pi, size=(40, 50))
         a0 = math.sqrt(free_space_path_gain(100.0, RF.carrier_hz))
         err = ((h - los) / a0 - np.exp(1j * chi)).ravel()
@@ -277,7 +277,7 @@ class TestExactRayLimitBoundary:
 
     def tensor(self, ray_count):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count)
-        return spec, generate_few_ray(links_at(self.DISTANCES), spec, RF, 2024).coefficients
+        return spec, generate_few_ray(links_at(self.DISTANCES), spec, RF, [2024]).coefficients[0]
 
     def test_last_exact_ray_count_is_the_uniform_phasor_sum(self):
         spec, coeffs = self.tensor(_EXACT_RAY_LIMIT + 1)
@@ -335,7 +335,7 @@ class TestLinkRngs:
     @pytest.mark.parametrize("ray_count", [1, 9, _EXACT_RAY_LIMIT + 1, 10_000])
     def test_few_ray_matches_per_link_seed_sequences(self, seed, ray_count):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count)
-        coeffs = generate_few_ray(links_at(self.DISTANCES), spec, RF, seed).coefficients
+        coeffs = generate_few_ray(links_at(self.DISTANCES), spec, RF, [seed]).coefficients[0]
         lam = SPEED_OF_LIGHT / RF.carrier_hz
         for (m, l), d in np.ndenumerate(self.DISTANCES):
             if ray_count == 1:
@@ -350,7 +350,7 @@ class TestLinkRngs:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_statistical_matches_per_link_seed_sequences(self, seed):
         spec = ChannelProviderSpec(kind="statistical")
-        coeffs = generate_statistical(links_at(self.DISTANCES), spec, RF, seed).coefficients
+        coeffs = generate_statistical(links_at(self.DISTANCES), spec, RF, [seed]).coefficients[0]
         for (m, l), d in np.ndenumerate(self.DISTANCES):
             assert coeffs[m, l, 0] == reference_statistical(spec, seed, d, 4 * m + l)
 
@@ -358,10 +358,10 @@ class TestLinkRngs:
     @pytest.mark.parametrize("with_coefficients", [True, False])
     def test_degrade_matches_per_link_seed_sequences(self, seed, with_coefficients):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=10_000)
-        src = generate_few_ray(links_at(self.DISTANCES), spec, RF, 3)
+        src = generate_few_ray(links_at(self.DISTANCES), spec, RF, [3])
         if not with_coefficients:
             src = LinkGainTensor(power_gains=src.power_gains, ray_count=src.ray_count)
-        out = degrade(src, 100, seed)
+        out = degrade(src, 100, [seed])
         gamma = reference_gamma(seed, 100, src.m, src.l)
         if with_coefficients:
             coeffs = src.coefficients * np.sqrt(gamma)[:, :, None]
@@ -397,31 +397,108 @@ class TestBatchedProvidersAtScale:
         links = links_at(distances)
         few_spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count)
         stat_spec = ChannelProviderSpec(kind="statistical")
-        few_ray = generate_few_ray(links, few_spec, RF, seed)
-        statistical = generate_statistical(links, stat_spec, RF, seed)
-        los_only = generate_few_ray(links, replace(few_spec, ray_count=1), RF, seed)
+        few_ray = generate_few_ray(links, few_spec, RF, [seed])
+        statistical = generate_statistical(links, stat_spec, RF, [seed])
+        los_only = generate_few_ray(links, replace(few_spec, ray_count=1), RF, [seed])
         for (m, l), d in np.ndenumerate(distances):
             if ray_count > 1:
                 exact = ray_count - 1 <= _EXACT_RAY_LIMIT
-                assert few_ray.coefficients[m, l, 0] == reference_link(
+                assert few_ray.coefficients[0, m, l, 0] == reference_link(
                     few_spec, seed, d, ll * m + l, exact=exact
                 )
             a0 = math.sqrt(free_space_path_gain(d, RF.carrier_hz))
             los = math.fmod(2.0 * math.pi * d / (SPEED_OF_LIGHT / RF.carrier_hz), 2.0 * math.pi)
-            assert los_only.coefficients[m, l, 0] == a0 * complex(math.cos(los), math.sin(los))
-            assert statistical.coefficients[m, l, 0] == reference_statistical(
+            assert los_only.coefficients[0, m, l, 0] == a0 * complex(math.cos(los), math.sin(los))
+            assert statistical.coefficients[0, m, l, 0] == reference_statistical(
                 stat_spec, seed, d, ll * m + l
             )
 
         gamma = reference_gamma(seed, target, mm, ll)
-        with_coefficients = degrade(few_ray, target, seed)
+        with_coefficients = degrade(few_ray, target, [seed])
         coeffs = few_ray.coefficients * np.sqrt(gamma)[:, :, None]
         assert np.array_equal(with_coefficients.coefficients, coeffs)
         assert np.array_equal(with_coefficients.power_gains, aggregate_power(coeffs))
         power_only = LinkGainTensor(power_gains=statistical.power_gains)
         assert np.array_equal(
-            degrade(power_only, target, seed).power_gains, statistical.power_gains * gamma
+            degrade(power_only, target, [seed]).power_gains, statistical.power_gains * gamma
         )
+
+
+def assert_same_tensor(a, b):
+    """Bit-identical power gains and coefficients, and the same fidelity."""
+    assert a.power_gains.tobytes() == b.power_gains.tobytes()
+    assert (a.coefficients is None) == (b.coefficients is None)
+    if a.coefficients is not None:
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+    assert a.ray_count == b.ray_count
+
+
+def row(tensor, r):
+    """Replication r of a stacked tensor, as a stack of one."""
+    coeffs = None if tensor.coefficients is None else tensor.coefficients[r : r + 1]
+    return LinkGainTensor(tensor.power_gains[r : r + 1], coeffs, tensor.ray_count)
+
+
+class TestStacking:
+    """Row r of a call on `seeds` is the one-seed call on [seeds[r]], bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seeds=st.lists(seeds_64, min_size=1, max_size=5),
+        mm=st.integers(1, 12),
+        ll=st.integers(1, 5),
+        ray_count=st.sampled_from([1, 2, 33, _EXACT_RAY_LIMIT + 1, _EXACT_RAY_LIMIT + 2, 10_000]),
+        target=st.sampled_from([3, 100]),
+        layout=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_one_seed_calls(self, seeds, mm, ll, ray_count, target, layout):
+        distances = np.random.default_rng(layout).uniform(20.0, 900.0, size=(mm, ll))
+        links = links_at(distances)
+        few_spec = ChannelProviderSpec(kind="few_ray", ray_count=ray_count)
+        stat_spec = ChannelProviderSpec(kind="statistical")
+        few_ray = generate_few_ray(links, few_spec, RF, seeds)
+        statistical = generate_statistical(links, stat_spec, RF, seeds)
+        assert few_ray.power_gains.shape == (len(seeds), mm, ll)
+        assert few_ray.coefficients.shape == (len(seeds), mm, ll, 1)
+        power_only = LinkGainTensor(power_gains=statistical.power_gains)
+        degrade_seeds = [seed + 1 for seed in seeds]
+        with_coefficients = degrade(few_ray, target, degrade_seeds)
+        without = degrade(power_only, target, degrade_seeds)
+        for r, seed in enumerate(seeds):
+            one_few = generate_few_ray(links, few_spec, RF, [seed])
+            one_stat = generate_statistical(links, stat_spec, RF, [seed])
+            assert_same_tensor(row(few_ray, r), one_few)
+            assert_same_tensor(row(statistical, r), one_stat)
+            assert_same_tensor(
+                row(with_coefficients, r), degrade(one_few, target, [degrade_seeds[r]])
+            )
+            one_power = LinkGainTensor(power_gains=one_stat.power_gains)
+            assert_same_tensor(row(without, r), degrade(one_power, target, [degrade_seeds[r]]))
+
+    def test_degrade_needs_one_seed_per_row(self):
+        src = generate_statistical(links_at([[100.0, 200.0]]), ChannelProviderSpec(), RF, [1, 2])
+        with pytest.raises(ValueError, match="one seed per row"):
+            degrade(src, 100, [1])
+
+    def test_import_is_shared_by_every_row(self, tmp_path):
+        from corridorsim.channel import generate
+
+        path = tmp_path / "t.ctns"
+        few_spec = ChannelProviderSpec(kind="few_ray", ray_count=5)
+        src = generate_few_ray(links_at([[100.0, 200.0]]), few_spec, RF, [3])
+        export_tensor(src, path)
+        spec = ChannelProviderSpec(kind="import", import_path=str(path))
+        stacked = generate(links_at([[100.0, 200.0]]), spec, RF, [0, 1, 2])
+        assert stacked.power_gains.shape == (3, 1, 2)
+        assert not stacked.power_gains.flags.writeable
+        for r in range(3):
+            assert stacked.power_gains[r].tobytes() == src.power_gains[0].tobytes()
+            assert stacked.coefficients[r].tobytes() == src.coefficients[0].tobytes()
+
+    def test_export_takes_one_replication(self, tmp_path):
+        src = generate_statistical(links_at([[100.0]]), ChannelProviderSpec(), RF, [1, 2])
+        with pytest.raises(ValueError, match="one replication"):
+            export_tensor(src, tmp_path / "t.ctns")
 
 
 class TestStreamLayout:
@@ -445,20 +522,22 @@ class TestStreamLayout:
         stat_spec = ChannelProviderSpec(kind="statistical")
 
         def power_only(links):
-            gains = generate_statistical(links, stat_spec, RF, 5).power_gains
+            gains = generate_statistical(links, stat_spec, RF, [5]).power_gains
             return LinkGainTensor(power_gains=gains)
 
         sites = {
-            "few_ray": lambda links: generate_few_ray(links, few_spec, RF, seed),
-            "statistical": lambda links: generate_statistical(links, stat_spec, RF, seed),
-            "degrade": lambda links: degrade(generate_few_ray(links, few_spec, RF, 5), 100, seed),
-            "degrade power": lambda links: degrade(power_only(links), 100, seed),
+            "few_ray": lambda links: generate_few_ray(links, few_spec, RF, [seed]),
+            "statistical": lambda links: generate_statistical(links, stat_spec, RF, [seed]),
+            "degrade": lambda links: degrade(
+                generate_few_ray(links, few_spec, RF, [5]), 100, [seed]
+            ),
+            "degrade power": lambda links: degrade(power_only(links), 100, [seed]),
         }
         for site, make in sites.items():
             full, head = make(links_at(distances)), make(links_at(distances[:m1]))
-            assert np.array_equal(head.power_gains, full.power_gains[:m1]), site
+            assert np.array_equal(head.power_gains, full.power_gains[:, :m1]), site
             if full.coefficients is not None:
-                assert np.array_equal(head.coefficients, full.coefficients[:m1]), site
+                assert np.array_equal(head.coefficients, full.coefficients[:, :m1]), site
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -475,13 +554,13 @@ class TestStreamLayout:
         distances = np.random.default_rng(layout).uniform(20.0, 900.0, size=(mm, ll))
         links = links_at(distances)
         spec = ChannelProviderSpec(kind="few_ray", ray_count=1)
-        los = generate_few_ray(links, spec, RF, seed).coefficients.ravel()
+        los = generate_few_ray(links, spec, RF, [seed]).coefficients.ravel()
         a0 = np.sqrt(free_space_path_gain(distances.ravel(), RF.carrier_hz))
         s_amp = a0 / math.sqrt(10.0 ** (spec.rician_k_db / 10.0))
         diffuse = []
         for ray_count in (2, _EXACT_RAY_LIMIT + 1, _EXACT_RAY_LIMIT + 2, 10_000):
             n = ray_count - 1
-            h = generate_few_ray(links, replace(spec, ray_count=ray_count), RF, seed)
+            h = generate_few_ray(links, replace(spec, ray_count=ray_count), RF, [seed])
             err = [reference_err(seed, row, n, n <= _EXACT_RAY_LIMIT) for row in range(mm * ll)]
             diffuse.append((h.coefficients.ravel() - los) / s_amp - np.array(err))
         np.testing.assert_allclose(np.abs(diffuse[0]), 1.0, rtol=0.0, atol=1e-9)
@@ -494,22 +573,22 @@ class TestStatistical:
         # huge K collapses the fading to the unit phasor, exposing PL = 32.4 dB
         rf = RfConstants(carrier_hz=1e9)
         spec = ChannelProviderSpec(kind="statistical", rician_k_db=300.0)
-        tensor = generate_statistical(links_at([[1.0]]), spec, rf, 2)
-        assert tensor.power_gains[0, 0] == pytest.approx(10.0 ** (-3.24), rel=1e-9)
+        tensor = generate_statistical(links_at([[1.0]]), spec, rf, [2])
+        assert tensor.power_gains[0, 0, 0] == pytest.approx(10.0 ** (-3.24), rel=1e-9)
 
     def test_path_loss_hand_value(self):
         rf = RfConstants(carrier_hz=3.5e9)
         spec = ChannelProviderSpec(kind="statistical", rician_k_db=300.0)
-        tensor = generate_statistical(links_at([[100.0]]), spec, rf, 2)
+        tensor = generate_statistical(links_at([[100.0]]), spec, rf, [2])
         pl_db = 32.4 + 21.0 * math.log10(100.0) + 20.0 * math.log10(3.5)  # 85.281
         assert pl_db == pytest.approx(85.281, abs=5e-4)
-        assert tensor.power_gains[0, 0] == pytest.approx(10.0 ** (-pl_db / 10.0), rel=1e-9)
+        assert tensor.power_gains[0, 0, 0] == pytest.approx(10.0 ** (-pl_db / 10.0), rel=1e-9)
 
     def test_fading_unit_mean(self):
         # 1e5 seeded draws at one distance; normalize out the path loss
         spec = ChannelProviderSpec(kind="statistical", rician_k_db=3.0)
         g = links_at([[50.0] * 250] * 400)
-        tensor = generate_statistical(g, spec, RF, 77)
+        tensor = generate_statistical(g, spec, RF, [77])
         pl_db = 32.4 + 21.0 * math.log10(50.0) + 20.0 * math.log10(3.5)
         fading_power = tensor.power_gains / 10.0 ** (-pl_db / 10.0)
         assert fading_power.mean() == pytest.approx(1.0, rel=0.02)
@@ -517,35 +596,35 @@ class TestStatistical:
     def test_deterministic(self):
         spec = ChannelProviderSpec(kind="statistical")
         g = links_at([[100.0, 220.0]])
-        t1 = generate_statistical(g, spec, RF, 5)
-        t2 = generate_statistical(g, spec, RF, 5)
+        t1 = generate_statistical(g, spec, RF, [5])
+        t2 = generate_statistical(g, spec, RF, [5])
         assert np.array_equal(t1.power_gains, t2.power_gains)
 
     def test_mean_power_decreases_with_distance(self):
         distances = [60.0, 90.0, 130.0, 180.0, 240.0, 310.0, 390.0, 480.0, 580.0, 690.0]
         g = links_at([distances] * 100)
         spec = ChannelProviderSpec(kind="statistical", rician_k_db=3.0)
-        tensor = generate_statistical(g, spec, RF, 21)
-        rho = spearmanr(tensor.power_gains.mean(axis=0), distances).statistic
+        tensor = generate_statistical(g, spec, RF, [21])
+        rho = spearmanr(tensor.power_gains[0].mean(axis=0), distances).statistic
         assert rho < -0.99
 
 
 class TestDegrade:
     def source(self, seed=1):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=1_000_000)
-        return generate_few_ray(links_at([[100.0, 200.0], [150.0, 260.0]]), spec, RF, seed)
+        return generate_few_ray(links_at([[100.0, 200.0], [150.0, 260.0]]), spec, RF, [seed])
 
     def test_same_fidelity_is_noop(self):
         src = self.source()
-        out = degrade(src, 1_000_000, seed=42)
+        out = degrade(src, 1_000_000, seeds=[42])
         assert np.array_equal(out.power_gains, src.power_gains)
         assert np.array_equal(out.coefficients, src.coefficients)
         assert out.ray_count == src.ray_count
 
     def test_deterministic(self):
         src = self.source()
-        a = degrade(src, 100, seed=9)
-        b = degrade(src, 100, seed=9)
+        a = degrade(src, 100, seeds=[9])
+        b = degrade(src, 100, seeds=[9])
         assert np.array_equal(a.power_gains, b.power_gains)
 
     def test_mean_preserved_over_seeds(self):
@@ -553,7 +632,7 @@ class TestDegrade:
         acc = np.zeros_like(src.power_gains)
         n_seeds = 1000
         for s in range(n_seeds):
-            acc += degrade(src, 100, seed=s).power_gains
+            acc += degrade(src, 100, seeds=[s]).power_gains
         ratio = acc / n_seeds / src.power_gains
         np.testing.assert_allclose(ratio, 1.0, atol=0.03)
 
@@ -562,7 +641,7 @@ class TestDegrade:
         def deviation_var(target):
             devs = []
             for s in range(1000):
-                out = degrade(src, target, seed=s)
+                out = degrade(src, target, seeds=[s])
                 devs.append((out.power_gains - src.power_gains) / src.power_gains)
             return np.var(np.stack(devs), axis=0)
         var_coarse = deviation_var(100)
@@ -572,19 +651,19 @@ class TestDegrade:
         np.testing.assert_allclose(var_coarse.mean(), 1.0 / 100.0, rtol=0.15)
 
     def test_aggregation_consistency_after_degrade(self):
-        out = degrade(self.source(), 100, seed=3)
+        out = degrade(self.source(), 100, seeds=[3])
         np.testing.assert_array_equal(out.power_gains, aggregate_power(out.coefficients))
 
 
 class TestTensorIO:
     def test_binary_round_trip(self, tmp_path):
         spec = ChannelProviderSpec(kind="few_ray", ray_count=12)
-        src = generate_few_ray(links_at([[100.0, 200.0], [150.0, 260.0]]), spec, RF, 6)
+        src = generate_few_ray(links_at([[100.0, 200.0], [150.0, 260.0]]), spec, RF, [6])
         path = tmp_path / "tensor.ctns"
         export_tensor(src, path)
         out = import_tensor(path)
-        np.testing.assert_array_equal(out.power_gains, src.power_gains)
-        np.testing.assert_array_equal(out.coefficients, src.coefficients)
+        np.testing.assert_array_equal(out.power_gains, src.power_gains[0])
+        np.testing.assert_array_equal(out.coefficients, src.coefficients[0])
 
     def test_json_single_coefficient(self, tmp_path):
         doc = {
@@ -686,7 +765,7 @@ class TestTensorIO:
 
         spec = ChannelProviderSpec(kind="import", import_path=None)
         with pytest.raises(TensorFormatError, match="import_path"):
-            generate(links_at([[100.0]]), spec, RF, 0)
+            generate(links_at([[100.0]]), spec, RF, [0])
 
     def test_non_finite_rejected(self, tmp_path):
         doc = {

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 import corridorsim
-from corridorsim.allocator import MAX_ARRAY_SIDE, MAX_BEAMS, MAX_D_H_WAVELENGTHS, MAX_TRIPLETS
+from concurrent.futures import ThreadPoolExecutor
+
+from corridorsim import channel, harness
+from corridorsim.allocator import (
+    MAX_ARRAY_SIDE,
+    MAX_BEAMS,
+    MAX_D_H_WAVELENGTHS,
+    MAX_STACKED,
+    MAX_TRIPLETS,
+)
 from corridorsim.antenna import (
     AntennaConfig,
     SteeringDirection,
@@ -19,10 +28,17 @@ from corridorsim.antenna import (
     element_gain,
     scan_coefficients,
 )
-from corridorsim.channel import ChannelProviderSpec, LinkGainTensor, export_tensor
+from corridorsim.channel import (
+    _EXACT_RAY_LIMIT,
+    ChannelProviderSpec,
+    LinkGainTensor,
+    export_tensor,
+    import_tensor,
+)
 from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError, TensorFormatError
 from corridorsim.harness import (
+    MAX_THREADS,
     ScenarioConfig,
     benchmark,
     config_digest,
@@ -319,6 +335,25 @@ class TestRunScenario:
         with pytest.raises(ConfigurationError, match=f"threads must be >= 1, got {threads}"):
             run_scenario(small_config(replications=1), threads=threads)
 
+    @pytest.mark.parametrize("threads", [MAX_THREADS + 1, 10**9])
+    def test_rejects_threads_above_the_bound_before_any_pool(self, monkeypatch, threads):
+        # The bound is checked first, so no executor is ever built.
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", None)
+        match = f"threads must be <= {MAX_THREADS}, got {threads}"
+        with pytest.raises(ConfigurationError, match=match):
+            run_scenario(small_config(replications=2), threads=threads)
+
+    def test_pool_has_at_most_one_worker_per_replication(self, monkeypatch):
+        workers = []
+
+        def recording(max_workers):
+            workers.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", recording)
+        run_scenario(small_config(seed=3, replications=2), threads=MAX_THREADS)
+        assert workers == [2]
+
     def test_thread_count_does_not_change_output(self):
         cfg = small_config(seed=9, replications=4)
         serial = run_scenario(cfg, threads=1)
@@ -352,6 +387,38 @@ class TestRunScenario:
         assert len(result.reports) == 4
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("allocator", ["two_stage", "closest_bs", "random"])
+    def test_chunking_does_not_change_bytes(self, tmp_path, monkeypatch, allocator):
+        # Seven kTB few-ray replications in chunks of 1, 3 (3 + 3 + 1) and
+        # all 7: every replication's tensors come from its own seeds.
+        cfg = ScenarioConfig(seed=31, uav_count=12, replications=7, allocator=allocator)
+        cfg.rf = replace(cfg.rf, noise_power_w=1.2e-13)
+        cfg.channel_hf = replace(cfg.channel_hf, kind="few_ray", ray_count=10)
+        cfg.allocation_channel = "lf"
+        per_replication = cfg.uav_count * len(cfg.bss) * cfg.codebook.n_beams
+        written = {}
+        for bound in (per_replication, 3 * per_replication, MAX_STACKED):
+            monkeypatch.setattr(harness, "MAX_STACKED", bound)
+            chunk = harness._chunk_size(cfg)
+            out = emit_reports([run_scenario(cfg)], tmp_path / f"c{chunk}")["results"]
+            written[min(chunk, cfg.replications)] = out.read_bytes()
+        assert list(written) == [1, 3, 7]
+        assert written[1] == written[3] == written[7]
+
+    def test_exact_few_ray_phases_set_the_chunk(self):
+        cfg = ScenarioConfig(uav_count=16)
+        cfg.channel_hf = replace(cfg.channel_hf, kind="few_ray", ray_count=_EXACT_RAY_LIMIT + 1)
+        links = cfg.uav_count * len(cfg.bss)
+        assert harness._chunk_size(cfg) == MAX_STACKED // (links * _EXACT_RAY_LIMIT)
+        cfg.channel_hf = replace(cfg.channel_hf, ray_count=_EXACT_RAY_LIMIT + 2)
+        assert harness._chunk_size(cfg) == MAX_STACKED // (links * cfg.codebook.n_beams)
+
+    def test_run_at_the_triplet_bound_takes_one_replication_per_chunk(self):
+        cfg = ScenarioConfig(uav_count=MAX_TRIPLETS // (4 * 256), replications=4)
+        cfg.codebook = replace(cfg.codebook, n_beams=256)
+        assert validate_config(cfg) == []
+        assert harness._chunk_size(cfg) == 1
+
     def test_threads_do_not_change_few_ray_lf_output(self):
         # The montecarlo workload's shape: the Gaussian few-ray branch for
         # evaluation, degraded per link for allocation on LF.
@@ -374,6 +441,21 @@ class TestRunScenario:
             result = run_scenario(cfg)
             assert len(result.reports) == 1
 
+    def test_import_is_read_once_per_run(self, tmp_path, monkeypatch):
+        path = tmp_path / "twin.ctns"
+        export_tensor(LinkGainTensor(power_gains=np.full((3, 2), 1e-9)), path)
+        reads = []
+
+        def counted(p):
+            reads.append(p)
+            return import_tensor(p)
+
+        monkeypatch.setattr(channel, "import_tensor", counted)
+        cfg = small_config(seed=4, replications=4, allocation_channel="lf")
+        cfg.channel_hf = ChannelProviderSpec(kind="import", import_path=str(path))
+        result = run_scenario(cfg)
+        assert len(result.reports) == 4 and reads == [str(path)]
+
     def test_import_channel_round_trip(self, tmp_path):
         from corridorsim.channel import export_tensor, generate
         from corridorsim.geometry import generate_corridor, link_geometries
@@ -381,7 +463,7 @@ class TestRunScenario:
         cfg = small_config(seed=12, replications=1)
         uavs = generate_corridor(cfg.corridor, cfg.uav_count)
         geoms = link_geometries(uavs, cfg.bss)
-        tensor = generate(geoms, cfg.channel_hf, cfg.rf, 4242)
+        tensor = generate(geoms, cfg.channel_hf, cfg.rf, [4242])
         path = tmp_path / "twin.ctns"
         export_tensor(tensor, path)
         cfg.channel_hf = ChannelProviderSpec(kind="import", import_path=str(path))
@@ -628,6 +710,14 @@ class TestCli:
         assert cli_main(["run", "--uavs", "2", "--threads", threads, "--out", str(out_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: threads must be >= 1, got {threads}")
+        assert not (out_dir / "results.json").exists()
+
+    def test_run_threads_above_the_bound_exits_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        argv = ["run", "--uavs", "2", "--threads", str(MAX_THREADS + 1), "--out", str(out_dir)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: threads must be <= {MAX_THREADS}, got {MAX_THREADS + 1}")
         assert not (out_dir / "results.json").exists()
 
     def test_consecutive_calls_share_no_arguments(self, tmp_path, capsys):
