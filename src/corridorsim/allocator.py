@@ -7,9 +7,9 @@ and beam exclusivity is meaningful. `build_beam_gain_table` solves all
 triplets in one deterministic numpy pass: the array power of a link is a
 Dirichlet kernel in s = alpha * sin(phi_scan), shifted by the link's phase
 step beta, so its peaks are beta plus lobe offsets that depend on n_h alone;
-each sector's best angle is then read off those peaks, its ends and +-pi/2.
-The paper's per-triplet dual annealing is kept in tests/oracles.py as the
-reference this pass must never fall below.
+each sector's best angle is then read off those peaks, its ends and +-pi/2
+by the kernel's sine ratio. The paper's per-triplet dual annealing is kept
+in tests/oracles.py as the reference this pass must never fall below.
 
 Stage 2 turns the optimized gains and the channel gains into a utility
 tensor Lambda[m, l, n] = P * |h|^2 * 10^(G/10), flattens it to an
@@ -32,16 +32,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment
 
-from .antenna import AntennaConfig, folded_gain_db, scan_coefficients
+from .antenna import AntennaConfig, element_gain, power_gain_db, scan_alpha, vertical_weight
 from .antenna import make_scan_gain  # unused here; perfbench/tracing.py patches it
 from .channel import _SEED_MASK, LinkGainTensor, RfConstants
 from .errors import ConfigurationError, InfeasibleAssignmentError
 from .geometry import BaseStationSite, Position3D, link_geometries
 
-# Stage 1 holds ~2 * (n_h - 1) * (2 * d_h + 1) scan candidates per link and
-# (links, N, 3) arrays over the N sectors, which it visits one by one. 1 024
-# sectors of 0.35 degrees, 64 times the nominal count, take a nominal run
-# about 60 ms; 10^9 would exhaust memory on the sector ends alone.
+# Stage 1 holds ~2 * (n_h - 1) * (2 * d_h + 1) scan candidates and the 2N
+# sector ends of every link in one array. 1 024 sectors of 0.35 degrees, 64
+# times the nominal count, take a nominal run about 20 ms; 10^9 would
+# exhaust memory on the sector ends alone.
 MAX_ARRAY_SIDE = 64
 MAX_D_H_WAVELENGTHS = 10.0
 MAX_BEAMS = 1024
@@ -49,6 +49,9 @@ MAX_BEAMS = 1024
 # evaluation an M x M one; 2^20 triplets (M = 1 024 UAVs on 4 BSs of 256
 # beams) is 800 times the nominal run.
 MAX_TRIPLETS = 1 << 20
+# Stage 1 holds a few (links, candidates) arrays; this many candidates is
+# as many as the sector ends of a run at the triplet bound.
+MAX_CANDIDATES = 2 * MAX_TRIPLETS
 # A run stacks its replications on a leading axis, in chunks whose largest
 # array (the (R, M, L, N) utility, or the exact few-ray branch's
 # (R, M*L, n_scatter) phases) holds at most this many elements: one
@@ -102,27 +105,6 @@ class Assignment:
 # --------------------------------------------------------------------------
 
 
-def _array_power(autocorr: np.ndarray, z) -> np.ndarray:
-    """|sum_k c_k z^k|^2 at unit phasors z = exp(1j * s), in real form.
-
-    The power is the trig polynomial P(s) = r_0 + 2*Re sum_{d>=1} r_d z^d of
-    degree n_h - 1, where r_d = sum_k c_{k+d} conj(c_k) is the coefficient
-    autocorrelation, shape (..., n_h); the sum is taken by Horner's rule, so
-    no harmonic axis is ever materialized. `z` broadcasts against
-    autocorr[..., 0].
-    """
-    acc = np.zeros(np.broadcast_shapes(np.shape(z), autocorr.shape[:-1]), dtype=complex)
-    for d in range(autocorr.shape[-1] - 1, 0, -1):
-        acc += autocorr[..., d]
-        acc *= z
-    return autocorr[..., 0].real + 2.0 * acc.real
-
-
-def _scan_power(autocorr: np.ndarray, alpha: float, phi_scan) -> np.ndarray:
-    """The array power P(alpha * sin(phi_scan)) of `_array_power`."""
-    return _array_power(autocorr, np.exp(1j * alpha * np.sin(phi_scan)))
-
-
 @lru_cache(maxsize=None)
 def _lobe_offsets(n_h: int) -> tuple[float, ...]:
     """Where the Dirichlet kernel |sum_{k<n_h} exp(1j * k * x)|^2 peaks in [0, 2 pi).
@@ -148,20 +130,38 @@ def _lobe_peaks(beta: np.ndarray, reach: float, n_h: int) -> np.ndarray:
 
     The peaks sit at s = beta + x + 2 pi q for the `_lobe_offsets` x. Each
     beta + x is wrapped into [-pi, pi), so the peaks inside [-reach, reach]
-    all have |q| <= (reach + pi) / 2 pi. Returns shape beta.shape + (peaks,),
+    all have |q| <= `_wraps(reach)`. Returns shape beta.shape + (peaks,),
     the same count for every beta, so some peaks lie outside [-reach, reach].
     """
-    wraps = math.floor((reach + math.pi) / (2.0 * math.pi))
+    wraps = _wraps(reach)
     lobes = np.remainder(beta[..., None] + _lobe_offsets(n_h) + math.pi, 2.0 * math.pi) - math.pi
     turns = 2.0 * math.pi * np.arange(-wraps, wraps + 1)
     return (lobes[..., None] + turns).reshape(beta.shape + (-1,))
 
 
+def _wraps(reach: float) -> int:
+    """The largest turn |q| of a peak beta + x + 2 pi q inside [-reach, reach]."""
+    return math.floor((reach + math.pi) / (2.0 * math.pi))
+
+
+def _kernel_power(v2, beta, s, n_h: int) -> np.ndarray:
+    """The array power |v|^2 sin^2(n_h x / 2) / sin^2(x / 2), n_h^2 |v|^2 at x = 0.
+
+    x = s - beta is reduced to [-pi, pi] first: at a grating lobe, x near
+    2 pi q with q != 0, both sines of the unreduced x are rounding noise.
+    """
+    half = s - beta
+    half = 0.5 * (half - 2.0 * math.pi * np.rint(half / (2.0 * math.pi)))
+    den = np.sin(half)
+    ratio = np.divide(np.sin(n_h * half), den, out=np.full_like(half, n_h), where=den != 0.0)
+    return v2 * ratio**2
+
+
 def stage1_size_errors(cfg: AntennaConfig, n_beams: int, n_links: int) -> list[str]:
     """One message per Stage-1 size above its bound, named by its config file keys.
 
-    `n_links` is the number of (UAV, BS) links, M * L. The triplet count
-    M * L * N is checked only for an N within MAX_BEAMS, which reports N alone.
+    `n_links` is the number of (UAV, BS) links, M * L. A product of sizes
+    is checked only when its factors are within their own bounds.
     """
     sizes = (("antenna.n_h", cfg.n_h, MAX_ARRAY_SIDE), ("antenna.n_v", cfg.n_v, MAX_ARRAY_SIDE),
              ("antenna.d_h_wavelengths", cfg.d_h, MAX_D_H_WAVELENGTHS),
@@ -172,6 +172,14 @@ def stage1_size_errors(cfg: AntennaConfig, n_beams: int, n_links: int) -> list[s
             f"uav_count x bss x codebook.n_beams must be <= {MAX_TRIPLETS} stage-1 triplets, "
             f"got {n_links * n_beams}"
         )
+    if (cfg.n_h <= MAX_ARRAY_SIDE and cfg.d_h <= MAX_D_H_WAVELENGTHS
+            and math.isfinite(cfg.d_h) and math.isfinite(cfg.tilt_deg)):
+        # Both arcsin branches of every `_lobe_peaks` peak, and the two poles.
+        per_link = 2 * max(1, cfg.n_h - 1) * (2 * _wraps(abs(scan_alpha(cfg))) + 1) + 2
+        if n_links * per_link > MAX_CANDIDATES:
+            errors.append(f"uav_count x bss x {per_link} scan candidates per link (set by "
+                          f"antenna.n_h, antenna.d_h_wavelengths and antenna.tilt_deg) must be "
+                          f"<= {MAX_CANDIDATES}, got {n_links * per_link}")
     return errors
 
 
@@ -181,65 +189,66 @@ def optimal_scan_angles(
     """Best scan angle and total gain of every (direction, sector) pair at once.
 
     `theta` and `phi` broadcast to the directions' shape S and `sectors`
-    lists N half-open intervals (lo, hi] inside [-pi, pi]. Returns
+    lists N consecutive half-open intervals (lo, hi] inside [-pi, pi], each
+    starting where the one before ends, as the codebook's do. Returns
     (phi_star, gain_db, scan points evaluated), the arrays of shape
     S + (N,), every phi_star inside its sector.
 
-    Each direction folds into its element gain and n_h scan coefficients
-    (`scan_coefficients`), c_k = v * exp(-1j * beta * k) with
-    beta = 2 pi d_h sin(theta) sin(phi), so the array power in
-    s = alpha * sin(phi_scan) is |v|^2 |sum_k exp(1j k (s - beta))|^2. All
-    sectors of a direction share it, and its peaks over s in [-|alpha|,
-    |alpha|] are the lobes of that Dirichlet kernel (`_lobe_peaks`). An
-    interior maximum of P(alpha * sin(phi)) has cos(phi) = 0 or P'(s) = 0,
-    so a sector's best angle is one of its two ends, +-pi/2, or an arcsin
-    branch of a peak, whichever inside the sector has the highest P. The
-    evaluation count is a fixed multiple of the number of pairs. An array,
-    a spacing, a sector count or a pair count above its MAX_* bound raises.
+    Each direction's scan coefficients (`scan_coefficients`) are
+    c_k = v * exp(-1j * beta * k) with beta = 2 pi d_h sin(theta) sin(phi),
+    so its array power in s = alpha * sin(phi_scan) is the Dirichlet kernel
+    |v|^2 sin^2(n_h x / 2) / sin^2(x / 2), x = s - beta (`_kernel_power`).
+    All sectors of a direction share it, and its peaks over s in [-|alpha|,
+    |alpha|] are the kernel's lobes (`_lobe_peaks`). An interior maximum of
+    P(alpha * sin(phi)) has cos(phi) = 0 or P'(s) = 0, so a sector's best
+    angle is one of its two ends, +-pi/2, or an arcsin branch of a peak,
+    whichever inside the sector has the highest P (ties go to the ends, then
+    to the first candidate). One searchsorted bins them all, so the sectors
+    must be consecutive. The gain is the element gain plus 10 log10 of that
+    P. The evaluation count is a fixed multiple of the number of pairs. An
+    array, a spacing or a count above its MAX_* bound raises.
     """
     lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
     oversized = stage1_size_errors(cfg, lo.size, np.broadcast(theta, phi).size)
     if oversized:
         raise ConfigurationError("; ".join(oversized))
-    if lo.size == 0 or not np.all((-math.pi <= lo) & (lo < hi) & (hi <= math.pi)):
-        raise ConfigurationError(
-            f"scan sectors must be non-empty (lo, hi] inside [-pi, pi], got {sectors}"
-        )
-    elem_db, coeffs, alpha = scan_coefficients(theta, phi, cfg)
-    autocorr = np.stack(
-        [(coeffs[..., d:] * coeffs[..., : cfg.n_h - d].conj()).sum(axis=-1)
-         for d in range(cfg.n_h)],
-        axis=-1,
-    ).reshape(-1, 1, cfg.n_h)  # (K, 1, n_h), K directions
-
+    inside = np.all((-math.pi <= lo) & (lo < hi) & (hi <= math.pi))
+    if lo.size == 0 or not inside or np.any(lo[1:] != hi[:-1]):
+        raise ConfigurationError(f"scan sectors must be non-empty (lo, hi] inside [-pi, pi] and "
+                                 f"consecutive, each starting where the last ends, got {sectors}")
+    elem_db = np.asarray(element_gain(theta, phi, cfg))
     beta = 2.0 * math.pi * cfg.d_h * (np.sin(theta) * np.sin(phi))
-    peaks = _lobe_peaks(np.reshape(beta, -1), abs(alpha), cfg.n_h)
+    v = vertical_weight(theta, cfg)
+    v2 = np.broadcast_to(v.real**2 + v.imag**2, beta.shape).reshape(-1, 1)
+    beta, alpha = beta.reshape(-1, 1), scan_alpha(cfg)  # (K, 1), K directions
+    k, nn = beta.shape[0], lo.size
+
+    peaks = _lobe_peaks(beta[:, 0], abs(alpha), cfg.n_h)
     # A peak outside [-|alpha|, |alpha|] clips onto a pole, a candidate anyway.
     branch = np.arcsin(np.clip(peaks / alpha, -1.0, 1.0) if alpha else np.zeros_like(peaks))
-    poles = np.broadcast_to([-0.5 * math.pi, 0.5 * math.pi], (branch.shape[0], 2))
+    poles = np.broadcast_to([-0.5 * math.pi, 0.5 * math.pi], (k, 2))
     cand = np.concatenate(
         [branch, np.where(branch >= 0.0, math.pi, -math.pi) - branch, poles], axis=-1
     )
-    cand_power = _scan_power(autocorr, alpha, cand)
-
-    # Per pair: the sector's two ends, then its best candidate inside it.
-    k, nn = autocorr.shape[0], lo.size
-    points = np.empty((k, nn, 3))
-    power = np.empty((k, nn, 3))
-    ends = np.stack([np.nextafter(lo, hi), hi], axis=-1)
-    points[..., :2] = ends
-    power[..., :2] = _scan_power(autocorr[..., None, :], alpha, ends)
-    rows = np.arange(k)
-    for n in range(nn):
-        masked = np.where((cand > lo[n]) & (cand <= hi[n]), cand_power, -np.inf)
-        best = masked.argmax(axis=-1)
-        points[:, n, 2] = cand[rows, best]
-        power[:, n, 2] = masked[rows, best]
-    best = power.argmax(axis=-1)[..., None]
-    phi_star = np.take_along_axis(points, best, axis=-1).reshape(elem_db.shape + (nn,))
-
-    gain_db = folded_gain_db(elem_db[..., None], coeffs[..., None, :], alpha, phi_star, cfg)
-    return phi_star, gain_db, k * cand.shape[-1] + k * nn * 3
+    # Per pair: the sector's two ends, then every candidate; (K, 2N + C) points.
+    ends = np.stack([np.nextafter(lo, hi), hi], axis=-1).reshape(-1)
+    points = np.concatenate([np.broadcast_to(ends, (k, ends.size)), cand], axis=-1)
+    s = np.concatenate([np.broadcast_to(alpha * np.sin(ends), (k, ends.size)),
+                        alpha * np.sin(cand)], axis=-1)
+    power = _kernel_power(v2, beta, s, cfg.n_h)
+    # Sector n holds the points in (lo[n], hi[n]], slot n + 1 of its
+    # direction's N + 2 (0 below the first sector, N + 1 above the last). A
+    # slot keeps its highest P, and of the points there, the first.
+    slot = np.searchsorted(np.append(lo[0], hi), points) + (nn + 2) * np.arange(k)[:, None]
+    best = np.full(k * (nn + 2), -np.inf)
+    np.maximum.at(best, slot, power)
+    top = power == best[slot]
+    first = np.full(k * (nn + 2), points.shape[-1] - 1)
+    np.minimum.at(first, slot[top], np.nonzero(top)[1])
+    phi_star = np.take_along_axis(points, first.reshape(k, -1)[:, 1:-1], axis=-1)
+    phi_star = phi_star.reshape(elem_db.shape + (nn,))
+    p_star = best.reshape(k, -1)[:, 1:-1].reshape(phi_star.shape)
+    return phi_star, power_gain_db(elem_db[..., None], p_star), k * cand.shape[-1] + k * nn * 3
 
 
 def build_beam_gain_table(

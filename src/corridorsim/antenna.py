@@ -152,20 +152,26 @@ def scan_coefficients(theta, phi, cfg: AntennaConfig):
     phases sum out over the vertical elements. Returns (elem_db, c, alpha):
     elem_db has the broadcast shape S of theta and phi, c has shape
     S + (n_h,), and alpha = -2*pi*d_h*cos(tilt) is shared by every direction.
-    Stage 1's closed form relies on c_k = c_0 * exp(-2j*pi*d_h*sin(theta)*sin(phi)*k).
+    c_k = v * exp(-2j*pi*d_h*sin(theta)*sin(phi)*k), with v the `vertical_weight`.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    tilt = math.radians(cfg.tilt_deg)
     elem_db = np.asarray(element_gain(theta, phi, cfg))
-    k = np.arange(cfg.n_h)
-    n = np.arange(cfg.n_v)
-    h_phase = cfg.d_h * (np.sin(theta) * np.sin(phi))[..., None] * k
-    v_phase = cfg.d_v * (math.sin(tilt) - np.cos(theta))[..., None] * n
-    vertical = np.exp(2j * math.pi * v_phase).sum(axis=-1)
-    coeffs = np.exp(-2j * math.pi * h_phase) * (vertical / math.sqrt(cfg.n_elements))[..., None]
-    alpha = -2.0 * math.pi * cfg.d_h * math.cos(tilt)
-    return elem_db, coeffs, alpha
+    h_phase = cfg.d_h * (np.sin(theta) * np.sin(phi))[..., None] * np.arange(cfg.n_h)
+    coeffs = np.exp(-2j * math.pi * h_phase) * vertical_weight(theta, cfg)[..., None]
+    return elem_db, coeffs, scan_alpha(cfg)
+
+
+def vertical_weight(theta, cfg: AntennaConfig):
+    """v = c_0 of `scan_coefficients`: the vertical phasors toward theta, summed, over sqrt(N)."""
+    tilt = math.radians(cfg.tilt_deg)
+    v_phase = cfg.d_v * (math.sin(tilt) - np.cos(theta))[..., None] * np.arange(cfg.n_v)
+    return np.exp(2j * math.pi * v_phase).sum(axis=-1) / math.sqrt(cfg.n_elements)
+
+
+def scan_alpha(cfg: AntennaConfig) -> float:
+    """alpha = -2*pi*d_h*cos(tilt): a scan angle phi_scan steers by s = alpha * sin(phi_scan)."""
+    return -2.0 * math.pi * cfg.d_h * math.cos(math.radians(cfg.tilt_deg))
 
 
 def folded_gain_db(elem_db, coeffs, alpha: float, phi_scan, cfg: AntennaConfig):
@@ -175,7 +181,7 @@ def folded_gain_db(elem_db, coeffs, alpha: float, phi_scan, cfg: AntennaConfig):
     directly keeps total_gain()'s precision near nulls of the array factor.
     """
     field = (coeffs * scan_phasors(alpha, phi_scan, cfg.n_h)).sum(axis=-1)
-    return field_gain_db(elem_db, field)
+    return power_gain_db(elem_db, field.real**2 + field.imag**2)
 
 
 def scan_phasors(alpha: float, phi_scan, n_h: int) -> np.ndarray:
@@ -183,9 +189,9 @@ def scan_phasors(alpha: float, phi_scan, n_h: int) -> np.ndarray:
     return np.exp(1j * alpha * np.sin(phi_scan)[..., None] * np.arange(n_h))
 
 
-def field_gain_db(elem_db, field):
-    """Total gain in dBi of a direction whose array field sum_k c_k z^k is `field`."""
-    return elem_db + 10.0 * np.log10(np.maximum(field.real**2 + field.imag**2, _GAIN_FLOOR))
+def power_gain_db(elem_db, power):
+    """Total gain in dBi of a direction whose array power |sum_k c_k z^k|^2 is `power`."""
+    return elem_db + 10.0 * np.log10(np.maximum(power, _GAIN_FLOOR))
 
 
 def make_scan_gain(direction: SteeringDirection, cfg: AntennaConfig) -> Callable[[float], float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocator import Assignment, BeamGainTable
-from .antenna import field_gain_db, scan_phasors
+from .antenna import power_gain_db, scan_phasors
 from .antenna import total_gain  # unused here; perfbench/tracing.py patches it
 from .channel import LinkGainTensor, RfConstants
 
@@ -36,8 +36,8 @@ class ThroughputReport:
 
     def to_dict(self) -> dict:
         return {
-            "per_uav_sinr": [float(s) for s in self.per_uav_sinr],
-            "per_uav_rate_bps": [float(r) for r in self.per_uav_rate_bps],
+            "per_uav_sinr": self.per_uav_sinr.tolist(),
+            "per_uav_rate_bps": self.per_uav_rate_bps.tolist(),
             "total_rate_bps": float(self.total_rate_bps),
             "mean_rate_bps": float(self.mean_rate_bps),
             "seed": int(self.seed),
@@ -72,7 +72,7 @@ def sinr_matrix(
     z = np.zeros((mm, ll, n_h), dtype=complex)
     z[rows, l] = scan_phasors(alpha, beam_table.phi_star[rows, l, n], n_h)
     field = coeffs.reshape(mm, ll * n_h) @ z.reshape(mm, ll * n_h).T
-    g_db = field_gain_db(elem_db[:, l], field)
+    g_db = power_gain_db(elem_db[:, l], field.real**2 + field.imag**2)
     heard = l[:, None] != l  # every UAV served by another BS
     coupling = np.where(heard, rf.tx_power_w * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
     # A BLAS matrix-vector product, not .sum(axis=1): it keeps every SINR

@@ -10,14 +10,17 @@ scalar `total_gain`; `evaluator.sinr_matrix` must match it. `pairwise_sinr`
 is the earlier `sinr_matrix`, which folds every (victim, interferer)
 direction instead of every (UAV, BS) one; the two must agree bit for bit.
 
-`grid_newton_peaks` and `golden_section_peaks` are the two earlier peak
-searches of stage 1. Both cut the reach of s into cells that hold at most
-one local maximum of the array power P(s) and refine every cell: by a
-sub-grid and Newton steps on P'(s) = 0, or by golden-section search to 1e-9
-in s. Stage 1 now takes the peaks in closed form, from the lobes of the
-Dirichlet kernel (`allocator._lobe_peaks`); every peak the grid-and-Newton
-search finds inside a cell must have a closed-form peak next to it in s
-whose P is no lower, to 1e-12 of the largest P.
+`array_power` is the array power |sum_k c_k z^k|^2 as a trig polynomial in
+s, summed by Horner's rule over the coefficient autocorrelation, as stage 1
+evaluated it before it took P from the Dirichlet kernel. `grid_newton_peaks`
+and `golden_section_peaks` are the two earlier peak searches of stage 1,
+on `array_power`. Both cut the reach of s into cells that hold at most one
+local maximum of the array power P(s) and refine every cell: by a sub-grid
+and Newton steps on P'(s) = 0, or by golden-section search to 1e-9 in s.
+Stage 1 now takes the peaks in closed form, from the lobes of the Dirichlet
+kernel (`allocator._lobe_peaks`); every peak the grid-and-Newton search
+finds inside a cell must have a closed-form peak next to it in s whose P is
+no lower, to 1e-12 of the largest P.
 
 None of them runs in a scenario; they live here so that the package carries only
 the run path.
@@ -33,7 +36,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from corridorsim.allocator import Assignment, BeamGainTable, _array_power
+from corridorsim.allocator import Assignment, BeamGainTable
 from corridorsim.antenna import (
     AntennaConfig,
     SteeringDirection,
@@ -253,6 +256,27 @@ def pairwise_sinr(
     return signal / (interference + rf.noise_power_w)
 
 
+def array_power(autocorr: np.ndarray, z) -> np.ndarray:
+    """|sum_k c_k z^k|^2 at unit phasors z = exp(1j * s), in real form.
+
+    The power is the trig polynomial P(s) = r_0 + 2*Re sum_{d>=1} r_d z^d of
+    degree n_h - 1, where r_d = sum_k c_{k+d} conj(c_k) is the coefficient
+    autocorrelation, shape (..., n_h); the sum is taken by Horner's rule, so
+    no harmonic axis is ever materialized. `z` broadcasts against
+    autocorr[..., 0].
+    """
+    acc = np.zeros(np.broadcast_shapes(np.shape(z), autocorr.shape[:-1]), dtype=complex)
+    for d in range(autocorr.shape[-1] - 1, 0, -1):
+        acc += autocorr[..., d]
+        acc *= z
+    return autocorr[..., 0].real + 2.0 * acc.real
+
+
+def scan_power(autocorr: np.ndarray, alpha: float, phi_scan) -> np.ndarray:
+    """The array power P(alpha * sin(phi_scan)) of `array_power`."""
+    return array_power(autocorr, np.exp(1j * alpha * np.sin(phi_scan)))
+
+
 def grid_newton_peaks(autocorr: np.ndarray, reach: float, degree: int) -> tuple[np.ndarray, int]:
     """Every local maximum of P(s) by grid-seeded Newton steps, stage 1's earlier way.
 
@@ -262,7 +286,7 @@ def grid_newton_peaks(autocorr: np.ndarray, reach: float, degree: int) -> tuple[
     nulls, 2 pi / n_h apart in s, so a cell holds at most one. Each cell
     starts from the best of `_SUBGRID` + 1 evenly spaced points, then takes
     `_NEWTON_STEPS` Newton steps on P'(s) = 0, each only where P''(s) < 0
-    and clipped to the cell; P' and P'' are `_array_power` of the
+    and clipped to the cell; P' and P'' are `array_power` of the
     autocorrelation r_d scaled by i*d and -d^2. A cell keeps the Newton
     point only if P there is at least the grid best. Returns the refined s,
     shape (K, cells), and the evaluations per direction.
@@ -272,7 +296,7 @@ def grid_newton_peaks(autocorr: np.ndarray, reach: float, degree: int) -> tuple[
     lower = -reach + width * np.arange(cells)
     upper = lower + width
     grid = lower[:, None] + (width / _SUBGRID) * np.arange(_SUBGRID + 1)
-    grid_power = _array_power(autocorr[..., None, :], np.exp(1j * grid))  # (K, cells, g+1)
+    grid_power = array_power(autocorr[..., None, :], np.exp(1j * grid))  # (K, cells, g+1)
     best = grid_power.argmax(axis=-1)
     seed = grid[np.arange(cells), best]
     seed_power = grid_power.max(axis=-1)
@@ -282,10 +306,10 @@ def grid_newton_peaks(autocorr: np.ndarray, reach: float, degree: int) -> tuple[
     s = seed
     for _ in range(_NEWTON_STEPS):
         z = np.exp(1j * s)
-        first, second = _array_power(slope, z), _array_power(curvature, z)
+        first, second = array_power(slope, z), array_power(curvature, z)
         step = np.divide(first, -second, out=np.zeros_like(first), where=second < 0.0)
         s = np.clip(s + step, lower, upper)
-    peaks = np.where(_array_power(autocorr, np.exp(1j * s)) >= seed_power, s, seed)
+    peaks = np.where(array_power(autocorr, np.exp(1j * s)) >= seed_power, s, seed)
     return peaks, cells * (_SUBGRID + 2 + 2 * _NEWTON_STEPS)
 
 
@@ -309,8 +333,8 @@ def golden_section_peaks(
     if width > _SCAN_XTOL:
         steps = math.ceil(math.log(_SCAN_XTOL / width) / math.log(_INV_PHI))
     lower = -reach + width * np.arange(cells)
-    f1 = _array_power(autocorr, np.exp(1j * (lower + (1.0 - _INV_PHI) * width)))
-    f2 = _array_power(autocorr, np.exp(1j * (lower + _INV_PHI * width)))
+    f1 = array_power(autocorr, np.exp(1j * (lower + (1.0 - _INV_PHI) * width)))
+    f2 = array_power(autocorr, np.exp(1j * (lower + _INV_PHI * width)))
     a = np.broadcast_to(lower, f1.shape).copy()
     z = np.broadcast_to(np.exp(1j * lower), f1.shape).copy()
     right = f1 < f2  # the maximum lies in [x1, b], else in [a, x2]
@@ -324,7 +348,7 @@ def golden_section_peaks(
         turn = np.where(
             right, cmath.exp(1j * _INV_PHI * width), cmath.exp(1j * (1.0 - _INV_PHI) * width)
         )
-        f_new = _array_power(autocorr, z * turn)
+        f_new = array_power(autocorr, z * turn)
         right = np.where(right, kept < f_new, f_new < kept)
         np.maximum(kept, f_new, out=kept)
     return a + 0.5 * width, cells * (2 + steps)

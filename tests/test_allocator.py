@@ -4,12 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corridorsim.allocator import (
     MAX_ARRAY_SIDE,
     MAX_BEAMS,
+    MAX_CANDIDATES,
     MAX_D_H_WAVELENGTHS,
     MAX_TRIPLETS,
     BeamCodebook,
@@ -20,26 +21,31 @@ from corridorsim.allocator import (
     fill_scan_angles,
     optimal_scan_angles,
     solve_assignment,
+    stage1_size_errors,
 )
-from corridorsim.allocator import _array_power, _lobe_offsets, _lobe_peaks, _scan_power
+from corridorsim.allocator import _kernel_power, _lobe_offsets, _lobe_peaks
 from corridorsim.antenna import (
     AntennaConfig,
     SteeringDirection,
     element_gain,
+    folded_gain_db,
     make_scan_gain,
     scan_coefficients,
     total_gain,
+    vertical_weight,
 )
 from corridorsim.channel import LinkGainTensor, RfConstants
 from corridorsim.errors import ConfigurationError, InfeasibleAssignmentError
 from corridorsim.evaluator import validate
 from corridorsim.geometry import BaseStationSite, Position3D, generate_corridor, link_geometries
-from corridorsim.harness import ScenarioConfig
+from corridorsim.harness import ScenarioConfig, validate_config
 from oracles import (
     AnnealerConfig,
+    array_power,
     golden_section_peaks,
     grid_newton_peaks,
     optimize_scan_angle,
+    scan_power,
 )
 
 CFG = AntennaConfig()
@@ -203,9 +209,9 @@ class TestBeamGainTable:
 
 
 def random_sectors(rng, count):
-    """`count` random half-open sectors (lo, hi] inside (-pi, pi]."""
-    ends = np.sort(rng.uniform(-math.pi, math.pi, size=(count, 2)), axis=1)
-    return tuple((float(lo), float(hi)) for lo, hi in ends)
+    """A random partition of (-pi, pi] into `count` consecutive sectors (lo, hi]."""
+    ends = [-math.pi, *np.sort(rng.uniform(-math.pi, math.pi, count - 1)).tolist(), math.pi]
+    return tuple(zip(ends[:-1], ends[1:]))
 
 
 class TestOptimalScanAngles:
@@ -249,9 +255,16 @@ class TestOptimalScanAngles:
                 _, annealed, _ = optimize_scan_angle(d, sector, CFG, ANN, rng=sub)
                 assert gain_db[i, n] >= annealed - 1e-12
 
-    def test_phi_star_in_half_open_sector(self):
-        lo = 0.25
-        sectors = ((-math.pi, -math.pi + 1e-6), (lo, lo + 1e-6), (lo, math.pi))
+    @pytest.mark.parametrize(
+        "sectors",
+        [
+            # Sectors of 1e-6 rad at -pi and at 0.25, with the circle between.
+            ((-math.pi, -math.pi + 1e-6), (-math.pi + 1e-6, 0.25), (0.25, 0.25 + 1e-6),
+             (0.25 + 1e-6, math.pi)),
+            ((-math.pi, 0.25), (0.25, math.pi)),
+        ],
+    )
+    def test_phi_star_in_half_open_sector(self, sectors):
         rng = np.random.default_rng(11)
         theta = rng.uniform(0.0, math.pi, 50)
         phi = rng.uniform(-math.pi, math.pi, 50)
@@ -277,6 +290,22 @@ class TestOptimalScanAngles:
         with pytest.raises(ConfigurationError, match="sector"):
             optimal_scan_angles(1.0, 0.0, sectors, CFG)
 
+    @pytest.mark.parametrize(
+        "sectors",
+        [
+            ((0.0, 1.0), (-1.0, 0.0)),  # unsorted
+            ((-1.0, 0.5), (0.0, 1.0)),  # overlapping
+            ((-1.0, 0.0), (0.5, 1.0)),  # a gap
+            ((-math.pi, 0.0), (0.0, math.pi), (0.0, math.pi)),  # one sector twice
+            ((-1.0, 0.0), (np.nextafter(0.0, 1.0), 1.0)),  # one ulp apart
+        ],
+        ids=["unsorted", "overlapping", "gap", "repeated", "ulp-gap"],
+    )
+    def test_rejects_sectors_that_are_not_consecutive(self, sectors):
+        # Candidates are binned by one searchsorted over the sector ends.
+        with pytest.raises(ConfigurationError, match="consecutive, each starting where"):
+            optimal_scan_angles(1.0, 0.0, sectors, CFG)
+
     @pytest.mark.parametrize("cfg", [CFG, AntennaConfig(n_h=8, n_v=2, d_h=1.0)])
     def test_folding_reproduces_make_scan_gain(self, cfg):
         rng = np.random.default_rng(5)
@@ -293,9 +322,19 @@ class TestOptimalScanAngles:
             expect = [gain(scan) for scan in scans]
             z = np.exp(1j * alpha * np.sin(scans)[:, None] * lags)
             summed = elem_db[idx] + 10 * np.log10(np.abs(z @ coeffs[idx]) ** 2)
-            real_form = elem_db[idx] + 10 * np.log10(_scan_power(autocorr[idx], alpha, scans))
+            real_form = elem_db[idx] + 10 * np.log10(scan_power(autocorr[idx], alpha, scans))
             np.testing.assert_allclose(summed, expect, rtol=0.0, atol=1e-9)
             np.testing.assert_allclose(real_form, expect, rtol=0.0, atol=1e-9)
+        # The Dirichlet kernel of `_kernel_power` is the same power.
+        beta = 2.0 * math.pi * cfg.d_h * np.sin(theta) * np.sin(phi)
+        v2 = np.abs(vertical_weight(theta, cfg)) ** 2
+        kernel = _kernel_power(v2[..., None], beta[..., None], alpha * np.sin(scans), cfg.n_h)
+        for idx in np.ndindex(theta.shape):
+            gain = make_scan_gain(SteeringDirection(theta[idx], phi[idx]), cfg)
+            np.testing.assert_allclose(
+                elem_db[idx] + 10 * np.log10(kernel[idx]), [gain(scan) for scan in scans],
+                rtol=0.0, atol=1e-9,
+            )
 
     def assert_sector_optima(self, theta, phi, sectors, cfg):
         """Every phi_star inside its sector and no worse than the dense grid."""
@@ -313,10 +352,17 @@ class TestOptimalScanAngles:
     @pytest.mark.parametrize(
         "sectors",
         [
-            ((1.0, 2.0), (-2.0, -1.0), (-math.pi, math.pi)),  # straddle +-pi/2
-            ((1.0, math.pi / 2), (-2.0, -math.pi / 2)),  # end exactly on +-pi/2
-            ((math.pi / 2, 2.0), (-math.pi / 2, 0.0)),  # +-pi/2 just outside
+            # (-2, -1] and (1, 2] straddle +-pi/2.
+            ((-math.pi, -2.0), (-2.0, -1.0), (-1.0, 1.0), (1.0, 2.0), (2.0, math.pi)),
+            ((-math.pi, math.pi),),  # one sector holds both poles
+            # (-2, -pi/2] and (1, pi/2] end exactly on +-pi/2.
+            ((-math.pi, -2.0), (-2.0, -math.pi / 2), (-math.pi / 2, 1.0), (1.0, math.pi / 2),
+             (math.pi / 2, math.pi)),
+            # (-pi/2, 0] and (pi/2, 2] start at +-pi/2, just outside.
+            ((-math.pi, -math.pi / 2), (-math.pi / 2, 0.0), (0.0, math.pi / 2),
+             (math.pi / 2, 2.0), (2.0, math.pi)),
         ],
+        ids=["straddle", "whole-circle", "end-on-pole", "start-at-pole"],
     )
     @pytest.mark.parametrize("cfg", [CFG, AntennaConfig(n_h=8, d_h=1.0)])
     def test_sectors_at_and_across_the_poles(self, sectors, cfg):
@@ -329,15 +375,19 @@ class TestOptimalScanAngles:
         # Toward (pi/2, 1.5) the main lobe of P sits at s = pi * sin(1.5),
         # beyond |alpha| = pi * cos(15 deg), so P(alpha * sin(phi)) rises all
         # the way to phi = -pi/2, where s = |alpha|.
-        sectors = ((-2.0, -1.0), (-math.pi / 2, 0.0))
+        # (-2, -1] holds the pole; (-pi/2, 0] starts on it.
+        sectors = ((-math.pi, -2.0), (-2.0, -1.0), (-1.0, math.pi))
         phi_star, _, _ = optimal_scan_angles(math.pi / 2, 1.5, sectors, CFG)
-        assert phi_star[0] == -math.pi / 2
+        assert phi_star[1] == -math.pi / 2
+        sectors = ((-math.pi, -math.pi / 2), (-math.pi / 2, 0.0), (0.0, math.pi))
+        phi_star, _, _ = optimal_scan_angles(math.pi / 2, 1.5, sectors, CFG)
         assert phi_star[1] == np.nextafter(-math.pi / 2, 0.0)
         # Toward (pi/2, 0) the main lobe sits at s = 0 and the sidelobes in
-        # reach are lower than P at the sectors' inner ends.
-        sectors = ((0.2, math.pi / 2), (-math.pi / 2, -0.2))
+        # reach are lower than P at the inner ends of (0.2, pi/2] and (-pi/2, -0.2].
+        sectors = ((-math.pi, -math.pi / 2), (-math.pi / 2, -0.2), (-0.2, 0.2),
+                   (0.2, math.pi / 2), (math.pi / 2, math.pi))
         phi_star, _, _ = optimal_scan_angles(math.pi / 2, 0.0, sectors, CFG)
-        assert phi_star[0] == np.nextafter(0.2, math.pi / 2)
+        assert phi_star[3] == np.nextafter(0.2, math.pi / 2)
         assert phi_star[1] == -0.2
 
     def test_alpha_beyond_pi_spans_several_periods(self):
@@ -413,15 +463,12 @@ class TestOptimalScanAngles:
         tilt=st.floats(0.0, 90.0),
         theta=st.floats(0.0, math.pi),
         phi=st.floats(-math.pi, math.pi),
-        ends=st.lists(
-            st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
-            min_size=1,
-            max_size=4,
-        ),
+        ends=st.lists(st.floats(-math.pi, math.pi), min_size=2, max_size=5, unique=True),
     )
     def test_fuzz_never_below_dense_grid(self, n_h, d_h, tilt, theta, phi, ends):
-        sectors = tuple((min(a, b), max(a, b)) for a, b in ends if a != b)
-        assume(sectors)
+        # Consecutive sectors between sorted ends, covering part of the circle or all of it.
+        ends = sorted(ends)
+        sectors = tuple(zip(ends[:-1], ends[1:]))
         # One vertical element: with n_v > 1 the vertical factor has exact
         # nulls (theta = tilt = 0, d_v = 0.5), where the whole pattern is
         # rounding noise near -350 dB and the solver's folded sum and the
@@ -442,6 +489,97 @@ class TestOptimalScanAngles:
         assert np.all(gain_db <= bound + 1e-9)
         for n, (lo, hi) in enumerate(sectors):
             assert lo < phi_star[n] <= hi
+
+
+class TestKernelPrecision:
+    """P from the sine ratio of the Dirichlet kernel, at grating lobes and vertical nulls."""
+
+    @staticmethod
+    def assert_matches_the_folded_sum(theta, phi, sectors, cfg):
+        """gain_db within Cauchy-Schwarz and equal to the phasor sum at phi_star."""
+        phi_star, gain_db, _ = optimal_scan_angles(theta, phi, sectors, cfg)
+        assert np.all(gain_db <= cfg.g_e_max_dbi + 10.0 * math.log10(cfg.n_h * cfg.n_v) + 1e-12)
+        elem_db, coeffs, alpha = scan_coefficients(theta, phi, cfg)
+        folded = folded_gain_db(elem_db[..., None], coeffs[..., None, :], alpha, phi_star, cfg)
+        np.testing.assert_allclose(gain_db, folded, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("d_h", [1.3, 2.5])
+    @pytest.mark.parametrize("n_h", [3, 5, 7])
+    def test_grating_lobes_at_odd_n_h(self, n_h, d_h):
+        # At d_h > 1/2 the best scan of most directions lies on a grating
+        # lobe, s - beta = 2 pi q with q != 0. There the sines of the
+        # unreduced x are rounding noise unless n_h is a power of two.
+        cfg = AntennaConfig(n_h=n_h, d_h=d_h)
+        rng = np.random.default_rng(100 * n_h + int(10 * d_h))
+        theta = rng.uniform(0.0, math.pi, 200)
+        phi = rng.uniform(-math.pi, math.pi, 200)
+        for sectors in (BeamCodebook(16).sectors, BeamCodebook(3).sectors):
+            self.assert_matches_the_folded_sum(theta, phi, sectors, cfg)
+
+    @pytest.mark.parametrize("n_h", [3, 5, 7])
+    def test_every_grating_main_lobe_is_the_kernel_peak(self, n_h):
+        # s = beta + 2 pi q lands on the main lobe of every turn q in reach.
+        beta = np.linspace(-math.pi, math.pi, 101)
+        for q in (-3, -2, -1, 1, 2, 3):
+            power = _kernel_power(1.0, beta, beta + 2.0 * math.pi * q, n_h)
+            np.testing.assert_allclose(power, n_h**2, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_v", [2, 3, 4])
+    def test_vertical_null(self, n_v):
+        # theta = tilt = 0 and d_v = 1/2 put the vertical factor on an exact
+        # null: |v|^2 is rounding noise near -330 dB, shared by both forms.
+        cfg = AntennaConfig(n_h=5, n_v=n_v, d_h=1.3, tilt_deg=0.0)
+        theta = np.zeros(7)
+        phi = np.linspace(-3.0, 3.0, 7)
+        self.assert_matches_the_folded_sum(theta, phi, BeamCodebook(16).sectors, cfg)
+
+
+class TestCandidateBound:
+    """Stage 1 holds (links, candidates) arrays; their size is bounded by config key."""
+
+    LARGE = AntennaConfig(n_h=MAX_ARRAY_SIDE, d_h=MAX_D_H_WAVELENGTHS)
+    PER_LINK = 2648  # 2 x 63 lobes x 21 turns + 2 poles, at the default tilt
+
+    def message(self, links):
+        return (
+            f"uav_count x bss x {self.PER_LINK} scan candidates per link (set by antenna.n_h, "
+            f"antenna.d_h_wavelengths and antenna.tilt_deg) must be <= {MAX_CANDIDATES}, "
+            f"got {links * self.PER_LINK}"
+        )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [LARGE, AntennaConfig(), AntennaConfig(n_h=1), AntennaConfig(n_h=5, d_h=2.5),
+         AntennaConfig(n_h=7, d_h=1.3, tilt_deg=90.0), AntennaConfig(d_h=0.0)],
+    )
+    def test_the_bound_counts_the_candidates_stage1_evaluates(self, cfg):
+        _, _, evals = optimal_scan_angles(1.0, 0.3, ((-math.pi, math.pi),), cfg)
+        per_link = evals - 3  # one sector: its two ends and the final gain
+        top = MAX_CANDIDATES // per_link
+        assert stage1_size_errors(cfg, 1, top) == []
+        assert len(stage1_size_errors(cfg, 1, top + 1)) == 1
+
+    def test_negative_and_non_finite_spacings_are_checked_without_raising(self):
+        # A huge negative d_h has a huge reach; a non-finite one or tilt has none.
+        assert len(stage1_size_errors(AntennaConfig(d_h=-1e300), 16, 80)) == 1
+        for cfg in (AntennaConfig(d_h=-math.inf), AntennaConfig(d_h=math.nan),
+                    AntennaConfig(tilt_deg=math.inf)):
+            assert stage1_size_errors(cfg, 16, 80) == []
+
+    def test_validate_config_rejects_too_many_candidates(self):
+        # 1 024 UAVs on 1 024 BSs with one beam is MAX_TRIPLETS exactly, and
+        # 2 648 candidates on each of those 2^20 links would be ~22 GB.
+        site = BaseStationSite(1, Position3D(0.0, 0.0, 25.0), 0.0)
+        config = ScenarioConfig(
+            uav_count=1024, bss=[site] * 1024, antenna=self.LARGE, codebook=BeamCodebook(1)
+        )
+        assert self.message(1 << 20) in validate_config(config)
+
+    def test_optimal_scan_angles_rejects_too_many_candidates(self):
+        # A broadcast view: 2^20 directions in no memory.
+        theta = np.broadcast_to(1.0, (1024, 1024))
+        with pytest.raises(ConfigurationError, match=re.escape(self.message(1 << 20))):
+            optimal_scan_angles(theta, 0.3, ((-math.pi, math.pi),), self.LARGE)
 
 
 def autocorrelation(theta, phi, cfg):
@@ -483,7 +621,7 @@ class TestLobePeaks:
         found, _ = oracle(autocorr, reach, n_h - 1)
 
         def power(s):
-            return _array_power(autocorr[0, 0], np.exp(1j * s))
+            return array_power(autocorr[0, 0], np.exp(1j * s))
 
         width = 2.0 * reach / found.shape[-1]
         lower = -reach + width * np.arange(found.shape[-1])

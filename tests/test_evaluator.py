@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from corridorsim.allocator import Assignment, BeamGainTable, allocate_random
 from corridorsim.antenna import AntennaConfig, SteeringDirection, scan_coefficients, total_gain
 from corridorsim.channel import LinkGainTensor, RfConstants
-from corridorsim.evaluator import evaluate_all, sinr_matrix, validate
+from corridorsim.evaluator import ThroughputReport, evaluate_all, sinr_matrix, validate
 from corridorsim.geometry import LINK_DTYPE
 from oracles import interference_at, pairwise_sinr
 
@@ -188,6 +189,21 @@ class TestSinrThroughput:
         assert np.all(report.per_uav_rate_bps >= 0.0)
         assert report.total_rate_bps == pytest.approx(report.per_uav_rate_bps.sum())
         assert report.mean_rate_bps == pytest.approx(report.per_uav_rate_bps.mean())
+
+
+    def test_report_lists_are_the_floats_of_the_arrays(self):
+        # .tolist() gives the float() of every element, so results.json keeps its bytes.
+        rng = np.random.default_rng(17)
+        sinr = np.concatenate([rng.lognormal(0.0, 30.0, 64), [0.0, 5e-324, 1.7e308, 1.0 / 3.0]])
+        rate = 30e6 * np.log2(1.0 + sinr)
+        report = ThroughputReport(sinr, rate, float(rate.sum()), float(rate.mean()), 7, "d")
+        out = report.to_dict()
+        expect = {"per_uav_sinr": [float(x) for x in sinr],
+                  "per_uav_rate_bps": [float(x) for x in rate]}
+        for key, values in expect.items():
+            assert out[key] == values
+            assert all(type(x) is float for x in out[key])
+        assert json.dumps(out) == json.dumps({**out, **expect})
 
 
 class TestSinrMatrix:

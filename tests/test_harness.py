@@ -17,6 +17,7 @@ from corridorsim import channel, harness
 from corridorsim.allocator import (
     MAX_ARRAY_SIDE,
     MAX_BEAMS,
+    MAX_CANDIDATES,
     MAX_D_H_WAVELENGTHS,
     MAX_STACKED,
     MAX_TRIPLETS,
@@ -269,7 +270,10 @@ class TestLinkBudgetOutsideTheFloats:
 
 
 class TestStage1SizeBounds:
-    """Stage 1's arrays grow with n_h, d_h, n_beams and M * L * N, so all four are bounded."""
+    """Stage 1's arrays grow with n_h, d_h, n_beams, M * L * N and M * L x candidates per link.
+
+    So all five are bounded.
+    """
 
     def test_the_bounds_are_valid(self):
         antenna = {"n_h": MAX_ARRAY_SIDE, "n_v": MAX_ARRAY_SIDE,
@@ -294,8 +298,15 @@ class TestStage1SizeBounds:
             ({"uav_count": 4096, "codebook": {"n_beams": MAX_BEAMS}},
              f"uav_count x bss x codebook.n_beams must be <= {MAX_TRIPLETS} stage-1 triplets, "
              f"got {4096 * 4 * MAX_BEAMS}"),
+            # MAX_TRIPLETS links of 2 648 scan candidates each, ~22 GB in one array.
+            ({"uav_count": 1024, "bss": [{"x_m": 0.0, "y_m": 0.0, "z_m": 25.0}] * 1024,
+              "codebook": {"n_beams": 1},
+              "antenna": {"n_h": MAX_ARRAY_SIDE, "d_h_wavelengths": MAX_D_H_WAVELENGTHS}},
+             "uav_count x bss x 2648 scan candidates per link (set by antenna.n_h, "
+             f"antenna.d_h_wavelengths and antenna.tilt_deg) must be <= {MAX_CANDIDATES}, "
+             f"got {MAX_TRIPLETS * 2648}"),
         ],
-        ids=["n_h", "n_v", "d_h", "n_beams", "triplets"],
+        ids=["n_h", "n_v", "d_h", "n_beams", "triplets", "candidates"],
     )
     def test_cli_rejects_an_oversized_stage1_input_with_exit_1(
         self, tmp_path, capsys, doc, message
