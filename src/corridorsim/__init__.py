@@ -37,6 +37,7 @@ from .errors import (
     CorridorsimError,
     GeometryError,
     InfeasibleAssignmentError,
+    OutputError,
     TensorFormatError,
 )
 from .evaluator import (

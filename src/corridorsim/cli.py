@@ -33,6 +33,7 @@ from .harness import (
     sweep,
     validate_config,
     write_gain_sweep,
+    write_output,
 )
 
 
@@ -154,9 +155,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigurationError("sweep needs --uavs or --altitudes")
         else:  # bench
             rows = benchmark(config, args.uavs, threads=args.threads)
-            args.out.mkdir(parents=True, exist_ok=True)
-            bench_path = args.out / "benchmark.json"
-            bench_path.write_text(json.dumps(rows, indent=2) + "\n")
+            bench_path = write_output(args.out, "benchmark.json", json.dumps(rows, indent=2) + "\n")
             for row in rows:
                 print(
                     f"M={row['uav_count']:<3d} stage1={row['stage1_seconds'] * 1e3:.3g}ms "

@@ -19,3 +19,7 @@ class TensorFormatError(CorridorsimError):
 
 class InfeasibleAssignmentError(CorridorsimError):
     """More UAVs than available BS-beam pairs."""
+
+
+class OutputError(CorridorsimError):
+    """A report file or its output directory cannot be written."""

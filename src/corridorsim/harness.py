@@ -24,14 +24,17 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
+import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -60,7 +63,7 @@ from .channel import (
     generate,
     generate_statistical,
 )
-from .errors import ConfigurationError, InfeasibleAssignmentError, TensorFormatError
+from .errors import ConfigurationError, InfeasibleAssignmentError, OutputError, TensorFormatError
 from .evaluator import ThroughputReport, evaluate_all, validate
 from .geometry import (
     BaseStationSite,
@@ -708,25 +711,92 @@ def summary_row(result: ExperimentResult) -> dict:
     }
 
 
-def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[str, Path]:
-    """Write results.json (deterministic payload) and summary.csv.
+@functools.cache
+def _flat_encoder(depth: int):
+    """json's C encoder for a container that holds no container, its items at `depth`."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
 
-    Wall-clock timings live in summary.csv only, so results.json is byte
-    identical across reruns of the same config and seed.
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def dumps_indent2(obj, depth: int = 0) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte.
+
+    json's indent mode runs its pure-Python encoder. This walks dicts (in key
+    order) and lists itself and hands each container that holds no container
+    to the C encoder in one call, its item separator carrying the newline and
+    the indent. A dict that holds a container must have str keys (TypeError
+    otherwise); json.dumps would coerce an int, float, bool or None key.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    results_path = out / "results.json"
-    payload = {"results": [r.to_dict() for r in results]}
-    results_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if not isinstance(obj, _CONTAINERS):
+        return _flat_encoder(depth)(obj)
+    is_dict = isinstance(obj, dict)
+    brackets = "{}" if is_dict else "[]"
+    if not obj:
+        return brackets
+    sep = ",\n" + "  " * (depth + 1)
+    if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
+        body = _flat_encoder(depth + 1)(obj)[1:-1]
+    elif is_dict:
+        body = sep.join(
+            f"{encode_basestring_ascii(k)}: {dumps_indent2(v, depth + 1)}"
+            for k, v in sorted(obj.items())
+        )
+    else:
+        body = sep.join(dumps_indent2(v, depth + 1) for v in obj)
+    return f"{brackets[0]}{sep[1:]}{body}\n{'  ' * depth}{brackets[1]}"
 
-    summary_path = out / "summary.csv"
-    with summary_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS)
-        writer.writeheader()
-        for result in results:
-            writer.writerow(summary_row(result))
-    return {"results": results_path, "summary": summary_path}
+
+def write_output(out_dir: str | Path, name: str, text: str) -> Path:
+    """Write `text` to out_dir/name, creating out_dir, and return the path.
+
+    An existing file is overwritten in place. As with `Path.write_text`, a
+    symlink is followed, the file's permissions hold and its inode stays; but
+    a longer old file is cut to the new length after the write, not to zero
+    before it: on ext4 (auto_da_alloc) a truncation to zero makes `close()`
+    start writeback. A device or pipe (size 0) is written and not truncated.
+    The text is written as UTF-8 with no newline translation. An OSError ends
+    as an OutputError that names the path.
+    """
+    path = Path(out_dir) / name
+    data = text.encode()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            # The size is max(old size, bytes flushed so far), which exceeds
+            # len(data) exactly when the old file was longer.
+            if os.fstat(fh.fileno()).st_size > len(data):
+                fh.truncate()
+    except OSError as exc:
+        raise OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+    return path
+
+
+def _csv_text(fields, rows: Iterable[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[str, Path]:
+    """Write results.json (deterministic payload) and summary.csv to out_dir.
+
+    results.json is `json.dumps(payload, indent=2, sort_keys=True)` plus a
+    newline, written by `dumps_indent2`. Wall-clock timings live in
+    summary.csv only, so results.json is byte identical across reruns of the
+    same config and seed. Both files go through `write_output`.
+    """
+    payload = {"results": [r.to_dict() for r in results]}
+    return {
+        "results": write_output(out_dir, "results.json", dumps_indent2(payload) + "\n"),
+        "summary": write_output(
+            out_dir, "summary.csv", _csv_text(_SUMMARY_FIELDS, map(summary_row, results))
+        ),
+    }
 
 
 _GAIN_SWEEP_FIELDS = ("phi_deg", "element_db", "array_db", "total_db")
@@ -753,11 +823,4 @@ def gain_sweep_rows(
 
 def write_gain_sweep(rows: list[dict], out_dir: str | Path) -> Path:
     """Write `gain_sweep_rows` output to gain_sweep.csv; no other file is touched."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "gain_sweep.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_GAIN_SWEEP_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-    return path
+    return write_output(out_dir, "gain_sweep.csv", _csv_text(_GAIN_SWEEP_FIELDS, rows))

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corridorsim
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +39,7 @@ from corridorsim.channel import (
     import_tensor,
 )
 from corridorsim.cli import main as cli_main
-from corridorsim.errors import ConfigurationError, TensorFormatError
+from corridorsim.errors import ConfigurationError, OutputError, TensorFormatError
 from corridorsim.harness import (
     MAX_THREADS,
     ScenarioConfig,
@@ -45,6 +47,7 @@ from corridorsim.harness import (
     config_digest,
     config_from_dict,
     config_to_dict,
+    dumps_indent2,
     emit_reports,
     gain_sweep_rows,
     load_config,
@@ -605,6 +608,175 @@ class TestEmitReports:
             assert row["element_db"] == element_gain(theta, direction.phi, cfg)
             assert row["array_db"] == pytest.approx(array_gain(direction, scan, cfg), abs=1e-9)
             assert row["total_db"] == row["element_db"] + row["array_db"]
+
+
+# JSON-shaped payloads for the report writer against its oracle, json.dumps.
+_json_text = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "é ü 中文 😀", ", ", ": ", '{"a": [1, 2]}']
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    _json_text,
+)
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_json_text, children, max_size=4)
+    | st.lists(st.dictionaries(_json_text, children, max_size=3), max_size=3),
+    max_leaves=40,
+)
+
+# Per workload of the report writer's real payloads: config keys and the
+# (allocator, allocation channel) of each call.
+_PAYLOAD_CONFIGS = {
+    "nominal": ({"uav_count": 20, "replications": 1}, [("two_stage", "hf")]),
+    "montecarlo": (
+        {
+            "uav_count": 64,
+            "replications": 8,
+            "allocation_channel": "lf",
+            "channel_hf": {"kind": "few_ray", "ray_count": 10_000},
+            "channel_lf": {"kind": "few_ray", "ray_count": 100},
+        },
+        [("two_stage", "lf")],
+    ),
+    "comparison": (
+        {"uav_count": 8, "replications": 4},
+        [("two_stage", "hf"), ("two_stage", "lf"), ("closest_bs", "hf"), ("random", "hf")],
+    ),
+}
+
+
+def _keys(doc):
+    if isinstance(doc, dict):
+        yield from doc
+        for value in doc.values():
+            yield from _keys(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _keys(value)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_payloads)
+    @example({"a": [{}, [], {"b": [[[[{"c": [1.5, None]}]]]]}], "": {"x": {}}})
+    @example([[-0.0, 5e-324, 1.7976931348623157e308], {"k": [math.inf, -math.inf, math.nan]}])
+    @example({"q\"": {"\\": [True, False, None, 2**100, -(2**100)]}, "é": "😀"})
+    def test_writer_equals_json_dumps(self, payload):
+        assert dumps_indent2(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("name", sorted(_PAYLOAD_CONFIGS))
+    def test_writer_equals_json_dumps_on_run_payloads(self, name):
+        doc, calls = _PAYLOAD_CONFIGS[name]
+        for seed in range(5):
+            cfg = config_from_dict({**doc, "seed": seed})
+            for allocator, channel_axis in calls:
+                result = run_scenario(
+                    replace(cfg, allocator=allocator, allocation_channel=channel_axis)
+                )
+                payload = {"results": [result.to_dict()]}
+                assert all(isinstance(key, str) for key in _keys(payload))
+                assert dumps_indent2(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_writer_equals_json_dumps_on_a_sweep_payload(self):
+        for seed in range(5):
+            results = sweep(ScenarioConfig(seed=seed), "uav_count", [8, 20])
+            payload = {"results": [r.to_dict() for r in results]}
+            assert all(isinstance(key, str) for key in _keys(payload))
+            assert dumps_indent2(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_non_str_key_beside_a_container_is_rejected(self):
+        with pytest.raises(TypeError):
+            dumps_indent2({1: [2]})
+
+
+class TestOutputFiles:
+    """Output files are overwritten in place, and a write fault is one `error:` line."""
+
+    def test_emit_reports_into_a_file_raises_output_error(self, tmp_path):
+        (tmp_path / "taken").write_text("")
+        with pytest.raises(OutputError, match="^cannot write .*taken: File exists"):
+            emit_reports([], tmp_path / "taken")
+
+    def test_rerun_into_a_used_directory_equals_a_fresh_run(self, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(_PAYLOAD_CONFIGS["montecarlo"][0]))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert cli_main(["run", "--config", str(big), "--out", str(out)]) == 0
+        old = (out / "results.json").read_bytes()
+        assert cli_main(["run", "--out", str(out)]) == 0
+        assert cli_main(["run", "--out", str(fresh)]) == 0
+        new = (out / "results.json").read_bytes()
+        assert len(new) < len(old)
+        assert new == (fresh / "results.json").read_bytes()
+        summary = (out / "summary.csv").read_bytes()
+        lines = summary.split(b"\r\n")
+        assert lines[0] == ",".join(harness._SUMMARY_FIELDS).encode()
+        assert len(lines) == 3 and lines[2] == b"" and b"\n" not in lines[1]
+        assert lines[1].startswith(b"two_stage,hf,20,")
+
+    def test_symlinked_results_json_is_written_through(self, tmp_path):
+        out, target = tmp_path / "out", tmp_path / "target.json"
+        out.mkdir()
+        target.write_text("x" * 100_000)
+        (out / "results.json").symlink_to(target)
+        assert cli_main(["run", "--out", str(out)]) == 0
+        assert (out / "results.json").is_symlink()
+        assert cli_main(["run", "--out", str(tmp_path / "fresh")]) == 0
+        assert target.read_bytes() == (tmp_path / "fresh" / "results.json").read_bytes()
+
+    def test_results_json_linked_to_a_device_is_written(self, tmp_path):
+        # A device has size 0 and no length to cut; truncating it would fail.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "results.json").symlink_to(os.devnull)
+        assert cli_main(["run", "--out", str(out)]) == 0
+        assert (out / "summary.csv").is_file()
+
+    def test_read_only_results_json_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "results.json").write_text("kept")
+        (out / "results.json").chmod(0o444)
+        try:
+            (out / "results.json").open("a").close()
+            pytest.skip("this process may write read-only files (root, CAP_DAC_OVERRIDE)")
+        except PermissionError:
+            pass
+        assert cli_main(["run", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'results.json'}: Permission denied\n"
+        assert (out / "results.json").read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--uavs", "2"],
+            ["sweep", "--uavs", "2,3"],
+            ["bench", "--uavs", "2"],
+            ["gain-sweep"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_is_a_file_exits_1(self, tmp_path, capsys, argv):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        assert cli_main(argv + ["--out", str(taken)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
+        assert taken.read_text() == "kept"
+
+    def test_results_json_a_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "results.json").mkdir(parents=True)
+        assert cli_main(["run", "--uavs", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'results.json'}: Is a directory\n"
 
 
 class TestCli:
