@@ -16,8 +16,8 @@ Three interchangeable providers fill a LinkGainTensor:
 * ``statistical``  - street-canyon LOS path loss
                      PL = 32.4 + 21*log10(d_3D) + 20*log10(f_GHz) [dB]
                      with unit-mean Rician small-scale fading.
-* ``import``       - reads an externally produced tensor from the binary or
-                     JSON file format documented at the bottom of this file.
+* ``import``       - reads an externally produced tensor from the CTNS binary
+                     file format documented at the bottom of this file.
 
 Every provider is a pure function of (links, spec, rf, seeds): ``links``
 is the (M, L) array of ``geometry.link_geometries``, and ``seeds`` holds one
@@ -41,7 +41,6 @@ differently from libm.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import struct
 from collections.abc import Sequence
@@ -290,18 +289,13 @@ def generate(
 
 
 # --------------------------------------------------------------------------
-# Tensor file format
+# Tensor file format (CTNS)
 #
 # Binary, little-endian:
 #   magic "CTNS" | u16 version (=1) | u32 m | u32 l | u32 n_elems
 #   | u8 has_coefficients
 #   | if has_coefficients: m*l*n_elems float64 (re, im) pairs, row-major (m, l, k)
 #   | m*l float64 power gains, row-major (m, l)
-#
-# JSON mirror with the same field names is accepted for hand-written
-# fixtures: {"m":, "l":, "n_elems":, "has_coefficients":,
-#            "coefficients": [[[ [re, im], ...]]] or null,
-#            "power_gains": [[...]]}
 # --------------------------------------------------------------------------
 
 _MAGIC = b"CTNS"
@@ -326,43 +320,31 @@ def export_tensor(tensor: LinkGainTensor, path: str | Path) -> None:
 
 
 def import_tensor(path: str | Path) -> LinkGainTensor:
-    """Load a tensor from the binary or JSON file format.
+    """Load a tensor from a CTNS file; anything else is a TensorFormatError naming the path.
 
     When coefficients are present the power gains are recomputed from them
     via the mean-element-power rule; the header dimensions must match the
     payload exactly.
     """
     p = Path(path)
-    if not p.exists():
-        raise TensorFormatError(f"channel tensor file not found: {p}")
-    raw = p.read_bytes()
-    if raw[:4] == _MAGIC:
-        return _import_binary(raw, p)
-    return _import_json(raw, p)
-
-
-def _finish_import(coeffs: np.ndarray | None, power: np.ndarray, p: Path) -> LinkGainTensor:
-    if coeffs is not None:
-        if not np.all(np.isfinite(coeffs.view(float))):
-            raise TensorFormatError(f"{p}: non-finite coefficient values")
-        power = aggregate_power(coeffs)
-    if not np.all(np.isfinite(power)):
-        raise TensorFormatError(f"{p}: non-finite power gains")
-    if np.any(power < 0.0):
-        raise TensorFormatError(f"{p}: negative power gains")
-    return LinkGainTensor(power_gains=power, coefficients=coeffs, ray_count=None)
-
-
-def _import_binary(raw: bytes, p: Path) -> LinkGainTensor:
-    if len(raw) < _HEADER.size:
-        raise TensorFormatError(f"{p}: truncated header")
-    magic, version, mm, ll, kk, has_coeff = _HEADER.unpack_from(raw)
+    try:
+        raw = p.read_bytes()
+    except FileNotFoundError:
+        raise TensorFormatError(f"channel tensor file not found: {p}") from None
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise TensorFormatError(f"cannot read channel tensor file {p}: {reason}") from exc
+    if raw[:4] != _MAGIC or len(raw) < _HEADER.size:
+        raise TensorFormatError(f"{p}: malformed header, not a CTNS tensor file")
+    _, version, mm, ll, kk, has_coeff = _HEADER.unpack_from(raw)
     if version != _VERSION:
         raise TensorFormatError(f"{p}: unsupported version {version}")
     offset = _HEADER.size
     coeffs = None
     if has_coeff:
-        _check_n_elems(kk, p)
+        # A mean over an empty element axis has no power gain to give.
+        if kk < 1:
+            raise TensorFormatError(f"{p}: coefficients need n_elems >= 1, got {kk}")
         n_bytes = mm * ll * kk * 16
         if len(raw) < offset + n_bytes:
             raise TensorFormatError(
@@ -381,55 +363,15 @@ def _import_binary(raw: bytes, p: Path) -> LinkGainTensor:
             f"{p}: dimension mismatch, header says {mm}x{ll} power gains but "
             f"{len(raw) - offset} payload bytes remain (expected {n_bytes})"
         )
-    power = (
-        np.frombuffer(raw, dtype="<f8", count=mm * ll, offset=offset)
-        .reshape(mm, ll)
-        .astype(float)
-    )
-    return _finish_import(coeffs, power, p)
-
-
-def _import_json(raw: bytes, p: Path) -> LinkGainTensor:
-    try:
-        doc = json.loads(raw)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise TensorFormatError(f"{p}: malformed header, neither CTNS nor JSON") from exc
-    if not isinstance(doc, dict):
-        raise TensorFormatError(f"{p}: a JSON tensor must be an object, got {doc!r:.40}")
-    for key in ("m", "l", "n_elems", "has_coefficients", "power_gains"):
-        if key not in doc:
-            raise TensorFormatError(f"{p}: missing field {key!r}")
-    for key in ("m", "l", "n_elems"):
-        if type(doc[key]) is not int or doc[key] < 0:
-            raise TensorFormatError(f"{p}: {key} must be a non-negative integer, got {doc[key]!r}")
-    mm, ll, kk = doc["m"], doc["l"], doc["n_elems"]
-    if doc["has_coefficients"] not in (0, 1):
-        raise TensorFormatError(f"{p}: has_coefficients must be true or false")
-    coeffs = None
-    if doc["has_coefficients"]:
-        _check_n_elems(kk, p)
-        arr = _json_array(doc.get("coefficients"), (mm, ll, kk, 2), "coefficients", p)
-        coeffs = arr[..., 0] + 1j * arr[..., 1]
-    power = _json_array(doc["power_gains"], (mm, ll), "power_gains", p)
-    return _finish_import(coeffs, power, p)
-
-
-def _check_n_elems(kk: int, p: Path) -> None:
-    # A mean over an empty element axis has no power gain to give.
-    if kk < 1:
-        raise TensorFormatError(f"{p}: coefficients need n_elems >= 1, got {kk}")
-
-
-def _json_array(value, shape: tuple, name: str, p: Path) -> np.ndarray:
-    """`value` as a float array of `shape`; anything else is a TensorFormatError."""
-    try:
-        arr = np.asarray(value)
-    except ValueError as exc:  # ragged nesting
-        raise TensorFormatError(f"{p}: {name} is not a numeric array") from exc
-    if arr.dtype.kind not in "iuf":
-        raise TensorFormatError(f"{p}: {name} is not a numeric array")
-    if arr.shape != shape:
-        raise TensorFormatError(
-            f"{p}: dimension mismatch, {name} shape {arr.shape} vs header {shape}"
-        )
-    return arr.astype(float)
+    if coeffs is None:
+        power = np.frombuffer(raw, dtype="<f8", count=mm * ll, offset=offset).reshape(mm, ll)
+        power = power.astype(float)
+    elif not np.all(np.isfinite(coeffs.view(float))):
+        raise TensorFormatError(f"{p}: non-finite coefficient values")
+    else:  # the file's power gains are recomputed from its coefficients
+        power = aggregate_power(coeffs)
+    if not np.all(np.isfinite(power)):
+        raise TensorFormatError(f"{p}: non-finite power gains")
+    if np.any(power < 0.0):
+        raise TensorFormatError(f"{p}: negative power gains")
+    return LinkGainTensor(power_gains=power, coefficients=coeffs, ray_count=None)

@@ -28,6 +28,7 @@ from .harness import (
     emit_reports,
     gain_sweep_rows,
     load_config,
+    prepare_output_dir,
     run_scenario,
     summary_row,
     sweep,
@@ -141,6 +142,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             if args.uavs and len(args.uavs) > 1:
                 raise ConfigurationError(f"run takes one --uavs value, got {args.uavs}")
+            # A config the run would refuse leaves no output directory behind.
+            problems = validate_config(config)
+            if problems:
+                raise ConfigurationError("\n".join(problems))
+            prepare_output_dir(args.out)
             results = [run_scenario(config, threads=args.threads)]
         elif args.command == "sweep":
             if args.altitudes:
@@ -148,12 +154,15 @@ def main(argv: list[str] | None = None) -> int:
                     raise ConfigurationError(
                         f"sweep takes one --uavs value with --altitudes, got {args.uavs}"
                     )
-                results = sweep(config, "altitude", args.altitudes, threads=args.threads)
+                axis, values = "altitude", args.altitudes
             elif args.uavs:
-                results = sweep(config, "uav_count", args.uavs, threads=args.threads)
+                axis, values = "uav_count", args.uavs
             else:
                 raise ConfigurationError("sweep needs --uavs or --altitudes")
+            prepare_output_dir(args.out)
+            results = sweep(config, axis, values, threads=args.threads)
         else:  # bench
+            prepare_output_dir(args.out)
             rows = benchmark(config, args.uavs, threads=args.threads)
             bench_path = write_output(args.out, "benchmark.json", json.dumps(rows, indent=2) + "\n")
             for row in rows:

@@ -52,7 +52,7 @@ from .allocator import (
     solve_assignment,
     stage1_size_errors,
 )
-from .antenna import GAIN_FLOOR_DB, SPEED_OF_LIGHT, AntennaConfig, folded_gain_db, scan_coefficients
+from .antenna import SPEED_OF_LIGHT, AntennaConfig, folded_gain_db, scan_coefficients
 from .channel import (
     _EXACT_RAY_LIMIT,
     _SEED_MASK,
@@ -198,33 +198,18 @@ _SITE_SCHEMA = (
     ("boresight_deg", "boresight_deg"),
 )
 
-# Keys earlier versions read. Files that still carry them load; the values
-# are ignored. A few-ray `channel_lf` never read its `rician_k_db`.
-_RETIRED = frozenset({
-    "annealer", "evaluation_channel", "codebook.tilt_deg", "channel_hf.seed", "channel_lf.seed",
-    "channel_lf.rician_k_db",
-})
-
-# Retired keys that load only at the value the run now always uses; dropping
-# any other value would silently change the rates. `lf` re-estimates the
-# evaluation tensor and `statistical` uses channel_hf's K, which is what a
-# few-ray `channel_lf` without an import path gave. Power split among the
-# beams is `rf.tx_power_w` / n_beams written out, and the gain floor guards
-# log10(0) only.
-_PINNED = {
-    "num_rrbs": 1,
-    "beta_reading": "interferer",
-    "channel_lf.kind": "few_ray",
-    "channel_lf.import_path": None,
-    "split_power_among_beams": False,
-    "antenna.gain_floor_db": GAIN_FLOOR_DB,
-}
+# The two keys of an earlier version that still load: `annealer` is ignored,
+# and `channel_lf.kind` loads only as the provider `lf` always is. Their only
+# callers are the benchmark's configs, `montecarlo` in perfbench/workloads.py
+# and `TINY` in perfbench/test_perfbench.py; both keys go when the benchmark
+# drops them (ROADMAP.md, "Green benchmark and the first BENCH_*.json").
+_RETIRED = frozenset({"annealer"})
+_PINNED = {"channel_lf.kind": "few_ray"}
 
 # channel_hf keys that only some provider kinds read. Every kind reads `kind`
 # and `rician_k_db` (an import's K feeds the `statistical` allocation
-# channel). The echo holds only the keys the kind reads; a file may give
-# another only at its ChannelProviderSpec default, so older echoes load and
-# no value that the run ignores loads silently.
+# channel). The echo holds only the keys the kind reads, and a file that
+# gives another is an error, so no value that the run ignores loads.
 _READ_BY_KIND = {"ray_count": ("few_ray",), "import_path": ("import",)}
 
 # The JSON types a value may have, by its attribute's annotation. A float
@@ -278,7 +263,10 @@ def _dump(obj, table: dict) -> dict:
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Load a JSON document; omitted keys keep defaults, unknown keys and wrong types raise.
 
-    A channel_hf key its kind does not read raises too, unless it holds its default.
+    A channel_hf key its kind does not read raises too, at any value. An
+    echo of this version loads back to its config; a file of an earlier
+    version loads once the keys it is refused for are deleted (README,
+    "Scenario config (JSON)").
     """
     top = {k: v for k, v in _expect("config", doc).items() if k not in _TABLES and k != "bss"}
     values = _load(top, _TABLES[None], "")
@@ -286,13 +274,10 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         if section in doc:
             values.update(_load(_expect(section, doc[section]), table, f"{section}."))
     config = _assign(ScenarioConfig(), values)
-    default = ChannelProviderSpec()
     for key in _unread_channel_keys(config.channel_hf):
-        value, pinned = getattr(config.channel_hf, key), getattr(default, key)
-        if value != pinned:
+        if key in doc.get("channel_hf", ()):
             raise ConfigurationError(
-                f"channel_hf.{key} is not read by kind {config.channel_hf.kind!r} and loads "
-                f"only as {json.dumps(pinned)}, got {value!r}"
+                f"channel_hf.{key} is not read by kind {config.channel_hf.kind!r}"
             )
     center = config.corridor.center
     if "bss" not in doc:
@@ -325,8 +310,7 @@ def _load(doc: dict, table: dict, where: str) -> dict:
             continue
         if where + key in _PINNED:
             pinned = _PINNED[where + key]
-            types = (float, int) if type(pinned) is float else (type(pinned),)
-            if type(value) not in types or value != pinned:
+            if value != pinned:
                 raise ConfigurationError(
                     f"{where + key} is retired and loads only as {json.dumps(pinned)}, "
                     f"got {value!r}"
@@ -431,6 +415,12 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
         errors.append(f"channel_hf.ray_count must be >= 1, got {hf.ray_count}")
     if hf.kind == "import" and not hf.import_path:
         errors.append("channel_hf.import_path is required for kind 'import'")
+    elif hf.kind == "import" and not os.path.isfile(hf.import_path):
+        errors.append(
+            f"channel_hf.import_path must be a regular file, got {hf.import_path!r}"
+            if os.path.exists(hf.import_path)
+            else f"channel_hf.import_path: channel tensor file not found: {hf.import_path}"
+        )
     if math.isfinite(hf.rician_k_db) and not 0.0 < _linear(hf.rician_k_db) < math.inf:
         errors.append(
             f"channel_hf.rician_k_db must have a finite, positive linear value, "
@@ -748,6 +738,14 @@ def dumps_indent2(obj, depth: int = 0) -> str:
     return f"{brackets[0]}{sep[1:]}{body}\n{'  ' * depth}{brackets[1]}"
 
 
+def prepare_output_dir(out_dir: str | Path) -> None:
+    """Create `out_dir` and its parents if missing; an OSError ends as an OutputError."""
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from exc
+
+
 def write_output(out_dir: str | Path, name: str, text: str) -> Path:
     """Write `text` to out_dir/name, creating out_dir, and return the path.
 
@@ -759,10 +757,10 @@ def write_output(out_dir: str | Path, name: str, text: str) -> Path:
     The text is written as UTF-8 with no newline translation. An OSError ends
     as an OutputError that names the path.
     """
+    prepare_output_dir(out_dir)
     path = Path(out_dir) / name
     data = text.encode()
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
             fh.write(data)
             # The size is max(old size, bytes flushed so far), which exceeds

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corridorsim import harness
 from corridorsim.allocator import MAX_D_H_WAVELENGTHS, BeamCodebook
 from corridorsim.antenna import AntennaConfig
 from corridorsim.channel import ChannelProviderSpec, RfConstants
+from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError
 from corridorsim.geometry import BaseStationSite, CorridorSpec, Position3D
 from corridorsim.harness import (
@@ -111,142 +113,70 @@ class TestSchema:
         ]
 
 
-# The config echo of a 4-UAV nominal run, as results.json held it while the
-# evaluator still read `num_rrbs` and `beta_reading`.
-OLD_ECHO = """{
-  "allocation_channel": "hf", "allocator": "two_stage",
-  "antenna": {"a_m_db": 30.0, "d_h_wavelengths": 0.5, "d_v_wavelengths": 0.5,
-              "g_e_max_dbi": -8.0, "gain_floor_db": -400.0, "n_h": 4, "n_v": 4,
-              "phi_3db_deg": 90.0, "sl_av_db": 30.0, "theta_3db_deg": 65.0,
-              "tilt_deg": 14.999999999999998},
-  "beta_reading": "interferer",
-  "bss": [{"boresight_deg": 45.0, "id": 1, "x_m": 0.0, "y_m": 0.0, "z_m": 25.0},
-          {"boresight_deg": 135.0, "id": 2, "x_m": 400.0, "y_m": 0.0, "z_m": 25.0},
-          {"boresight_deg": -135.0, "id": 3, "x_m": 400.0, "y_m": 400.0, "z_m": 25.0},
-          {"boresight_deg": -45.0, "id": 4, "x_m": 0.0, "y_m": 400.0, "z_m": 25.0}],
-  "channel_hf": {"import_path": null, "kind": "statistical", "ray_count": 1000000,
-                 "rician_k_db": 3.0},
-  "channel_lf": {"import_path": null, "kind": "few_ray", "ray_count": 100, "rician_k_db": 3.0},
-  "codebook": {"n_beams": 16},
-  "corridor": {"altitude_m": 100.0, "center_x_m": 200.0, "center_y_m": 200.0,
-               "radius_m": 200.0},
-  "num_rrbs": 1, "replications": 1,
-  "rf": {"bandwidth_hz": 30000000.0, "carrier_hz": 3500000000.0, "noise_power_w": 0.3,
-         "tx_power_w": 10.0},
-  "seed": 0, "split_power_among_beams": false, "uav_count": 4
-}"""
-
-# The default config echo while `split_power_among_beams` and
-# `antenna.gain_floor_db` were still settable.
-PARENT_ECHO = """{
-  "allocation_channel": "hf", "allocator": "two_stage",
-  "antenna": {"a_m_db": 30.0, "d_h_wavelengths": 0.5, "d_v_wavelengths": 0.5,
-              "g_e_max_dbi": -8.0, "gain_floor_db": -400.0, "n_h": 4, "n_v": 4,
-              "phi_3db_deg": 90.0, "sl_av_db": 30.0, "theta_3db_deg": 65.0, "tilt_deg": 15.0},
-  "bss": [{"boresight_deg": 45.0, "id": 1, "x_m": 0.0, "y_m": 0.0, "z_m": 25.0},
-          {"boresight_deg": 135.0, "id": 2, "x_m": 400.0, "y_m": 0.0, "z_m": 25.0},
-          {"boresight_deg": -135.0, "id": 3, "x_m": 400.0, "y_m": 400.0, "z_m": 25.0},
-          {"boresight_deg": -45.0, "id": 4, "x_m": 0.0, "y_m": 400.0, "z_m": 25.0}],
-  "channel_hf": {"kind": "statistical", "rician_k_db": 3.0},
-  "channel_lf": {"ray_count": 100},
-  "codebook": {"n_beams": 16},
-  "corridor": {"altitude_m": 100.0, "center_x_m": 200.0, "center_y_m": 200.0,
-               "radius_m": 200.0},
-  "replications": 1,
-  "rf": {"bandwidth_hz": 30000000.0, "carrier_hz": 3500000000.0, "noise_power_w": 0.3,
-         "tx_power_w": 10.0},
-  "seed": 0, "split_power_among_beams": false, "uav_count": 20
-}"""
+# Keys that earlier versions read and this one refuses. README "Scenario
+# config (JSON)" lists them; a file that carries one loads once it is deleted.
+REFUSED_OLD_KEYS = [
+    ({"evaluation_channel": "hf"}, "evaluation_channel"),
+    ({"codebook": {"tilt_deg": 15.0}}, "codebook.tilt_deg"),
+    ({"channel_hf": {"seed": 5}}, "channel_hf.seed"),
+    ({"channel_lf": {"seed": 7}}, "channel_lf.seed"),
+    ({"channel_lf": {"rician_k_db": 3.0}}, "channel_lf.rician_k_db"),
+    ({"num_rrbs": 1}, "num_rrbs"),
+    ({"beta_reading": "interferer"}, "beta_reading"),
+    ({"channel_lf": {"import_path": None}}, "channel_lf.import_path"),
+    ({"split_power_among_beams": False}, "split_power_among_beams"),
+    ({"antenna": {"gain_floor_db": -400.0}}, "antenna.gain_floor_db"),
+]
 
 
-class TestRetiredEvaluationKeys:
-    """`num_rrbs`, `beta_reading`, `split_power_among_beams` and `antenna.gain_floor_db`
-    load only at the one value the run uses."""
+class TestKeysOfEarlierVersions:
+    """Of the keys earlier versions read, only `annealer` and `channel_lf.kind` still load."""
 
-    def test_pinned_values_load_and_leave_the_echo(self):
-        cfg = config_from_dict({
-            "num_rrbs": 1, "beta_reading": "interferer", "split_power_among_beams": False,
-            "antenna": {"gain_floor_db": -400},
-        })
-        echo = config_to_dict(cfg)
-        assert "num_rrbs" not in echo and "beta_reading" not in echo
-        assert "split_power_among_beams" not in echo and "gain_floor_db" not in echo["antenna"]
-        assert echo == DEFAULT_ECHO
+    @pytest.mark.parametrize("doc, key", REFUSED_OLD_KEYS, ids=[k for _, k in REFUSED_OLD_KEYS])
+    def test_is_an_unknown_key_at_the_value_runs_used(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["validate-config", "--config", str(path)]) == 1
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        line = f"error: cannot load config {path}: unknown config key {key!r}"
+        assert capsys.readouterr().err.splitlines() == [line] * 2
+        assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            ({"num_rrbs": 4}, "num_rrbs is retired and loads only as 1, got 4"),
-            ({"num_rrbs": 1.0}, "num_rrbs is retired and loads only as 1, got 1.0"),
-            ({"num_rrbs": True}, "num_rrbs is retired and loads only as 1, got True"),
-            (
-                {"beta_reading": "victim"},
-                "beta_reading is retired and loads only as \"interferer\", got 'victim'",
-            ),
-            (
-                {"split_power_among_beams": True},
-                "split_power_among_beams is retired and loads only as false, got True",
-            ),
-            (
-                {"split_power_among_beams": 0},
-                "split_power_among_beams is retired and loads only as false, got 0",
-            ),
-            (
-                {"antenna": {"gain_floor_db": 10.0}},
-                "antenna.gain_floor_db is retired and loads only as -400.0, got 10.0",
-            ),
-            (
-                {"antenna": {"gain_floor_db": True}},
-                "antenna.gain_floor_db is retired and loads only as -400.0, got True",
-            ),
-        ],
-    )
-    def test_other_values_raise_naming_the_key(self, doc, message):
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
-            config_from_dict(doc)
+    def test_the_benchmark_configs_load_and_carry_every_key_left(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(README.parent))
+        from perfbench.test_perfbench import TINY
+        from perfbench.workloads import WORKLOADS
 
-    def test_an_old_results_echo_loads(self):
-        old = json.loads(OLD_ECHO)
-        cfg = config_from_dict(old)
-        assert validate_config(cfg) == []
-        del old["num_rrbs"], old["beta_reading"], old["split_power_among_beams"]
-        del old["antenna"]["gain_floor_db"]
-        del old["channel_hf"]["ray_count"], old["channel_hf"]["import_path"]
-        old["channel_lf"] = {"ray_count": 100}
-        assert config_to_dict(cfg) == old
-
-    def test_a_default_echo_with_the_retired_keys_loads_as_the_default(self):
-        assert config_from_dict(json.loads(PARENT_ECHO)) == ScenarioConfig()
+        docs = [w.config for w in WORKLOADS.values()] + [TINY.config]
+        for doc in docs:
+            assert validate_config(config_from_dict(doc)) == []
+        carried = set()
+        for doc in docs:
+            for section, value in doc.items():
+                carried.add(section)
+                if isinstance(value, dict):
+                    carried |= {f"{section}.{key}" for key in value}
+        # A key no benchmark config carries would be one no file needs.
+        assert harness._RETIRED | harness._PINNED.keys() <= carried
 
 
 class TestChannelLfIsItsRayCount:
-    """`channel_lf` keeps only `ray_count`; its other keys load at the reading runs used."""
+    """`channel_lf` keeps only `ray_count`; its `kind` loads at the reading runs used."""
 
-    def test_the_old_keys_load_at_their_used_values_and_leave_the_echo(self):
-        doc = {"channel_lf": {"kind": "few_ray", "import_path": None, "rician_k_db": 7.0}}
+    def test_the_kind_loads_at_its_used_value_and_leaves_the_echo(self):
+        doc = {"channel_lf": {"kind": "few_ray"}}
         assert config_to_dict(config_from_dict(doc)) == DEFAULT_ECHO
         assert DEFAULT_ECHO["channel_lf"] == {"ray_count": 100}
 
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            (
-                {"channel_lf": {"kind": "statistical"}},
-                "channel_lf.kind is retired and loads only as \"few_ray\", got 'statistical'",
-            ),
-            (
-                {"channel_lf": {"import_path": "lf.bin"}},
-                "channel_lf.import_path is retired and loads only as null, got 'lf.bin'",
-            ),
-        ],
-    )
-    def test_other_values_raise_naming_the_key(self, doc, message):
+    def test_other_values_raise_naming_the_key(self):
+        message = "channel_lf.kind is retired and loads only as \"few_ray\", got 'statistical'"
         with pytest.raises(ConfigurationError, match=re.escape(message)):
-            config_from_dict(doc)
+            config_from_dict({"channel_lf": {"kind": "statistical"}})
 
 
 class TestChannelHfEchoesWhatItsKindReads:
-    """`channel_hf` echoes the keys its kind reads; another loads only at its default."""
+    """`channel_hf` holds and echoes the keys its kind reads; another raises at any value."""
 
     @pytest.mark.parametrize(
         "spec, keys",
@@ -264,33 +194,33 @@ class TestChannelHfEchoesWhatItsKindReads:
         assert echo["channel_hf"].keys() == keys
         assert config_from_dict(echo).channel_hf == spec
 
-    def test_unread_keys_at_their_defaults_load(self):
-        doc = {"channel_hf": {"kind": "statistical", "ray_count": 1_000_000, "import_path": None}}
-        assert config_to_dict(config_from_dict(doc)) == DEFAULT_ECHO
-
     @pytest.mark.parametrize(
         "hf, message",
         [
-            (
-                {"ray_count": 0},
-                "channel_hf.ray_count is not read by kind 'statistical' and loads only as "
-                "1000000, got 0",
-            ),
+            ({"ray_count": 1_000_000}, "channel_hf.ray_count is not read by kind 'statistical'"),
+            ({"import_path": None}, "channel_hf.import_path is not read by kind 'statistical'"),
+            ({"ray_count": 0}, "channel_hf.ray_count is not read by kind 'statistical'"),
             (
                 {"kind": "few_ray", "import_path": "t.ctns"},
-                "channel_hf.import_path is not read by kind 'few_ray' and loads only as null, "
-                "got 't.ctns'",
+                "channel_hf.import_path is not read by kind 'few_ray'",
             ),
             (
                 {"kind": "import", "import_path": "t.ctns", "ray_count": 100},
-                "channel_hf.ray_count is not read by kind 'import' and loads only as 1000000, "
-                "got 100",
+                "channel_hf.ray_count is not read by kind 'import'",
             ),
         ],
+        ids=["ray_count-default", "import_path-default", "ray_count", "import_path", "import"],
     )
-    def test_other_values_raise_naming_the_key_and_the_kind(self, hf, message):
+    def test_unread_key_raises_naming_the_key_and_the_kind(self, hf, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             config_from_dict({"channel_hf": hf})
+
+    def test_cli_ends_an_unread_key_at_its_default_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"channel_hf": {"kind": "statistical", "ray_count": 1000000}}))
+        assert cli_main(["validate-config", "--config", str(path)]) == 1
+        message = "channel_hf.ray_count is not read by kind 'statistical'"
+        assert capsys.readouterr().err == f"error: cannot load config {path}: {message}\n"
 
     def test_ray_count_is_checked_only_where_it_is_read(self):
         unread = ChannelProviderSpec(kind="statistical", ray_count=0)
@@ -302,11 +232,7 @@ class TestChannelHfEchoesWhatItsKindReads:
 
 
 class TestRetiredChannelSeeds:
-    """Channel seeds derive from `seed`; the old per-provider keys load and are ignored."""
-
-    def test_old_seed_keys_load_and_leave_the_echo(self):
-        cfg = config_from_dict({"channel_hf": {"seed": 5}, "channel_lf": {"seed": 7}})
-        assert config_to_dict(cfg) == DEFAULT_ECHO
+    """Channel seeds derive from `seed`; the old per-provider keys are unknown keys."""
 
     def test_a_provider_spec_holds_no_seed(self):
         assert "seed" not in ChannelProviderSpec.__dataclass_fields__
@@ -324,6 +250,12 @@ positive = st.floats(1e-6, 1e12)
 rician_k_dbs = st.floats(-3000.0, 3000.0)
 
 
+# An import spec holds a file name; the round trip makes that file, since
+# validate_config requires an import path to name a regular file.
+file_names = st.text(st.characters(exclude_characters="/\0"), min_size=1, max_size=40).filter(
+    lambda name: name not in (".", "..")
+)
+
 # A spec sets only the keys its kind reads; the others stay at their defaults.
 providers = st.one_of(
     st.builds(
@@ -337,7 +269,7 @@ providers = st.one_of(
         ChannelProviderSpec,
         kind=st.just("import"),
         rician_k_db=rician_k_dbs,
-        import_path=st.text(min_size=1),
+        import_path=file_names,
     ),
 )
 
@@ -386,7 +318,11 @@ def scenario_configs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(scenario_configs())
-def test_valid_config_survives_the_file_round_trip(cfg):
+def test_valid_config_survives_the_file_round_trip(tmp_path_factory, cfg):
+    if cfg.channel_hf.kind == "import":
+        path = tmp_path_factory.getbasetemp() / cfg.channel_hf.import_path
+        path.touch()
+        cfg.channel_hf = replace(cfg.channel_hf, import_path=str(path))
     assert validate_config(cfg) == []
     echo = config_to_dict(cfg)
     back = config_from_dict(json.loads(json.dumps(echo)))
@@ -452,8 +388,7 @@ json_values = st.recursive(
 # Keys mostly drawn from the schema and the retired keys, so documents get past
 # the unknown-key check and reach the type checks.
 inner_names = sorted(
-    {k for v in DEFAULT_ECHO.values() if isinstance(v, dict) for k in v}
-    | {"import_path", "gain_floor_db"}
+    {k for v in DEFAULT_ECHO.values() if isinstance(v, dict) for k in v} | {"import_path"}
 )
 site_names = sorted(DEFAULT_ECHO["bss"][0])
 sites = st.lists(
@@ -463,8 +398,7 @@ sites = st.lists(
 )
 documents = st.dictionaries(
     st.sampled_from(
-        [*DEFAULT_ECHO, "annealer", "evaluation_channel", "num_rrbs", "beta_reading",
-         "split_power_among_beams", "bogus"]
+        [*DEFAULT_ECHO, "annealer", "num_rrbs", "bogus"]
     ),
     st.dictionaries(st.sampled_from([*inner_names, "seed", "tilt_deg"]), json_leaves, max_size=6)
     | sites

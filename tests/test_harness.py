@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import corridorsim
 from concurrent.futures import ThreadPoolExecutor
 
-from corridorsim import channel, harness
+from corridorsim import channel, cli, harness
 from corridorsim.allocator import (
     MAX_ARRAY_SIDE,
     MAX_BEAMS,
@@ -140,13 +141,9 @@ class TestConfigPlumbing:
         assert got == [math.degrees(a) for a in expect]
         assert all(0.0 < b < 90.0 for b in got)
 
-    def test_retired_keys_still_load(self):
+    def test_an_echo_with_the_annealer_still_loads(self):
         base = config_to_dict(small_config())
         doc = json.loads(json.dumps(base))
-        doc["evaluation_channel"] = "hf"
-        doc["codebook"]["tilt_deg"] = 5.0
-        doc["channel_hf"]["seed"] = 7
-        doc["channel_lf"]["seed"] = 8
         doc["annealer"] = {"t_global": 10}
         loaded = config_from_dict(doc)
         assert config_to_dict(loaded) == base
@@ -771,6 +768,31 @@ class TestOutputFiles:
         assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
         assert taken.read_text() == "kept"
 
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["sweep", "--uavs", "2,3"], ["bench", "--uavs", "2"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("where", ["file", "under_a_file"])
+    def test_unusable_out_fails_before_the_first_scenario(
+        self, tmp_path, capsys, monkeypatch, argv, where
+    ):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_scenario(*args, **kwargs)
+
+        # bench and sweep reach run_scenario through harness, run through cli.
+        monkeypatch.setattr(harness, "run_scenario", counted)
+        monkeypatch.setattr(cli, "run_scenario", counted)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken if where == "file" else taken / "out"
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        reason = "File exists" if where == "file" else "Not a directory"
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert calls == [] and taken.read_text() == "kept"
+
     def test_results_json_a_directory_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "results.json").mkdir(parents=True)
@@ -830,13 +852,49 @@ class TestCli:
 
     def test_run_missing_import_file(self, tmp_path, capsys):
         doc = config_to_dict(small_config(replications=1))
-        doc["channel_hf"] = {"kind": "import", "import_path": str(tmp_path / "missing.ctns")}
+        missing = tmp_path / "missing.ctns"
+        doc["channel_hf"] = {"kind": "import", "import_path": str(missing)}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 1
+        out_dir = tmp_path / "out"
+        assert cli_main(["validate-config", "--config", str(path)]) == 1
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        line = f"error: channel_hf.import_path: channel tensor file not found: {missing}"
+        assert capsys.readouterr().err.splitlines() == [line] * 2
+        assert not out_dir.exists()
+
+    def test_import_path_naming_a_directory_exits_1(self, tmp_path, capsys):
+        tensor_dir = tmp_path / "adir"
+        tensor_dir.mkdir()
+        path = tmp_path / "cfg.json"
+        doc = {"channel_hf": {"kind": "import", "import_path": str(tensor_dir)}}
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert cli_main(["validate-config", "--config", str(path)]) == 1
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        line = f"error: channel_hf.import_path must be a regular file, got {str(tensor_dir)!r}"
+        assert capsys.readouterr().err.splitlines() == [line] * 2
+        assert not out_dir.exists()
+
+    def test_unreadable_import_file_exits_1(self, tmp_path, capsys, monkeypatch):
+        tensor = tmp_path / "twin.ctns"
+        export_tensor(LinkGainTensor(power_gains=np.ones((20, 4))), tensor)
+        read_bytes = Path.read_bytes
+
+        def denied(self):
+            if self == tensor:  # chmod does not stop a root process, so the fault is made here
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"channel_hf": {"kind": "import", "import_path": str(tensor)}}))
+        out_dir = tmp_path / "out"
+        assert cli_main(["validate-config", "--config", str(path)]) == 0
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "missing.ctns" in err
+        assert err == f"error: cannot read channel tensor file {tensor}: Permission denied\n"
+        assert "Traceback" not in err and not (out_dir / "results.json").exists()
 
     def test_run_import_of_wrong_shape_exits_1(self, tmp_path, capsys):
         tensor = tmp_path / "wrong.ctns"
