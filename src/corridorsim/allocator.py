@@ -39,7 +39,7 @@ from .errors import ConfigurationError, InfeasibleAssignmentError
 from .geometry import BaseStationSite, Position3D, link_geometries
 
 # Stage 1 holds ~2 * (n_h - 1) * (2 * d_h + 1) scan candidates and the 2N
-# sector ends of every link in one array. 1 024 sectors of 0.35 degrees, 64
+# sector ends of every link. 1 024 sectors of 0.35 degrees, 64
 # times the nominal count, take a nominal run about 20 ms; 10^9 would
 # exhaust memory on the sector ends alone.
 MAX_ARRAY_SIDE = 64
@@ -79,11 +79,12 @@ class BeamCodebook:
 
 @dataclass
 class BeamGainTable:
-    """Stage-1 output: optimal scan angle and gain per (UAV, BS, beam)."""
+    """Stage-1 output: optimal scan angle and gain per (UAV, BS, beam), and the links it read."""
 
     phi_star: np.ndarray  # (M, L, N) radians
     gain_db: np.ndarray  # (M, L, N)
     stage1_evals: int  # scan points evaluated
+    links: np.ndarray  # (M, L) `link_geometries` of the run, which the run reuses
 
 
 @dataclass
@@ -202,11 +203,14 @@ def optimal_scan_angles(
     |alpha|] are the kernel's lobes (`_lobe_peaks`). An interior maximum of
     P(alpha * sin(phi)) has cos(phi) = 0 or P'(s) = 0, so a sector's best
     angle is one of its two ends, +-pi/2, or an arcsin branch of a peak,
-    whichever inside the sector has the highest P (ties go to the ends, then
-    to the first candidate). One searchsorted bins them all, so the sectors
-    must be consecutive. The gain is the element gain plus 10 log10 of that
-    P. The evaluation count is a fixed multiple of the number of pairs. An
-    array, a spacing or a count above its MAX_* bound raises.
+    whichever inside the sector has the highest P. A sector's two ends
+    always lie in it, so it starts from its better end (`nextafter(lo, hi)`
+    on a tie). One searchsorted bins only the +-pi/2 and arcsin candidates,
+    (K, C) points, so the sectors must be consecutive; a candidate replaces
+    the end only if its P is strictly higher, and of equal candidates the
+    first wins. The gain is the element gain plus 10 log10 of that P. The
+    evaluation count is a fixed multiple of the number of pairs. An array,
+    a spacing or a count above its MAX_* bound raises.
     """
     lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
     oversized = stage1_size_errors(cfg, lo.size, np.broadcast(theta, phi).size)
@@ -230,24 +234,32 @@ def optimal_scan_angles(
     cand = np.concatenate(
         [branch, np.where(branch >= 0.0, math.pi, -math.pi) - branch, poles], axis=-1
     )
-    # Per pair: the sector's two ends, then every candidate; (K, 2N + C) points.
-    ends = np.stack([np.nextafter(lo, hi), hi], axis=-1).reshape(-1)
-    points = np.concatenate([np.broadcast_to(ends, (k, ends.size)), cand], axis=-1)
-    s = np.concatenate([np.broadcast_to(alpha * np.sin(ends), (k, ends.size)),
+    # P at every sector end (nextafter(lo, hi), then hi), then at every
+    # candidate. Each sector starts from its better end.
+    ends = np.stack([np.nextafter(lo, hi), hi], axis=-1)
+    s = np.concatenate([np.broadcast_to(alpha * np.sin(ends.reshape(-1)), (k, 2 * nn)),
                         alpha * np.sin(cand)], axis=-1)
     power = _kernel_power(v2, beta, s, cfg.n_h)
-    # Sector n holds the points in (lo[n], hi[n]], slot n + 1 of its
-    # direction's N + 2 (0 below the first sector, N + 1 above the last). A
-    # slot keeps its highest P, and of the points there, the first.
-    slot = np.searchsorted(np.append(lo[0], hi), points) + (nn + 2) * np.arange(k)[:, None]
+    end_power, power = power[:, : 2 * nn].reshape(k, nn, 2), power[:, 2 * nn :]
+    upper = end_power[..., 1] > end_power[..., 0]
+    end_phi = np.where(upper, hi, ends[:, 0])
+    end_p = np.maximum(end_power[..., 0], end_power[..., 1])
+    # Only the candidates are binned. Sector n holds those in
+    # (lo[n], hi[n]], slot n + 1 of its direction's N + 2 (0 below the
+    # first sector, N + 1 above the last). A slot keeps its highest P, and
+    # of the candidates there, the first.
+    slot = np.searchsorted(np.append(lo[0], hi), cand) + (nn + 2) * np.arange(k)[:, None]
     best = np.full(k * (nn + 2), -np.inf)
     np.maximum.at(best, slot, power)
     top = power == best[slot]
-    first = np.full(k * (nn + 2), points.shape[-1] - 1)
+    first = np.full(k * (nn + 2), cand.shape[-1] - 1)
     np.minimum.at(first, slot[top], np.nonzero(top)[1])
-    phi_star = np.take_along_axis(points, first.reshape(k, -1)[:, 1:-1], axis=-1)
+    best, first = best.reshape(k, -1)[:, 1:-1], first.reshape(k, -1)[:, 1:-1]
+    # A tie keeps the end: ends rank before candidates, as in tests/oracles.py.
+    wins = best > end_p
+    phi_star = np.where(wins, np.take_along_axis(cand, first, axis=-1), end_phi)
     phi_star = phi_star.reshape(elem_db.shape + (nn,))
-    p_star = best.reshape(k, -1)[:, 1:-1].reshape(phi_star.shape)
+    p_star = np.where(wins, best, end_p).reshape(phi_star.shape)
     return phi_star, power_gain_db(elem_db[..., None], p_star), k * cand.shape[-1] + k * nn * 3
 
 
@@ -257,12 +269,16 @@ def build_beam_gain_table(
     codebook: BeamCodebook,
     cfg: AntennaConfig,
 ) -> BeamGainTable:
-    """Best scan angle and gain of every (UAV, BS, beam) triplet, in one batch."""
+    """Best scan angle and gain of every (UAV, BS, beam) triplet, in one batch.
+
+    The table carries the (M, L) `link_geometries` array it was solved on,
+    so a run folds, draws channels and ranks BSs from the same array.
+    """
     links = link_geometries(uavs, bss)
     phi_star, gain_db, evals = optimal_scan_angles(
         links["theta"], links["phi"], codebook.sectors, cfg
     )
-    return BeamGainTable(phi_star=phi_star, gain_db=gain_db, stage1_evals=evals)
+    return BeamGainTable(phi_star=phi_star, gain_db=gain_db, stage1_evals=evals, links=links)
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .harness import (
     emit_reports,
     gain_sweep_rows,
     load_config,
+    open_output,
     prepare_output_dir,
     run_scenario,
     summary_row,
@@ -164,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
         else:  # bench
             prepare_output_dir(args.out)
             rows = benchmark(config, args.uavs, threads=args.threads)
-            bench_path = write_output(args.out, "benchmark.json", json.dumps(rows, indent=2) + "\n")
+            text = json.dumps(rows, indent=2) + "\n"
+            bench_path = write_output(open_output(args.out, "benchmark.json"), text)
             for row in rows:
                 print(
                     f"M={row['uav_count']:<3d} stage1={row['stage1_seconds'] * 1e3:.3g}ms "

@@ -34,10 +34,10 @@ from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
+from typing import BinaryIO, get_type_hints
 
 import numpy as np
 
@@ -65,13 +65,8 @@ from .channel import (
 )
 from .errors import ConfigurationError, InfeasibleAssignmentError, OutputError, TensorFormatError
 from .evaluator import ThroughputReport, evaluate_all, validate
-from .geometry import (
-    BaseStationSite,
-    CorridorSpec,
-    Position3D,
-    generate_corridor,
-    link_geometries,
-)
+from .geometry import BaseStationSite, CorridorSpec, Position3D, generate_corridor
+from .geometry import link_geometries  # unused here; perfbench/tracing.py patches it
 
 # Stream tags keeping the derived seed families disjoint. Tag 1 is retired;
 # renumbering the others would move every channel draw.
@@ -441,16 +436,24 @@ def _linear(db: float) -> float:
         return math.inf
 
 
-def _non_finite(doc, path: str = ""):
-    """(dotted path, value) of every NaN or infinite number in a config echo."""
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            yield from _non_finite(value, f"{path}.{key}" if path else key)
-    elif isinstance(doc, list):
-        for i, value in enumerate(doc):
-            yield from _non_finite(value, f"{path}[{i}]")
-    elif isinstance(doc, float) and not math.isfinite(doc):
-        yield path, doc
+def _non_finite(echo: dict) -> list[tuple[str, float]]:
+    """(file key, value) of every NaN or infinite number in a config echo, in echo order.
+
+    The echo has two fixed levels: top-level values and sections of scalars,
+    and `bss`, a list of flat dicts, whose keys read `bss[i].key`.
+    """
+    found = []
+    for key, value in echo.items():
+        if isinstance(value, dict):
+            found += [(f"{key}.{k}", v) for k, v in value.items()
+                      if isinstance(v, float) and not math.isfinite(v)]
+        elif isinstance(value, list):
+            for i, site in enumerate(value):
+                found += [(f"{key}[{i}].{k}", v) for k, v in site.items()
+                          if isinstance(v, float) and not math.isfinite(v)]
+        elif isinstance(value, float) and not math.isfinite(value):
+            found.append((key, value))
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -520,15 +523,17 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
         raise ConfigurationError("\n".join(errors))
     digest = config_digest(config, echo)
     uavs = generate_corridor(config.corridor, config.uav_count)
-    links = link_geometries(uavs, config.bss)
-    # The geometry is fixed across replications, so evaluation folds it once.
-    fold = scan_coefficients(links["theta"], links["phi"], config.antenna)
 
     # Stage 1 depends only on geometry, which is fixed across replications,
-    # so the table is computed once and shared.
+    # so the table is computed once and shared. It carries the link array it
+    # was solved on, which the channel, the closest-BS ranking and the fold
+    # read too.
     t0 = time.perf_counter()
     table = build_beam_gain_table(uavs, config.bss, config.codebook, config.antenna)
     stage1_seconds = time.perf_counter() - t0
+    links = table.links
+    # The geometry is fixed across replications, so evaluation folds it once.
+    fold = scan_coefficients(links["theta"], links["phi"], config.antenna)
 
     mm, ll, nn = config.uav_count, len(config.bss), config.codebook.n_beams
     channel_seeds = _seeds(config, _TAG_CHANNEL, range(config.replications))
@@ -703,8 +708,20 @@ def summary_row(result: ExperimentResult) -> dict:
 
 @functools.cache
 def _flat_encoder(depth: int):
-    """json's C encoder for a container that holds no container, its items at `depth`."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+    """json's C encoder for a container that holds no container, its items at `depth`.
+
+    One `c_make_encoder` per depth, built with the arguments that
+    `JSONEncoder(sort_keys=True, separators=(",\n" + indent, ": ")).iterencode`
+    passes it, except the circular-reference markers: a flat container
+    cannot hold itself, and one markers dict shared by every call would keep
+    the entries of a call that raised. `JSONEncoder.encode` rebuilt this
+    encoder on every call. Returns obj -> str, as `encode` does.
+    """
+    # (markers, default, encoder, indent, key_separator, item_separator,
+    #  sort_keys, skipkeys, allow_nan); the item separator carries the indent.
+    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                            ": ", ",\n" + "  " * depth, True, False, True)
+    return lambda obj: "".join(encode(obj, 0))
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -739,29 +756,48 @@ def dumps_indent2(obj, depth: int = 0) -> str:
 
 
 def prepare_output_dir(out_dir: str | Path) -> None:
-    """Create `out_dir` and its parents if missing; an OSError ends as an OutputError."""
+    """Create `out_dir` and its parents if missing; an OSError ends as an OutputError.
+
+    An existing directory (or a symlink to one) costs one `stat` and no
+    `mkdir`. Any other path goes to `mkdir`, which creates it or raises.
+    """
+    if os.path.isdir(out_dir):
+        return
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from exc
 
 
-def write_output(out_dir: str | Path, name: str, text: str) -> Path:
-    """Write `text` to out_dir/name, creating out_dir, and return the path.
+def open_output(out_dir: str | Path, name: str) -> BinaryIO:
+    """Open out_dir/name for `write_output`, creating out_dir, without truncating it.
 
-    An existing file is overwritten in place. As with `Path.write_text`, a
-    symlink is followed, the file's permissions hold and its inode stays; but
-    a longer old file is cut to the new length after the write, not to zero
+    The file is created if missing; an existing file keeps its bytes until
+    `write_output`. As with `Path.write_text`, a symlink is followed, the
+    file's permissions hold and its inode stays. The file's `name` is its
+    path. An OSError ends as an OutputError that names the path.
+    """
+    prepare_output_dir(out_dir)
+    path = Path(out_dir) / name
+    try:
+        return open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666))
+    except OSError as exc:
+        raise OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
+def write_output(fh: BinaryIO, text: str) -> Path:
+    """Write `text` over the file `open_output` opened, close it and return its path.
+
+    A longer old file is cut to the new length after the write, not to zero
     before it: on ext4 (auto_da_alloc) a truncation to zero makes `close()`
     start writeback. A device or pipe (size 0) is written and not truncated.
     The text is written as UTF-8 with no newline translation. An OSError ends
     as an OutputError that names the path.
     """
-    prepare_output_dir(out_dir)
-    path = Path(out_dir) / name
+    path = Path(fh.name)
     data = text.encode()
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        with fh:
             fh.write(data)
             # The size is max(old size, bytes flushed so far), which exceeds
             # len(data) exactly when the old file was longer.
@@ -786,15 +822,17 @@ def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[s
     results.json is `json.dumps(payload, indent=2, sort_keys=True)` plus a
     newline, written by `dumps_indent2`. Wall-clock timings live in
     summary.csv only, so results.json is byte identical across reruns of the
-    same config and seed. Both files go through `write_output`.
+    same config and seed. Both files are opened (`open_output`) before
+    either is written (`write_output`), so a target that cannot be opened
+    leaves both files as they were.
     """
     payload = {"results": [r.to_dict() for r in results]}
-    return {
-        "results": write_output(out_dir, "results.json", dumps_indent2(payload) + "\n"),
-        "summary": write_output(
-            out_dir, "summary.csv", _csv_text(_SUMMARY_FIELDS, map(summary_row, results))
-        ),
-    }
+    results_text = dumps_indent2(payload) + "\n"
+    summary_text = _csv_text(_SUMMARY_FIELDS, map(summary_row, results))
+    with (open_output(out_dir, "results.json") as results_fh,
+          open_output(out_dir, "summary.csv") as summary_fh):
+        return {"results": write_output(results_fh, results_text),
+                "summary": write_output(summary_fh, summary_text)}
 
 
 _GAIN_SWEEP_FIELDS = ("phi_deg", "element_db", "array_db", "total_db")
@@ -821,4 +859,5 @@ def gain_sweep_rows(
 
 def write_gain_sweep(rows: list[dict], out_dir: str | Path) -> Path:
     """Write `gain_sweep_rows` output to gain_sweep.csv; no other file is touched."""
-    return write_output(out_dir, "gain_sweep.csv", _csv_text(_GAIN_SWEEP_FIELDS, rows))
+    text = _csv_text(_GAIN_SWEEP_FIELDS, rows)
+    return write_output(open_output(out_dir, "gain_sweep.csv"), text)

@@ -22,6 +22,15 @@ kernel (`allocator._lobe_peaks`); every peak the grid-and-Newton search
 finds inside a cell must have a closed-form peak next to it in s whose P is
 no lower, to 1e-12 of the largest P.
 
+`all_points_scan_angles` is stage 1 as it binned before it binned only its
+candidates: one searchsorted over every sector end and every candidate, then
+`maximum.at` and `minimum.at` over all of them. `allocator.optimal_scan_angles`
+must match it bit for bit.
+
+`non_finite_paths` is the recursive walk `harness.validate_config` made over
+the config echo before it walked the echo's two fixed levels; the messages
+and their order must stay the same.
+
 None of them runs in a scenario; they live here so that the package carries only
 the run path.
 """
@@ -36,14 +45,18 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from corridorsim.allocator import Assignment, BeamGainTable
+from corridorsim.allocator import Assignment, BeamGainTable, _kernel_power, _lobe_peaks
 from corridorsim.antenna import (
     AntennaConfig,
     SteeringDirection,
+    element_gain,
     folded_gain_db,
     make_scan_gain,
+    power_gain_db,
+    scan_alpha,
     scan_coefficients,
     total_gain,
+    vertical_weight,
 )
 from corridorsim.channel import _SEED_MASK, LinkGainTensor, RfConstants
 from corridorsim.errors import ConfigurationError
@@ -352,3 +365,57 @@ def golden_section_peaks(
         right = np.where(right, kept < f_new, f_new < kept)
         np.maximum(kept, f_new, out=kept)
     return a + 0.5 * width, cells * (2 + steps)
+
+
+def all_points_scan_angles(
+    theta, phi, sectors, cfg: AntennaConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """`allocator.optimal_scan_angles` with every sector end and candidate binned at once.
+
+    Per direction the points are the 2N sector ends (`nextafter(lo, hi)`
+    and `hi` of each sector in turn), then every candidate; one searchsorted
+    bins all (K, 2N + C) of them. A sector keeps its highest P, and of the
+    points there, the first. The sectors must be consecutive; no size is
+    checked.
+    """
+    lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
+    elem_db = np.asarray(element_gain(theta, phi, cfg))
+    beta = 2.0 * math.pi * cfg.d_h * (np.sin(theta) * np.sin(phi))
+    v = vertical_weight(theta, cfg)
+    v2 = np.broadcast_to(v.real**2 + v.imag**2, beta.shape).reshape(-1, 1)
+    beta, alpha = beta.reshape(-1, 1), scan_alpha(cfg)
+    k, nn = beta.shape[0], lo.size
+
+    peaks = _lobe_peaks(beta[:, 0], abs(alpha), cfg.n_h)
+    branch = np.arcsin(np.clip(peaks / alpha, -1.0, 1.0) if alpha else np.zeros_like(peaks))
+    poles = np.broadcast_to([-0.5 * math.pi, 0.5 * math.pi], (k, 2))
+    cand = np.concatenate(
+        [branch, np.where(branch >= 0.0, math.pi, -math.pi) - branch, poles], axis=-1
+    )
+    ends = np.stack([np.nextafter(lo, hi), hi], axis=-1).reshape(-1)
+    points = np.concatenate([np.broadcast_to(ends, (k, ends.size)), cand], axis=-1)
+    s = np.concatenate([np.broadcast_to(alpha * np.sin(ends), (k, ends.size)),
+                        alpha * np.sin(cand)], axis=-1)
+    power = _kernel_power(v2, beta, s, cfg.n_h)
+    slot = np.searchsorted(np.append(lo[0], hi), points) + (nn + 2) * np.arange(k)[:, None]
+    best = np.full(k * (nn + 2), -np.inf)
+    np.maximum.at(best, slot, power)
+    top = power == best[slot]
+    first = np.full(k * (nn + 2), points.shape[-1] - 1)
+    np.minimum.at(first, slot[top], np.nonzero(top)[1])
+    phi_star = np.take_along_axis(points, first.reshape(k, -1)[:, 1:-1], axis=-1)
+    phi_star = phi_star.reshape(elem_db.shape + (nn,))
+    p_star = best.reshape(k, -1)[:, 1:-1].reshape(phi_star.shape)
+    return phi_star, power_gain_db(elem_db[..., None], p_star), k * cand.shape[-1] + k * nn * 3
+
+
+def non_finite_paths(doc, path: str = ""):
+    """(dotted path, value) of every NaN or infinite number in a JSON document, at any depth."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from non_finite_paths(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from non_finite_paths(value, f"{path}[{i}]")
+    elif isinstance(doc, float) and not math.isfinite(doc):
+        yield path, doc

@@ -236,10 +236,11 @@ class TestAcceptance:
 
         a = Assignment(bs=np.array([0]), beam=np.array([0]))
         gains = LinkGainTensor(power_gains=np.array([[2.5e-9, 4e-9]]))
-        table = BeamGainTable(
-            phi_star=np.zeros((1, 2, 1)), gain_db=np.array([[[3.0], [1.0]]]), stage1_evals=0
-        )
         geoms1 = np.array([[(100.0, math.pi / 2, 0.0)] * 2], dtype=LINK_DTYPE)
+        table = BeamGainTable(
+            phi_star=np.zeros((1, 2, 1)), gain_db=np.array([[[3.0], [1.0]]]), stage1_evals=0,
+            links=geoms1,
+        )
         rf = RfConstants()
         assert interference_at(0, a, gains, table, geoms1, CFG, rf) == 0.0
         expect = rf.tx_power_w * 2.5e-9 * 10.0 ** 0.3 / rf.noise_power_w

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corridorsim.allocator import (
@@ -37,10 +37,17 @@ from corridorsim.antenna import (
 from corridorsim.channel import LinkGainTensor, RfConstants
 from corridorsim.errors import ConfigurationError, InfeasibleAssignmentError
 from corridorsim.evaluator import validate
-from corridorsim.geometry import BaseStationSite, Position3D, generate_corridor, link_geometries
+from corridorsim.geometry import (
+    LINK_DTYPE,
+    BaseStationSite,
+    Position3D,
+    generate_corridor,
+    link_geometries,
+)
 from corridorsim.harness import ScenarioConfig, validate_config
 from oracles import (
     AnnealerConfig,
+    all_points_scan_angles,
     array_power,
     golden_section_peaks,
     grid_newton_peaks,
@@ -582,6 +589,58 @@ class TestCandidateBound:
             optimal_scan_angles(theta, 0.3, ((-math.pi, math.pi),), self.LARGE)
 
 
+_HALF_PI = 0.5 * math.pi
+# Sectors with ends on 0 and +-pi/2, where the poles and the arcsin branches
+# of a lobe at s = 0 (phi_scan = 0 and pi) fall exactly; and N = 1.
+_PINNED_SECTORS = (
+    ((-math.pi, math.pi),),
+    ((-math.pi, 0.0), (0.0, math.pi)),
+    ((-math.pi, -_HALF_PI), (-_HALF_PI, 0.0), (0.0, _HALF_PI), (_HALF_PI, math.pi)),
+)
+
+
+@st.composite
+def binning_cases(draw):
+    """(theta, phi, sectors, cfg): up to 6 directions, some on sector ends or +-pi/2."""
+    cfg = draw(
+        st.just(AntennaConfig(n_h=5, d_h=1.3))  # an odd n_h on grating lobes
+        | st.builds(AntennaConfig, n_h=st.integers(1, 8), d_h=st.floats(0.05, 3.7),
+                    tilt_deg=st.floats(-90.0, 90.0))
+    )
+    sectors = draw(
+        st.sampled_from(_PINNED_SECTORS) | st.integers(1, 39).map(lambda n: BeamCodebook(n).sectors)
+    )
+    on_ends = sorted({end for sector in sectors for end in sector} | {_HALF_PI, -_HALF_PI, 0.0})
+    phi = draw(st.lists(st.floats(-math.pi, math.pi) | st.sampled_from(on_ends),
+                        min_size=1, max_size=6))
+    theta = draw(st.lists(st.floats(0.0, math.pi) | st.sampled_from([0.0, _HALF_PI, math.pi]),
+                          min_size=len(phi), max_size=len(phi)))
+    return np.array(theta), np.array(phi), sectors, cfg
+
+
+class TestCandidateOnlyBinning:
+    """Stage 1 takes each sector's better end and bins only its candidates.
+
+    The oracle bins every end and candidate at once, as stage 1 did before,
+    and keeps the first point of the highest P; the two must agree bit for bit.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(binning_cases())
+    @example((np.array([_HALF_PI]), np.array([0.0]), _PINNED_SECTORS[1], CFG))
+    @example((np.array([_HALF_PI, 1.0]), np.array([0.0, _HALF_PI]), _PINNED_SECTORS[0],
+              AntennaConfig(n_h=5, d_h=1.3)))
+    @example((np.array([_HALF_PI, 0.7]), np.array([-_HALF_PI, 2.0]), _PINNED_SECTORS[2],
+              AntennaConfig(n_h=5, d_h=1.3)))
+    def test_matches_the_all_points_oracle(self, case):
+        theta, phi, sectors, cfg = case
+        phi_star, gain_db, evals = optimal_scan_angles(theta, phi, sectors, cfg)
+        want_phi, want_gain, want_evals = all_points_scan_angles(theta, phi, sectors, cfg)
+        np.testing.assert_array_equal(phi_star, want_phi)
+        np.testing.assert_array_equal(gain_db, want_gain)
+        assert evals == want_evals
+
+
 def autocorrelation(theta, phi, cfg):
     """The (K, 1, n_h) lags r_d of `optimal_scan_angles` and the reach |alpha|."""
     _, coeffs, alpha = scan_coefficients(theta, phi, cfg)
@@ -679,7 +738,8 @@ class TestBuildUtility:
         from corridorsim.allocator import BeamGainTable
 
         g = np.asarray(gain_db, dtype=float)
-        return BeamGainTable(phi_star=np.zeros_like(g), gain_db=g, stage1_evals=0)
+        links = np.zeros(g.shape[:2], dtype=LINK_DTYPE)
+        return BeamGainTable(phi_star=np.zeros_like(g), gain_db=g, stage1_evals=0, links=links)
 
     def test_unit_case(self):
         rf = RfConstants(tx_power_w=1.0)

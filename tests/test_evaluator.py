@@ -23,7 +23,7 @@ def make_assignment(pairs):
 def make_table(gain_db, phi_star=None):
     g = np.asarray(gain_db, dtype=float)
     p = np.zeros_like(g) if phi_star is None else np.asarray(phi_star, dtype=float)
-    return BeamGainTable(phi_star=p, gain_db=g, stage1_evals=0)
+    return BeamGainTable(phi_star=p, gain_db=g, stage1_evals=0, links=flat_geoms(*g.shape[:2]))
 
 
 def links_of(rows):

@@ -41,6 +41,7 @@ from corridorsim.channel import (
 )
 from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError, OutputError, TensorFormatError
+from corridorsim.geometry import link_geometries
 from corridorsim.harness import (
     MAX_THREADS,
     ScenarioConfig,
@@ -54,9 +55,11 @@ from corridorsim.harness import (
     load_config,
     run_scenario,
     sweep,
+    prepare_output_dir,
     validate_config,
     write_gain_sweep,
 )
+from oracles import non_finite_paths
 
 SRC = os.path.dirname(os.path.dirname(corridorsim.__file__))
 
@@ -157,6 +160,33 @@ class TestConfigPlumbing:
         problems = validate_config(config_from_dict(doc))
         for field in ("rf.tx_power_w", "corridor.radius_m", "bss[1].x_m"):
             assert sum(p.startswith(f"{field} must be finite") for p in problems) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_float_key_names_itself_when_non_finite(self, bad):
+        # The walk over the echo's two levels against the recursive walk over
+        # any depth: the same messages in the same order, bss[i].* included.
+        echo = config_to_dict(small_config())
+        keys = [(section, key) for section, values in echo.items() if isinstance(values, dict)
+                for key, value in values.items() if isinstance(value, float)]
+        sites = [(i, key) for i, site in enumerate(echo["bss"])
+                 for key, value in site.items() if isinstance(value, float)]
+        assert len(keys) > 10 and len(sites) == 8
+        every = json.loads(json.dumps(echo))
+        for section, key in keys:
+            doc = json.loads(json.dumps(echo))
+            doc[section][key] = every[section][key] = bad
+            assert self.finite_messages(doc) == [f"{section}.{key} must be finite, got {bad}"]
+        for i, key in sites:
+            doc = json.loads(json.dumps(echo))
+            doc["bss"][i][key] = every["bss"][i][key] = bad
+            assert self.finite_messages(doc) == [f"bss[{i}].{key} must be finite, got {bad}"]
+        expect = [f"{path} must be finite, got {value}" for path, value in non_finite_paths(every)]
+        assert len(expect) == len(keys) + len(sites)
+        assert self.finite_messages(every) == expect
+
+    @staticmethod
+    def finite_messages(doc):
+        return [p for p in validate_config(config_from_dict(doc)) if " must be finite, got " in p]
 
     def test_nesting_too_deep_to_parse(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -397,6 +427,27 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert len(result.reports) == 4
         assert len(calls) == 1
+
+    def test_links_are_built_once_per_run(self, monkeypatch):
+        # Stage 1 builds the link array, and the run reuses the table's; every
+        # module that holds link_geometries is counted, the allocator's included.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return link_geometries(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("corridorsim.")
+                    and getattr(module, "link_geometries", None) is link_geometries):
+                monkeypatch.setattr(module, "link_geometries", counted)
+        runs = [("two_stage", "hf"), ("two_stage", "statistical"), ("closest_bs", "lf"),
+                ("random", "hf")]
+        for allocator, channel_axis in runs:
+            cfg = small_config(seed=15, replications=3, allocator=allocator,
+                               allocation_channel=channel_axis)
+            assert len(run_scenario(cfg).reports) == 3
+        assert len(calls) == len(runs)
 
     @pytest.mark.parametrize("allocator", ["two_stage", "closest_bs", "random"])
     def test_chunking_does_not_change_bytes(self, tmp_path, monkeypatch, allocator):
@@ -793,12 +844,61 @@ class TestOutputFiles:
         assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
         assert calls == [] and taken.read_text() == "kept"
 
+    def test_summary_csv_a_directory_keeps_the_old_results_json(self, tmp_path, capsys):
+        # Both targets are opened before either is written, so the pair
+        # results.json and summary.csv never comes from two different runs.
+        out = tmp_path / "out"
+        assert cli_main(["run", "--uavs", "2", "--out", str(out)]) == 0
+        old = (out / "results.json").read_bytes()
+        (out / "summary.csv").unlink()
+        (out / "summary.csv").mkdir()
+        capsys.readouterr()
+        assert cli_main(["run", "--uavs", "3", "--seed", "7", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'summary.csv'}: Is a directory\n"
+        assert "Traceback" not in err
+        assert (out / "results.json").read_bytes() == old
+
     def test_results_json_a_directory_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "results.json").mkdir(parents=True)
         assert cli_main(["run", "--uavs", "2", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out / 'results.json'}: Is a directory\n"
+
+
+class TestPrepareOutputDir:
+    """An existing directory costs no mkdir; anything else goes to mkdir as before."""
+
+    @pytest.fixture
+    def mkdirs(self, monkeypatch):
+        calls = []
+        real = Path.mkdir
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counted)
+        return calls
+
+    def test_existing_directory_makes_no_mkdir_call(self, tmp_path, mkdirs):
+        (tmp_path / "link").symlink_to(tmp_path)
+        for out in (tmp_path, str(tmp_path), tmp_path / "link"):
+            prepare_output_dir(out)
+        assert mkdirs == []
+
+    def test_missing_nested_path_is_created(self, tmp_path, mkdirs):
+        out = tmp_path / "a" / "b" / "c"
+        prepare_output_dir(out)
+        assert out.is_dir() and mkdirs
+
+    def test_a_file_raises_output_error(self, tmp_path, mkdirs):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        with pytest.raises(OutputError, match=f"^cannot write {re.escape(str(taken))}: File exists$"):
+            prepare_output_dir(taken)
+        assert mkdirs and taken.read_text() == "kept"
 
 
 class TestCli:
