@@ -824,13 +824,23 @@ def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[s
     summary.csv only, so results.json is byte identical across reruns of the
     same config and seed. Both files are opened (`open_output`) before
     either is written (`write_output`), so a target that cannot be opened
-    leaves both files as they were.
+    leaves both files as they were: a results.json that this call created
+    is removed again, and one that existed keeps its bytes.
     """
     payload = {"results": [r.to_dict() for r in results]}
     results_text = dumps_indent2(payload) + "\n"
     summary_text = _csv_text(_SUMMARY_FIELDS, map(summary_row, results))
-    with (open_output(out_dir, "results.json") as results_fh,
-          open_output(out_dir, "summary.csv") as summary_fh):
+    results_path = Path(out_dir) / "results.json"
+    results_existed = os.path.lexists(results_path)
+    results_fh = open_output(out_dir, "results.json")
+    try:
+        summary_fh = open_output(out_dir, "summary.csv")
+    except OutputError:
+        results_fh.close()
+        if not results_existed:
+            results_path.unlink(missing_ok=True)
+        raise
+    with results_fh, summary_fh:
         return {"results": write_output(results_fh, results_text),
                 "summary": write_output(summary_fh, summary_text)}
 

@@ -127,12 +127,21 @@ REFUSED_OLD_KEYS = [
     ({"split_power_among_beams": False}, "split_power_among_beams"),
     ({"antenna": {"gain_floor_db": -400.0}}, "antenna.gain_floor_db"),
 ]
+# The same keys are refused at any other value.
+REFUSED_AT_OTHER_VALUES = [
+    ({"split_power_among_beams": True}, "split_power_among_beams"),
+    ({"antenna": {"gain_floor_db": 10.0}}, "antenna.gain_floor_db"),
+]
 
 
 class TestKeysOfEarlierVersions:
     """Of the keys earlier versions read, only `annealer` and `channel_lf.kind` still load."""
 
-    @pytest.mark.parametrize("doc, key", REFUSED_OLD_KEYS, ids=[k for _, k in REFUSED_OLD_KEYS])
+    @pytest.mark.parametrize(
+        "doc, key",
+        REFUSED_OLD_KEYS + REFUSED_AT_OTHER_VALUES,
+        ids=[k for _, k in REFUSED_OLD_KEYS] + [f"{k}-other" for _, k in REFUSED_AT_OTHER_VALUES],
+    )
     def test_is_an_unknown_key_at_the_value_runs_used(self, tmp_path, capsys, doc, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -372,10 +381,21 @@ def test_a_run_reruns_from_its_own_echo(uav_count, tilt, sites):
     assert_reruns_from_its_echo(doc)
 
 
-def test_a_two_decimal_tilt_reruns_from_its_own_echo():
-    # Held in radians, this tilt came back from its echo one ulp away and
-    # moved per-UAV results under the same config_digest.
-    assert_reruns_from_its_echo({"uav_count": 20, "antenna": {"tilt_deg": 0.84}})
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # Held in radians, this tilt came back from its echo one ulp away and
+        # moved per-UAV results under the same config_digest.
+        pytest.param({"uav_count": 20, "antenna": {"tilt_deg": 0.84}}, id="tilt"),
+        pytest.param({}, id="default"),
+        pytest.param({"uav_count": 64, "replications": 4, "rf": {"noise_power_w": 1.2e-13}},
+                     id="ktb"),
+        pytest.param({"replications": 3, "antenna": {"n_h": 5, "d_h_wavelengths": 1.3}},
+                     id="odd-grating"),
+    ],
+)
+def test_a_fixed_config_reruns_from_its_own_echo(doc):
+    assert_reruns_from_its_echo(doc)
 
 
 json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)

@@ -41,7 +41,7 @@ from corridorsim.channel import (
 )
 from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError, OutputError, TensorFormatError
-from corridorsim.geometry import link_geometries
+from corridorsim.geometry import generate_corridor, link_geometries
 from corridorsim.harness import (
     MAX_THREADS,
     ScenarioConfig,
@@ -62,6 +62,16 @@ from corridorsim.harness import (
 from oracles import non_finite_paths
 
 SRC = os.path.dirname(os.path.dirname(corridorsim.__file__))
+
+
+def cli_process(argv, *options):
+    """`python *options -m corridorsim.cli *argv` in a fresh interpreter on this checkout."""
+    path_list = [SRC, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
+    return subprocess.run(
+        [sys.executable, *options, "-m", "corridorsim.cli", *argv],
+        env=env, capture_output=True, text=True,
+    )
 
 
 def small_config(seed=100, **overrides):
@@ -282,21 +292,15 @@ class TestLinkBudgetOutsideTheFloats:
             ),
         ],
     )
-    def test_overflowing_link_budget_prints_only_the_error(self, tmp_path, capfd, doc, source):
+    def test_overflowing_link_budget_prints_only_the_error(self, tmp_path, doc, source):
         # A fresh interpreter with warnings shown: pytest would record numpy's
         # RuntimeWarnings instead of letting them reach stderr.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        path_list = [SRC, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
         argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
-        code = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "corridorsim.cli", *argv], env=env
-        ).returncode
-        assert code == 1
-        assert capfd.readouterr().err == (
-            f"error: {source} gave non-finite or negative power gains\n"
-        )
+        process = cli_process(argv, "-W", "default")
+        assert process.returncode == 1
+        assert process.stderr == f"error: {source} gave non-finite or negative power gains\n"
 
 
 class TestStage1SizeBounds:
@@ -395,21 +399,6 @@ class TestRunScenario:
         run_scenario(small_config(seed=3, replications=2), threads=MAX_THREADS)
         assert workers == [2]
 
-    def test_thread_count_does_not_change_output(self):
-        cfg = small_config(seed=9, replications=4)
-        serial = run_scenario(cfg, threads=1)
-        threaded = run_scenario(cfg, threads=4)
-        assert serial.to_dict() == threaded.to_dict()
-
-    def test_threads_do_not_change_interference_limited_bytes(self, tmp_path):
-        # At kTB noise interference dominates the SINR, so the bytes pin the
-        # evaluator's matrix product, which worker threads run concurrently.
-        cfg = ScenarioConfig(seed=13, uav_count=64, replications=4)
-        cfg.rf = replace(cfg.rf, noise_power_w=1.2e-13)
-        serial = emit_reports([run_scenario(cfg, threads=1)], tmp_path / "t1")["results"]
-        threaded = emit_reports([run_scenario(cfg, threads=4)], tmp_path / "t4")["results"]
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_evaluation_folds_the_links_once_per_run(self, monkeypatch):
         # Stage 1 folds through corridorsim.allocator's name; every other
         # module that holds scan_coefficients is counted.
@@ -480,16 +469,6 @@ class TestRunScenario:
         cfg.codebook = replace(cfg.codebook, n_beams=256)
         assert validate_config(cfg) == []
         assert harness._chunk_size(cfg) == 1
-
-    def test_threads_do_not_change_few_ray_lf_output(self):
-        # The montecarlo workload's shape: the Gaussian few-ray branch for
-        # evaluation, degraded per link for allocation on LF.
-        cfg = ScenarioConfig(seed=12, uav_count=16, replications=4, allocation_channel="lf")
-        cfg.channel_hf = replace(cfg.channel_hf, kind="few_ray", ray_count=10_000)
-        cfg.lf_ray_count = 100
-        serial = run_scenario(cfg, threads=1)
-        threaded = run_scenario(cfg, threads=2)
-        assert serial.to_dict() == threaded.to_dict()
 
     def test_two_stage_beats_random_on_same_seeds(self):
         base = small_config(seed=10, replications=6)
@@ -744,6 +723,62 @@ class TestReportWriter:
             dumps_indent2({1: [2]})
 
 
+KTB = {"noise_power_w": 1.2e-13}
+# A channel tensor file that the table's test exports from the default
+# scenario at seed 7, read as channel_hf.
+TWIN = {"kind": "import", "import_path": "twin.ctns"}
+LF = ["--channel", "lf"]
+
+# A run on 1 worker thread and the same run on more must write the same
+# results.json: {id: (config doc, flags of both runs, threads of the second)}.
+SAME_BYTES_AT_THREADS = {
+    "default": ({}, [], 2),
+    "small": (config_to_dict(small_config(seed=9, replications=4)), [], 4),
+    "import": ({"channel_hf": TWIN}, [], 2),
+    # Three replications share the one imported tensor, read once.
+    "imp3": ({"replications": 3, "channel_hf": TWIN}, LF, 2),
+    "fewray": (_PAYLOAD_CONFIGS["montecarlo"][0], LF, 2),
+    # The montecarlo workload's shape at M = 16: the Gaussian few-ray branch
+    # for evaluation, degraded per link for allocation on LF.
+    "fewray-m16": ({"seed": 12, "uav_count": 16, "replications": 4, "allocation_channel": "lf",
+                    "channel_hf": {"kind": "few_ray", "ray_count": 10_000},
+                    "channel_lf": {"ray_count": 100}}, [], 2),
+    # Interference-limited: at kTB noise the evaluator's interference
+    # product carries every SINR, and worker threads run it concurrently.
+    "ktb": ({"uav_count": 64, "replications": 4, "rf": KTB}, [], 2),
+    "ktb-seed13": ({"seed": 13, "uav_count": 64, "replications": 4, "rf": KTB}, [], 4),
+    # The exact branch: 32 scatter rays are summed, not drawn from the Gaussian limit.
+    "exact": ({"channel_hf": {"kind": "few_ray", "ray_count": 33}}, LF, 2),
+    # kTB on the exact branch, 7 replications stacked in one channel pass
+    # and scored on 1 or 3 threads (an uneven split).
+    "ktb-exact": ({"uav_count": 40, "replications": 7, "rf": KTB,
+                   "channel_hf": {"kind": "few_ray", "ray_count": 10}}, [], 3),
+    # Grating lobes: at d_h = 1.3 stage 1 keeps peaks of P(s) wrapped by 2 pi (q != 0).
+    "grating": ({"antenna": {"n_h": 8, "d_h_wavelengths": 1.3}}, ["--replications", "3"], 2),
+    # An odd n_h on grating lobes: stage 1 reduces s - beta to [-pi, pi]
+    # before the kernel's sine ratio, which is rounding noise there otherwise.
+    "odd-grating": ({"antenna": {"n_h": 5, "d_h_wavelengths": 1.3}}, ["--replications", "3"], 2),
+    "closest_bs": ({}, ["--allocator", "closest_bs", "--replications", "3"], 2),
+    "random": ({}, ["--allocator", "random", "--replications", "3"], 2),
+}
+
+
+@pytest.mark.parametrize(
+    "doc, flags, threads", SAME_BYTES_AT_THREADS.values(), ids=list(SAME_BYTES_AT_THREADS)
+)
+def test_thread_count_does_not_change_results_json(tmp_path, monkeypatch, doc, flags, threads):
+    monkeypatch.chdir(tmp_path)
+    if doc.get("channel_hf") == TWIN:
+        cfg = ScenarioConfig()
+        links = link_geometries(generate_corridor(cfg.corridor, cfg.uav_count), cfg.bss)
+        export_tensor(channel.generate(links, cfg.channel_hf, cfg.rf, [7]), TWIN["import_path"])
+    Path("cfg.json").write_text(json.dumps(doc))
+    for out, count in (("a", 1), ("b", threads)):
+        argv = ["run", "--config", "cfg.json", *flags, "--threads", str(count), "--out", out]
+        assert cli_main(argv) == 0
+    assert Path("a/results.json").read_bytes() == Path("b/results.json").read_bytes()
+
+
 class TestOutputFiles:
     """Output files are overwritten in place, and a write fault is one `error:` line."""
 
@@ -756,7 +791,8 @@ class TestOutputFiles:
         big = tmp_path / "big.json"
         big.write_text(json.dumps(_PAYLOAD_CONFIGS["montecarlo"][0]))
         out, fresh = tmp_path / "out", tmp_path / "fresh"
-        assert cli_main(["run", "--config", str(big), "--out", str(out)]) == 0
+        argv = ["run", "--config", str(big), "--channel", "lf", "--threads", "1"]
+        assert cli_main(argv + ["--out", str(out)]) == 0
         old = (out / "results.json").read_bytes()
         assert cli_main(["run", "--out", str(out)]) == 0
         assert cli_main(["run", "--out", str(fresh)]) == 0
@@ -819,6 +855,13 @@ class TestOutputFiles:
         assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
         assert taken.read_text() == "kept"
 
+    def test_out_is_a_file_ends_the_process_with_one_error_line(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.touch()
+        process = cli_process(["run", "--out", str(taken)])
+        assert process.returncode == 1
+        assert process.stderr == f"error: cannot write {taken}: File exists\n"
+
     @pytest.mark.parametrize(
         "argv", [["run"], ["sweep", "--uavs", "2,3"], ["bench", "--uavs", "2"]],
         ids=lambda argv: argv[0],
@@ -844,20 +887,26 @@ class TestOutputFiles:
         assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
         assert calls == [] and taken.read_text() == "kept"
 
-    def test_summary_csv_a_directory_keeps_the_old_results_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("earlier_run", [True, False], ids=["earlier-run", "no-earlier-run"])
+    def test_summary_csv_a_directory_keeps_the_old_results_json(
+        self, tmp_path, capsys, earlier_run
+    ):
         # Both targets are opened before either is written, so the pair
-        # results.json and summary.csv never comes from two different runs.
+        # results.json and summary.csv never comes from two different runs,
+        # and a results.json that did not exist is not created.
         out = tmp_path / "out"
-        assert cli_main(["run", "--uavs", "2", "--out", str(out)]) == 0
-        old = (out / "results.json").read_bytes()
-        (out / "summary.csv").unlink()
-        (out / "summary.csv").mkdir()
+        results = out / "results.json"
+        if earlier_run:
+            assert cli_main(["run", "--uavs", "2", "--out", str(out)]) == 0
+            (out / "summary.csv").unlink()
+        (out / "summary.csv").mkdir(parents=True)
+        old = results.read_bytes() if earlier_run else None
         capsys.readouterr()
         assert cli_main(["run", "--uavs", "3", "--seed", "7", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out / 'summary.csv'}: Is a directory\n"
         assert "Traceback" not in err
-        assert (out / "results.json").read_bytes() == old
+        assert (results.read_bytes() if results.exists() else None) == old
 
     def test_results_json_a_directory_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1053,9 +1102,10 @@ class TestCli:
         assert err.startswith(f"error: threads must be >= 1, got {threads}")
         assert not (out_dir / "results.json").exists()
 
-    def test_run_threads_above_the_bound_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("uavs", [["--uavs", "2"], []], ids=["uavs-2", "default"])
+    def test_run_threads_above_the_bound_exits_1(self, tmp_path, capsys, uavs):
         out_dir = tmp_path / "out"
-        argv = ["run", "--uavs", "2", "--threads", str(MAX_THREADS + 1), "--out", str(out_dir)]
+        argv = ["run", *uavs, "--threads", str(MAX_THREADS + 1), "--out", str(out_dir)]
         assert cli_main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: threads must be <= {MAX_THREADS}, got {MAX_THREADS + 1}")
@@ -1099,6 +1149,7 @@ class TestCli:
             ["gain-sweep", "--replications", "0"],
             ["gain-sweep", "--allocator", "random"],
             ["bench", "--replications", "3"],
+            ["gain-sweep", "--threads", "2"],
         ],
     )
     def test_flags_a_subcommand_ignores_exit_2(self, argv, tmp_path, capsys):
@@ -1170,16 +1221,18 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not (out_dir / "gain_sweep.csv").exists()
 
-    def test_bench_subcommand(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config_to_dict(small_config(seed=22))))
+    @pytest.mark.parametrize("small, uavs", [(True, [2, 3]), (False, [4, 8])],
+                             ids=["small", "default"])
+    def test_bench_subcommand(self, tmp_path, capsys, small, uavs):
         out_dir = tmp_path / "out"
-        code = cli_main(
-            ["bench", "--config", str(path), "--out", str(out_dir), "--uavs", "2,3"]
-        )
-        assert code == 0
+        argv = ["bench", "--out", str(out_dir), "--uavs", ",".join(map(str, uavs))]
+        if small:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config_to_dict(small_config(seed=22))))
+            argv += ["--config", str(path)]
+        assert cli_main(argv) == 0
         rows = json.loads((out_dir / "benchmark.json").read_text())
-        assert [r["uav_count"] for r in rows] == [2, 3]
+        assert [r["uav_count"] for r in rows] == uavs
         # Stage times print in ms to 3 significant digits, as the run summary does.
         lines = capsys.readouterr().out.splitlines()[:-1]
         assert len(lines) == len(rows)
