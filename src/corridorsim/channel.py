@@ -28,8 +28,7 @@ one numpy Generator per draw kind, seeded by ``SeedSequence(seeds[r] mod
 2^64)``, and each stream fills a row-major (M*L, k) block in one call: link
 (m, l)'s draws are row m*L + l. A link therefore keeps its draws when M
 grows, the few-ray diffuse phase does not depend on the ray count, and a
-replication's tensor does not depend on which rows share its call or on
-the thread count.
+replication's tensor does not depend on which rows share its call.
 
 The rest of a provider runs once on (R, M*L) arrays, and what does not
 depend on the seed (the LOS ray, the path loss) once on (M*L,) arrays. Its

@@ -22,9 +22,9 @@ from .errors import ConfigurationError, CorridorsimError
 from .harness import (
     ALLOCATION_CHANNELS,
     ALLOCATORS,
-    MAX_THREADS,
     ScenarioConfig,
     benchmark,
+    benchmark_configs,
     emit_reports,
     gain_sweep_rows,
     load_config,
@@ -32,7 +32,7 @@ from .harness import (
     prepare_output_dir,
     run_scenario,
     summary_row,
-    sweep,
+    sweep_configs,
     validate_config,
     write_gain_sweep,
     write_output,
@@ -57,9 +57,9 @@ def _add_common(parser: argparse.ArgumentParser, replications: bool = True) -> N
     )
     if replications:
         parser.add_argument("--replications", type=int, help="replications override")
-    parser.add_argument(
-        "--threads", type=int, default=1, help=f"worker threads, 1 to {MAX_THREADS}"
-    )
+    # Retired: replications run in one loop. The benchmark's calls
+    # (perfbench/workloads.py) pass `--threads 1`; it goes when they drop it.
+    parser.add_argument("--threads", type=int, choices=[1], help="retired; accepts only 1")
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
@@ -148,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
             if problems:
                 raise ConfigurationError("\n".join(problems))
             prepare_output_dir(args.out)
-            results = [run_scenario(config, threads=args.threads)]
+            results = [run_scenario(config)]
         elif args.command == "sweep":
             if args.altitudes:
                 if args.uavs and len(args.uavs) > 1:
@@ -160,11 +160,14 @@ def main(argv: list[str] | None = None) -> int:
                 axis, values = "uav_count", args.uavs
             else:
                 raise ConfigurationError("sweep needs --uavs or --altitudes")
+            # As for run, every config is checked before --out is made.
+            configs = sweep_configs(config, axis, values)
             prepare_output_dir(args.out)
-            results = sweep(config, axis, values, threads=args.threads)
+            results = [run_scenario(cfg) for cfg in configs]
         else:  # bench
+            benchmark_configs(config, args.uavs)
             prepare_output_dir(args.out)
-            rows = benchmark(config, args.uavs, threads=args.threads)
+            rows = benchmark(config, args.uavs)
             text = json.dumps(rows, indent=2) + "\n"
             bench_path = write_output(open_output(args.out, "benchmark.json"), text)
             for row in rows:
@@ -180,7 +183,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {written['results']} and {written['summary']}")
         return 0
     except CorridorsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for line in str(exc).split("\n"):
+            print(f"error: {line}", file=sys.stderr)
         return 1
 
 

@@ -14,9 +14,9 @@ Replication r of every scenario derives its channel seeds from
 (scenario seed, r), its tensors are row r of each stacked call, and link
 (m, l) draws row m*L + l of each of its streams, so sweeps over UAV count
 or altitude are paired sample by sample. results.json contains only
-deterministic payload (wall clock timings go to summary.csv), so identical
-configs and seeds reproduce it byte for byte regardless of thread count
-and of how replications are chunked.
+deterministic payload (wall clock timings go to summary.csv), so the same
+config and seed reproduce it byte for byte, at any chunking of the
+replications.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ import math
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -77,9 +75,6 @@ _TAG_RANDOM = 5
 
 ALLOCATORS = ("two_stage", "random", "closest_bs")
 ALLOCATION_CHANNELS = ("hf", "lf", "statistical")
-# Worker threads a run may ask for. Replications are short numpy calls, and
-# beyond a few threads the pool only adds contention.
-MAX_THREADS = 64
 
 
 def aim_boresights_at(bss: list[BaseStationSite], target: Position3D) -> list[BaseStationSite]:
@@ -505,18 +500,13 @@ def _chunk_size(config: ScenarioConfig) -> int:
     return max(1, MAX_STACKED // (config.uav_count * len(config.bss) * width))
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
+def run_scenario(config: ScenarioConfig) -> ExperimentResult:
     """Run every replication of one scenario and aggregate the reports.
 
     Replications are stacked in chunks of `_chunk_size`: each chunk makes one
     channel pass (generate, allocation tensor, checks, utility) over all its
-    replications, then assigns and scores each replication on its own, on
-    up to `threads` worker threads.
+    replications, then assigns and scores each replication in order.
     """
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    if threads > MAX_THREADS:
-        raise ConfigurationError(f"threads must be <= {MAX_THREADS}, got {threads}")
     echo = config_to_dict(config)
     errors = validate_config(config, echo)
     if errors:
@@ -537,10 +527,12 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
 
     mm, ll, nn = config.uav_count, len(config.bss), config.codebook.n_beams
     channel_seeds = _seeds(config, _TAG_CHANNEL, range(config.replications))
-
-    def channel_pass(reps: range) -> tuple[Iterable, Iterable, Iterable]:
-        """Per replication of `reps`: evaluation gains, utility, share of the utility seconds."""
-        seeds = channel_seeds[reps.start : reps.stop]
+    chunk = _chunk_size(config)
+    reports = []
+    stage2_seconds = evaluation_seconds = 0.0  # summed here, averaged below
+    for start in range(0, config.replications, chunk):
+        reps = range(start, min(start + chunk, config.replications))
+        seeds = channel_seeds[start : reps.stop]
         # An overflowing link budget is reported by _check_gains, not by numpy.
         with np.errstate(over="ignore", invalid="ignore"):
             eval_tensor = generate(links, config.channel_hf, config.rf, seeds)
@@ -551,72 +543,62 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ExperimentResult:
             alloc_tensor = _allocation_tensor(config, eval_tensor, links, reps)
             if alloc_tensor is not eval_tensor:
                 _check_gains(alloc_tensor, f"allocation channel {config.allocation_channel!r}")
-        if config.allocator == "random":
-            return eval_tensor.power_gains, repeat(None), repeat(0.0)
-        t_util = time.perf_counter()
-        util = build_utility(table, alloc_tensor, config.rf)
-        return eval_tensor.power_gains, util, repeat((time.perf_counter() - t_util) / len(reps))
-
-    def one_replication(
-        r: int, gains: np.ndarray, util: np.ndarray | None, util_seconds: float
-    ) -> tuple[ThroughputReport, float, float]:
-        """The replication's report, its stage-2 seconds and its evaluation seconds."""
-        t_alloc = time.perf_counter()
-        if config.allocator == "two_stage":
-            assignment = solve_assignment(util)
-        elif config.allocator == "random":
-            assignment = allocate_random(mm, ll, nn, _derive_seed(config.seed, _TAG_RANDOM, r))
-        else:
-            assignment = allocate_closest_bs(links["distance_3d"], util)
-        fill_scan_angles(assignment, table)
-        stage2_seconds = util_seconds + time.perf_counter() - t_alloc
-        violations = validate(assignment, mm, ll, nn)
-        if violations:
-            raise InfeasibleAssignmentError("; ".join(violations))
-        t_eval = time.perf_counter()
-        report = evaluate_all(
-            assignment,
-            LinkGainTensor(power_gains=gains),
-            table,
-            fold,
-            config.rf,
-            seed=channel_seeds[r],
-            config_digest=digest,
-        )
-        return report, stage2_seconds, time.perf_counter() - t_eval
-
-    chunk = _chunk_size(config)
-    workers = min(threads, config.replications)
-    runs = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        each = pool.map if workers > 1 else map
-        for start in range(0, config.replications, chunk):
-            reps = range(start, min(start + chunk, config.replications))
-            runs += each(one_replication, reps, *channel_pass(reps))
-    reports, stage2_seconds, evaluation_seconds = zip(*runs)
+        if config.allocator != "random":
+            t_util = time.perf_counter()
+            util = build_utility(table, alloc_tensor, config.rf)
+            stage2_seconds += time.perf_counter() - t_util
+        for i, r in enumerate(reps):
+            t_alloc = time.perf_counter()
+            if config.allocator == "two_stage":
+                assignment = solve_assignment(util[i])
+            elif config.allocator == "random":
+                assignment = allocate_random(mm, ll, nn, _derive_seed(config.seed, _TAG_RANDOM, r))
+            else:
+                assignment = allocate_closest_bs(links["distance_3d"], util[i])
+            fill_scan_angles(assignment, table)
+            stage2_seconds += time.perf_counter() - t_alloc
+            violations = validate(assignment, mm, ll, nn)
+            if violations:
+                raise InfeasibleAssignmentError("; ".join(violations))
+            t_eval = time.perf_counter()
+            gains = LinkGainTensor(power_gains=eval_tensor.power_gains[i])
+            reports.append(evaluate_all(assignment, gains, table, fold, config.rf,
+                                        seed=channel_seeds[r], config_digest=digest))
+            evaluation_seconds += time.perf_counter() - t_eval
 
     mean_rates = np.array([rep.mean_rate_bps for rep in reports])
     std = float(np.std(mean_rates, ddof=1)) if len(mean_rates) > 1 else 0.0
     return ExperimentResult(
         config=echo,
         config_digest=digest,
-        reports=list(reports),
+        reports=reports,
         mean_rate_bps=float(mean_rates.mean()),
         std_rate_bps=std,
         stage1_seconds=stage1_seconds,
         stage1_evals=table.stage1_evals,
-        stage2_seconds=statistics.fmean(stage2_seconds),
-        evaluation_seconds=statistics.fmean(evaluation_seconds),
+        stage2_seconds=stage2_seconds / config.replications,
+        evaluation_seconds=evaluation_seconds / config.replications,
     )
 
 
-def sweep(
-    config: ScenarioConfig, axis: str, values: list, threads: int = 1
-) -> list[ExperimentResult]:
-    """One run_scenario per axis value, sharing the base seed schedule."""
+def sweep_configs(config: ScenarioConfig, axis: str, values: list) -> list[ScenarioConfig]:
+    """The config of each axis value, all of them checked before any runs.
+
+    Every distinct problem of every config raises in one ConfigurationError,
+    one problem per line.
+    """
     if not values:
         raise ConfigurationError("sweep needs at least one axis value")
-    return [run_scenario(_with_axis(config, axis, value), threads) for value in values]
+    configs = [_with_axis(config, axis, value) for value in values]
+    problems = dict.fromkeys(p for cfg in configs for p in validate_config(cfg))
+    if problems:
+        raise ConfigurationError("\n".join(problems))
+    return configs
+
+
+def sweep(config: ScenarioConfig, axis: str, values: list) -> list[ExperimentResult]:
+    """One run_scenario per axis value, sharing the base seed schedule."""
+    return [run_scenario(cfg) for cfg in sweep_configs(config, axis, values)]
 
 
 def _with_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
@@ -633,7 +615,14 @@ def _with_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
 _BENCH_REPEATS = 15
 
 
-def benchmark(config: ScenarioConfig, uav_counts: list[int], threads: int = 1) -> list[dict]:
+def benchmark_configs(config: ScenarioConfig, uav_counts: list[int]) -> list[ScenarioConfig]:
+    """The one-replication config of each UAV count that `benchmark` runs, all checked."""
+    if not uav_counts:
+        raise ConfigurationError("benchmark needs at least one UAV count")
+    return sweep_configs(replace(config, replications=1), "uav_count", uav_counts)
+
+
+def benchmark(config: ScenarioConfig, uav_counts: list[int]) -> list[dict]:
     """Per-UAV-count median stage timings and stage-1 evaluation counts.
 
     One untimed warm-up run comes first. Then every UAV count runs
@@ -641,14 +630,12 @@ def benchmark(config: ScenarioConfig, uav_counts: list[int], threads: int = 1) -
     slow phase of the machine hits all counts alike, and each stage time
     is the median over the repeats.
     """
-    if not uav_counts:
-        raise ConfigurationError("benchmark needs at least one UAV count")
-    configs = [replace(_with_axis(config, "uav_count", m), replications=1) for m in uav_counts]
-    run_scenario(configs[0], threads)
+    configs = benchmark_configs(config, uav_counts)
+    run_scenario(configs[0])
     samples = [[] for _ in configs]
     for _ in range(_BENCH_REPEATS):
         for cfg, runs in zip(configs, samples):
-            result = run_scenario(cfg, threads)
+            result = run_scenario(cfg)
             runs.append(
                 {
                     "stage1_seconds": result.stage1_seconds,

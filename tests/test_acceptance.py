@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from corridorsim import harness
 from corridorsim.allocator import (
     BeamCodebook,
     allocate_closest_bs,
@@ -271,14 +272,19 @@ class TestAcceptance:
                   f"{per_uav.max() / per_uav.min():.3f} (<= 1.10), total runtime "
                   f"monotone over M = 10..40")
 
-    def test_10_determinism(self, tmp_path):
+    def test_10_determinism(self, tmp_path, monkeypatch):
         cfg = scenario(1010, uav_count=6, replications=4)
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        emit_reports([run_scenario(cfg, threads=1)], out_a)
-        emit_reports([run_scenario(cfg, threads=8)], out_b)
-        bytes_a = (out_a / "results.json").read_bytes()
-        bytes_b = (out_b / "results.json").read_bytes()
-        assert bytes_a == bytes_b
-        report(10, f"results.json byte-identical at 1 and 8 threads "
-                   f"({len(bytes_a)} bytes)")
+
+        def results_json(name):
+            out = emit_reports([run_scenario(cfg)], tmp_path / name)["results"]
+            return out.read_bytes()
+
+        assert harness._chunk_size(cfg) >= cfg.replications
+        one_chunk = results_json("a")
+        rerun = results_json("b")
+        monkeypatch.setattr(harness, "MAX_STACKED", 1)
+        assert harness._chunk_size(cfg) == 1
+        four_chunks = results_json("c")
+        assert one_chunk == rerun == four_chunks
+        report(10, f"results.json byte-identical on a rerun and at one chunk of 4 "
+                   f"or 4 chunks of 1 replication ({len(one_chunk)} bytes)")

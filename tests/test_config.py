@@ -260,10 +260,12 @@ rician_k_dbs = st.floats(-3000.0, 3000.0)
 
 
 # An import spec holds a file name; the round trip makes that file, since
-# validate_config requires an import path to name a regular file.
-file_names = st.text(st.characters(exclude_characters="/\0"), min_size=1, max_size=40).filter(
-    lambda name: name not in (".", "..")
-)
+# validate_config requires an import path to name a regular file. A name is
+# UTF-8 encodable, as every file name is; a lone surrogate names no file, and
+# TestCli::test_run_missing_import_file covers it.
+file_names = st.text(
+    st.characters(codec="utf-8", exclude_characters="/\0"), min_size=1, max_size=40
+).filter(lambda name: name not in (".", ".."))
 
 # A spec sets only the keys its kind reads; the others stay at their defaults.
 providers = st.one_of(

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -14,8 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corridorsim
-from concurrent.futures import ThreadPoolExecutor
-
 from corridorsim import channel, cli, harness
 from corridorsim.allocator import (
     MAX_ARRAY_SIDE,
@@ -43,7 +42,6 @@ from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError, OutputError, TensorFormatError
 from corridorsim.geometry import generate_corridor, link_geometries
 from corridorsim.harness import (
-    MAX_THREADS,
     ScenarioConfig,
     benchmark,
     config_digest,
@@ -375,30 +373,6 @@ class TestRunScenario:
         r2 = run_scenario(cfg)
         assert r1.to_dict() == r2.to_dict()
 
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_rejects_threads_below_one(self, threads):
-        with pytest.raises(ConfigurationError, match=f"threads must be >= 1, got {threads}"):
-            run_scenario(small_config(replications=1), threads=threads)
-
-    @pytest.mark.parametrize("threads", [MAX_THREADS + 1, 10**9])
-    def test_rejects_threads_above_the_bound_before_any_pool(self, monkeypatch, threads):
-        # The bound is checked first, so no executor is ever built.
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", None)
-        match = f"threads must be <= {MAX_THREADS}, got {threads}"
-        with pytest.raises(ConfigurationError, match=match):
-            run_scenario(small_config(replications=2), threads=threads)
-
-    def test_pool_has_at_most_one_worker_per_replication(self, monkeypatch):
-        workers = []
-
-        def recording(max_workers):
-            workers.append(max_workers)
-            return ThreadPoolExecutor(max_workers)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", recording)
-        run_scenario(small_config(seed=3, replications=2), threads=MAX_THREADS)
-        assert workers == [2]
-
     def test_evaluation_folds_the_links_once_per_run(self, monkeypatch):
         # Stage 1 folds through corridorsim.allocator's name; every other
         # module that holds scan_coefficients is counted.
@@ -729,53 +703,63 @@ KTB = {"noise_power_w": 1.2e-13}
 TWIN = {"kind": "import", "import_path": "twin.ctns"}
 LF = ["--channel", "lf"]
 
-# A run on 1 worker thread and the same run on more must write the same
-# results.json: {id: (config doc, flags of both runs, threads of the second)}.
-SAME_BYTES_AT_THREADS = {
-    "default": ({}, [], 2),
-    "small": (config_to_dict(small_config(seed=9, replications=4)), [], 4),
-    "import": ({"channel_hf": TWIN}, [], 2),
-    # Three replications share the one imported tensor, read once.
-    "imp3": ({"replications": 3, "channel_hf": TWIN}, LF, 2),
-    "fewray": (_PAYLOAD_CONFIGS["montecarlo"][0], LF, 2),
+# A run stacks all its replications in one channel pass. The same run at one
+# replication per pass must write the same results.json: {id: (config doc,
+# flags of both runs)}. Every row runs at least three replications.
+SAME_BYTES_AT_ANY_CHUNKING = {
+    "default": ({}, ["--replications", "3"]),
+    "small": (config_to_dict(small_config(seed=9, replications=4)), []),
+    "import": ({"channel_hf": TWIN}, ["--replications", "3"]),
+    # Three replications share the one imported tensor, read once per pass.
+    "imp3": ({"replications": 3, "channel_hf": TWIN}, LF),
+    "fewray": (_PAYLOAD_CONFIGS["montecarlo"][0], LF),
     # The montecarlo workload's shape at M = 16: the Gaussian few-ray branch
     # for evaluation, degraded per link for allocation on LF.
     "fewray-m16": ({"seed": 12, "uav_count": 16, "replications": 4, "allocation_channel": "lf",
                     "channel_hf": {"kind": "few_ray", "ray_count": 10_000},
-                    "channel_lf": {"ray_count": 100}}, [], 2),
+                    "channel_lf": {"ray_count": 100}}, []),
     # Interference-limited: at kTB noise the evaluator's interference
-    # product carries every SINR, and worker threads run it concurrently.
-    "ktb": ({"uav_count": 64, "replications": 4, "rf": KTB}, [], 2),
-    "ktb-seed13": ({"seed": 13, "uav_count": 64, "replications": 4, "rf": KTB}, [], 4),
+    # product carries every SINR.
+    "ktb": ({"uav_count": 64, "replications": 4, "rf": KTB}, []),
+    "ktb-seed13": ({"seed": 13, "uav_count": 64, "replications": 4, "rf": KTB}, []),
     # The exact branch: 32 scatter rays are summed, not drawn from the Gaussian limit.
-    "exact": ({"channel_hf": {"kind": "few_ray", "ray_count": 33}}, LF, 2),
-    # kTB on the exact branch, 7 replications stacked in one channel pass
-    # and scored on 1 or 3 threads (an uneven split).
+    "exact": ({"channel_hf": {"kind": "few_ray", "ray_count": 33}}, LF + ["--replications", "3"]),
+    # kTB on the exact branch, 7 replications stacked in one channel pass.
     "ktb-exact": ({"uav_count": 40, "replications": 7, "rf": KTB,
-                   "channel_hf": {"kind": "few_ray", "ray_count": 10}}, [], 3),
+                   "channel_hf": {"kind": "few_ray", "ray_count": 10}}, []),
     # Grating lobes: at d_h = 1.3 stage 1 keeps peaks of P(s) wrapped by 2 pi (q != 0).
-    "grating": ({"antenna": {"n_h": 8, "d_h_wavelengths": 1.3}}, ["--replications", "3"], 2),
+    "grating": ({"antenna": {"n_h": 8, "d_h_wavelengths": 1.3}}, ["--replications", "3"]),
     # An odd n_h on grating lobes: stage 1 reduces s - beta to [-pi, pi]
     # before the kernel's sine ratio, which is rounding noise there otherwise.
-    "odd-grating": ({"antenna": {"n_h": 5, "d_h_wavelengths": 1.3}}, ["--replications", "3"], 2),
-    "closest_bs": ({}, ["--allocator", "closest_bs", "--replications", "3"], 2),
-    "random": ({}, ["--allocator", "random", "--replications", "3"], 2),
+    "odd-grating": ({"antenna": {"n_h": 5, "d_h_wavelengths": 1.3}}, ["--replications", "3"]),
+    "closest_bs": ({}, ["--allocator", "closest_bs", "--replications", "3"]),
+    "random": ({}, ["--allocator", "random", "--replications", "3"]),
 }
 
 
 @pytest.mark.parametrize(
-    "doc, flags, threads", SAME_BYTES_AT_THREADS.values(), ids=list(SAME_BYTES_AT_THREADS)
+    "doc, flags", SAME_BYTES_AT_ANY_CHUNKING.values(), ids=list(SAME_BYTES_AT_ANY_CHUNKING)
 )
-def test_thread_count_does_not_change_results_json(tmp_path, monkeypatch, doc, flags, threads):
+def test_chunking_does_not_change_results_json(tmp_path, monkeypatch, doc, flags):
     monkeypatch.chdir(tmp_path)
     if doc.get("channel_hf") == TWIN:
         cfg = ScenarioConfig()
         links = link_geometries(generate_corridor(cfg.corridor, cfg.uav_count), cfg.bss)
         export_tensor(channel.generate(links, cfg.channel_hf, cfg.rf, [7]), TWIN["import_path"])
     Path("cfg.json").write_text(json.dumps(doc))
-    for out, count in (("a", 1), ("b", threads)):
-        argv = ["run", "--config", "cfg.json", *flags, "--threads", str(count), "--out", out]
-        assert cli_main(argv) == 0
+    passes = []  # replications per channel pass
+
+    def counted(links, spec, rf, seeds):
+        passes.append(len(seeds))
+        return channel.generate(links, spec, rf, seeds)
+
+    monkeypatch.setattr(harness, "generate", counted)
+    argv = ["run", "--config", "cfg.json", *flags]
+    assert cli_main(argv + ["--out", "a"]) == 0
+    monkeypatch.setattr(harness, "MAX_STACKED", 1)
+    assert cli_main(argv + ["--out", "b"]) == 0
+    replications = passes[0]
+    assert replications >= 3 and passes == [replications] + [1] * replications
     assert Path("a/results.json").read_bytes() == Path("b/results.json").read_bytes()
 
 
@@ -999,9 +983,14 @@ class TestCli:
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_run_missing_import_file(self, tmp_path, capsys):
+    # A lone surrogate cannot name a file on disk, so it is reported as
+    # missing; Python's stderr writes it as a backslash escape.
+    @pytest.mark.parametrize("name", ["missing.ctns", "\udd00"], ids=["missing", "surrogate"])
+    def test_run_missing_import_file(self, tmp_path, monkeypatch, name):
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+        monkeypatch.setattr(sys, "stderr", stderr)
         doc = config_to_dict(small_config(replications=1))
-        missing = tmp_path / "missing.ctns"
+        missing = tmp_path / name
         doc["channel_hf"] = {"kind": "import", "import_path": str(missing)}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -1009,7 +998,9 @@ class TestCli:
         assert cli_main(["validate-config", "--config", str(path)]) == 1
         assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
         line = f"error: channel_hf.import_path: channel tensor file not found: {missing}"
-        assert capsys.readouterr().err.splitlines() == [line] * 2
+        stderr.flush()
+        written = stderr.buffer.getvalue().decode().splitlines()
+        assert written == [line.encode(errors="backslashreplace").decode()] * 2
         assert not out_dir.exists()
 
     def test_import_path_naming_a_directory_exits_1(self, tmp_path, capsys):
@@ -1094,23 +1085,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing.json" in err
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_run_threads_below_one_exits_1(self, tmp_path, capsys, threads):
-        out_dir = tmp_path / "out"
-        assert cli_main(["run", "--uavs", "2", "--threads", threads, "--out", str(out_dir)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: threads must be >= 1, got {threads}")
-        assert not (out_dir / "results.json").exists()
-
-    @pytest.mark.parametrize("uavs", [["--uavs", "2"], []], ids=["uavs-2", "default"])
-    def test_run_threads_above_the_bound_exits_1(self, tmp_path, capsys, uavs):
-        out_dir = tmp_path / "out"
-        argv = ["run", *uavs, "--threads", str(MAX_THREADS + 1), "--out", str(out_dir)]
-        assert cli_main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: threads must be <= {MAX_THREADS}, got {MAX_THREADS + 1}")
-        assert not (out_dir / "results.json").exists()
-
     def test_consecutive_calls_share_no_arguments(self, tmp_path, capsys):
         from corridorsim.cli import _parser
 
@@ -1132,7 +1106,15 @@ class TestCli:
         ]
 
     @pytest.mark.parametrize(
-        "argv", [[], ["nope"], ["run", "--threads", "x"], ["run", "--allocator", "best"]]
+        "argv",
+        [
+            [],
+            ["nope"],
+            ["run", "--threads", "x"],
+            ["run", "--allocator", "best"],
+            # --threads is retired and accepts only 1.
+            ["run", "--threads", "2"],
+        ],
     )
     def test_bad_arguments_exit_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1160,12 +1142,26 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_sweep_rejects_several_uav_counts_with_altitudes(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["sweep", "--uavs", "4,8", "--altitudes", "75,100"],
+             ["sweep takes one --uavs value with --altitudes, got [4, 8]"]),
+            # Every axis value is checked before the first scenario runs.
+            (["sweep", "--uavs", "2", "--altitudes", "50,-1"],
+             ["corridor.altitude_m must be positive, got -1.0"]),
+            (["sweep", "--uavs", "0,2"], ["uav_count must be >= 1, got 0"]),
+            (["sweep", "--uavs", "0,-1,0"],
+             ["uav_count must be >= 1, got 0", "uav_count must be >= 1, got -1"]),
+            (["bench", "--uavs", "0"], ["uav_count must be >= 1, got 0"]),
+            (["bench", "--uavs", ","], ["benchmark needs at least one UAV count"]),
+        ],
+        ids=["uavs-with-altitudes", "altitude", "uavs", "every-problem", "bench", "bench-empty"],
+    )
+    def test_sweep_and_bench_reject_before_making_out(self, tmp_path, capsys, argv, lines):
         out_dir = tmp_path / "out"
-        argv = ["sweep", "--uavs", "4,8", "--altitudes", "75,100", "--out", str(out_dir)]
-        assert cli_main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: sweep takes one --uavs value with --altitudes, got [4, 8]")
+        assert cli_main(argv + ["--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}" for line in lines]
         assert not out_dir.exists()
 
     def test_run_subcommand(self, tmp_path, capsys):
@@ -1243,9 +1239,3 @@ class TestCli:
                 ms = row[f"{stage}_seconds"] * 1e3
                 assert printed.group(1) == f"{ms:.3g}"
 
-    def test_bench_without_a_uav_count_exits_1(self, tmp_path, capsys):
-        out_dir = tmp_path / "out"
-        assert cli_main(["bench", "--uavs", ",", "--out", str(out_dir)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: benchmark needs at least one UAV count")
-        assert not (out_dir / "benchmark.json").exists()
