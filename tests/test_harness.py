@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -430,6 +431,33 @@ class TestRunScenario:
         assert list(written) == [1, 3, 7]
         assert written[1] == written[3] == written[7]
 
+    @pytest.mark.parametrize("per_chunk", [4, 1], ids=["one-chunk", "chunk-per-replication"])
+    def test_stage_seconds_are_means_per_replication(self, monkeypatch, per_chunk):
+        # A fake clock moves only inside the timed calls: 2 s per stage-1
+        # table, 0.5 s per utility (one per chunk), 0.25 s per assignment and
+        # 1 s per evaluation. Powers of two keep the sums exact.
+        clock = [0.0]
+
+        def ticking(function, seconds):
+            def timed(*args, **kwargs):
+                clock[0] += seconds
+                return function(*args, **kwargs)
+            return timed
+
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        for name, seconds in (("build_beam_gain_table", 2.0), ("build_utility", 0.5),
+                              ("solve_assignment", 0.25), ("evaluate_all", 1.0)):
+            monkeypatch.setattr(harness, name, ticking(getattr(harness, name), seconds))
+        cfg = small_config(seed=32, replications=4)
+        per_replication = cfg.uav_count * len(cfg.bss) * cfg.codebook.n_beams
+        monkeypatch.setattr(harness, "MAX_STACKED", per_chunk * per_replication)
+        assert harness._chunk_size(cfg) == per_chunk
+        result = run_scenario(cfg)
+        chunks = cfg.replications // per_chunk
+        assert result.stage1_seconds == 2.0
+        assert result.stage2_seconds == (chunks * 0.5 + cfg.replications * 0.25) / 4
+        assert result.evaluation_seconds == 1.0
+
     def test_exact_few_ray_phases_set_the_chunk(self):
         cfg = ScenarioConfig(uav_count=16)
         cfg.channel_hf = replace(cfg.channel_hf, kind="few_ray", ray_count=_EXACT_RAY_LIMIT + 1)
@@ -549,6 +577,30 @@ class TestSweepAndBench:
     def test_benchmark_needs_a_uav_count(self):
         with pytest.raises(ConfigurationError):
             benchmark(small_config(), [])
+
+    def test_sweep_checks_every_value_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_scenario", runs.append)
+        with pytest.raises(ConfigurationError) as exc:
+            sweep(small_config(), "altitude", [50.0, -1.0, -2.0])
+        assert str(exc.value).splitlines() == [
+            "corridor.altitude_m must be positive, got -1.0",
+            "corridor.altitude_m must be positive, got -2.0",
+        ]
+        with pytest.raises(ConfigurationError, match="uav_count must be >= 1, got 0"):
+            benchmark(small_config(), [2, 0])
+        assert runs == []
+
+    def test_benchmark_configs_take_one_replication_per_uav_count(self):
+        cfg = small_config(seed=18, replications=5)
+        configs = harness.benchmark_configs(cfg, [2, 4])
+        assert [c.uav_count for c in configs] == [2, 4]
+        for c in configs:
+            assert c.replications == 1
+            assert config_to_dict(replace(c, uav_count=cfg.uav_count, replications=5)) == (
+                config_to_dict(cfg)
+            )
+        assert cfg.replications == 5
 
     def test_benchmark_rows(self):
         cfg = small_config(seed=17)
@@ -1174,6 +1226,18 @@ class TestCli:
         assert code == 0
         assert (out_dir / "results.json").exists()
         assert (out_dir / "summary.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--uavs", "2,3"]], ids=["run", "sweep"])
+    def test_retired_threads_flag_accepts_one(self, tmp_path, capsys, argv):
+        # perfbench/workloads.py passes --threads 1; it must change nothing.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(small_config(seed=23))))
+        written = []
+        for name, flags in (("a", []), ("b", ["--threads", "1"])):
+            out_dir = tmp_path / name
+            assert cli_main([*argv, "--config", str(path), *flags, "--out", str(out_dir)]) == 0
+            written.append((out_dir / "results.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_gain_sweep_subcommand(self, tmp_path):
         out_dir = tmp_path / "out"
