@@ -93,7 +93,8 @@ class Assignment:
 
     In the paper's indicator form, beta[m, l] = (bs[m] == l) and
     x[m, l, n] = (bs[m] == l and beam[m] == n). phi_scan_chosen is the
-    per-UAV serving scan angle when the allocator had a beam table available.
+    per-UAV serving scan angle: the allocators leave it None, and every run
+    sets it from the beam table through `fill_scan_angles`.
     """
 
     bs: np.ndarray  # (M,) int

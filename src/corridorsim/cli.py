@@ -126,11 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("validate-config", "gain-sweep"):
             config = load_config(args.config) if args.config else ScenarioConfig()
-            problems = validate_config(config)
-            for problem in problems:
-                print(f"error: {problem}", file=sys.stderr)
-            if problems:
-                return 1
+            if problems := validate_config(config):
+                raise ConfigurationError("\n".join(problems))
             if args.command == "validate-config":
                 print("config ok")
                 return 0
@@ -144,8 +141,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.uavs and len(args.uavs) > 1:
                 raise ConfigurationError(f"run takes one --uavs value, got {args.uavs}")
             # A config the run would refuse leaves no output directory behind.
-            problems = validate_config(config)
-            if problems:
+            if problems := validate_config(config):
                 raise ConfigurationError("\n".join(problems))
             prepare_output_dir(args.out)
             results = [run_scenario(config)]

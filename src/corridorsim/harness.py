@@ -142,50 +142,88 @@ class ExperimentResult:
 # Config file round trip
 # --------------------------------------------------------------------------
 
-# Every config file key once: (dotted file key, dotted attribute path). The
-# attribute holds the file's value as it stands, so the echo of a loaded
+
+def _need(holds, need: str):
+    """A rule: a value for which `holds` is false reads `{key} {need}, got {value!r}`."""
+    return lambda key, value: None if holds(value) else f"{key} {need}, got {value!r}"
+
+
+_POSITIVE = _need(lambda value: value > 0.0, "must be positive")
+_AT_LEAST_1 = _need(lambda value: value >= 1, "must be >= 1")
+_FINITE_WAVELENGTH = _need(lambda hz: math.isfinite(SPEED_OF_LIGHT / hz),
+                           "must give a finite wavelength")
+
+
+def _rician_k(key: str, k_db: float) -> str | None:
+    """A K whose linear value 10^(K/10), as the providers compute it, is finite and positive."""
+    try:
+        if 10.0 ** (k_db / 10.0) > 0.0:
+            return None
+    except OverflowError:
+        pass
+    return f"{key} must have a finite, positive linear value, got {k_db!r} dB"
+
+
+def _tensor_file(key: str, path: str | None) -> str | None:
+    """An import's tensor must name a regular file."""
+    if not path:
+        return f"{key} is required for kind 'import'"
+    if os.path.isfile(path):
+        return None
+    return (f"{key} must be a regular file, got {path!r}" if os.path.exists(path)
+            else f"{key}: channel tensor file not found: {path}")
+
+
+# Every config file key once: (dotted file key, dotted attribute path, rule).
+# The attribute holds the file's value as it stands, so the echo of a loaded
 # config loads back to the same config. A key a file omits keeps its value
 # in ScenarioConfig(), and a value must have the JSON type of the
-# attribute's annotation.
+# attribute's annotation. `validate_config` reports each non-finite number,
+# and each other value for which rule(file key, value) returns a message; a
+# float key without a rule need only be finite.
 _SCHEMA = (
-    ("seed", "seed"),
-    ("uav_count", "uav_count"),
-    ("replications", "replications"),
-    ("allocator", "allocator"),
-    ("allocation_channel", "allocation_channel"),
-    ("rf.carrier_hz", "rf.carrier_hz"),
-    ("rf.bandwidth_hz", "rf.bandwidth_hz"),
-    ("rf.tx_power_w", "rf.tx_power_w"),
-    ("rf.noise_power_w", "rf.noise_power_w"),
-    ("antenna.n_h", "antenna.n_h"),
-    ("antenna.n_v", "antenna.n_v"),
-    ("antenna.d_h_wavelengths", "antenna.d_h"),
-    ("antenna.d_v_wavelengths", "antenna.d_v"),
-    ("antenna.g_e_max_dbi", "antenna.g_e_max_dbi"),
-    ("antenna.theta_3db_deg", "antenna.theta_3db_deg"),
-    ("antenna.phi_3db_deg", "antenna.phi_3db_deg"),
-    ("antenna.a_m_db", "antenna.a_m_db"),
-    ("antenna.sl_av_db", "antenna.sl_av_db"),
-    ("antenna.tilt_deg", "antenna.tilt_deg"),
-    ("codebook.n_beams", "codebook.n_beams"),
-    ("corridor.center_x_m", "corridor.center.x"),
-    ("corridor.center_y_m", "corridor.center.y"),
-    ("corridor.radius_m", "corridor.radius"),
-    ("corridor.altitude_m", "corridor.altitude"),
-    *((f"channel_hf.{key}", f"channel_hf.{key}")
-      for key in ("kind", "ray_count", "rician_k_db", "import_path")),
-    ("channel_lf.ray_count", "lf_ray_count"),
+    ("seed", "seed", None),
+    ("uav_count", "uav_count", _AT_LEAST_1),
+    ("replications", "replications", _AT_LEAST_1),
+    ("allocator", "allocator", _need(lambda v: v in ALLOCATORS, f"must be one of {ALLOCATORS}")),
+    ("allocation_channel", "allocation_channel",
+     _need(lambda v: v in ALLOCATION_CHANNELS, f"must be one of {ALLOCATION_CHANNELS}")),
+    ("rf.carrier_hz", "rf.carrier_hz", lambda k, hz: _POSITIVE(k, hz) or _FINITE_WAVELENGTH(k, hz)),
+    ("rf.bandwidth_hz", "rf.bandwidth_hz", _POSITIVE),
+    ("rf.tx_power_w", "rf.tx_power_w", _POSITIVE),
+    ("rf.noise_power_w", "rf.noise_power_w", _POSITIVE),
+    ("antenna.n_h", "antenna.n_h", _AT_LEAST_1),
+    ("antenna.n_v", "antenna.n_v", _AT_LEAST_1),
+    ("antenna.d_h_wavelengths", "antenna.d_h", _POSITIVE),
+    ("antenna.d_v_wavelengths", "antenna.d_v", _POSITIVE),
+    ("antenna.g_e_max_dbi", "antenna.g_e_max_dbi", None),
+    ("antenna.theta_3db_deg", "antenna.theta_3db_deg", _POSITIVE),
+    ("antenna.phi_3db_deg", "antenna.phi_3db_deg", _POSITIVE),
+    ("antenna.a_m_db", "antenna.a_m_db", _POSITIVE),
+    ("antenna.sl_av_db", "antenna.sl_av_db", _POSITIVE),
+    ("antenna.tilt_deg", "antenna.tilt_deg", None),
+    ("codebook.n_beams", "codebook.n_beams", _AT_LEAST_1),
+    ("corridor.center_x_m", "corridor.center.x", None),
+    ("corridor.center_y_m", "corridor.center.y", None),
+    ("corridor.radius_m", "corridor.radius", _POSITIVE),
+    ("corridor.altitude_m", "corridor.altitude", _POSITIVE),
+    ("channel_hf.kind", "channel_hf.kind", _need(
+        lambda v: v in ("few_ray", "statistical", "import"), "must be few_ray|statistical|import")),
+    ("channel_hf.ray_count", "channel_hf.ray_count", _AT_LEAST_1),
+    ("channel_hf.rician_k_db", "channel_hf.rician_k_db", _rician_k),
+    ("channel_hf.import_path", "channel_hf.import_path", _tensor_file),
+    ("channel_lf.ray_count", "lf_ray_count", _AT_LEAST_1),
 )
 
 # One `bss` entry, relative to a BaseStationSite. An omitted `id` is the
 # entry's index + 1, an omitted or null `boresight_deg` aims the site at the
 # corridor center, and omitted coordinates are those of nominal site 1.
 _SITE_SCHEMA = (
-    ("id", "id"),
-    ("x_m", "position.x"),
-    ("y_m", "position.y"),
-    ("z_m", "position.z"),
-    ("boresight_deg", "boresight_deg"),
+    ("id", "id", None),
+    ("x_m", "position.x", None),
+    ("y_m", "position.y", None),
+    ("z_m", "position.z", _need(lambda z: z >= 0.0, "must be >= 0")),
+    ("boresight_deg", "boresight_deg", None),
 )
 
 # The two keys of an earlier version that still load: `annealer` is ignored,
@@ -207,22 +245,21 @@ _READ_BY_KIND = {"ray_count": ("few_ray",), "import_path": ("import",)}
 _JSON_TYPES = {
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
-    bool: ((bool,), "true or false"),
     str: ((str,), "a string"),
     str | None: ((str, type(None)), "a string or null"),
 }
 
 
 def _compile(schema, root: type) -> dict:
-    """{section or None: {file key: (getter, path, JSON types, their name, is float)}}."""
+    """{section or None: {file key: (getter, path, JSON types, their name, is float, rule)}}."""
     hints = functools.cache(get_type_hints)
     tables = {}
-    for name, dotted in schema:
+    for name, dotted, rule in schema:
         *owners, attr = path = tuple(dotted.split("."))
         owner = functools.reduce(lambda cls, step: hints(cls)[step], owners, root)
         section, _, key = name.rpartition(".")
         hint = hints(owner)[attr]
-        row = (attrgetter(dotted), path, *_JSON_TYPES[hint], hint is float)
+        row = (attrgetter(dotted), path, *_JSON_TYPES[hint], hint is float, rule)
         tables.setdefault(section or None, {})[key] = row
     return tables
 
@@ -308,7 +345,7 @@ def _load(doc: dict, table: dict, where: str) -> dict:
             continue
         if key not in table:
             raise ConfigurationError(f"unknown config key {where + key!r}")
-        _, path, types, expected, is_float = table[key]
+        _, path, types, expected, is_float, _ = table[key]
         if type(value) not in types:
             raise ConfigurationError(f"{where + key} must be {expected}, got {value!r}")
         try:
@@ -346,109 +383,37 @@ def config_digest(config: ScenarioConfig, echo: dict | None = None) -> str:
 def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[str]:
     """Every problem with the scenario, one message per offending field.
 
-    A message names the file key and the value the file holds. `echo` is
-    `config_to_dict(config)`, built here unless the caller has it.
+    A message names the file key and the value the file holds. The keys come
+    first, in echo order: a non-finite number is reported as such, any other
+    value against its schema row's rule. The checks that span several keys
+    follow. `echo` is `config_to_dict(config)`, built here unless at hand.
     """
     echo = config_to_dict(config) if echo is None else echo
-    errors = [f"{path} must be finite, got {value}" for path, value in _non_finite(echo)]
-    for key, value in echo["rf"].items():
-        if value <= 0.0:
-            errors.append(f"rf.{key} must be positive, got {value}")
-    if config.rf.carrier_hz > 0.0 and not math.isfinite(SPEED_OF_LIGHT / config.rf.carrier_hz):
-        errors.append(f"rf.carrier_hz must give a finite wavelength, got {config.rf.carrier_hz}")
-    a = echo["antenna"]
-    if a["n_h"] < 1 or a["n_v"] < 1:
-        errors.append(f"antenna.n_h/n_v must be >= 1, got {a['n_h']}x{a['n_v']}")
-    errors += stage1_size_errors(
-        config.antenna, config.codebook.n_beams, config.uav_count * len(config.bss)
-    )
-    for key in (
-        "d_h_wavelengths", "d_v_wavelengths", "theta_3db_deg", "phi_3db_deg", "a_m_db", "sl_av_db"
-    ):
-        if a[key] <= 0.0:
-            errors.append(f"antenna.{key} must be positive, got {a[key]}")
-    if config.codebook.n_beams < 1:
-        errors.append(f"codebook.n_beams must be >= 1, got {config.codebook.n_beams}")
+    walk = [(f"{s}." if s else "", echo[s] if s else echo, table) for s, table in _TABLES.items()]
+    walk += [(f"bss[{i}].", site, _SITE_TABLE) for i, site in enumerate(echo["bss"])]
+    errors = []
+    for where, values, table in walk:
+        for key, value in values.items():
+            rule = table[key][-1] if key in table else None  # sections and `bss` have no row
+            if isinstance(value, float) and not math.isfinite(value):
+                errors.append(f"{where}{key} must be finite, got {value}")
+            elif rule and (problem := rule(where + key, value)):
+                errors.append(problem)
+    # A stage-1 bound on a key reported above (an infinite spacing) adds nothing.
+    named = {problem.split(" ", 1)[0] for problem in errors}
+    n_links = config.uav_count * len(config.bss)
+    sizes = stage1_size_errors(config.antenna, config.codebook.n_beams, n_links)
+    errors += [problem for problem in sizes if problem.split(" ", 1)[0] not in named]
     if not config.bss:
         errors.append("bss must list at least one site")
     ids = [bs.id for bs in config.bss]
     if sorted(ids) != list(range(1, len(ids) + 1)):
         errors.append(f"bss ids must be unique and contiguous from 1, got {ids}")
-    for i, bs in enumerate(config.bss):
-        if bs.position.z < 0.0:
-            errors.append(f"bss[{i}].z_m must be >= 0, got {bs.position.z}")
-    if config.corridor.radius <= 0.0:
-        errors.append(f"corridor.radius_m must be positive, got {config.corridor.radius}")
-    if config.corridor.altitude <= 0.0:
-        errors.append(
-            f"corridor.altitude_m must be positive, got {config.corridor.altitude}"
-        )
-    if config.uav_count < 1:
-        errors.append(f"uav_count must be >= 1, got {config.uav_count}")
     capacity = len(config.bss) * config.codebook.n_beams
     if config.uav_count > capacity:
-        errors.append(
-            f"uav_count: {config.uav_count} UAVs cannot be assigned to "
-            f"{capacity} BS-beam pairs"
-        )
-    if config.allocator not in ALLOCATORS:
-        errors.append(f"allocator must be one of {ALLOCATORS}, got {config.allocator!r}")
-    if config.allocation_channel not in ALLOCATION_CHANNELS:
-        errors.append(
-            f"allocation_channel must be one of {ALLOCATION_CHANNELS}, "
-            f"got {config.allocation_channel!r}"
-        )
-    hf = config.channel_hf
-    if hf.kind not in ("few_ray", "statistical", "import"):
-        errors.append(f"channel_hf.kind must be few_ray|statistical|import, got {hf.kind!r}")
-    if hf.kind == "few_ray" and hf.ray_count < 1:
-        errors.append(f"channel_hf.ray_count must be >= 1, got {hf.ray_count}")
-    if hf.kind == "import" and not hf.import_path:
-        errors.append("channel_hf.import_path is required for kind 'import'")
-    elif hf.kind == "import" and not os.path.isfile(hf.import_path):
-        errors.append(
-            f"channel_hf.import_path must be a regular file, got {hf.import_path!r}"
-            if os.path.exists(hf.import_path)
-            else f"channel_hf.import_path: channel tensor file not found: {hf.import_path}"
-        )
-    if math.isfinite(hf.rician_k_db) and not 0.0 < _linear(hf.rician_k_db) < math.inf:
-        errors.append(
-            f"channel_hf.rician_k_db must have a finite, positive linear value, "
-            f"got {hf.rician_k_db} dB"
-        )
-    if config.lf_ray_count < 1:
-        errors.append(f"channel_lf.ray_count must be >= 1, got {config.lf_ray_count}")
-    if config.replications < 1:
-        errors.append(f"replications must be >= 1, got {config.replications}")
+        errors.append(f"uav_count: {config.uav_count} UAVs cannot be assigned to "
+                      f"{capacity} BS-beam pairs")
     return errors
-
-
-def _linear(db: float) -> float:
-    """10^(db/10) as the channel providers compute it; inf where that overflows."""
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        return math.inf
-
-
-def _non_finite(echo: dict) -> list[tuple[str, float]]:
-    """(file key, value) of every NaN or infinite number in a config echo, in echo order.
-
-    The echo has two fixed levels: top-level values and sections of scalars,
-    and `bss`, a list of flat dicts, whose keys read `bss[i].key`.
-    """
-    found = []
-    for key, value in echo.items():
-        if isinstance(value, dict):
-            found += [(f"{key}.{k}", v) for k, v in value.items()
-                      if isinstance(v, float) and not math.isfinite(v)]
-        elif isinstance(value, list):
-            for i, site in enumerate(value):
-                found += [(f"{key}[{i}].{k}", v) for k, v in site.items()
-                          if isinstance(v, float) and not math.isfinite(v)]
-        elif isinstance(value, float) and not math.isfinite(value):
-            found.append((key, value))
-    return found
 
 
 # --------------------------------------------------------------------------
@@ -508,8 +473,7 @@ def run_scenario(config: ScenarioConfig) -> ExperimentResult:
     replications, then assigns and scores each replication in order.
     """
     echo = config_to_dict(config)
-    errors = validate_config(config, echo)
-    if errors:
+    if errors := validate_config(config, echo):
         raise ConfigurationError("\n".join(errors))
     digest = config_digest(config, echo)
     uavs = generate_corridor(config.corridor, config.uav_count)
@@ -590,8 +554,7 @@ def sweep_configs(config: ScenarioConfig, axis: str, values: list) -> list[Scena
     if not values:
         raise ConfigurationError("sweep needs at least one axis value")
     configs = [_with_axis(config, axis, value) for value in values]
-    problems = dict.fromkeys(p for cfg in configs for p in validate_config(cfg))
-    if problems:
+    if problems := dict.fromkeys(p for cfg in configs for p in validate_config(cfg)):
         raise ConfigurationError("\n".join(problems))
     return configs
 

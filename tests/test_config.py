@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corridorsim import harness
-from corridorsim.allocator import MAX_D_H_WAVELENGTHS, BeamCodebook
+from corridorsim.allocator import MAX_ARRAY_SIDE, MAX_D_H_WAVELENGTHS, BeamCodebook
 from corridorsim.antenna import AntennaConfig
 from corridorsim.channel import ChannelProviderSpec, RfConstants
 from corridorsim.cli import main as cli_main
@@ -110,6 +110,127 @@ class TestSchema:
             "antenna.d_h_wavelengths must be positive, got -0.5",
             "antenna.theta_3db_deg must be positive, got -10.0",
             "channel_lf.ray_count must be >= 1, got 0",
+        ]
+
+
+# One case per schema row that carries a rule: (file key, a finite value the
+# rule refuses, the message). A channel_hf key is set beside the kind that
+# reads it, and a `bss[0].` key in the only site.
+RULED = [
+    ("uav_count", 0, "uav_count must be >= 1, got 0"),
+    ("replications", 0, "replications must be >= 1, got 0"),
+    ("allocator", "greedy",
+     "allocator must be one of ('two_stage', 'random', 'closest_bs'), got 'greedy'"),
+    ("allocation_channel", "import",
+     "allocation_channel must be one of ('hf', 'lf', 'statistical'), got 'import'"),
+    ("rf.carrier_hz", 0, "rf.carrier_hz must be positive, got 0.0"),
+    ("rf.bandwidth_hz", -3e7, "rf.bandwidth_hz must be positive, got -30000000.0"),
+    ("rf.tx_power_w", 0, "rf.tx_power_w must be positive, got 0.0"),
+    ("rf.noise_power_w", -0.3, "rf.noise_power_w must be positive, got -0.3"),
+    ("antenna.n_h", 0, "antenna.n_h must be >= 1, got 0"),
+    ("antenna.n_v", -1, "antenna.n_v must be >= 1, got -1"),
+    ("antenna.d_h_wavelengths", 0, "antenna.d_h_wavelengths must be positive, got 0.0"),
+    ("antenna.d_v_wavelengths", -0.5, "antenna.d_v_wavelengths must be positive, got -0.5"),
+    ("antenna.theta_3db_deg", 0, "antenna.theta_3db_deg must be positive, got 0.0"),
+    ("antenna.phi_3db_deg", -90, "antenna.phi_3db_deg must be positive, got -90.0"),
+    ("antenna.a_m_db", 0, "antenna.a_m_db must be positive, got 0.0"),
+    ("antenna.sl_av_db", -30, "antenna.sl_av_db must be positive, got -30.0"),
+    ("codebook.n_beams", 0, "codebook.n_beams must be >= 1, got 0"),
+    ("corridor.radius_m", 0, "corridor.radius_m must be positive, got 0.0"),
+    ("corridor.altitude_m", -100, "corridor.altitude_m must be positive, got -100.0"),
+    ("channel_hf.kind", "ray_tracing",
+     "channel_hf.kind must be few_ray|statistical|import, got 'ray_tracing'"),
+    ("channel_hf.ray_count", 0, "channel_hf.ray_count must be >= 1, got 0"),
+    ("channel_hf.rician_k_db", 4000,
+     "channel_hf.rician_k_db must have a finite, positive linear value, got 4000.0 dB"),
+    ("channel_hf.import_path", None, "channel_hf.import_path is required for kind 'import'"),
+    ("channel_lf.ray_count", 0, "channel_lf.ray_count must be >= 1, got 0"),
+    ("bss[0].z_m", -25, "bss[0].z_m must be >= 0, got -25.0"),
+]
+KIND_READING = {"channel_hf.ray_count": "few_ray", "channel_hf.import_path": "import"}
+
+
+def file_doc(key: str, value) -> dict:
+    """The config file that sets dotted file `key` to `value` and keeps every other default."""
+    if key.startswith("bss[0]."):
+        return {"bss": [{key.removeprefix("bss[0]."): value}]}
+    section, _, name = key.rpartition(".")
+    if not section:
+        return {key: value}
+    doc = {section: {name: value}}
+    if key in KIND_READING:
+        doc[section]["kind"] = KIND_READING[key]
+    return doc
+
+
+def echo_value(key: str, value):
+    """The echo's value of file `key` once `file_doc(key, value)` is loaded."""
+    echo = config_to_dict(config_from_dict(file_doc(key, value)))
+    section, _, name = key.rpartition(".")
+    if section == "bss[0]":
+        return echo["bss"][0][name]
+    return echo[section][name] if section else echo[key]
+
+
+def named_key(problem: str) -> str:
+    """The key a `validate_config` message names: its first word, less a colon."""
+    return problem.split(" ", 1)[0].removesuffix(":")
+
+
+def naming(problems: list[str], key: str) -> list[str]:
+    return [problem for problem in problems if named_key(problem) == key]
+
+
+def file_keys(echo: dict) -> set[str]:
+    """Every dotted file key of a config echo, `bss[i].key` included."""
+    keys = set()
+    for name, value in echo.items():
+        if isinstance(value, dict):
+            keys |= {f"{name}.{key}" for key in value}
+        elif isinstance(value, list):
+            keys |= {f"{name}[{i}].{key}" for i, site in enumerate(value) for key in site}
+        else:
+            keys.add(name)
+    return keys
+
+
+class TestRules:
+    """Each schema row's rule gives one message, in its file key's name."""
+
+    @pytest.mark.parametrize("key, value, message", RULED, ids=[key for key, *_ in RULED])
+    def test_every_ruled_key_names_itself(self, key, value, message):
+        assert naming(validate_config(config_from_dict(file_doc(key, value))), key) == [message]
+
+    def test_every_ruled_row_has_a_case(self):
+        ruled = {f"{section}.{key}" if section else key
+                 for section, table in harness._TABLES.items()
+                 for key, (*_, rule) in table.items() if rule}
+        ruled |= {f"bss[0].{key}" for key, (*_, rule) in harness._SITE_TABLE.items() if rule}
+        assert ruled == {key for key, *_ in RULED}
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "key", [key for key, value, _ in RULED if isinstance(echo_value(key, value), float)]
+    )
+    def test_a_non_finite_value_gives_one_message(self, key, bad):
+        # A range rule is not applied on top of the finite check: -inf was
+        # also "must be positive" (or ">= 0"), and an infinite spacing also
+        # broke the stage-1 bound on antenna.d_h_wavelengths.
+        problems = validate_config(config_from_dict(file_doc(key, bad)))
+        assert naming(problems, key) == [f"{key} must be finite, got {bad}"]
+
+    def test_messages_come_in_echo_order_then_the_cross_key_checks(self):
+        antenna = {"n_v": 0, "n_h": MAX_ARRAY_SIDE + 1}
+        doc = {"uav_count": 0, "rf": {"tx_power_w": 0}, "antenna": antenna,
+               "bss": [{"id": 2, "z_m": -1}], "channel_lf": {"ray_count": 0}}
+        assert validate_config(config_from_dict(doc)) == [
+            "uav_count must be >= 1, got 0",
+            "rf.tx_power_w must be positive, got 0.0",
+            "antenna.n_v must be >= 1, got 0",
+            "channel_lf.ray_count must be >= 1, got 0",
+            "bss[0].z_m must be >= 0, got -1.0",
+            f"antenna.n_h must be <= {MAX_ARRAY_SIDE}, got {MAX_ARRAY_SIDE + 1}",
+            "bss ids must be unique and contiguous from 1, got [2]",
         ]
 
 
@@ -436,7 +557,13 @@ def test_any_document_loads_or_raises_configuration_error(doc):
         cfg = config_from_dict(doc)
     except ConfigurationError:
         return
-    assert isinstance(validate_config(cfg), list)
+    problems = validate_config(cfg)
+    assert isinstance(problems, list)
+    # Every message names a key of the file it is about, or `bss`/`uav_count`
+    # for a check that spans several keys.
+    keys = file_keys(config_to_dict(cfg)) | {"bss", "uav_count"}
+    for problem in problems:
+        assert named_key(problem) in keys, problem
 
 
 # ---------------------------------------------------------------------------

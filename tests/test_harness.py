@@ -1266,7 +1266,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "antenna, message",
         [
-            ({"n_h": 0}, "error: antenna.n_h/n_v must be >= 1, got 0x4"),
+            ({"n_h": 0}, "error: antenna.n_h must be >= 1, got 0"),
             ({"theta_3db_deg": 0.0}, "error: antenna.theta_3db_deg must be positive, got 0.0"),
         ],
         ids=["n_h_0", "theta_3db_0"],
