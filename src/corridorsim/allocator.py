@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment
 
-from .antenna import AntennaConfig, element_gain, power_gain_db, scan_alpha, vertical_weight
+from .antenna import AntennaConfig, power_gain_db, scan_alpha, scan_coefficients
 from .antenna import make_scan_gain  # unused here; perfbench/tracing.py patches it
 from .channel import _SEED_MASK, LinkGainTensor, RfConstants
 from .errors import ConfigurationError, InfeasibleAssignmentError
@@ -79,12 +79,15 @@ class BeamCodebook:
 
 @dataclass
 class BeamGainTable:
-    """Stage-1 output: optimal scan angle and gain per (UAV, BS, beam), and the links it read."""
+    """Stage-1 output: best scan angle and gain per (UAV, BS, beam), its links and their fold."""
 
     phi_star: np.ndarray  # (M, L, N) radians
     gain_db: np.ndarray  # (M, L, N)
     stage1_evals: int  # scan points evaluated
     links: np.ndarray  # (M, L) `link_geometries` of the run, which the run reuses
+    # `scan_coefficients` of `links`: elem_db (M, L), coefficients (M, L, n_h)
+    # and alpha. Stage 1 solved from it, and evaluation prices interference on it.
+    fold: tuple[np.ndarray, np.ndarray, float]
 
 
 @dataclass
@@ -160,7 +163,7 @@ def _kernel_power(v2, beta, s, n_h: int) -> np.ndarray:
 
 
 def stage1_size_errors(cfg: AntennaConfig, n_beams: int, n_links: int) -> list[str]:
-    """One message per Stage-1 size above its bound, named by its config file keys.
+    """One message per Stage-1 size above its bound or non-finite, named by its config file key.
 
     `n_links` is the number of (UAV, BS) links, M * L. A product of sizes
     is checked only when its factors are within their own bounds.
@@ -169,6 +172,12 @@ def stage1_size_errors(cfg: AntennaConfig, n_beams: int, n_links: int) -> list[s
              ("antenna.d_h_wavelengths", cfg.d_h, MAX_D_H_WAVELENGTHS),
              ("codebook.n_beams", n_beams, MAX_BEAMS))
     errors = [f"{key} must be <= {top}, got {value}" for key, value, top in sizes if value > top]
+    # NaN and -inf pass the spacing bound above, and the tilt has none:
+    # neither such a spacing nor a non-finite tilt gives stage 1 a reach.
+    if math.isnan(cfg.d_h) or cfg.d_h == -math.inf:
+        errors.append(f"antenna.d_h_wavelengths must be finite, got {cfg.d_h}")
+    if not math.isfinite(cfg.tilt_deg):
+        errors.append(f"antenna.tilt_deg must be finite, got {cfg.tilt_deg}")
     if n_beams <= MAX_BEAMS and n_links * n_beams > MAX_TRIPLETS:
         errors.append(
             f"uav_count x bss x codebook.n_beams must be <= {MAX_TRIPLETS} stage-1 triplets, "
@@ -211,7 +220,17 @@ def optimal_scan_angles(
     the end only if its P is strictly higher, and of equal candidates the
     first wins. The gain is the element gain plus 10 log10 of that P. The
     evaluation count is a fixed multiple of the number of pairs. An array,
-    a spacing or a count above its MAX_* bound raises.
+    a spacing or a count above its MAX_* bound, or a non-finite spacing or
+    tilt, raises.
+    """
+    return _solve_stage1(theta, phi, sectors, cfg)[:3]
+
+
+def _solve_stage1(theta, phi, sectors, cfg: AntennaConfig):
+    """`optimal_scan_angles` and the `scan_coefficients` fold of the directions it solved from.
+
+    The fold is made once, after the size checks: its element gains, its
+    c_0 = v and sin(theta) sin(phi) are stage 1's inputs.
     """
     lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
     oversized = stage1_size_errors(cfg, lo.size, np.broadcast(theta, phi).size)
@@ -221,11 +240,11 @@ def optimal_scan_angles(
     if lo.size == 0 or not inside or np.any(lo[1:] != hi[:-1]):
         raise ConfigurationError(f"scan sectors must be non-empty (lo, hi] inside [-pi, pi] and "
                                  f"consecutive, each starting where the last ends, got {sectors}")
-    elem_db = np.asarray(element_gain(theta, phi, cfg))
+    fold = elem_db, coeffs, alpha = scan_coefficients(theta, phi, cfg)
     beta = 2.0 * math.pi * cfg.d_h * (np.sin(theta) * np.sin(phi))
-    v = vertical_weight(theta, cfg)
-    v2 = np.broadcast_to(v.real**2 + v.imag**2, beta.shape).reshape(-1, 1)
-    beta, alpha = beta.reshape(-1, 1), scan_alpha(cfg)  # (K, 1), K directions
+    v = coeffs[..., 0]
+    v2 = (v.real**2 + v.imag**2).reshape(-1, 1)
+    beta = beta.reshape(-1, 1)  # (K, 1), K directions
     k, nn = beta.shape[0], lo.size
 
     peaks = _lobe_peaks(beta[:, 0], abs(alpha), cfg.n_h)
@@ -261,7 +280,8 @@ def optimal_scan_angles(
     phi_star = np.where(wins, np.take_along_axis(cand, first, axis=-1), end_phi)
     phi_star = phi_star.reshape(elem_db.shape + (nn,))
     p_star = np.where(wins, best, end_p).reshape(phi_star.shape)
-    return phi_star, power_gain_db(elem_db[..., None], p_star), k * cand.shape[-1] + k * nn * 3
+    gain_db = power_gain_db(elem_db[..., None], p_star)
+    return phi_star, gain_db, k * cand.shape[-1] + k * nn * 3, fold
 
 
 def build_beam_gain_table(
@@ -272,14 +292,16 @@ def build_beam_gain_table(
 ) -> BeamGainTable:
     """Best scan angle and gain of every (UAV, BS, beam) triplet, in one batch.
 
-    The table carries the (M, L) `link_geometries` array it was solved on,
-    so a run folds, draws channels and ranks BSs from the same array.
+    The table carries the (M, L) `link_geometries` array it was solved on
+    and that array's `scan_coefficients` fold, so a run draws channels, ranks
+    BSs and scores interference from the same array, folded once.
     """
     links = link_geometries(uavs, bss)
-    phi_star, gain_db, evals = optimal_scan_angles(
+    phi_star, gain_db, evals, fold = _solve_stage1(
         links["theta"], links["phi"], codebook.sectors, cfg
     )
-    return BeamGainTable(phi_star=phi_star, gain_db=gain_db, stage1_evals=evals, links=links)
+    return BeamGainTable(phi_star=phi_star, gain_db=gain_db, stage1_evals=evals, links=links,
+                         fold=fold)
 
 
 # --------------------------------------------------------------------------

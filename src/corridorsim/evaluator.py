@@ -5,10 +5,12 @@ the serving term of UAV m is P * |h[m,l]|^2 * 10^(G/10) with G taken from
 the stage-1 table at the serving (m, l, n); interference comes from every
 other BS l' whose associated UAVs m' beam toward their own targets, with the
 gain evaluated at the victim's angles toward l' but at the interferer's
-chosen scan angle. Rates are Shannon capacity over `bandwidth_hz`.
+chosen scan angle, and priced on the linear scale. Rates are Shannon
+capacity over `bandwidth_hz`.
 
 `sinr_matrix` scores every UAV in one numpy pass. The tests check it
-against a scalar per-interferer loop kept in tests/oracles.py.
+against a scalar per-interferer loop and against the earlier dB round trip
+of the interferer gains, both kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocator import Assignment, BeamGainTable
-from .antenna import power_gain_db, scan_phasors
+from .antenna import _GAIN_FLOOR, scan_phasors
 from .antenna import total_gain  # unused here; perfbench/tracing.py patches it
 from .channel import LinkGainTensor, RfConstants
 
@@ -56,11 +58,15 @@ def sinr_matrix(
 
     Victim m hears interferer m' (served by BS l' on beam n') through the
     gain of BS l' toward m at the interferer's scan angle phi*[m', l', n'].
-    `fold` is `scan_coefficients` of the run's (M, L) link array: elem_db
-    (M, L), the coefficients c (M, L, n_h) and alpha. Row m' of Z (M, L*n_h)
-    holds the interferer's n_h scan phasors in the block of its BS l' and
-    zeros elsewhere, so one complex product c.reshape(M, L*n_h) @ Z.T gives
-    the field sum_k c[m, l', k] z[m', k] of every (victim, interferer) pair.
+    `fold` is `scan_coefficients` of the run's (M, L) link array, as the
+    beam-gain table carries it: elem_db (M, L), the coefficients c
+    (M, L, n_h) and alpha. Row m' of Z (M, L*n_h) holds the interferer's n_h
+    scan phasors in the block of its BS l' and zeros elsewhere, so one
+    complex product c.reshape(M, L*n_h) @ Z.T gives the field
+    sum_k c[m, l', k] z[m', k] of every (victim, interferer) pair. The pair
+    costs P * |h[m, l']|^2 * 10^(elem_db[m, l'] / 10) * max(|field|^2, floor),
+    the floor being GAIN_FLOOR_DB on the linear scale, so the element gain
+    leaves dB once per link and no M x M gain does.
     """
     elem_db, coeffs, alpha = fold
     mm, ll, n_h = coeffs.shape
@@ -72,9 +78,10 @@ def sinr_matrix(
     z = np.zeros((mm, ll, n_h), dtype=complex)
     z[rows, l] = scan_phasors(alpha, beam_table.phi_star[rows, l, n], n_h)
     field = coeffs.reshape(mm, ll * n_h) @ z.reshape(mm, ll * n_h).T
-    g_db = power_gain_db(elem_db[:, l], field.real**2 + field.imag**2)
+    weight = rf.tx_power_w * h * 10.0 ** (elem_db / 10.0)  # (M, L)
+    power = np.maximum(field.real**2 + field.imag**2, _GAIN_FLOOR)
     heard = l[:, None] != l  # every UAV served by another BS
-    coupling = np.where(heard, rf.tx_power_w * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
+    coupling = np.where(heard, weight[:, l] * power, 0.0)
     # A BLAS matrix-vector product, not .sum(axis=1): it keeps every SINR
     # bit-identical to the results.json files already written, and numpy's
     # pairwise row sum does not.

@@ -8,7 +8,10 @@ sector. `allocator.optimal_scan_angles` must never fall below it.
 `interference_at` sums the interference one UAV hears term by term with the
 scalar `total_gain`; `evaluator.sinr_matrix` must match it. `pairwise_sinr`
 is the earlier `sinr_matrix`, which folds every (victim, interferer)
-direction instead of every (UAV, BS) one; the two must agree bit for bit.
+direction instead of every (UAV, BS) one; the two must agree to rounding.
+`db_round_trip_sinr` is `sinr_matrix` as it priced each pair before it
+stayed on the linear scale: the total gain in dB, then 10^(G/10); the two
+must agree to 1e-14 of an SINR at thermal noise.
 
 `array_power` is the array power |sum_k c_k z^k|^2 as a trig polynomial in
 s, summed by Horner's rule over the coefficient autocorrelation, as stage 1
@@ -24,8 +27,10 @@ no lower, to 1e-12 of the largest P.
 
 `all_points_scan_angles` is stage 1 as it binned before it binned only its
 candidates: one searchsorted over every sector end and every candidate, then
-`maximum.at` and `minimum.at` over all of them. `allocator.optimal_scan_angles`
-must match it bit for bit.
+`maximum.at` and `minimum.at` over all of them. `unfolded_scan_angles` is
+stage 1 as it took its inputs before it solved from the `scan_coefficients`
+fold: its own `element_gain`, `vertical_weight` and beta.
+`allocator.optimal_scan_angles` must match both bit for bit.
 
 `non_finite_paths` is the recursive walk `harness.validate_config` made over
 the config echo before it walked the echo's two fixed levels; the messages
@@ -55,6 +60,7 @@ from corridorsim.antenna import (
     power_gain_db,
     scan_alpha,
     scan_coefficients,
+    scan_phasors,
     total_gain,
     vertical_weight,
 )
@@ -269,6 +275,31 @@ def pairwise_sinr(
     return signal / (interference + rf.noise_power_w)
 
 
+def db_round_trip_sinr(
+    assignment: Assignment,
+    gains: LinkGainTensor,
+    beam_table: BeamGainTable,
+    fold: tuple[np.ndarray, np.ndarray, float],
+    rf: RfConstants,
+) -> np.ndarray:
+    """`sinr_matrix` taking each M x M interferer gain to dB and back; `fold` as there."""
+    elem_db, coeffs, alpha = fold
+    mm, ll, n_h = coeffs.shape
+    l, n = assignment.bs, assignment.beam
+    rows = np.arange(mm)
+    h = gains.power_gains
+    signal = rf.tx_power_w * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
+
+    z = np.zeros((mm, ll, n_h), dtype=complex)
+    z[rows, l] = scan_phasors(alpha, beam_table.phi_star[rows, l, n], n_h)
+    field = coeffs.reshape(mm, ll * n_h) @ z.reshape(mm, ll * n_h).T
+    g_db = power_gain_db(elem_db[:, l], field.real**2 + field.imag**2)
+    heard = l[:, None] != l  # every UAV served by another BS
+    coupling = np.where(heard, rf.tx_power_w * h[:, l] * 10.0 ** (g_db / 10.0), 0.0)
+    interference = coupling @ np.ones(mm)
+    return signal / (interference + rf.noise_power_w)
+
+
 def array_power(autocorr: np.ndarray, z) -> np.ndarray:
     """|sum_k c_k z^k|^2 at unit phasors z = exp(1j * s), in real form.
 
@@ -406,6 +437,50 @@ def all_points_scan_angles(
     phi_star = np.take_along_axis(points, first.reshape(k, -1)[:, 1:-1], axis=-1)
     phi_star = phi_star.reshape(elem_db.shape + (nn,))
     p_star = best.reshape(k, -1)[:, 1:-1].reshape(phi_star.shape)
+    return phi_star, power_gain_db(elem_db[..., None], p_star), k * cand.shape[-1] + k * nn * 3
+
+
+def unfolded_scan_angles(
+    theta, phi, sectors, cfg: AntennaConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """`allocator.optimal_scan_angles` with inputs not read off the fold; no size is checked.
+
+    The element gains come from `element_gain`, |v|^2 from `vertical_weight`
+    and beta = 2 pi d_h sin(theta) sin(phi); the rest is stage 1's search.
+    """
+    lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
+    elem_db = np.asarray(element_gain(theta, phi, cfg))
+    beta = 2.0 * math.pi * cfg.d_h * (np.sin(theta) * np.sin(phi))
+    v = vertical_weight(theta, cfg)
+    v2 = np.broadcast_to(v.real**2 + v.imag**2, beta.shape).reshape(-1, 1)
+    beta, alpha = beta.reshape(-1, 1), scan_alpha(cfg)
+    k, nn = beta.shape[0], lo.size
+
+    peaks = _lobe_peaks(beta[:, 0], abs(alpha), cfg.n_h)
+    branch = np.arcsin(np.clip(peaks / alpha, -1.0, 1.0) if alpha else np.zeros_like(peaks))
+    poles = np.broadcast_to([-0.5 * math.pi, 0.5 * math.pi], (k, 2))
+    cand = np.concatenate(
+        [branch, np.where(branch >= 0.0, math.pi, -math.pi) - branch, poles], axis=-1
+    )
+    ends = np.stack([np.nextafter(lo, hi), hi], axis=-1)
+    s = np.concatenate([np.broadcast_to(alpha * np.sin(ends.reshape(-1)), (k, 2 * nn)),
+                        alpha * np.sin(cand)], axis=-1)
+    power = _kernel_power(v2, beta, s, cfg.n_h)
+    end_power, power = power[:, : 2 * nn].reshape(k, nn, 2), power[:, 2 * nn :]
+    upper = end_power[..., 1] > end_power[..., 0]
+    end_phi = np.where(upper, hi, ends[:, 0])
+    end_p = np.maximum(end_power[..., 0], end_power[..., 1])
+    slot = np.searchsorted(np.append(lo[0], hi), cand) + (nn + 2) * np.arange(k)[:, None]
+    best = np.full(k * (nn + 2), -np.inf)
+    np.maximum.at(best, slot, power)
+    top = power == best[slot]
+    first = np.full(k * (nn + 2), cand.shape[-1] - 1)
+    np.minimum.at(first, slot[top], np.nonzero(top)[1])
+    best, first = best.reshape(k, -1)[:, 1:-1], first.reshape(k, -1)[:, 1:-1]
+    wins = best > end_p
+    phi_star = np.where(wins, np.take_along_axis(cand, first, axis=-1), end_phi)
+    phi_star = phi_star.reshape(elem_db.shape + (nn,))
+    p_star = np.where(wins, best, end_p).reshape(phi_star.shape)
     return phi_star, power_gain_db(elem_db[..., None], p_star), k * cand.shape[-1] + k * nn * 3
 
 

@@ -240,7 +240,7 @@ class TestAcceptance:
         geoms1 = np.array([[(100.0, math.pi / 2, 0.0)] * 2], dtype=LINK_DTYPE)
         table = BeamGainTable(
             phi_star=np.zeros((1, 2, 1)), gain_db=np.array([[[3.0], [1.0]]]), stage1_evals=0,
-            links=geoms1,
+            links=geoms1, fold=scan_coefficients(geoms1["theta"], geoms1["phi"], CFG),
         )
         rf = RfConstants()
         assert interference_at(0, a, gains, table, geoms1, CFG, rf) == 0.0

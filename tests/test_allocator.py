@@ -44,7 +44,7 @@ from corridorsim.geometry import (
     generate_corridor,
     link_geometries,
 )
-from corridorsim.harness import ScenarioConfig, validate_config
+from corridorsim.harness import ScenarioConfig, config_from_dict, validate_config
 from oracles import (
     AnnealerConfig,
     all_points_scan_angles,
@@ -53,6 +53,7 @@ from oracles import (
     grid_newton_peaks,
     optimize_scan_angle,
     scan_power,
+    unfolded_scan_angles,
 )
 
 CFG = AntennaConfig()
@@ -567,11 +568,34 @@ class TestCandidateBound:
         assert len(stage1_size_errors(cfg, 1, top + 1)) == 1
 
     def test_negative_and_non_finite_spacings_are_checked_without_raising(self):
-        # A huge negative d_h has a huge reach; a non-finite one or tilt has none.
+        # A huge negative d_h has a huge reach; a non-finite one or tilt has
+        # none, and is named as not finite.
         assert len(stage1_size_errors(AntennaConfig(d_h=-1e300), 16, 80)) == 1
-        for cfg in (AntennaConfig(d_h=-math.inf), AntennaConfig(d_h=math.nan),
-                    AntennaConfig(tilt_deg=math.inf)):
-            assert stage1_size_errors(cfg, 16, 80) == []
+        for key, field, value in (("antenna.d_h_wavelengths", "d_h", -math.inf),
+                                  ("antenna.d_h_wavelengths", "d_h", math.nan),
+                                  ("antenna.tilt_deg", "tilt_deg", math.inf)):
+            cfg = AntennaConfig(**{field: value})
+            assert stage1_size_errors(cfg, 16, 80) == [f"{key} must be finite, got {value}"]
+
+    @pytest.mark.parametrize(
+        "key, field, value",
+        [("antenna.d_h_wavelengths", "d_h", math.nan),
+         ("antenna.d_h_wavelengths", "d_h", -math.inf),
+         ("antenna.tilt_deg", "tilt_deg", math.nan),
+         ("antenna.tilt_deg", "tilt_deg", math.inf),
+         ("antenna.tilt_deg", "tilt_deg", -math.inf)],
+        ids=["d_h-nan", "d_h-neg-inf", "tilt-nan", "tilt-inf", "tilt-neg-inf"],
+    )
+    def test_non_finite_spacing_or_tilt_is_a_configuration_error(self, key, field, value):
+        # These ended as a bare ValueError or OverflowError from math.floor or
+        # math.cos inside stage 1.
+        message = f"{key} must be finite, got {value}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            optimal_scan_angles(1.0, 0.3, BeamCodebook(4).sectors, AntennaConfig(**{field: value}))
+        # A config file holding the value gets the message once, from the key walk.
+        section, name = key.split(".")
+        problems = validate_config(config_from_dict({section: {name: value}}))
+        assert [p for p in problems if p.split(" ", 1)[0] == key] == [message]
 
     def test_validate_config_rejects_too_many_candidates(self):
         # 1 024 UAVs on 1 024 BSs with one beam is MAX_TRIPLETS exactly, and
@@ -600,12 +624,12 @@ _PINNED_SECTORS = (
 
 
 @st.composite
-def binning_cases(draw):
+def binning_cases(draw, tilts=st.floats(-90.0, 90.0)):
     """(theta, phi, sectors, cfg): up to 6 directions, some on sector ends or +-pi/2."""
     cfg = draw(
         st.just(AntennaConfig(n_h=5, d_h=1.3))  # an odd n_h on grating lobes
         | st.builds(AntennaConfig, n_h=st.integers(1, 8), d_h=st.floats(0.05, 3.7),
-                    tilt_deg=st.floats(-90.0, 90.0))
+                    tilt_deg=tilts)
     )
     sectors = draw(
         st.sampled_from(_PINNED_SECTORS) | st.integers(1, 39).map(lambda n: BeamCodebook(n).sectors)
@@ -639,6 +663,43 @@ class TestCandidateOnlyBinning:
         np.testing.assert_array_equal(phi_star, want_phi)
         np.testing.assert_array_equal(gain_db, want_gain)
         assert evals == want_evals
+
+
+class TestStageOneFromTheFold:
+    """Stage 1 reads its element gains, |v|^2 and beta off the one fold a run makes.
+
+    The oracle takes them from `element_gain`, `vertical_weight` and its own
+    beta, as stage 1 did before; not one bit of the table may move.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(binning_cases(tilts=st.floats(allow_nan=False, allow_infinity=False)))
+    @example((np.array([0.0, math.pi, 0.0, math.pi]),
+              np.array([_HALF_PI, _HALF_PI, -_HALF_PI, -_HALF_PI]), _PINNED_SECTORS[2],
+              AntennaConfig(n_h=8, d_h=3.7, tilt_deg=-135.0)))
+    @example((np.array([0.0, _HALF_PI, math.pi]), np.array([-_HALF_PI, 0.0, _HALF_PI]),
+              BeamCodebook(39).sectors, AntennaConfig(n_h=7, d_h=2.9, tilt_deg=1e6)))
+    def test_matches_the_unfolded_oracle(self, case):
+        theta, phi, sectors, cfg = case
+        phi_star, gain_db, evals = optimal_scan_angles(theta, phi, sectors, cfg)
+        want_phi, want_gain, want_evals = unfolded_scan_angles(theta, phi, sectors, cfg)
+        np.testing.assert_array_equal(phi_star, want_phi)
+        np.testing.assert_array_equal(gain_db, want_gain)
+        assert evals == want_evals
+
+    def test_the_table_carries_the_fold_it_solved_from(self):
+        cfg = ScenarioConfig()
+        uavs = generate_corridor(cfg.corridor, 20)
+        table = build_beam_gain_table(uavs, cfg.bss, BeamCodebook(16), CFG)
+        theta, phi = table.links["theta"], table.links["phi"]
+        for got, want in zip(table.fold, scan_coefficients(theta, phi, CFG)):
+            np.testing.assert_array_equal(got, want)
+        want_phi, want_gain, want_evals = unfolded_scan_angles(
+            theta, phi, BeamCodebook(16).sectors, CFG
+        )
+        np.testing.assert_array_equal(table.phi_star, want_phi)
+        np.testing.assert_array_equal(table.gain_db, want_gain)
+        assert table.stage1_evals == want_evals
 
 
 def autocorrelation(theta, phi, cfg):
@@ -739,7 +800,8 @@ class TestBuildUtility:
 
         g = np.asarray(gain_db, dtype=float)
         links = np.zeros(g.shape[:2], dtype=LINK_DTYPE)
-        return BeamGainTable(phi_star=np.zeros_like(g), gain_db=g, stage1_evals=0, links=links)
+        return BeamGainTable(phi_star=np.zeros_like(g), gain_db=g, stage1_evals=0, links=links,
+                             fold=scan_coefficients(links["theta"], links["phi"], AntennaConfig()))
 
     def test_unit_case(self):
         rf = RfConstants(tx_power_w=1.0)

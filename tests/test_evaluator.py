@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from corridorsim.antenna import AntennaConfig, SteeringDirection, scan_coefficie
 from corridorsim.channel import LinkGainTensor, RfConstants
 from corridorsim.evaluator import ThroughputReport, evaluate_all, sinr_matrix, validate
 from corridorsim.geometry import LINK_DTYPE
-from oracles import interference_at, pairwise_sinr
+from oracles import db_round_trip_sinr, interference_at, pairwise_sinr
 
 CFG = AntennaConfig()
 
@@ -23,7 +24,8 @@ def make_assignment(pairs):
 def make_table(gain_db, phi_star=None):
     g = np.asarray(gain_db, dtype=float)
     p = np.zeros_like(g) if phi_star is None else np.asarray(phi_star, dtype=float)
-    return BeamGainTable(phi_star=p, gain_db=g, stage1_evals=0, links=flat_geoms(*g.shape[:2]))
+    links = flat_geoms(*g.shape[:2])
+    return BeamGainTable(phi_star=p, gain_db=g, stage1_evals=0, links=links, fold=fold_of(links))
 
 
 def links_of(rows):
@@ -283,19 +285,18 @@ class TestSinrMatrixFoldsEachLinkOnce:
         )
         return a, gains, table, links, CFG, rf
 
-    @pytest.mark.parametrize(
-        "mm, ll, nn, one_bs",
-        [
-            (1, 1, 1, False),
-            (2, 5, 3, False),  # fewer UAVs than BSs
-            (3, 6, 1, False),
-            (7, 4, 4, False),
-            (12, 4, 4, False),
-            (6, 4, 8, True),  # every UAV on one BS: no interference
-            (64, 4, 16, False),
-            (64, 6, 12, False),
-        ],
-    )
+    CASES = [
+        (1, 1, 1, False),
+        (2, 5, 3, False),  # fewer UAVs than BSs
+        (3, 6, 1, False),
+        (7, 4, 4, False),
+        (12, 4, 4, False),
+        (6, 4, 8, True),  # every UAV on one BS: no interference
+        (64, 4, 16, False),
+        (64, 6, 12, False),
+    ]
+
+    @pytest.mark.parametrize("mm, ll, nn, one_bs", CASES)
     def test_equals_the_pairwise_fold(self, mm, ll, nn, one_bs):
         rng = np.random.default_rng([mm, ll, nn, one_bs])
         for _ in range(5):
@@ -312,6 +313,35 @@ class TestSinrMatrixFoldsEachLinkOnce:
                 np.testing.assert_array_equal(got, signal / rf.noise_power_w)
             else:
                 np.testing.assert_allclose(got, pairwise_sinr(*args), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mm, ll, nn, one_bs", CASES)
+    def test_matches_the_db_round_trip_at_thermal_noise(self, mm, ll, nn, one_bs):
+        # At kTB the interference is most of I + N, so its pricing shows.
+        rng = np.random.default_rng([mm, ll, nn, one_bs])
+        for _ in range(5):
+            a, gains, table, links, _, rf = self.case(rng, mm, ll, nn, one_bs)
+            rf = replace(rf, noise_power_w=1.2e-13)
+            fold = fold_of(links)
+            np.testing.assert_allclose(
+                sinr_matrix(a, gains, table, fold, rf),
+                db_round_trip_sinr(a, gains, table, fold, rf), rtol=1e-14, atol=0.0,
+            )
+
+    def test_a_null_field_still_costs_the_gain_floor(self):
+        # Victim 0 (BS 0) hears UAV 1 (BS 1) through all-zero coefficients,
+        # so their field is exactly 0; with no noise the floor is all it hears.
+        a = make_assignment([(0, 0), (1, 0)])
+        gains = LinkGainTensor(power_gains=np.array([[2e-9, 3e-8], [5e-9, 7e-9]]))
+        table = make_table(np.zeros((2, 2, 1)), np.full((2, 2, 1), 0.4))
+        _, coeffs, alpha = fold_of(flat_geoms(2, 2))
+        coeffs = coeffs.copy()
+        coeffs[0, 1] = 0.0
+        elem_db = np.array([[-8.0, -11.5], [-9.0, -8.0]])
+        rf = RfConstants(noise_power_w=0.0)
+        got = sinr_matrix(a, gains, table, (elem_db, coeffs, alpha), rf)
+        floor = rf.tx_power_w * 3e-8 * 10.0 ** (-11.5 / 10.0) * 1e-40
+        assert got[0] == pytest.approx(rf.tx_power_w * 2e-9 / floor, rel=1e-14)
+        assert math.isfinite(got[1]) and got[1] > 0.0
 
 
 class TestValidate:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from corridorsim.antenna import (
     array_gain,
     element_gain,
     scan_coefficients,
+    vertical_weight,
 )
 from corridorsim.channel import (
     _EXACT_RAY_LIMIT,
@@ -375,22 +377,29 @@ class TestRunScenario:
         assert r1.to_dict() == r2.to_dict()
 
     def test_evaluation_folds_the_links_once_per_run(self, monkeypatch):
-        # Stage 1 folds through corridorsim.allocator's name; every other
-        # module that holds scan_coefficients is counted.
-        calls = []
+        # Stage 1 folds the link array, and the run scores interference on the
+        # table's fold; every module that holds one of the folding functions
+        # is counted, the allocator's and the antenna's own included.
+        calls = Counter()
 
-        def counted(*args):
-            calls.append(args)
-            return scan_coefficients(*args)
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return counted
 
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("corridorsim.") and name != "corridorsim.allocator"
-                    and getattr(module, "scan_coefficients", None) is scan_coefficients):
-                monkeypatch.setattr(module, "scan_coefficients", counted)
-        cfg = small_config(seed=14, replications=4)
-        result = run_scenario(cfg)
-        assert len(result.reports) == 4
-        assert len(calls) == 1
+        for fn in (scan_coefficients, element_gain, vertical_weight):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("corridorsim.") and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counting(fn))
+        runs = [("two_stage", "hf"), ("two_stage", "statistical"), ("closest_bs", "lf"),
+                ("random", "hf")]
+        for allocator, channel_axis in runs:
+            calls.clear()
+            cfg = small_config(seed=14, replications=4, allocator=allocator,
+                               allocation_channel=channel_axis)
+            assert len(run_scenario(cfg).reports) == 4
+            assert calls == {"scan_coefficients": 1, "element_gain": 1, "vertical_weight": 1}
 
     def test_links_are_built_once_per_run(self, monkeypatch):
         # Stage 1 builds the link array, and the run reuses the table's; every
