@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment
 
-from .antenna import AntennaConfig, power_gain_db, scan_alpha, scan_coefficients
+from .antenna import AntennaConfig, _fold_and_sines, power_gain_db, scan_alpha
 from .antenna import make_scan_gain  # unused here; perfbench/tracing.py patches it
 from .channel import _SEED_MASK, LinkGainTensor, RfConstants
 from .errors import ConfigurationError, InfeasibleAssignmentError
@@ -53,9 +53,9 @@ MAX_TRIPLETS = 1 << 20
 # as many as the sector ends of a run at the triplet bound.
 MAX_CANDIDATES = 2 * MAX_TRIPLETS
 # A run stacks its replications on a leading axis, in chunks whose largest
-# array (the (R, M, L, N) utility, or the exact few-ray branch's
-# (R, M*L, n_scatter) phases) holds at most this many elements: one
-# replication at the triplet bound.
+# array (the (R, M, L, N) utility, the evaluator's (R, M, L, n_h) scan
+# phasors, or the exact few-ray branch's (R, M*L, n_scatter) phases) holds
+# at most this many elements: one replication at the triplet bound.
 MAX_STACKED = MAX_TRIPLETS
 
 
@@ -97,12 +97,14 @@ class Assignment:
     In the paper's indicator form, beta[m, l] = (bs[m] == l) and
     x[m, l, n] = (bs[m] == l and beam[m] == n). phi_scan_chosen is the
     per-UAV serving scan angle: the allocators leave it None, and every run
-    sets it from the beam table through `fill_scan_angles`.
+    sets it from the beam table through `fill_scan_angles`. A run stacks the
+    assignments of a chunk of R replications as (R, M) arrays, row r for
+    replication r, and fills, validates and scores them in one pass.
     """
 
-    bs: np.ndarray  # (M,) int
-    beam: np.ndarray  # (M,) int
-    phi_scan_chosen: np.ndarray | None = None  # (M,) radians
+    bs: np.ndarray  # (M,) or (R, M) int
+    beam: np.ndarray  # like bs
+    phi_scan_chosen: np.ndarray | None = None  # like bs, radians
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +232,7 @@ def _solve_stage1(theta, phi, sectors, cfg: AntennaConfig):
     """`optimal_scan_angles` and the `scan_coefficients` fold of the directions it solved from.
 
     The fold is made once, after the size checks: its element gains, its
-    c_0 = v and sin(theta) sin(phi) are stage 1's inputs.
+    c_0 = v and the sin(theta) sin(phi) it was made from are stage 1's inputs.
     """
     lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
     oversized = stage1_size_errors(cfg, lo.size, np.broadcast(theta, phi).size)
@@ -240,8 +242,9 @@ def _solve_stage1(theta, phi, sectors, cfg: AntennaConfig):
     if lo.size == 0 or not inside or np.any(lo[1:] != hi[:-1]):
         raise ConfigurationError(f"scan sectors must be non-empty (lo, hi] inside [-pi, pi] and "
                                  f"consecutive, each starting where the last ends, got {sectors}")
-    fold = elem_db, coeffs, alpha = scan_coefficients(theta, phi, cfg)
-    beta = 2.0 * math.pi * cfg.d_h * (np.sin(theta) * np.sin(phi))
+    fold, sines = _fold_and_sines(theta, phi, cfg)
+    elem_db, coeffs, alpha = fold
+    beta = 2.0 * math.pi * cfg.d_h * sines
     v = coeffs[..., 0]
     v2 = (v.real**2 + v.imag**2).reshape(-1, 1)
     beta = beta.reshape(-1, 1)  # (K, 1), K directions
@@ -351,8 +354,8 @@ def solve_assignment(util: np.ndarray) -> Assignment:
 
 
 def fill_scan_angles(assignment: Assignment, table: BeamGainTable) -> Assignment:
-    """Attach each UAV's serving scan angle from the beam table."""
-    rows = np.arange(assignment.bs.size)
+    """Attach each UAV's serving scan angle from the beam table, for one row or a stack."""
+    rows = np.arange(assignment.bs.shape[-1])
     assignment.phi_scan_chosen = table.phi_star[rows, assignment.bs, assignment.beam]
     return assignment
 

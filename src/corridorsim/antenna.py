@@ -154,12 +154,18 @@ def scan_coefficients(theta, phi, cfg: AntennaConfig):
     S + (n_h,), and alpha = -2*pi*d_h*cos(tilt) is shared by every direction.
     c_k = v * exp(-2j*pi*d_h*sin(theta)*sin(phi)*k), with v the `vertical_weight`.
     """
+    return _fold_and_sines(theta, phi, cfg)[0]
+
+
+def _fold_and_sines(theta, phi, cfg: AntennaConfig):
+    """(`scan_coefficients`, the sin(theta) sin(phi) of shape S its phases are made from)."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     elem_db = np.asarray(element_gain(theta, phi, cfg))
-    h_phase = cfg.d_h * (np.sin(theta) * np.sin(phi))[..., None] * np.arange(cfg.n_h)
+    sines = np.sin(theta) * np.sin(phi)
+    h_phase = cfg.d_h * sines[..., None] * np.arange(cfg.n_h)
     coeffs = np.exp(-2j * math.pi * h_phase) * vertical_weight(theta, cfg)[..., None]
-    return elem_db, coeffs, scan_alpha(cfg)
+    return (elem_db, coeffs, scan_alpha(cfg)), sines
 
 
 def vertical_weight(theta, cfg: AntennaConfig):

@@ -31,15 +31,15 @@ grows, the few-ray diffuse phase does not depend on the ray count, and a
 replication's tensor does not depend on which rows share its call.
 
 The rest of a provider runs once on (R, M*L) arrays, and what does not
-depend on the seed (the LOS ray, the path loss) once on (M*L,) arrays. Its
-libm calls (cos, sin, log10, 10 ** x) go through ``math`` and ``cmath`` on
-Python floats, because numpy's SIMD float64 log10 and exp may round
-differently from libm.
+depend on the seed (the LOS ray, the path loss) once on (M*L,) arrays. cos
+and sin go through numpy's float64 loops, which are libm's scalar ones
+(tests/test_channel.py::TestUnitPhasors pins that). log10 and 10 ** x stay
+on Python floats through ``math``, because numpy's SIMD float64 versions
+round differently from libm on a few percent of inputs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import struct
 from collections.abc import Sequence
@@ -129,16 +129,17 @@ def free_space_path_gain(distance: float, carrier_hz: float):
 
 
 def _unit_phasors(phases: np.ndarray) -> np.ndarray:
-    """exp(1j * phase) per element, through libm's cos and sin on Python floats.
+    """exp(1j * phase) per element: cos and sin written into one complex array.
 
-    cmath.exp of complex(0, phase) is exp(0) = 1 times libm's cos and sin,
-    so it equals complex(math.cos(phase), math.sin(phase)) bit for bit, in
-    one call per phase. The imaginary part is set, not multiplied by 1j,
-    which would turn a phase of -0.0 into +0.0.
+    numpy's float64 cos and sin are libm's scalar loops, not SIMD kernels, so
+    each element equals complex(math.cos(phase), math.sin(phase)) bit for bit
+    (tests/test_channel.py::TestUnitPhasors). The parts are written, not
+    combined through 1j, which would turn a sine of -0.0 into +0.0.
     """
-    z = np.zeros(phases.size, dtype=complex)
-    z.imag = phases.ravel()
-    return np.array(list(map(cmath.exp, z.tolist())), dtype=complex).reshape(phases.shape)
+    z = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=z.real)
+    np.sin(phases, out=z.imag)
+    return z
 
 
 def _stacked(row: np.ndarray, count: int) -> np.ndarray:
@@ -176,8 +177,9 @@ def generate_few_ray(
         chi = np.empty(h.shape)
         draws = np.empty(h.shape + (n_scatter if exact else 2,))
         for r, seed in enumerate(seeds):
-            children = np.random.SeedSequence(seed & _SEED_MASK).spawn(2)
-            chi_rng, err_rng = map(np.random.default_rng, children)
+            # The two children `SeedSequence(seed).spawn(2)` makes, built directly.
+            chi_rng, err_rng = (np.random.default_rng(np.random.SeedSequence(
+                seed & _SEED_MASK, spawn_key=(i,))) for i in range(2))
             chi_rng.random(out=chi[r])
             (err_rng.random if exact else err_rng.standard_normal)(out=draws[r])
         chi = -math.pi + 2.0 * math.pi * chi  # uniform(-pi, pi)

@@ -15,6 +15,7 @@ of the interferer gains, both kept in tests/oracles.py.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,11 @@ def sinr_matrix(
     fold: tuple[np.ndarray, np.ndarray, float],
     rf: RfConstants,
 ) -> np.ndarray:
-    """Linear SINR of every UAV, shape (M,), in one pass.
+    """Linear SINR of every UAV, shape (..., M), in one pass over the stack.
 
+    The assignment's (..., M) index arrays and the (..., M, L) gains share
+    their leading replication axes: an (M,) assignment scores (M, L) gains,
+    and an (R, M) stack scores (R, M, L) gains, row r on gains[r].
     Victim m hears interferer m' (served by BS l' on beam n') through the
     gain of BS l' toward m at the interferer's scan angle phi*[m', l', n'].
     `fold` is `scan_coefficients` of the run's (M, L) link array, as the
@@ -66,27 +70,38 @@ def sinr_matrix(
     sum_k c[m, l', k] z[m', k] of every (victim, interferer) pair. The pair
     costs P * |h[m, l']|^2 * 10^(elem_db[m, l'] / 10) * max(|field|^2, floor),
     the floor being GAIN_FLOOR_DB on the linear scale, so the element gain
-    leaves dB once per link and no M x M gain does.
+    leaves dB once per link and no M x M gain does. That weight is zero at a
+    victim's own BS, whose UAVs it does not hear. Z, the weights and the
+    signals are built for the whole stack at once; only the M x M field
+    product and its sum run once per replication.
     """
     elem_db, coeffs, alpha = fold
     mm, ll, n_h = coeffs.shape
-    l, n = assignment.bs, assignment.beam
-    rows = np.arange(mm)
-    h = gains.power_gains
-    signal = rf.tx_power_w * h[rows, l] * 10.0 ** (beam_table.gain_db[rows, l, n] / 10.0)
+    shape = assignment.bs.shape
+    if gains.power_gains.shape != shape[:-1] + (mm, ll):
+        raise ValueError(f"an assignment of shape {shape} scores gains of shape "
+                         f"{shape[:-1] + (mm, ll)}, got {gains.power_gains.shape}")
+    bs, beam = assignment.bs.reshape(-1, mm), assignment.beam.reshape(-1, mm)
+    h = gains.power_gains.reshape(-1, mm, ll)
+    reps, rows = len(bs), np.arange(mm)
+    own = (np.arange(reps)[:, None], rows, bs)  # (replication, UAV, serving BS)
+    signal = rf.tx_power_w * h[own] * 10.0 ** (beam_table.gain_db[rows, bs, beam] / 10.0)
 
-    z = np.zeros((mm, ll, n_h), dtype=complex)
-    z[rows, l] = scan_phasors(alpha, beam_table.phi_star[rows, l, n], n_h)
-    field = coeffs.reshape(mm, ll * n_h) @ z.reshape(mm, ll * n_h).T
-    weight = rf.tx_power_w * h * 10.0 ** (elem_db / 10.0)  # (M, L)
-    power = np.maximum(field.real**2 + field.imag**2, _GAIN_FLOOR)
-    heard = l[:, None] != l  # every UAV served by another BS
-    coupling = np.where(heard, weight[:, l] * power, 0.0)
-    # A BLAS matrix-vector product, not .sum(axis=1): it keeps every SINR
-    # bit-identical to the results.json files already written, and numpy's
-    # pairwise row sum does not.
-    interference = coupling @ np.ones(mm)
-    return signal / (interference + rf.noise_power_w)
+    z = np.zeros((reps, mm, ll, n_h), dtype=complex)
+    z[own] = scan_phasors(alpha, beam_table.phi_star[rows, bs, beam], n_h)
+    weight = rf.tx_power_w * h * 10.0 ** (elem_db / 10.0)  # (R, M, L)
+    weight[own] = 0.0
+    c = coeffs.reshape(mm, ll * n_h)
+    ones = np.ones(mm)
+    interference = np.empty((reps, mm))
+    for r in range(reps):
+        field = c @ z[r].reshape(mm, ll * n_h).T
+        power = np.maximum(field.real**2 + field.imag**2, _GAIN_FLOOR)
+        # A BLAS matrix-vector product, not .sum(axis=1): it keeps every SINR
+        # bit-identical to the results.json files already written, and numpy's
+        # pairwise row sum does not.
+        interference[r] = (weight[r][:, bs[r]] * power) @ ones
+    return (signal / (interference + rf.noise_power_w)).reshape(shape)
 
 
 def evaluate_all(
@@ -95,19 +110,29 @@ def evaluate_all(
     beam_table: BeamGainTable,
     fold: tuple[np.ndarray, np.ndarray, float],
     rf: RfConstants,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     config_digest: str = "",
-) -> ThroughputReport:
-    """Score every UAV and aggregate into a ThroughputReport; `fold` as in `sinr_matrix`."""
+) -> ThroughputReport | list[ThroughputReport]:
+    """Score every UAV and aggregate into a ThroughputReport; `fold` as in `sinr_matrix`.
+
+    An (R, M) stack is scored in one `sinr_matrix` pass and gives a list of
+    R reports, report r of row r with seed[r].
+    """
     sinrs = sinr_matrix(assignment, gains, beam_table, fold, rf)
     rates = rf.bandwidth_hz * np.log2(1.0 + sinrs)
+    if sinrs.ndim == 1:
+        return _report(sinrs, rates, seed, config_digest)
+    return [_report(*row, config_digest) for row in zip(sinrs, rates, seed, strict=True)]
+
+
+def _report(sinrs: np.ndarray, rates: np.ndarray, seed: int, digest: str) -> ThroughputReport:
     return ThroughputReport(
         per_uav_sinr=sinrs,
         per_uav_rate_bps=rates,
         total_rate_bps=float(rates.sum()),
         mean_rate_bps=float(rates.mean()),
         seed=seed,
-        config_digest=config_digest,
+        config_digest=digest,
     )
 
 
@@ -117,15 +142,19 @@ def validate(assignment: Assignment, mm: int, ll: int, nn: int) -> list[str]:
     Reports a shape mismatch, a BS or beam index out of range, and C4: no
     beam serves two UAVs. An index pair holds one BS and one active beam of
     that BS per UAV, so C1, C3 and beta/x consistency hold by construction;
-    C2, at most N UAVs per BS, follows from C4 and the range check.
+    C2, at most N UAVs per BS, follows from C4 and the range check. An
+    (R, M) stack is checked in one pass, each message of row r prefixed
+    with `replication r: `.
     """
     bs, beam = assignment.bs, assignment.beam
-    if bs.shape != (mm,) or beam.shape != (mm,):
+    if bs.shape != beam.shape or bs.shape[-1:] != (mm,) or bs.ndim > 2:
         return [f"shape mismatch: bs {bs.shape} beam {beam.shape} vs ({mm},)"]
-    outside = np.flatnonzero((bs < 0) | (bs >= ll) | (beam < 0) | (beam >= nn))
-    if outside.size:
-        return [f"UAV {m}: BS {bs[m]}, beam {beam[m]} is outside {ll} BSs x {nn} beams"
-                for m in outside]
-    load = np.bincount(bs * nn + beam)
-    return [f"C4: beam ({j // nn}, {j % nn}) serves {load[j]} UAVs, limit 1"
-            for j in np.flatnonzero(load > 1)]
+    where = "replication {}: ".format if bs.ndim == 2 else lambda r: ""
+    bs, beam = bs.reshape(-1, mm), beam.reshape(-1, mm)
+    outside = np.nonzero((bs < 0) | (bs >= ll) | (beam < 0) | (beam >= nn))
+    if outside[0].size:
+        return [f"{where(r)}UAV {m}: BS {bs[r, m]}, beam {beam[r, m]} is outside "
+                f"{ll} BSs x {nn} beams" for r, m in zip(*outside)]
+    load = np.bincount(((np.arange(len(bs))[:, None] * ll + bs) * nn + beam).ravel())
+    return [f"{where(j // (ll * nn))}C4: beam ({j // nn % ll}, {j % nn}) serves {load[j]} UAVs, "
+            "limit 1" for j in np.flatnonzero(load > 1)]

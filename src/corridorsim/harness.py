@@ -41,6 +41,7 @@ import numpy as np
 
 from .allocator import (
     MAX_STACKED,
+    Assignment,
     BeamCodebook,
     allocate_closest_bs,
     allocate_random,
@@ -456,12 +457,13 @@ def _check_gains(tensor: LinkGainTensor, source: str) -> None:
 def _chunk_size(config: ScenarioConfig) -> int:
     """Replications per channel pass: its largest stacked array within MAX_STACKED elements.
 
-    That array is the (R, M, L, N) utility or, on the exact few-ray branch,
-    the (R, M*L, n_scatter) scatter phases.
+    That array is the (R, M, L, N) utility, the evaluator's (R, M, L, n_h)
+    scan phasors or, on the exact few-ray branch, the (R, M*L, n_scatter)
+    scatter phases.
     """
     hf = config.channel_hf
     exact = hf.kind == "few_ray" and hf.ray_count - 1 <= _EXACT_RAY_LIMIT
-    width = max(config.codebook.n_beams, hf.ray_count - 1 if exact else 0)
+    width = max(config.codebook.n_beams, config.antenna.n_h, hf.ray_count - 1 if exact else 0)
     return max(1, MAX_STACKED // (config.uav_count * len(config.bss) * width))
 
 
@@ -470,7 +472,9 @@ def run_scenario(config: ScenarioConfig) -> ExperimentResult:
 
     Replications are stacked in chunks of `_chunk_size`: each chunk makes one
     channel pass (generate, allocation tensor, checks, utility) over all its
-    replications, then assigns and scores each replication in order.
+    replications, assigns each replication, then scores the chunk in one
+    pass: its (R, M) assignment is filled with scan angles, validated and
+    evaluated as one stack.
     """
     echo = config_to_dict(config)
     if errors := validate_config(config, echo):
@@ -509,24 +513,26 @@ def run_scenario(config: ScenarioConfig) -> ExperimentResult:
             t_util = time.perf_counter()
             util = build_utility(table, alloc_tensor, config.rf)
             stage2_seconds += time.perf_counter() - t_util
+        t_alloc = time.perf_counter()
+        shape = (len(reps), mm)
+        assignment = Assignment(np.empty(shape, dtype=int), np.empty(shape, dtype=int))
         for i, r in enumerate(reps):
-            t_alloc = time.perf_counter()
             if config.allocator == "two_stage":
-                assignment = solve_assignment(util[i])
+                row = solve_assignment(util[i])
             elif config.allocator == "random":
-                assignment = allocate_random(mm, ll, nn, _derive_seed(config.seed, _TAG_RANDOM, r))
+                row = allocate_random(mm, ll, nn, _derive_seed(config.seed, _TAG_RANDOM, r))
             else:
-                assignment = allocate_closest_bs(links["distance_3d"], util[i])
-            fill_scan_angles(assignment, table)
-            stage2_seconds += time.perf_counter() - t_alloc
-            violations = validate(assignment, mm, ll, nn)
-            if violations:
-                raise InfeasibleAssignmentError("; ".join(violations))
-            t_eval = time.perf_counter()
-            gains = LinkGainTensor(power_gains=eval_tensor.power_gains[i])
-            reports.append(evaluate_all(assignment, gains, table, table.fold, config.rf,
-                                        seed=channel_seeds[r], config_digest=digest))
-            evaluation_seconds += time.perf_counter() - t_eval
+                row = allocate_closest_bs(links["distance_3d"], util[i])
+            assignment.bs[i], assignment.beam[i] = row.bs, row.beam
+        fill_scan_angles(assignment, table)
+        stage2_seconds += time.perf_counter() - t_alloc
+        if violations := validate(assignment, mm, ll, nn):
+            raise InfeasibleAssignmentError(
+                f"chunk from replication {start}: " + "; ".join(violations))
+        t_eval = time.perf_counter()
+        reports += evaluate_all(assignment, eval_tensor, table, table.fold, config.rf,
+                                seed=seeds, config_digest=digest)
+        evaluation_seconds += time.perf_counter() - t_eval
 
     mean_rates = np.array([rep.mean_rate_bps for rep in reports])
     std = float(np.std(mean_rates, ddof=1)) if len(mean_rates) > 1 else 0.0

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corridorsim.allocator import Assignment, BeamGainTable, allocate_random
 from corridorsim.antenna import AntennaConfig, SteeringDirection, scan_coefficients, total_gain
@@ -344,7 +346,94 @@ class TestSinrMatrixFoldsEachLinkOnce:
         assert math.isfinite(got[1]) and got[1] > 0.0
 
 
+def random_links(rng, mm, ll):
+    links = np.empty((mm, ll), dtype=LINK_DTYPE)
+    links["distance_3d"] = 100.0
+    links["theta"] = rng.uniform(0.0, math.pi, size=(mm, ll))
+    links["phi"] = rng.uniform(-math.pi, math.pi, size=(mm, ll))
+    return links
+
+
+def stack(rows):
+    """The (R, M) Assignment of a list of (M,) ones."""
+    return Assignment(np.stack([a.bs for a in rows]), np.stack([a.beam for a in rows]))
+
+
+class TestStackedChunk:
+    """A chunk of R replications stacked as (R, M) scores and validates as its rows do."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(reps=st.integers(1, 5), ll=st.integers(1, 4), nn=st.integers(1, 4),
+           thermal=st.booleans(), data=st.data())
+    def test_a_stack_scores_as_its_rows(self, reps, ll, nn, thermal, data):
+        mm = data.draw(st.integers(1, min(12, ll * nn)), label="mm")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows = [allocate_random(mm, ll, nn, seed=int(rng.integers(2**32))) for _ in range(reps)]
+        h = rng.uniform(1e-10, 1e-7, size=(reps, mm, ll))
+        table = make_table(
+            rng.uniform(-30.0, 12.0, size=(mm, ll, nn)),
+            rng.uniform(-math.pi, math.pi, size=(mm, ll, nn)),
+        )
+        links = random_links(rng, mm, ll)
+        fold = fold_of(links)
+        rf = RfConstants(noise_power_w=1.2e-13) if thermal else RfConstants()
+        seeds = rng.integers(2**63, size=reps).tolist()
+
+        got = sinr_matrix(stack(rows), LinkGainTensor(power_gains=h), table, fold, rf)
+        reports = evaluate_all(stack(rows), LinkGainTensor(power_gains=h), table, fold, rf,
+                               seed=seeds, config_digest="d")
+        assert got.shape == (reps, mm) and len(reports) == reps
+        for r, a in enumerate(rows):
+            gains = LinkGainTensor(power_gains=h[r])
+            want = sinr_matrix(a, gains, table, fold, rf)
+            assert got[r].tobytes() == want.tobytes()
+            np.testing.assert_allclose(
+                got[r], pairwise_sinr(a, gains, table, links, CFG, rf), rtol=1e-12, atol=0.0
+            )
+            report = evaluate_all(a, gains, table, fold, rf, seed=seeds[r], config_digest="d")
+            assert reports[r].per_uav_sinr.tobytes() == report.per_uav_sinr.tobytes()
+            assert reports[r].per_uav_rate_bps.tobytes() == report.per_uav_rate_bps.tobytes()
+            assert json.dumps(reports[r].to_dict()) == json.dumps(report.to_dict())
+
+    @settings(max_examples=80, deadline=None)
+    @given(reps=st.integers(2, 5), ll=st.integers(1, 4), nn=st.integers(2, 4),
+           c4=st.booleans(), data=st.data())
+    def test_validate_names_the_bad_replication(self, reps, ll, nn, c4, data):
+        mm = data.draw(st.integers(2, min(12, ll * nn)), label="mm")
+        bad = data.draw(st.integers(0, reps - 1), label="bad")
+        m = data.draw(st.integers(1, mm - 1), label="m")
+        rows = [allocate_random(mm, ll, nn, seed=r) for r in range(reps)]
+        a = rows[bad]
+        if c4:  # UAV m takes UAV 0's beam
+            a.bs[m], a.beam[m] = a.bs[0], a.beam[0]
+        else:
+            a.beam[m] = nn
+        alone = validate(a, mm, ll, nn)
+        assert len(alone) == 1
+        assert validate(stack(rows), mm, ll, nn) == [f"replication {bad}: {alone[0]}"]
+        rows[bad] = allocate_random(mm, ll, nn, seed=bad)
+        assert validate(stack(rows), mm, ll, nn) == []
+
+    def test_a_stack_must_match_the_gains(self):
+        a = make_assignment([(0, 0), (1, 0)])
+        table = make_table(np.zeros((2, 2, 1)))
+        gains = LinkGainTensor(power_gains=np.full((3, 2, 2), 1e-8))
+        with pytest.raises(ValueError, match=r"\(2,\) scores gains of shape \(2, 2\)"):
+            sinr_matrix(a, gains, table, fold_of(flat_geoms(2, 2)), RfConstants())
+
+
 class TestValidate:
+    def test_unstacked_messages_are_exact(self):
+        assert validate(make_assignment([(0, 0), (2, 1)]), 2, 2, 2) == [
+            "UAV 1: BS 2, beam 1 is outside 2 BSs x 2 beams"
+        ]
+        assert validate(make_assignment([(1, 1), (0, 0), (1, 1), (1, 1)]), 4, 2, 2) == [
+            "C4: beam (1, 1) serves 3 UAVs, limit 1"
+        ]
+        assert validate(Assignment(bs=np.array([0]), beam=np.array([0, 1])), 2, 2, 2) == [
+            "shape mismatch: bs (1,) beam (2,) vs (2,)"
+        ]
+
     def test_clean_assignment(self):
         a = make_assignment([(0, 0), (1, 1)])
         assert validate(a, 2, 2, 2) == []

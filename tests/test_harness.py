@@ -29,9 +29,9 @@ from corridorsim.allocator import (
 from corridorsim.antenna import (
     AntennaConfig,
     SteeringDirection,
+    _fold_and_sines,
     array_gain,
     element_gain,
-    scan_coefficients,
     vertical_weight,
 )
 from corridorsim.channel import (
@@ -379,7 +379,8 @@ class TestRunScenario:
     def test_evaluation_folds_the_links_once_per_run(self, monkeypatch):
         # Stage 1 folds the link array, and the run scores interference on the
         # table's fold; every module that holds one of the folding functions
-        # is counted, the allocator's and the antenna's own included.
+        # is counted, the allocator's and the antenna's own included. Every
+        # fold, `scan_coefficients` too, goes through `_fold_and_sines`.
         calls = Counter()
 
         def counting(fn):
@@ -388,7 +389,7 @@ class TestRunScenario:
                 return fn(*args, **kwargs)
             return counted
 
-        for fn in (scan_coefficients, element_gain, vertical_weight):
+        for fn in (_fold_and_sines, element_gain, vertical_weight):
             for name, module in list(sys.modules.items()):
                 if name.startswith("corridorsim.") and getattr(module, fn.__name__, None) is fn:
                     monkeypatch.setattr(module, fn.__name__, counting(fn))
@@ -399,7 +400,7 @@ class TestRunScenario:
             cfg = small_config(seed=14, replications=4, allocator=allocator,
                                allocation_channel=channel_axis)
             assert len(run_scenario(cfg).reports) == 4
-            assert calls == {"scan_coefficients": 1, "element_gain": 1, "vertical_weight": 1}
+            assert calls == {"_fold_and_sines": 1, "element_gain": 1, "vertical_weight": 1}
 
     def test_links_are_built_once_per_run(self, monkeypatch):
         # Stage 1 builds the link array, and the run reuses the table's; every
@@ -443,8 +444,8 @@ class TestRunScenario:
     @pytest.mark.parametrize("per_chunk", [4, 1], ids=["one-chunk", "chunk-per-replication"])
     def test_stage_seconds_are_means_per_replication(self, monkeypatch, per_chunk):
         # A fake clock moves only inside the timed calls: 2 s per stage-1
-        # table, 0.5 s per utility (one per chunk), 0.25 s per assignment and
-        # 1 s per evaluation. Powers of two keep the sums exact.
+        # table, 0.5 s per utility and 1 s per evaluation (one each per chunk)
+        # and 0.25 s per assignment. Powers of two keep the sums exact.
         clock = [0.0]
 
         def ticking(function, seconds):
@@ -465,7 +466,7 @@ class TestRunScenario:
         chunks = cfg.replications // per_chunk
         assert result.stage1_seconds == 2.0
         assert result.stage2_seconds == (chunks * 0.5 + cfg.replications * 0.25) / 4
-        assert result.evaluation_seconds == 1.0
+        assert result.evaluation_seconds == chunks * 1.0 / 4
 
     def test_exact_few_ray_phases_set_the_chunk(self):
         cfg = ScenarioConfig(uav_count=16)
@@ -474,6 +475,12 @@ class TestRunScenario:
         assert harness._chunk_size(cfg) == MAX_STACKED // (links * _EXACT_RAY_LIMIT)
         cfg.channel_hf = replace(cfg.channel_hf, ray_count=_EXACT_RAY_LIMIT + 2)
         assert harness._chunk_size(cfg) == MAX_STACKED // (links * cfg.codebook.n_beams)
+
+    def test_evaluator_phasors_set_the_chunk_when_n_h_exceeds_the_beams(self):
+        cfg = ScenarioConfig(uav_count=16)
+        cfg.antenna = replace(cfg.antenna, n_h=32)
+        links = cfg.uav_count * len(cfg.bss)
+        assert harness._chunk_size(cfg) == MAX_STACKED // (links * 32)
 
     def test_run_at_the_triplet_bound_takes_one_replication_per_chunk(self):
         cfg = ScenarioConfig(uav_count=MAX_TRIPLETS // (4 * 256), replications=4)
