@@ -66,14 +66,21 @@ class BeamCodebook:
     n_beams: int = 16
 
     @property
-    def sectors(self) -> tuple[tuple[float, float], ...]:
-        """The N half-open sectors (lo, hi], ordered, covering (-pi, pi]."""
+    def edges(self) -> np.ndarray:
+        """The N + 1 sector ends, ascending: sector n is (edges[n], edges[n + 1]]."""
         if self.n_beams < 1:
             raise ConfigurationError(f"codebook needs >= 1 beam, got {self.n_beams}")
         if self.n_beams > MAX_BEAMS:
             raise ConfigurationError(f"codebook.n_beams must be <= {MAX_BEAMS}, got {self.n_beams}")
-        # -pi + n * 2pi/N, except that the last end is pi itself, never pi + 1 ulp
-        ends = np.linspace(-math.pi, math.pi, self.n_beams + 1).tolist()
+        # np.linspace(-pi, pi, N + 1) bit for bit: the last end is pi, never pi + 1 ulp
+        edges = np.arange(self.n_beams + 1.0) * (2.0 * math.pi / self.n_beams) - math.pi
+        edges[-1] = math.pi
+        return edges
+
+    @property
+    def sectors(self) -> tuple[tuple[float, float], ...]:
+        """The N half-open sectors (lo, hi], ordered, covering (-pi, pi]."""
+        ends = self.edges.tolist()
         return tuple(zip(ends[:-1], ends[1:]))
 
 
@@ -158,10 +165,12 @@ def _kernel_power(v2, beta, s, n_h: int) -> np.ndarray:
     2 pi q with q != 0, both sines of the unreduced x are rounding noise.
     """
     half = s - beta
-    half = 0.5 * (half - 2.0 * math.pi * np.rint(half / (2.0 * math.pi)))
+    half -= 2.0 * math.pi * np.rint(half / (2.0 * math.pi))
+    half *= 0.5
     den = np.sin(half)
     ratio = np.divide(np.sin(n_h * half), den, out=np.full_like(half, n_h), where=den != 0.0)
-    return v2 * ratio**2
+    ratio *= ratio
+    return v2 * ratio
 
 
 def stage1_size_errors(cfg: AntennaConfig, n_beams: int, n_links: int) -> list[str]:
@@ -223,55 +232,58 @@ def optimal_scan_angles(
     first wins. The gain is the element gain plus 10 log10 of that P. The
     evaluation count is a fixed multiple of the number of pairs. An array,
     a spacing or a count above its MAX_* bound, or a non-finite spacing or
-    tilt, raises.
-    """
-    return _solve_stage1(theta, phi, sectors, cfg)[:3]
-
-
-def _solve_stage1(theta, phi, sectors, cfg: AntennaConfig):
-    """`optimal_scan_angles` and the `scan_coefficients` fold of the directions it solved from.
-
-    The fold is made once, after the size checks: its element gains, its
-    c_0 = v and the sin(theta) sin(phi) it was made from are stage 1's inputs.
+    tilt, raises, as do sectors that are not as above.
     """
     lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
-    oversized = stage1_size_errors(cfg, lo.size, np.broadcast(theta, phi).size)
-    if oversized:
-        raise ConfigurationError("; ".join(oversized))
     inside = np.all((-math.pi <= lo) & (lo < hi) & (hi <= math.pi))
     if lo.size == 0 or not inside or np.any(lo[1:] != hi[:-1]):
         raise ConfigurationError(f"scan sectors must be non-empty (lo, hi] inside [-pi, pi] and "
                                  f"consecutive, each starting where the last ends, got {sectors}")
+    return _solve_stage1(theta, phi, np.append(lo[0], hi), cfg)[:3]
+
+
+def _solve_stage1(theta, phi, edges: np.ndarray, cfg: AntennaConfig):
+    """`optimal_scan_angles` on N + 1 ascending sector `edges`, and its `scan_coefficients` fold.
+
+    Sector n is (edges[n], edges[n + 1]], as `BeamCodebook.edges` gives
+    them; the sectors are not checked here. The fold is made once, after
+    the size checks: its element gains, its c_0 = v and the sin(theta)
+    sin(phi) it was made from are stage 1's inputs.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    oversized = stage1_size_errors(cfg, lo.size, np.broadcast(theta, phi).size)
+    if oversized:
+        raise ConfigurationError("; ".join(oversized))
     fold, sines = _fold_and_sines(theta, phi, cfg)
     elem_db, coeffs, alpha = fold
-    beta = 2.0 * math.pi * cfg.d_h * sines
-    v = coeffs[..., 0]
-    v2 = (v.real**2 + v.imag**2).reshape(-1, 1)
-    beta = beta.reshape(-1, 1)  # (K, 1), K directions
-    k, nn = beta.shape[0], lo.size
+    k, nn = sines.size, lo.size  # K directions, N sectors
+    beta = (2.0 * math.pi * cfg.d_h * sines).reshape(k, 1)
+    v = coeffs[..., 0].reshape(k, 1)
+    v2 = v.real**2 + v.imag**2
+    rows = np.arange(k)[:, None]
 
     peaks = _lobe_peaks(beta[:, 0], abs(alpha), cfg.n_h)
     # A peak outside [-|alpha|, |alpha|] clips onto a pole, a candidate anyway.
     branch = np.arcsin(np.clip(peaks / alpha, -1.0, 1.0) if alpha else np.zeros_like(peaks))
-    poles = np.broadcast_to([-0.5 * math.pi, 0.5 * math.pi], (k, 2))
+    poles = np.array([[-0.5 * math.pi, 0.5 * math.pi]]).repeat(k, axis=0)
     cand = np.concatenate(
         [branch, np.where(branch >= 0.0, math.pi, -math.pi) - branch, poles], axis=-1
     )
-    # P at every sector end (nextafter(lo, hi), then hi), then at every
+    # P at every sector's two ends, nextafter(lo, hi) then hi, then at every
     # candidate. Each sector starts from its better end.
-    ends = np.stack([np.nextafter(lo, hi), hi], axis=-1)
-    s = np.concatenate([np.broadcast_to(alpha * np.sin(ends.reshape(-1)), (k, 2 * nn)),
-                        alpha * np.sin(cand)], axis=-1)
+    starts = np.nextafter(lo, hi)
+    s = np.empty((k, 2 * nn + cand.shape[1]))
+    s[:, : 2 * nn] = alpha * np.sin(np.concatenate([starts, hi]))
+    np.multiply(np.sin(cand, out=s[:, 2 * nn :]), alpha, out=s[:, 2 * nn :])
     power = _kernel_power(v2, beta, s, cfg.n_h)
-    end_power, power = power[:, : 2 * nn].reshape(k, nn, 2), power[:, 2 * nn :]
-    upper = end_power[..., 1] > end_power[..., 0]
-    end_phi = np.where(upper, hi, ends[:, 0])
-    end_p = np.maximum(end_power[..., 0], end_power[..., 1])
+    start_p, hi_p, power = power[:, :nn], power[:, nn : 2 * nn], power[:, 2 * nn :]
+    end_phi = np.where(hi_p > start_p, hi, starts)
+    end_p = np.maximum(start_p, hi_p)
     # Only the candidates are binned. Sector n holds those in
     # (lo[n], hi[n]], slot n + 1 of its direction's N + 2 (0 below the
     # first sector, N + 1 above the last). A slot keeps its highest P, and
     # of the candidates there, the first.
-    slot = np.searchsorted(np.append(lo[0], hi), cand) + (nn + 2) * np.arange(k)[:, None]
+    slot = np.searchsorted(edges, cand) + (nn + 2) * rows
     best = np.full(k * (nn + 2), -np.inf)
     np.maximum.at(best, slot, power)
     top = power == best[slot]
@@ -280,8 +292,7 @@ def _solve_stage1(theta, phi, sectors, cfg: AntennaConfig):
     best, first = best.reshape(k, -1)[:, 1:-1], first.reshape(k, -1)[:, 1:-1]
     # A tie keeps the end: ends rank before candidates, as in tests/oracles.py.
     wins = best > end_p
-    phi_star = np.where(wins, np.take_along_axis(cand, first, axis=-1), end_phi)
-    phi_star = phi_star.reshape(elem_db.shape + (nn,))
+    phi_star = np.where(wins, cand[rows, first], end_phi).reshape(elem_db.shape + (nn,))
     p_star = np.where(wins, best, end_p).reshape(phi_star.shape)
     gain_db = power_gain_db(elem_db[..., None], p_star)
     return phi_star, gain_db, k * cand.shape[-1] + k * nn * 3, fold
@@ -301,7 +312,7 @@ def build_beam_gain_table(
     """
     links = link_geometries(uavs, bss)
     phi_star, gain_db, evals, fold = _solve_stage1(
-        links["theta"], links["phi"], codebook.sectors, cfg
+        links["theta"], links["phi"], codebook.edges, cfg
     )
     return BeamGainTable(phi_star=phi_star, gain_db=gain_db, stage1_evals=evals, links=links,
                          fold=fold)

@@ -66,26 +66,28 @@ def _maybe_scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _cut_loss(angle, center_deg: float, width_deg: float, cap_db: float) -> np.ndarray:
+    """The loss 12 ((angle - center) / width)^2 dB of one element cut, capped at `cap_db`."""
+    deg = np.degrees(np.asarray(angle, dtype=float)) - center_deg
+    return np.minimum(12.0 * (deg / width_deg) ** 2, cap_db)
+
+
 def element_gain_vertical(theta, cfg: AntennaConfig):
     """Vertical element cut A_EV(theta) in dB: 0 at the horizon, floor -SL_AV."""
-    t_deg = np.degrees(np.asarray(theta, dtype=float))
-    out = -np.minimum(12.0 * ((t_deg - 90.0) / cfg.theta_3db_deg) ** 2, cfg.sl_av_db)
-    return _maybe_scalar(out)
+    return _maybe_scalar(-_cut_loss(theta, 90.0, cfg.theta_3db_deg, cfg.sl_av_db))
 
 
 def element_gain_horizontal(phi, cfg: AntennaConfig):
     """Horizontal element cut A_EH(phi) in dB: 0 on boresight, floor -A_m."""
-    p_deg = np.degrees(np.asarray(phi, dtype=float))
-    out = -np.minimum(12.0 * (p_deg / cfg.phi_3db_deg) ** 2, cfg.a_m_db)
-    return _maybe_scalar(out)
+    return _maybe_scalar(-_cut_loss(phi, 0.0, cfg.phi_3db_deg, cfg.a_m_db))
 
 
 def element_gain(theta, phi, cfg: AntennaConfig):
     """Combined element pattern A_E(theta, phi) in dBi, peak g_e_max_dbi."""
-    a_v = np.asarray(element_gain_vertical(theta, cfg))
-    a_h = np.asarray(element_gain_horizontal(phi, cfg))
-    out = cfg.g_e_max_dbi - np.minimum(-(a_v + a_h), cfg.a_m_db)
-    return _maybe_scalar(out)
+    # -(A_EV + A_EH), the sum of the two cut losses bit for bit
+    loss = _cut_loss(theta, 90.0, cfg.theta_3db_deg, cfg.sl_av_db)
+    loss = loss + _cut_loss(phi, 0.0, cfg.phi_3db_deg, cfg.a_m_db)
+    return _maybe_scalar(cfg.g_e_max_dbi - np.minimum(loss, cfg.a_m_db))
 
 
 def steering_vector(direction: SteeringDirection, cfg: AntennaConfig) -> np.ndarray:

@@ -115,7 +115,8 @@ class LinkGainTensor:
 
 def aggregate_power(coefficients: np.ndarray) -> np.ndarray:
     """Scalar |h|^2 per link: mean element power over the antenna axis."""
-    return np.mean(np.abs(coefficients) ** 2, axis=-1)
+    # np.mean(..., axis=-1) bit for bit: the same sum, divided by the count
+    return (np.abs(coefficients) ** 2).sum(axis=-1) / coefficients.shape[-1]
 
 
 def free_space_path_gain(distance: float, carrier_hz: float):

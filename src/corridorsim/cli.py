@@ -25,6 +25,7 @@ from .harness import (
     ScenarioConfig,
     benchmark,
     benchmark_configs,
+    checked_echo,
     emit_reports,
     gain_sweep_rows,
     load_config,
@@ -135,16 +136,20 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {write_gain_sweep(rows, args.out)}")
             return 0
 
+        # `--uavs ,` parses to an empty list, which must not read as a flag
+        # left out; `benchmark_configs` reports bench's own.
+        for flag in ("uavs", "altitudes"):
+            if args.command != "bench" and getattr(args, flag, None) == []:
+                raise ConfigurationError(f"--{flag} needs at least one value")
         config = _load(args)
 
         if args.command == "run":
             if args.uavs and len(args.uavs) > 1:
                 raise ConfigurationError(f"run takes one --uavs value, got {args.uavs}")
             # A config the run would refuse leaves no output directory behind.
-            if problems := validate_config(config):
-                raise ConfigurationError("\n".join(problems))
+            echo = checked_echo(config)
             prepare_output_dir(args.out)
-            results = [run_scenario(config)]
+            results = [run_scenario(config, echo)]
         elif args.command == "sweep":
             if args.altitudes:
                 if args.uavs and len(args.uavs) > 1:
@@ -165,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
             prepare_output_dir(args.out)
             rows = benchmark(config, args.uavs)
             text = json.dumps(rows, indent=2) + "\n"
-            bench_path = write_output(open_output(args.out, "benchmark.json"), text)
+            bench_path = args.out / "benchmark.json"
+            write_output(open_output(bench_path), text)
             for row in rows:
                 print(
                     f"M={row['uav_count']:<3d} stage1={row['stage1_seconds'] * 1e3:.3g}ms "

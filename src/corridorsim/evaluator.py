@@ -126,11 +126,12 @@ def evaluate_all(
 
 
 def _report(sinrs: np.ndarray, rates: np.ndarray, seed: int, digest: str) -> ThroughputReport:
+    total = float(rates.sum())
     return ThroughputReport(
         per_uav_sinr=sinrs,
         per_uav_rate_bps=rates,
-        total_rate_bps=float(rates.sum()),
-        mean_rate_bps=float(rates.mean()),
+        total_rate_bps=total,
+        mean_rate_bps=total / rates.size,  # rates.mean(), bit for bit
         seed=seed,
         config_digest=digest,
     )
@@ -151,8 +152,8 @@ def validate(assignment: Assignment, mm: int, ll: int, nn: int) -> list[str]:
         return [f"shape mismatch: bs {bs.shape} beam {beam.shape} vs ({mm},)"]
     where = "replication {}: ".format if bs.ndim == 2 else lambda r: ""
     bs, beam = bs.reshape(-1, mm), beam.reshape(-1, mm)
-    outside = np.nonzero((bs < 0) | (bs >= ll) | (beam < 0) | (beam >= nn))
-    if outside[0].size:
+    if bs.min() < 0 or bs.max() >= ll or beam.min() < 0 or beam.max() >= nn:
+        outside = np.nonzero((bs < 0) | (bs >= ll) | (beam < 0) | (beam >= nn))
         return [f"{where(r)}UAV {m}: BS {bs[r, m]}, beam {beam[r, m]} is outside "
                 f"{ll} BSs x {nn} beams" for r, m in zip(*outside)]
     load = np.bincount(((np.arange(len(bs))[:, None] * ll + bs) * nn + beam).ravel())

@@ -114,20 +114,21 @@ def link_geometries(uavs: list[Position3D], bss: list[BaseStationSite]) -> np.nd
     code does; acos and atan2 stay in `math`, whose results can differ from
     numpy's by an ulp.
     """
-    u = np.array([(p.x, p.y, p.z) for p in uavs], dtype=float).reshape(-1, 1, 3)
+    u = np.array([(p.x, p.y, p.z) for p in uavs], dtype=float).reshape(-1, 3)
     b = np.array([(bs.position.x, bs.position.y, bs.position.z) for bs in bss], dtype=float)
-    dx, dy, dz = np.moveaxis(u - b.reshape(-1, 3), -1, 0)
-    distance = np.sqrt(dx * dx + dy * dy + dz * dz)
+    d = u.T[:, :, None] - b.reshape(-1, 3).T[:, None, :]  # dx, dy, dz, each (M, L)
+    dx, dy, dz = d
+    # The sum over the leading axis adds dx^2 + dy^2, then dz^2, as `link_geometry` does.
+    distance = np.sqrt((d * d).sum(axis=0))
     if np.any(distance <= 0.0):
         _, l = np.argwhere(distance <= 0.0)[0]
         raise GeometryError(f"UAV coincides with BS {bss[l].id} at {bss[l].position}")
     links = np.empty(distance.shape, dtype=LINK_DTYPE)
     links["distance_3d"] = distance
-    cosine = np.clip(dz / distance, -1.0, 1.0).ravel().tolist()
-    links["theta"] = np.reshape(list(map(math.acos, cosine)), distance.shape)
-    bearing = np.reshape(list(map(math.atan2, dy.ravel().tolist(), dx.ravel().tolist())),
-                         distance.shape)
+    flat = links.reshape(-1)  # a view: the fields below are written through it
+    flat["theta"] = list(map(math.acos, np.clip(dz / distance, -1.0, 1.0).ravel().tolist()))
+    flat["phi"] = list(map(math.atan2, dy.ravel().tolist(), dx.ravel().tolist()))
     boresight = np.array([math.radians(bs.boresight_deg) for bs in bss])
-    phi = np.remainder(bearing - boresight + math.pi, TWO_PI) - math.pi
+    phi = np.remainder(links["phi"] - boresight + math.pi, TWO_PI) - math.pi
     links["phi"] = np.where(phi <= -math.pi, phi + TWO_PI, phi)
     return links

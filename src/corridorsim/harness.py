@@ -78,22 +78,20 @@ ALLOCATORS = ("two_stage", "random", "closest_bs")
 ALLOCATION_CHANNELS = ("hf", "lf", "statistical")
 
 
-def aim_boresights_at(bss: list[BaseStationSite], target: Position3D) -> list[BaseStationSite]:
-    """Point every BS boresight at `target` in the horizontal plane."""
+# The nominal sites: 25 m masts on the corners of a 400 m square.
+_NOMINAL_SITES = tuple(Position3D(x, y, 25.0) for x, y in
+                       ((0.0, 0.0), (400.0, 0.0), (400.0, 400.0), (0.0, 400.0)))
 
-    def toward(p: Position3D) -> float:
-        return math.degrees(math.atan2(target.y - p.y, target.x - p.x))
 
-    return [replace(bs, boresight_deg=toward(bs.position)) for bs in bss]
+def _bearing_deg(p: Position3D, target: Position3D) -> float:
+    """The horizontal direction from `p` to `target`, degrees counterclockwise from east."""
+    return math.degrees(math.atan2(target.y - p.y, target.x - p.x))
 
 
 def _nominal_sites(center: Position3D = CorridorSpec().center) -> list[BaseStationSite]:
-    """The nominal sites, 25 m masts on the corners of a 400 m square, aimed at `center`."""
-    corners = ((0.0, 0.0), (400.0, 0.0), (400.0, 400.0), (0.0, 400.0))
-    sites = [
-        BaseStationSite(i + 1, Position3D(x, y, 25.0), 0.0) for i, (x, y) in enumerate(corners)
-    ]
-    return aim_boresights_at(sites, center)
+    """The nominal sites, their boresights aimed at `center`."""
+    return [BaseStationSite(i + 1, p, _bearing_deg(p, center))
+            for i, p in enumerate(_NOMINAL_SITES)]
 
 
 @dataclass
@@ -301,7 +299,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     for section, table in _TABLES.items():
         if section in doc:
             values.update(_load(_expect(section, doc[section]), table, f"{section}."))
-    config = _assign(ScenarioConfig(), values)
+    config = _assign(ScenarioConfig(bss=[]), values)  # the sites follow the center, below
     for key in _unread_channel_keys(config.channel_hf):
         if key in doc.get("channel_hf", ()):
             raise ConfigurationError(
@@ -320,8 +318,10 @@ def _site_from_dict(i: int, doc, center: Position3D) -> BaseStationSite:
     where = f"bss[{i}]"
     given = {k: v for k, v in _expect(where, doc).items() if k != "boresight_deg" or v is not None}
     values = _load(given, _SITE_TABLE, f"{where}.")
-    site = _assign(replace(_nominal_sites()[0], id=i + 1), values)
-    return site if ("boresight_deg",) in values else aim_boresights_at([site], center)[0]
+    site = _assign(BaseStationSite(i + 1, _NOMINAL_SITES[0], 0.0), values)
+    if ("boresight_deg",) in values:
+        return site
+    return replace(site, boresight_deg=_bearing_deg(site.position, center))
 
 
 def _expect(key: str, value, kind: type = dict, name: str = "a JSON object"):
@@ -370,14 +370,16 @@ def _assign(obj, values: dict):
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read a scenario file; an unreadable file or a bad value is a ConfigurationError."""
     try:
-        return config_from_dict(json.loads(Path(path).read_text()))
+        with open(path) as fh:
+            return config_from_dict(json.loads(fh.read()))
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigurationError(f"cannot load config {path}: {exc}") from exc
 
 
 def config_digest(config: ScenarioConfig, echo: dict | None = None) -> str:
-    """Short hash of the config file; pass `echo`, its `config_to_dict`, if at hand."""
-    canonical = json.dumps(config_to_dict(config) if echo is None else echo, sort_keys=True)
+    """Short hash of the config file; `echo` is its `checked_echo`, if at hand."""
+    # json.dumps(echo, sort_keys=True), through an encoder built once
+    canonical = _c_encoder(", ")(config_to_dict(config) if echo is None else echo)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -387,7 +389,8 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
     A message names the file key and the value the file holds. The keys come
     first, in echo order: a non-finite number is reported as such, any other
     value against its schema row's rule. The checks that span several keys
-    follow. `echo` is `config_to_dict(config)`, built here unless at hand.
+    follow. `echo` is `config_to_dict(config)`, built here unless at hand
+    (`checked_echo` passes the run's).
     """
     echo = config_to_dict(config) if echo is None else echo
     walk = [(f"{s}." if s else "", echo[s] if s else echo, table) for s, table in _TABLES.items()]
@@ -415,6 +418,17 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
         errors.append(f"uav_count: {config.uav_count} UAVs cannot be assigned to "
                       f"{capacity} BS-beam pairs")
     return errors
+
+
+def checked_echo(config: ScenarioConfig) -> dict:
+    """`config_to_dict(config)` once `validate_config` finds no problem (else one line each).
+
+    A caller that checks a config before its run passes this to `run_scenario`.
+    """
+    echo = config_to_dict(config)
+    if errors := validate_config(config, echo):
+        raise ConfigurationError("\n".join(errors))
+    return echo
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +464,7 @@ def _allocation_tensor(
 def _check_gains(tensor: LinkGainTensor, source: str) -> None:
     """A generated tensor must hold finite, non-negative power gains, as a file must."""
     gains = tensor.power_gains
-    if not np.all(np.isfinite(gains)) or np.any(gains < 0.0):
+    if not (gains.min() >= 0.0 and gains.max() < math.inf):  # a NaN fails both
         raise ConfigurationError(f"{source} gave non-finite or negative power gains")
 
 
@@ -467,8 +481,11 @@ def _chunk_size(config: ScenarioConfig) -> int:
     return max(1, MAX_STACKED // (config.uav_count * len(config.bss) * width))
 
 
-def run_scenario(config: ScenarioConfig) -> ExperimentResult:
+def run_scenario(config: ScenarioConfig, echo: dict | None = None) -> ExperimentResult:
     """Run every replication of one scenario and aggregate the reports.
+
+    `echo` is `checked_echo(config)`, which the run builds unless given; it
+    is hashed into the digest and reported as the run's config.
 
     Replications are stacked in chunks of `_chunk_size`: each chunk makes one
     channel pass (generate, allocation tensor, checks, utility) over all its
@@ -476,9 +493,7 @@ def run_scenario(config: ScenarioConfig) -> ExperimentResult:
     pass: its (R, M) assignment is filled with scan angles, validated and
     evaluated as one stack.
     """
-    echo = config_to_dict(config)
-    if errors := validate_config(config, echo):
-        raise ConfigurationError("\n".join(errors))
+    echo = checked_echo(config) if echo is None else echo
     digest = config_digest(config, echo)
     uavs = generate_corridor(config.corridor, config.uav_count)
 
@@ -540,7 +555,7 @@ def run_scenario(config: ScenarioConfig) -> ExperimentResult:
         config=echo,
         config_digest=digest,
         reports=reports,
-        mean_rate_bps=float(mean_rates.mean()),
+        mean_rate_bps=float(mean_rates.sum()) / len(mean_rates),  # mean(), bit for bit
         std_rate_bps=std,
         stage1_seconds=stage1_seconds,
         stage1_evals=table.stage1_evals,
@@ -661,20 +676,20 @@ def summary_row(result: ExperimentResult) -> dict:
 
 
 @functools.cache
-def _flat_encoder(depth: int):
-    """json's C encoder for a container that holds no container, its items at `depth`.
+def _c_encoder(item_separator: str):
+    """json's C encoder with sort_keys and `item_separator`, as obj -> str.
 
-    One `c_make_encoder` per depth, built with the arguments that
-    `JSONEncoder(sort_keys=True, separators=(",\n" + indent, ": ")).iterencode`
-    passes it, except the circular-reference markers: a flat container
-    cannot hold itself, and one markers dict shared by every call would keep
-    the entries of a call that raised. `JSONEncoder.encode` rebuilt this
-    encoder on every call. Returns obj -> str, as `encode` does.
+    Built with the arguments that `JSONEncoder(sort_keys=True,
+    separators=(item_separator, ": ")).iterencode` passes it, except the
+    circular-reference markers: a config echo and a container that holds no
+    container cannot hold themselves, and one markers dict shared by every
+    call would keep the entries of a call that raised. `JSONEncoder.encode`
+    rebuilds this encoder on every call.
     """
     # (markers, default, encoder, indent, key_separator, item_separator,
-    #  sort_keys, skipkeys, allow_nan); the item separator carries the indent.
+    #  sort_keys, skipkeys, allow_nan)
     encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
-                            ": ", ",\n" + "  " * depth, True, False, True)
+                            ": ", item_separator, True, False, True)
     return lambda obj: "".join(encode(obj, 0))
 
 
@@ -685,28 +700,31 @@ def dumps_indent2(obj, depth: int = 0) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte.
 
     json's indent mode runs its pure-Python encoder. This walks dicts (in key
-    order) and lists itself and hands each container that holds no container
-    to the C encoder in one call, its item separator carrying the newline and
-    the indent. A dict that holds a container must have str keys (TypeError
-    otherwise); json.dumps would coerce an int, float, bool or None key.
+    order) and lists that hold a container, encodes each scalar value of
+    such a dict in place, and hands each container that holds no container
+    to the C encoder in one call, its item separator carrying the newline
+    and the indent. A dict that holds a container must have str keys
+    (TypeError otherwise); json.dumps would coerce an int, float, bool or
+    None key.
     """
     if not isinstance(obj, _CONTAINERS):
-        return _flat_encoder(depth)(obj)
+        return _c_encoder(", ")(obj)  # a scalar's text has no separator
     is_dict = isinstance(obj, dict)
-    brackets = "{}" if is_dict else "[]"
     if not obj:
-        return brackets
-    sep = ",\n" + "  " * (depth + 1)
-    if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
-        body = _flat_encoder(depth + 1)(obj)[1:-1]
+        return "{}" if is_dict else "[]"
+    sep = ",\n  " + "  " * depth  # between the items, which sit at depth + 1
+    if not any([isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)]):
+        body = _c_encoder(sep)(obj)[1:-1]
     elif is_dict:
-        body = sep.join(
-            f"{encode_basestring_ascii(k)}: {dumps_indent2(v, depth + 1)}"
+        body = sep.join([
+            encode_basestring_ascii(k) + ": "
+            + (dumps_indent2(v, depth + 1) if isinstance(v, _CONTAINERS) else _c_encoder(", ")(v))
             for k, v in sorted(obj.items())
-        )
+        ])
     else:
-        body = sep.join(dumps_indent2(v, depth + 1) for v in obj)
-    return f"{brackets[0]}{sep[1:]}{body}\n{'  ' * depth}{brackets[1]}"
+        body = sep.join([dumps_indent2(v, depth + 1) for v in obj])
+    outer = "\n" + "  " * depth
+    return ("{" if is_dict else "[") + sep[1:] + body + outer + ("}" if is_dict else "]")
 
 
 def prepare_output_dir(out_dir: str | Path) -> None:
@@ -723,24 +741,23 @@ def prepare_output_dir(out_dir: str | Path) -> None:
         raise OutputError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from exc
 
 
-def open_output(out_dir: str | Path, name: str) -> BinaryIO:
-    """Open out_dir/name for `write_output`, creating out_dir, without truncating it.
+def open_output(path: Path) -> BinaryIO:
+    """Open `path` for `write_output` without truncating it.
 
-    The file is created if missing; an existing file keeps its bytes until
+    Its directory must exist, as `prepare_output_dir` leaves it. The file is
+    created if missing; an existing file keeps its bytes until
     `write_output`. As with `Path.write_text`, a symlink is followed, the
-    file's permissions hold and its inode stays. The file's `name` is its
-    path. An OSError ends as an OutputError that names the path.
+    file's permissions hold and its inode stays. An OSError ends as an
+    OutputError that names the path.
     """
-    prepare_output_dir(out_dir)
-    path = Path(out_dir) / name
     try:
         return open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666))
     except OSError as exc:
         raise OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
-def write_output(fh: BinaryIO, text: str) -> Path:
-    """Write `text` over the file `open_output` opened, close it and return its path.
+def write_output(fh: BinaryIO, text: str) -> None:
+    """Write `text` over the file `open_output` opened and close it.
 
     A longer old file is cut to the new length after the write, not to zero
     before it: on ext4 (auto_da_alloc) a truncation to zero makes `close()`
@@ -748,7 +765,6 @@ def write_output(fh: BinaryIO, text: str) -> Path:
     The text is written as UTF-8 with no newline translation. An OSError ends
     as an OutputError that names the path.
     """
-    path = Path(fh.name)
     data = text.encode()
     try:
         with fh:
@@ -758,20 +774,19 @@ def write_output(fh: BinaryIO, text: str) -> Path:
             if os.fstat(fh.fileno()).st_size > len(data):
                 fh.truncate()
     except OSError as exc:
-        raise OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
-    return path
+        raise OutputError(f"cannot write {exc.filename or fh.name}: {exc.strerror or exc}") from exc
 
 
 def _csv_text(fields, rows: Iterable[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields)
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf)
+    writer.writerow(fields)
+    writer.writerows([row[key] for key in fields] for row in rows)
     return buf.getvalue()
 
 
 def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[str, Path]:
-    """Write results.json (deterministic payload) and summary.csv to out_dir.
+    """Write results.json (deterministic payload) and summary.csv to out_dir, making it.
 
     results.json is `json.dumps(payload, indent=2, sort_keys=True)` plus a
     newline, written by `dumps_indent2`. Wall-clock timings live in
@@ -784,19 +799,21 @@ def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[s
     payload = {"results": [r.to_dict() for r in results]}
     results_text = dumps_indent2(payload) + "\n"
     summary_text = _csv_text(_SUMMARY_FIELDS, map(summary_row, results))
-    results_path = Path(out_dir) / "results.json"
+    prepare_output_dir(out_dir)
+    results_path, summary_path = Path(out_dir, "results.json"), Path(out_dir, "summary.csv")
     results_existed = os.path.lexists(results_path)
-    results_fh = open_output(out_dir, "results.json")
+    results_fh = open_output(results_path)
     try:
-        summary_fh = open_output(out_dir, "summary.csv")
+        summary_fh = open_output(summary_path)
     except OutputError:
         results_fh.close()
         if not results_existed:
             results_path.unlink(missing_ok=True)
         raise
     with results_fh, summary_fh:
-        return {"results": write_output(results_fh, results_text),
-                "summary": write_output(summary_fh, summary_text)}
+        write_output(results_fh, results_text)
+        write_output(summary_fh, summary_text)
+    return {"results": results_path, "summary": summary_path}
 
 
 _GAIN_SWEEP_FIELDS = ("phi_deg", "element_db", "array_db", "total_db")
@@ -824,4 +841,7 @@ def gain_sweep_rows(
 def write_gain_sweep(rows: list[dict], out_dir: str | Path) -> Path:
     """Write `gain_sweep_rows` output to gain_sweep.csv; no other file is touched."""
     text = _csv_text(_GAIN_SWEEP_FIELDS, rows)
-    return write_output(open_output(out_dir, "gain_sweep.csv"), text)
+    prepare_output_dir(out_dir)
+    path = Path(out_dir, "gain_sweep.csv")
+    write_output(open_output(path), text)
+    return path

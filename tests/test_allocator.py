@@ -702,6 +702,33 @@ class TestStageOneFromTheFold:
         assert table.stage1_evals == want_evals
 
 
+class TestStageOneOnCodebookEdges:
+    """The table solves on `BeamCodebook.edges` unchecked; a caller's sectors are checked."""
+
+    @pytest.mark.parametrize("n_beams", [1, 2, 3, 16, MAX_BEAMS])
+    def test_table_equals_optimal_scan_angles_on_the_sectors(self, n_beams):
+        cfg = ScenarioConfig()
+        codebook = BeamCodebook(n_beams)
+        table = build_beam_gain_table(generate_corridor(cfg.corridor, 5), cfg.bss, codebook, CFG)
+        theta, phi = table.links["theta"], table.links["phi"]
+        phi_star, gain_db, evals = optimal_scan_angles(theta, phi, codebook.sectors, CFG)
+        assert table.phi_star.tobytes() == phi_star.tobytes()
+        assert table.gain_db.tobytes() == gain_db.tobytes()
+        assert table.stage1_evals == evals
+        edges = codebook.edges
+        assert edges.tobytes() == np.linspace(-math.pi, math.pi, n_beams + 1).tobytes()
+        assert list(zip(edges[:-1].tolist(), edges[1:].tolist())) == list(codebook.sectors)
+
+    @pytest.mark.parametrize(
+        "sectors",
+        [(), ((0.5, 0.2),), ((-1.0, 0.0), (0.5, 1.0))],
+        ids=["empty", "inverted", "not-consecutive"],
+    )
+    def test_caller_sectors_are_still_checked(self, sectors):
+        with pytest.raises(ConfigurationError, match="^scan sectors must be non-empty"):
+            optimal_scan_angles(np.full(3, 1.0), 0.0, sectors, CFG)
+
+
 def autocorrelation(theta, phi, cfg):
     """The (K, 1, n_h) lags r_d of `optimal_scan_angles` and the reach |alpha|."""
     _, coeffs, alpha = scan_coefficients(theta, phi, cfg)

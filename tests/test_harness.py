@@ -1223,14 +1223,37 @@ class TestCli:
              ["uav_count must be >= 1, got 0", "uav_count must be >= 1, got -1"]),
             (["bench", "--uavs", "0"], ["uav_count must be >= 1, got 0"]),
             (["bench", "--uavs", ","], ["benchmark needs at least one UAV count"]),
+            # An empty list is not a flag left out, which would run the config's M.
+            (["run", "--uavs", ","], ["--uavs needs at least one value"]),
+            (["sweep", "--uavs", ",", "--altitudes", "75"], ["--uavs needs at least one value"]),
+            (["sweep", "--uavs", "4", "--altitudes", ","],
+             ["--altitudes needs at least one value"]),
         ],
-        ids=["uavs-with-altitudes", "altitude", "uavs", "every-problem", "bench", "bench-empty"],
+        ids=["uavs-with-altitudes", "altitude", "uavs", "every-problem", "bench", "bench-empty",
+             "run-empty-uavs", "sweep-empty-uavs", "sweep-empty-altitudes"],
     )
     def test_sweep_and_bench_reject_before_making_out(self, tmp_path, capsys, argv, lines):
         out_dir = tmp_path / "out"
         assert cli_main(argv + ["--out", str(out_dir)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {line}" for line in lines]
         assert not out_dir.exists()
+
+    def test_a_run_builds_its_config_echo_once(self, tmp_path, monkeypatch, capsys):
+        # The echo that is checked before --out is made is the one the run
+        # hashes and reports.
+        echoes = []
+
+        def counted(config):
+            echoes.append(config)
+            return config_to_dict(config)
+
+        monkeypatch.setattr(harness, "config_to_dict", counted)
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--uavs", "2", "--out", str(out_dir)]) == 0
+        assert len(echoes) == 1
+        doc = json.loads((out_dir / "results.json").read_text())["results"][0]
+        assert doc["config"] == config_to_dict(echoes[0])
+        assert doc["config_digest"] == config_digest(echoes[0])
 
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
