@@ -69,7 +69,8 @@ def _maybe_scalar(x):
 def _cut_loss(angle, center_deg: float, width_deg: float, cap_db: float) -> np.ndarray:
     """The loss 12 ((angle - center) / width)^2 dB of one element cut, capped at `cap_db`."""
     deg = np.degrees(np.asarray(angle, dtype=float)) - center_deg
-    return np.minimum(12.0 * (deg / width_deg) ** 2, cap_db)
+    with np.errstate(over="ignore"):  # a loss past the floats is capped all the same
+        return np.minimum(12.0 * (deg / width_deg) ** 2, cap_db)
 
 
 def element_gain_vertical(theta, cfg: AntennaConfig):

@@ -25,18 +25,17 @@ from .harness import (
     ScenarioConfig,
     benchmark,
     benchmark_configs,
-    checked_echo,
+    checked_echoes,
     emit_reports,
     gain_sweep_rows,
     load_config,
-    open_output,
     prepare_output_dir,
     run_scenario,
     summary_row,
     sweep_configs,
     validate_config,
+    write_files,
     write_gain_sweep,
-    write_output,
 )
 
 
@@ -146,10 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             if args.uavs and len(args.uavs) > 1:
                 raise ConfigurationError(f"run takes one --uavs value, got {args.uavs}")
-            # A config the run would refuse leaves no output directory behind.
-            echo = checked_echo(config)
-            prepare_output_dir(args.out)
-            results = [run_scenario(config, echo)]
+            checked = checked_echoes([config])
         elif args.command == "sweep":
             if args.altitudes:
                 if args.uavs and len(args.uavs) > 1:
@@ -161,17 +157,17 @@ def main(argv: list[str] | None = None) -> int:
                 axis, values = "uav_count", args.uavs
             else:
                 raise ConfigurationError("sweep needs --uavs or --altitudes")
-            # As for run, every config is checked before --out is made.
-            configs = sweep_configs(config, axis, values)
-            prepare_output_dir(args.out)
-            results = [run_scenario(cfg) for cfg in configs]
+            checked = sweep_configs(config, axis, values)
         else:  # bench
-            benchmark_configs(config, args.uavs)
-            prepare_output_dir(args.out)
+            checked = benchmark_configs(config, args.uavs)
+        # Every config is checked before --out is made, so a config the run
+        # would refuse leaves no output directory behind.
+        prepare_output_dir(args.out)
+
+        if args.command == "bench":
             rows = benchmark(config, args.uavs)
             text = json.dumps(rows, indent=2) + "\n"
-            bench_path = args.out / "benchmark.json"
-            write_output(open_output(bench_path), text)
+            [bench_path] = write_files(args.out, {"benchmark.json": text})
             for row in rows:
                 print(
                     f"M={row['uav_count']:<3d} stage1={row['stage1_seconds'] * 1e3:.3g}ms "
@@ -180,6 +176,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {bench_path}")
             return 0
 
+        results = [run_scenario(cfg, echo) for cfg, echo in checked]
         written = emit_reports(results, args.out)
         _print_summary(results)
         print(f"wrote {written['results']} and {written['summary']}")

@@ -100,6 +100,8 @@ def link_geometry(bs: BaseStationSite, uav: Position3D) -> LinkGeometry:
     distance = math.sqrt(dx * dx + dy * dy + dz * dz)
     if distance <= 0.0:
         raise GeometryError(f"UAV coincides with BS {bs.id} at {bs.position}")
+    if not distance < math.inf:
+        raise GeometryError(f"UAV at {uav} is too far from BS {bs.id} for a finite distance")
     # Clamp guards acos against rounding when the UAV is exactly overhead.
     theta = math.acos(max(-1.0, min(1.0, dz / distance)))
     phi = wrap_angle(math.atan2(dy, dx) - math.radians(bs.boresight_deg))
@@ -116,13 +118,15 @@ def link_geometries(uavs: list[Position3D], bss: list[BaseStationSite]) -> np.nd
     """
     u = np.array([(p.x, p.y, p.z) for p in uavs], dtype=float).reshape(-1, 3)
     b = np.array([(bs.position.x, bs.position.y, bs.position.z) for bs in bss], dtype=float)
-    d = u.T[:, :, None] - b.reshape(-1, 3).T[:, None, :]  # dx, dy, dz, each (M, L)
+    # A distance that overflows is reported below, not by numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = u.T[:, :, None] - b.reshape(-1, 3).T[:, None, :]  # dx, dy, dz, each (M, L)
+        # The sum over the leading axis adds dx^2 + dy^2, then dz^2, as `link_geometry` does.
+        distance = np.sqrt((d * d).sum(axis=0))
     dx, dy, dz = d
-    # The sum over the leading axis adds dx^2 + dy^2, then dz^2, as `link_geometry` does.
-    distance = np.sqrt((d * d).sum(axis=0))
-    if np.any(distance <= 0.0):
-        _, l = np.argwhere(distance <= 0.0)[0]
-        raise GeometryError(f"UAV coincides with BS {bss[l].id} at {bss[l].position}")
+    if not (distance.min() > 0.0 and distance.max() < math.inf):  # a NaN fails both
+        m, l = np.argwhere(~((distance > 0.0) & (distance < math.inf)))[0]
+        link_geometry(bss[l], uavs[m])  # the same distance: raises its GeometryError
     links = np.empty(distance.shape, dtype=LINK_DTYPE)
     links["distance_3d"] = distance
     flat = links.reshape(-1)  # a view: the fields below are written through it

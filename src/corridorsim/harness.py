@@ -21,6 +21,7 @@ replications.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import BinaryIO, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -153,14 +154,18 @@ _FINITE_WAVELENGTH = _need(lambda hz: math.isfinite(SPEED_OF_LIGHT / hz),
                            "must give a finite wavelength")
 
 
-def _rician_k(key: str, k_db: float) -> str | None:
-    """A K whose linear value 10^(K/10), as the providers compute it, is finite and positive."""
-    try:
-        if 10.0 ** (k_db / 10.0) > 0.0:
-            return None
-    except OverflowError:
-        pass
-    return f"{key} must have a finite, positive linear value, got {k_db!r} dB"
+def _linear(positive: bool):
+    """A rule: the linear value 10^(dB/10), as the run computes it, is a finite (positive) float."""
+    need = ", positive" if positive else ""
+
+    def rule(key: str, db: float) -> str | None:
+        try:
+            if 10.0 ** (db / 10.0) > 0.0 or not positive:
+                return None
+        except OverflowError:
+            pass
+        return f"{key} must have a finite{need} linear value, got {db!r} dB"
+    return rule
 
 
 def _tensor_file(key: str, path: str | None) -> str | None:
@@ -195,7 +200,7 @@ _SCHEMA = (
     ("antenna.n_v", "antenna.n_v", _AT_LEAST_1),
     ("antenna.d_h_wavelengths", "antenna.d_h", _POSITIVE),
     ("antenna.d_v_wavelengths", "antenna.d_v", _POSITIVE),
-    ("antenna.g_e_max_dbi", "antenna.g_e_max_dbi", None),
+    ("antenna.g_e_max_dbi", "antenna.g_e_max_dbi", _linear(positive=False)),
     ("antenna.theta_3db_deg", "antenna.theta_3db_deg", _POSITIVE),
     ("antenna.phi_3db_deg", "antenna.phi_3db_deg", _POSITIVE),
     ("antenna.a_m_db", "antenna.a_m_db", _POSITIVE),
@@ -209,7 +214,7 @@ _SCHEMA = (
     ("channel_hf.kind", "channel_hf.kind", _need(
         lambda v: v in ("few_ray", "statistical", "import"), "must be few_ray|statistical|import")),
     ("channel_hf.ray_count", "channel_hf.ray_count", _AT_LEAST_1),
-    ("channel_hf.rician_k_db", "channel_hf.rician_k_db", _rician_k),
+    ("channel_hf.rician_k_db", "channel_hf.rician_k_db", _linear(positive=True)),
     ("channel_hf.import_path", "channel_hf.import_path", _tensor_file),
     ("channel_lf.ray_count", "lf_ray_count", _AT_LEAST_1),
 )
@@ -377,7 +382,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def config_digest(config: ScenarioConfig, echo: dict | None = None) -> str:
-    """Short hash of the config file; `echo` is its `checked_echo`, if at hand."""
+    """Short hash of the config file; `echo` is its checked echo, if at hand."""
     # json.dumps(echo, sort_keys=True), through an encoder built once
     canonical = _c_encoder(", ")(config_to_dict(config) if echo is None else echo)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -390,7 +395,7 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
     first, in echo order: a non-finite number is reported as such, any other
     value against its schema row's rule. The checks that span several keys
     follow. `echo` is `config_to_dict(config)`, built here unless at hand
-    (`checked_echo` passes the run's).
+    (`checked_echoes` passes each run's).
     """
     echo = config_to_dict(config) if echo is None else echo
     walk = [(f"{s}." if s else "", echo[s] if s else echo, table) for s, table in _TABLES.items()]
@@ -420,15 +425,20 @@ def validate_config(config: ScenarioConfig, echo: dict | None = None) -> list[st
     return errors
 
 
-def checked_echo(config: ScenarioConfig) -> dict:
-    """`config_to_dict(config)` once `validate_config` finds no problem (else one line each).
+Checked = tuple[ScenarioConfig, dict]  # a config and its echo, checked by `checked_echoes`
 
-    A caller that checks a config before its run passes this to `run_scenario`.
+
+def checked_echoes(configs: Iterable[ScenarioConfig]) -> list[Checked]:
+    """Each config with its `config_to_dict` echo, once `validate_config` finds no problem.
+
+    Every distinct problem of every config raises in one ConfigurationError,
+    one problem per line. A caller that checks its configs before their runs
+    passes each echo to `run_scenario`.
     """
-    echo = config_to_dict(config)
-    if errors := validate_config(config, echo):
-        raise ConfigurationError("\n".join(errors))
-    return echo
+    checked = [(config, config_to_dict(config)) for config in configs]
+    if problems := dict.fromkeys(p for cfg, echo in checked for p in validate_config(cfg, echo)):
+        raise ConfigurationError("\n".join(problems))
+    return checked
 
 
 # --------------------------------------------------------------------------
@@ -461,11 +471,14 @@ def _allocation_tensor(
     return generate_statistical(links, config.channel_hf, config.rf, seeds)
 
 
-def _check_gains(tensor: LinkGainTensor, source: str) -> None:
-    """A generated tensor must hold finite, non-negative power gains, as a file must."""
-    gains = tensor.power_gains
-    if not (gains.min() >= 0.0 and gains.max() < math.inf):  # a NaN fails both
-        raise ConfigurationError(f"{source} gave non-finite or negative power gains")
+def _check_finite(values: np.ndarray, problem: str) -> None:
+    """`values` must be finite and non-negative, else the run ends with `problem`.
+
+    Generated power gains are held to this, as a file's are, and so are the
+    utility and the rates that a link budget past the floats would overflow.
+    """
+    if not (values.min() >= 0.0 and values.max() < math.inf):  # a NaN fails both
+        raise ConfigurationError(problem)
 
 
 def _chunk_size(config: ScenarioConfig) -> int:
@@ -484,8 +497,8 @@ def _chunk_size(config: ScenarioConfig) -> int:
 def run_scenario(config: ScenarioConfig, echo: dict | None = None) -> ExperimentResult:
     """Run every replication of one scenario and aggregate the reports.
 
-    `echo` is `checked_echo(config)`, which the run builds unless given; it
-    is hashed into the digest and reported as the run's config.
+    `echo` is the config's echo from `checked_echoes`, which the run builds
+    unless given; it is hashed into the digest and reported as the run's config.
 
     Replications are stacked in chunks of `_chunk_size`: each chunk makes one
     channel pass (generate, allocation tensor, checks, utility) over all its
@@ -493,7 +506,8 @@ def run_scenario(config: ScenarioConfig, echo: dict | None = None) -> Experiment
     pass: its (R, M) assignment is filled with scan angles, validated and
     evaluated as one stack.
     """
-    echo = checked_echo(config) if echo is None else echo
+    if echo is None:
+        [(_, echo)] = checked_echoes([config])
     digest = config_digest(config, echo)
     uavs = generate_corridor(config.corridor, config.uav_count)
 
@@ -511,45 +525,52 @@ def run_scenario(config: ScenarioConfig, echo: dict | None = None) -> Experiment
     chunk = _chunk_size(config)
     reports = []
     stage2_seconds = evaluation_seconds = 0.0  # summed here, averaged below
-    for start in range(0, config.replications, chunk):
-        reps = range(start, min(start + chunk, config.replications))
-        seeds = channel_seeds[start : reps.stop]
-        # An overflowing link budget is reported by _check_gains, not by numpy.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # A link budget that overflows ends at a `_check_finite` that names its stage,
+    # not in a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, config.replications, chunk):
+            reps = range(start, min(start + chunk, config.replications))
+            seeds = channel_seeds[start : reps.stop]
             eval_tensor = generate(links, config.channel_hf, config.rf, seeds)
             if (eval_tensor.m, eval_tensor.l) != (mm, ll):
                 got = f"{eval_tensor.m}x{eval_tensor.l}"
                 raise TensorFormatError(f"channel tensor is {got} links, expected {mm}x{ll}")
-            _check_gains(eval_tensor, f"channel_hf ({config.channel_hf.kind})")
+            bad_gains = "gave non-finite or negative power gains"
+            _check_finite(eval_tensor.power_gains,
+                          f"channel_hf ({config.channel_hf.kind}) {bad_gains}")
             alloc_tensor = _allocation_tensor(config, eval_tensor, links, reps)
             if alloc_tensor is not eval_tensor:
-                _check_gains(alloc_tensor, f"allocation channel {config.allocation_channel!r}")
-        if config.allocator != "random":
-            t_util = time.perf_counter()
-            util = build_utility(table, alloc_tensor, config.rf)
-            stage2_seconds += time.perf_counter() - t_util
-        t_alloc = time.perf_counter()
-        shape = (len(reps), mm)
-        assignment = Assignment(np.empty(shape, dtype=int), np.empty(shape, dtype=int))
-        for i, r in enumerate(reps):
-            if config.allocator == "two_stage":
-                row = solve_assignment(util[i])
-            elif config.allocator == "random":
-                row = allocate_random(mm, ll, nn, _derive_seed(config.seed, _TAG_RANDOM, r))
-            else:
-                row = allocate_closest_bs(links["distance_3d"], util[i])
-            assignment.bs[i], assignment.beam[i] = row.bs, row.beam
-        fill_scan_angles(assignment, table)
-        stage2_seconds += time.perf_counter() - t_alloc
-        if violations := validate(assignment, mm, ll, nn):
-            raise InfeasibleAssignmentError(
-                f"chunk from replication {start}: " + "; ".join(violations))
-        t_eval = time.perf_counter()
-        reports += evaluate_all(assignment, eval_tensor, table, table.fold, config.rf,
-                                seed=seeds, config_digest=digest)
-        evaluation_seconds += time.perf_counter() - t_eval
+                _check_finite(alloc_tensor.power_gains,
+                              f"allocation channel {config.allocation_channel!r} {bad_gains}")
+            if config.allocator != "random":
+                t_util = time.perf_counter()
+                util = build_utility(table, alloc_tensor, config.rf)
+                stage2_seconds += time.perf_counter() - t_util
+                _check_finite(util, "stage 2 utility is not finite: the link budget overflows")
+            t_alloc = time.perf_counter()
+            shape = (len(reps), mm)
+            assignment = Assignment(np.empty(shape, dtype=int), np.empty(shape, dtype=int))
+            for i, r in enumerate(reps):
+                if config.allocator == "two_stage":
+                    row = solve_assignment(util[i])
+                elif config.allocator == "random":
+                    row = allocate_random(mm, ll, nn, _derive_seed(config.seed, _TAG_RANDOM, r))
+                else:
+                    row = allocate_closest_bs(links["distance_3d"], util[i])
+                assignment.bs[i], assignment.beam[i] = row.bs, row.beam
+            fill_scan_angles(assignment, table)
+            stage2_seconds += time.perf_counter() - t_alloc
+            if violations := validate(assignment, mm, ll, nn):
+                raise InfeasibleAssignmentError(
+                    f"chunk from replication {start}: " + "; ".join(violations))
+            t_eval = time.perf_counter()
+            reports += evaluate_all(assignment, eval_tensor, table, table.fold, config.rf,
+                                    seed=seeds, config_digest=digest)
+            evaluation_seconds += time.perf_counter() - t_eval
 
+    # A non-finite SINR or rate makes its replication's mean rate non-finite.
     mean_rates = np.array([rep.mean_rate_bps for rep in reports])
+    _check_finite(mean_rates, "evaluation gave non-finite SINRs: the link budget overflows")
     std = float(np.std(mean_rates, ddof=1)) if len(mean_rates) > 1 else 0.0
     return ExperimentResult(
         config=echo,
@@ -564,23 +585,16 @@ def run_scenario(config: ScenarioConfig, echo: dict | None = None) -> Experiment
     )
 
 
-def sweep_configs(config: ScenarioConfig, axis: str, values: list) -> list[ScenarioConfig]:
-    """The config of each axis value, all of them checked before any runs.
-
-    Every distinct problem of every config raises in one ConfigurationError,
-    one problem per line.
-    """
+def sweep_configs(config: ScenarioConfig, axis: str, values: list) -> list[Checked]:
+    """The config of each axis value with its echo, all checked before any runs."""
     if not values:
         raise ConfigurationError("sweep needs at least one axis value")
-    configs = [_with_axis(config, axis, value) for value in values]
-    if problems := dict.fromkeys(p for cfg in configs for p in validate_config(cfg)):
-        raise ConfigurationError("\n".join(problems))
-    return configs
+    return checked_echoes([_with_axis(config, axis, value) for value in values])
 
 
 def sweep(config: ScenarioConfig, axis: str, values: list) -> list[ExperimentResult]:
     """One run_scenario per axis value, sharing the base seed schedule."""
-    return [run_scenario(cfg) for cfg in sweep_configs(config, axis, values)]
+    return [run_scenario(cfg, echo) for cfg, echo in sweep_configs(config, axis, values)]
 
 
 def _with_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
@@ -597,8 +611,8 @@ def _with_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
 _BENCH_REPEATS = 15
 
 
-def benchmark_configs(config: ScenarioConfig, uav_counts: list[int]) -> list[ScenarioConfig]:
-    """The one-replication config of each UAV count that `benchmark` runs, all checked."""
+def benchmark_configs(config: ScenarioConfig, uav_counts: list[int]) -> list[Checked]:
+    """The one-replication config of each UAV count that `benchmark` runs, with its echo."""
     if not uav_counts:
         raise ConfigurationError("benchmark needs at least one UAV count")
     return sweep_configs(replace(config, replications=1), "uav_count", uav_counts)
@@ -613,11 +627,11 @@ def benchmark(config: ScenarioConfig, uav_counts: list[int]) -> list[dict]:
     is the median over the repeats.
     """
     configs = benchmark_configs(config, uav_counts)
-    run_scenario(configs[0])
+    run_scenario(*configs[0])
     samples = [[] for _ in configs]
     for _ in range(_BENCH_REPEATS):
-        for cfg, runs in zip(configs, samples):
-            result = run_scenario(cfg)
+        for (cfg, echo), runs in zip(configs, samples):
+            result = run_scenario(cfg, echo)
             runs.append(
                 {
                     "stage1_seconds": result.stage1_seconds,
@@ -727,6 +741,10 @@ def dumps_indent2(obj, depth: int = 0) -> str:
     return ("{" if is_dict else "[") + sep[1:] + body + outer + ("}" if is_dict else "]")
 
 
+def _cannot_write(exc: OSError, path) -> OutputError:
+    return OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
+
+
 def prepare_output_dir(out_dir: str | Path) -> None:
     """Create `out_dir` and its parents if missing; an OSError ends as an OutputError.
 
@@ -738,43 +756,51 @@ def prepare_output_dir(out_dir: str | Path) -> None:
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise OutputError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from exc
+        raise _cannot_write(exc, out_dir) from exc
 
 
-def open_output(path: Path) -> BinaryIO:
-    """Open `path` for `write_output` without truncating it.
+def _keep_bytes(path, flags: int) -> int:
+    """`os.open` for `open(path, "wb")`, less the truncation."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
-    Its directory must exist, as `prepare_output_dir` leaves it. The file is
-    created if missing; an existing file keeps its bytes until
-    `write_output`. As with `Path.write_text`, a symlink is followed, the
-    file's permissions hold and its inode stays. An OSError ends as an
-    OutputError that names the path.
+
+def write_files(out_dir: str | Path, texts: dict[str, str]) -> list[Path]:
+    """Write each {file name: text} into `out_dir`, making it; the paths, in order.
+
+    Every target is opened before any is written. If one cannot be opened,
+    none is written and the files this call created are removed. A file is
+    overwritten in place: a symlink is followed, and the file keeps its
+    inode and permissions. A longer old file is cut to length after the
+    write, not to zero before it: on ext4 (auto_da_alloc) a truncation to
+    zero makes `close()` start writeback. A device or pipe (size 0) is not
+    cut. The text is written as UTF-8 with no newline translation. An
+    OSError ends as an OutputError that names the path.
     """
+    prepare_output_dir(out_dir)
+    paths = [Path(out_dir, name) for name in texts]
+    created = [path for path in paths if not os.path.lexists(path)]
+    opened = []
     try:
-        return open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666))
-    except OSError as exc:
-        raise OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
-
-
-def write_output(fh: BinaryIO, text: str) -> None:
-    """Write `text` over the file `open_output` opened and close it.
-
-    A longer old file is cut to the new length after the write, not to zero
-    before it: on ext4 (auto_da_alloc) a truncation to zero makes `close()`
-    start writeback. A device or pipe (size 0) is written and not truncated.
-    The text is written as UTF-8 with no newline translation. An OSError ends
-    as an OutputError that names the path.
-    """
-    data = text.encode()
-    try:
-        with fh:
+        for path in paths:
+            opened.append(open(path, "wb", opener=_keep_bytes))
+        for fh, path, text in zip(opened, paths, texts.values()):
+            data = text.encode()
             fh.write(data)
             # The size is max(old size, bytes flushed so far), which exceeds
             # len(data) exactly when the old file was longer.
             if os.fstat(fh.fileno()).st_size > len(data):
                 fh.truncate()
+            fh.close()
     except OSError as exc:
-        raise OutputError(f"cannot write {exc.filename or fh.name}: {exc.strerror or exc}") from exc
+        if len(opened) < len(paths):  # a target did not open, so none was written
+            for new in created:
+                with contextlib.suppress(OSError):
+                    new.unlink()
+        raise _cannot_write(exc, path) from exc
+    finally:
+        for fh in opened:
+            fh.close()
+    return paths
 
 
 def _csv_text(fields, rows: Iterable[dict]) -> str:
@@ -791,28 +817,14 @@ def emit_reports(results: list[ExperimentResult], out_dir: str | Path) -> dict[s
     results.json is `json.dumps(payload, indent=2, sort_keys=True)` plus a
     newline, written by `dumps_indent2`. Wall-clock timings live in
     summary.csv only, so results.json is byte identical across reruns of the
-    same config and seed. Both files are opened (`open_output`) before
-    either is written (`write_output`), so a target that cannot be opened
-    leaves both files as they were: a results.json that this call created
-    is removed again, and one that existed keeps its bytes.
+    same config and seed. Both files go through one `write_files` call, so
+    the pair is written by one run or left as it was.
     """
     payload = {"results": [r.to_dict() for r in results]}
-    results_text = dumps_indent2(payload) + "\n"
-    summary_text = _csv_text(_SUMMARY_FIELDS, map(summary_row, results))
-    prepare_output_dir(out_dir)
-    results_path, summary_path = Path(out_dir, "results.json"), Path(out_dir, "summary.csv")
-    results_existed = os.path.lexists(results_path)
-    results_fh = open_output(results_path)
-    try:
-        summary_fh = open_output(summary_path)
-    except OutputError:
-        results_fh.close()
-        if not results_existed:
-            results_path.unlink(missing_ok=True)
-        raise
-    with results_fh, summary_fh:
-        write_output(results_fh, results_text)
-        write_output(summary_fh, summary_text)
+    results_path, summary_path = write_files(out_dir, {
+        "results.json": dumps_indent2(payload) + "\n",
+        "summary.csv": _csv_text(_SUMMARY_FIELDS, map(summary_row, results)),
+    })
     return {"results": results_path, "summary": summary_path}
 
 
@@ -840,8 +852,5 @@ def gain_sweep_rows(
 
 def write_gain_sweep(rows: list[dict], out_dir: str | Path) -> Path:
     """Write `gain_sweep_rows` output to gain_sweep.csv; no other file is touched."""
-    text = _csv_text(_GAIN_SWEEP_FIELDS, rows)
-    prepare_output_dir(out_dir)
-    path = Path(out_dir, "gain_sweep.csv")
-    write_output(open_output(path), text)
+    [path] = write_files(out_dir, {"gain_sweep.csv": _csv_text(_GAIN_SWEEP_FIELDS, rows)})
     return path

@@ -131,6 +131,8 @@ RULED = [
     ("antenna.n_v", -1, "antenna.n_v must be >= 1, got -1"),
     ("antenna.d_h_wavelengths", 0, "antenna.d_h_wavelengths must be positive, got 0.0"),
     ("antenna.d_v_wavelengths", -0.5, "antenna.d_v_wavelengths must be positive, got -0.5"),
+    ("antenna.g_e_max_dbi", 3100,
+     "antenna.g_e_max_dbi must have a finite linear value, got 3100.0 dB"),
     ("antenna.theta_3db_deg", 0, "antenna.theta_3db_deg must be positive, got 0.0"),
     ("antenna.phi_3db_deg", -90, "antenna.phi_3db_deg must be positive, got -90.0"),
     ("antenna.a_m_db", 0, "antenna.a_m_db must be positive, got 0.0"),
@@ -378,6 +380,8 @@ finite = st.floats(-1e9, 1e9)
 positive = st.floats(1e-6, 1e12)
 # Rician K in dB whose linear value 10^(K/10) is a finite, positive float.
 rician_k_dbs = st.floats(-3000.0, 3000.0)
+# A peak element gain in dBi whose linear value is a finite float; 0 is allowed.
+element_gains = st.floats(-1e9, 3000.0)
 
 
 # An import spec holds a file name; the round trip makes that file, since
@@ -427,7 +431,7 @@ def scenario_configs(draw):
             n_v=draw(st.integers(1, 16)),
             d_h=draw(st.floats(1e-6, MAX_D_H_WAVELENGTHS)),
             d_v=draw(positive),
-            g_e_max_dbi=draw(finite),
+            g_e_max_dbi=draw(element_gains),
             theta_3db_deg=draw(st.floats(1e-3, 360.0)),
             phi_3db_deg=draw(st.floats(1e-3, 360.0)),
             a_m_db=draw(positive),

@@ -99,6 +99,16 @@ class TestLinkGeometry:
         with pytest.raises(GeometryError):
             link_geometry(bs, Position3D(1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("uav", [Position3D(1e160, 0.0, 0.0), Position3D(0.0, 0.0, 1e300)])
+    def test_a_distance_past_the_floats_is_a_geometry_error(self, uav):
+        # Both forms raise before their arithmetic is read, and numpy warns of nothing.
+        bs = BaseStationSite(3, Position3D(1.0, 2.0, 3.0), 0.0)
+        match = "too far from BS 3 for a finite distance"
+        with pytest.raises(GeometryError, match=match):
+            link_geometry(bs, uav)
+        with pytest.raises(GeometryError, match=match):
+            link_geometries([Position3D(0.0, 0.0, 0.0), uav], [bs])
+
     def test_phi_wrapped_half_open(self):
         bs = BaseStationSite(1, Position3D(0.0, 0.0, 0.0), 180.0)
         # UAV due east, boresight west: relative azimuth is exactly pi, not -pi

@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import io
 import json
 import math
@@ -45,6 +47,7 @@ from corridorsim.cli import main as cli_main
 from corridorsim.errors import ConfigurationError, OutputError, TensorFormatError
 from corridorsim.geometry import generate_corridor, link_geometries
 from corridorsim.harness import (
+    ALLOCATORS,
     ScenarioConfig,
     benchmark,
     config_digest,
@@ -302,6 +305,69 @@ class TestLinkBudgetOutsideTheFloats:
         process = cli_process(argv, "-W", "default")
         assert process.returncode == 1
         assert process.stderr == f"error: {source} gave non-finite or negative power gains\n"
+
+    @pytest.mark.parametrize("allocator", ALLOCATORS)
+    def test_cli_rejects_an_element_gain_without_a_linear_value(self, tmp_path, capsys, allocator):
+        # 10^(3100/10) is past the floats: unchecked, two-stage ended in a
+        # scipy traceback and the baselines wrote NaN rates.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"antenna": {"g_e_max_dbi": 3100}}))
+        out_dir = tmp_path / "out"
+        assert cli_main(["validate-config", "--config", str(path)]) == 1
+        argv = ["run", "--config", str(path), "--allocator", allocator, "--out", str(out_dir)]
+        assert cli_main(argv) == 1
+        expect = "error: antenna.g_e_max_dbi must have a finite linear value, got 3100.0 dB"
+        assert capsys.readouterr().err.splitlines() == [expect, expect]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "allocator, stage",
+        [
+            ("two_stage", "stage 2 utility is not finite"),
+            ("closest_bs", "stage 2 utility is not finite"),
+            # The random baseline builds no utility; its SINRs overflow.
+            ("random", "evaluation gave non-finite SINRs"),
+        ],
+    )
+    def test_an_overflow_past_the_rules_names_its_stage(self, tmp_path, capsys, allocator, stage):
+        # 10^(3080/10) is a float, but the array gain and the link budget on
+        # top of it are not.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"antenna": {"g_e_max_dbi": 3080}}))
+        out_dir = tmp_path / "out"
+        assert cli_main(["validate-config", "--config", str(path)]) == 0
+        argv = ["run", "--config", str(path), "--allocator", allocator, "--out", str(out_dir)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {stage}: the link budget overflows"]
+        assert not (out_dir / "results.json").exists()
+
+    @pytest.mark.parametrize(
+        "doc, far",
+        [
+            ({"corridor": {"radius_m": 1e160}}, "Position3D(x=1e+160, y=200.0, z=100.0)"),
+            ({"corridor": {"altitude_m": 1e300}}, "Position3D(x=400.0, y=200.0, z=1e+300)"),
+        ],
+        ids=["radius", "altitude"],
+    )
+    def test_overflowing_geometry_prints_only_a_geometry_error(self, tmp_path, doc, far):
+        # A fresh interpreter with warnings shown, as above. Unchecked, numpy
+        # warned of the overflow and the channel was blamed for it.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        process = cli_process(["run", "--config", str(path), "--out", str(tmp_path / "out")],
+                              "-W", "default")
+        assert process.returncode == 1
+        assert process.stderr == f"error: UAV at {far} is too far from BS 1 for a finite distance\n"
+
+    def test_a_beamwidth_whose_loss_overflows_runs_without_a_warning(self, tmp_path):
+        # 12 (angle / 1e-300)^2 dB overflows, and the cut's cap is the loss.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"antenna": {"theta_3db_deg": 1e-300}}))
+        process = cli_process(["run", "--config", str(path), "--out", str(tmp_path / "out")],
+                              "-W", "default")
+        assert process.returncode == 0
+        assert process.stderr == ""
 
 
 class TestStage1SizeBounds:
@@ -610,8 +676,9 @@ class TestSweepAndBench:
     def test_benchmark_configs_take_one_replication_per_uav_count(self):
         cfg = small_config(seed=18, replications=5)
         configs = harness.benchmark_configs(cfg, [2, 4])
-        assert [c.uav_count for c in configs] == [2, 4]
-        for c in configs:
+        assert [c.uav_count for c, _ in configs] == [2, 4]
+        for c, echo in configs:
+            assert echo == config_to_dict(c)
             assert c.replications == 1
             assert config_to_dict(replace(c, uav_count=cfg.uav_count, replications=5)) == (
                 config_to_dict(cfg)
@@ -960,6 +1027,34 @@ class TestOutputFiles:
         assert "Traceback" not in err
         assert (results.read_bytes() if results.exists() else None) == old
 
+    @pytest.mark.parametrize(
+        "argv, target, others",
+        [
+            (["run", "--uavs", "2"], "results.json", ["summary.csv"]),
+            (["run", "--uavs", "2"], "summary.csv", ["results.json"]),
+            (["sweep", "--uavs", "2,3"], "results.json", ["summary.csv"]),
+            (["sweep", "--uavs", "2,3"], "summary.csv", ["results.json"]),
+            (["bench", "--uavs", "2"], "benchmark.json", []),
+            (["gain-sweep"], "gain_sweep.csv", []),
+        ],
+        ids=["run-results", "run-summary", "sweep-results", "sweep-summary", "bench", "gain-sweep"],
+    )
+    @pytest.mark.parametrize("earlier", [True, False], ids=["earlier-files", "no-earlier-files"])
+    def test_a_target_that_cannot_be_opened_leaves_every_file_as_it_was(
+        self, tmp_path, capsys, argv, target, others, earlier
+    ):
+        # Every file a command writes goes through one writer, which opens
+        # all its targets before it writes any.
+        out = tmp_path / "out"
+        (out / target).mkdir(parents=True)
+        kept = others if earlier else []
+        for name in kept:
+            (out / name).write_text("kept")
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out / target}: Is a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted([target, *kept])
+        assert all((out / name).read_text() == "kept" for name in kept)
+
     def test_results_json_a_directory_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "results.json").mkdir(parents=True)
@@ -1254,6 +1349,67 @@ class TestCli:
         doc = json.loads((out_dir / "results.json").read_text())["results"][0]
         assert doc["config"] == config_to_dict(echoes[0])
         assert doc["config_digest"] == config_digest(echoes[0])
+
+    @pytest.mark.parametrize(
+        "argv, most",
+        # bench checks its configs before --out, and `benchmark` once more.
+        [(["sweep", "--uavs", "2,3"], 2), (["bench", "--uavs", "2,3"], 4)],
+        ids=["sweep", "bench"],
+    )
+    def test_sweep_and_bench_build_each_echo_before_their_runs(
+        self, tmp_path, monkeypatch, capsys, argv, most
+    ):
+        # As for run (above), a checked echo goes with its config to
+        # run_scenario, so no run builds or checks it again; bench runs each
+        # UAV count 16 times.
+        echoes = []
+
+        def counted(config):
+            echoes.append(config)
+            return config_to_dict(config)
+
+        monkeypatch.setattr(harness, "config_to_dict", counted)
+        assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert 0 < len(echoes) <= most
+
+    def test_the_names_the_benchmark_reaches_resolve(self, tmp_path, monkeypatch, capsys):
+        # perfbench/tracing.py patches these attributes by name, and perfbench
+        # imports or calls the others; a name removed or bypassed here would
+        # otherwise show only in a perfbench run.
+        bench_dir = Path(__file__).resolve().parents[1] / "perfbench"
+        tracing = ast.parse((bench_dir / "tracing.py").read_text())
+        [spans] = [node.value for node in tracing.body if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANS"]]
+        names = [(module, attr) for module, attr, _ in ast.literal_eval(spans)]
+        assert len(names) >= 10
+        names += [("corridorsim.allocator", "make_scan_gain"),
+                  ("corridorsim.evaluator", "total_gain"),
+                  # perfbench/run.py's set-up step
+                  ("corridorsim.cli", "load_config"), ("corridorsim.cli", "validate_config")]
+        layers = ast.parse((bench_dir / "layers.py").read_text())
+        names += [(node.module, alias.name) for node in ast.walk(layers)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").startswith("corridorsim") for alias in node.names]
+        for module, attr in names:
+            assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+        # cli.main reaches the run through the names perfbench wraps in cli.
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("load_config", "run_scenario", "emit_reports"):
+            monkeypatch.setattr(cli, name, counting(name))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(small_config(replications=1))))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"load_config": 1, "run_scenario": 1, "emit_reports": 1}
 
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
